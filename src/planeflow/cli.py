@@ -36,6 +36,7 @@ from .flow import (
     classify,
     conformal_clock_residual,
     integrate,
+    upgraded,
 )
 from .level import infinite_time_criterion, trace_level, transit_time
 from .reports import write_report
@@ -211,7 +212,7 @@ def _cmd_classify(args) -> int:
     z0 = parse_complex(args.z0)
     traj = integrate(spec, z0, cfg)
     est = blowup_time_estimate(traj, cfg)
-    term = classify(traj, cfg)
+    term = upgraded(traj.termination, est)
     print(_termination_line(term))
     if est.conclusive:
         print(f"  escape time {est.t_est!r} ± {est.t_err:.3g} ({est.method})")
@@ -619,7 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_poly_summary)
 
     p = sub.add_parser("demo", help="run the built-in example suite and print pass/fail")
-    p.add_argument("suite", nargs="?", default="all", help="suite name (default: all)")
     p.set_defaults(fn=_cmd_demo)
 
     return parser
@@ -665,3 +665,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

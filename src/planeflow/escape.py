@@ -11,6 +11,7 @@ sampling in y then matches the measure statement being tested.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 import random
 from dataclasses import dataclass, replace
@@ -21,6 +22,7 @@ from .expr import FuncExpr, compile_fn, derivative, to_text
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
+    Event,
     FlowSpec,
     IntegratorConfig,
     antiholo_invariants,
@@ -28,14 +30,15 @@ from .flow import (
     classify,
     drive_field,
     integrate,
+    upgraded,
 )
 from .jets import eval_jet
 from .level import point_on_level, trace_level
 
 __all__ = [
     "EscapeMeasureReport",
-    "GrowthPathReport",
     "PolyFlowSummary",
+    "RubelPathReport",
     "TailIntegral",
     "TractDemoReport",
     "TractRun",
@@ -60,21 +63,18 @@ class TransverseSegment:
     samples: tuple  # (y, z) with y ascending, z(0) = z0
 
 
-def _segment_point(fe, z0, y, cfg) -> complex:
-    """Point of the transverse segment at parameter y (integrates dz/dy = i f)."""
-    if y == 0.0:
-        return complex(z0)
-    sgn = 1.0 if y > 0 else -1.0
+def _segment_point(fe, z_a, y_a, dy, cfg) -> complex:
+    """Point of the transverse segment at parameter y_a + dy, traced from
+    its point z_a at y_a (integrates dz/dy = i f)."""
+    if dy == 0.0:
+        return complex(z_a)
+    sgn = 1.0 if dy > 0 else -1.0
     rhs = lambda z: sgn * 1j * fe(z)
-    res = drive_field(
-        rhs,
-        z0,
-        cfg,
-        t_stop=abs(y),
-        event=lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)),
-    )
+    near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
+    res = drive_field(rhs, z_a, cfg, t_stop=abs(dy), events=(near_zero,))
     if res.status == "event":
-        raise SegmentTruncated(abs(res.samples[-1][0]), res.samples[-1][1])
+        t, z = res.samples[-1]
+        raise SegmentTruncated(abs(y_a + sgn * t), z)
     if res.status != "t_stop":
         raise PlaneflowError(f"segment tracing stopped early ({res.status})")
     return res.samples[-1][1]
@@ -109,19 +109,7 @@ def transverse_segment(
     for sgn in (1, -1):
         z = z0
         for k in range(1, half + 1):
-            res = drive_field(
-                (lambda z_, s=float(sgn): s * 1j * fe(z_)),
-                z,
-                cfg,
-                t_stop=step,
-                event=lambda z_: 1e-9 * (1.0 + abs(z_)) - abs(fe(z_)),
-            )
-            if res.status == "event":
-                achieved = (k - 1) * step + res.samples[-1][0]
-                raise SegmentTruncated(achieved, res.samples[-1][1])
-            if res.status != "t_stop":
-                raise PlaneflowError(f"segment tracing stopped early ({res.status})")
-            z = res.samples[-1][1]
+            z = _segment_point(fe, z, sgn * (k - 1) * step, sgn * step, cfg)
             out[sgn * k] = z
     samples = tuple((k * step, out[k]) for k in range(-half, half + 1))
     return TransverseSegment(f, z0, delta, samples)
@@ -168,7 +156,7 @@ def escape_measure(
     for i in range(n_samples):
         y = rng.uniform(-delta, delta)
         try:
-            zy = _segment_point(fe, z0, y, cfg)
+            zy = _segment_point(fe, z0, 0.0, y, cfg)
             traj = integrate(spec, zy, cfg)
             term = classify(traj, cfg)
             name = term.name
@@ -215,16 +203,12 @@ def poly_flow_summary(coeffs: Sequence[complex], kind: str) -> PolyFlowSummary:
     if degree == 1:
         return PolyFlowSummary(kind, degree, (), None)
     a_n = c[-1]
-    base = -cmath_phase(a_n) / (degree - 1)
+    base = -cmath.phase(a_n) / (degree - 1)
     tau = 2.0 * math.pi
     directions = sorted(
         (base + tau * k / (degree - 1)) % tau for k in range(degree - 1)
     )
     return PolyFlowSummary(kind, degree, tuple(directions), None)
-
-
-def cmath_phase(v: complex) -> float:
-    return math.atan2(v.imag, v.real)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +404,7 @@ def demo_antiholo_tract(cfg: Optional[IntegratorConfig] = None) -> TractDemoRepo
     z_fin = complex(-1.0, math.pi)
     traj_fin = integrate(spec, z_fin, cfg)
     est = blowup_time_estimate(traj_fin, cfg)
-    term_fin = classify(traj_fin, cfg)
+    term_fin = upgraded(traj_fin.termination, est)
     inv_fin = antiholo_invariants(traj_fin)
     finite_run = TractRun(
         z_fin,
@@ -441,9 +425,8 @@ def demo_antiholo_tract(cfg: Optional[IntegratorConfig] = None) -> TractDemoRepo
         cfg_r = replace(cfg, escape_radius=radius, t_max=max(cfg.t_max, 3.0 * radius))
         traj = integrate(spec, z_inf, cfg_r)
         times.append((radius, traj.t_end))
-        term = classify(traj, cfg_r)
         est_r = blowup_time_estimate(traj, cfg_r)
-        last_term = term.name
+        last_term = upgraded(traj.termination, est_r).name
         last_conclusive = est_r.conclusive
         drift = max(drift, antiholo_invariants(traj).im_drift)
     infinite_run = TractRun(

@@ -25,7 +25,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import FuncExpr, antiderivative, compile_fn, is_constant, poly_coeffs
@@ -35,6 +36,7 @@ __all__ = [
     "ANTIHOLOMORPHIC",
     "AntiholoInvariants",
     "BlowupEstimate",
+    "Event",
     "FORWARD",
     "FiniteTimeBlowup",
     "FixedPointApproach",
@@ -56,6 +58,7 @@ __all__ = [
     "drive_field",
     "integrate",
     "sample_at",
+    "upgraded",
 ]
 
 HOLOMORPHIC = "holomorphic"
@@ -245,50 +248,71 @@ def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
     return hi
 
 
-class _ReturnDetector:
-    """Online first-return test against the seed point's cross-section."""
+class Event:
+    """A zero crossing of g(z) watched by :func:`drive_field`.
+
+    The event fires when g rises from negative to nonnegative across an
+    accepted step.  An event whose g is nonnegative at the start
+    therefore fires only after g has gone negative, unless
+    ``start_below`` counts g as negative before the first step.  The
+    crossing is located by bisection on the step's cubic Hermite
+    interpolant.  A terminal event then ends the run; any other records
+    its crossing and is retired.
+    """
+
+    def __init__(self, g: Callable[[complex], float], terminal: bool = True, *, start_below: bool = False):
+        self.g = g
+        self.terminal = terminal
+        self.start_below = start_below
+
+    def veto(self, path, z_new) -> bool:
+        """True dismisses a rise onto z_new before it is refined; ``path``
+        holds the (t, z) samples accepted so far."""
+        return False
+
+    def rejects(self, z_cross) -> bool:
+        """True dismisses a refined crossing; the event stays watched."""
+        return False
+
+
+class _SeedReturn(Event):
+    """First return through the seed point's cross-section, in the seed's
+    direction of travel."""
 
     def __init__(self, z0, f0, rhs, tol):
+        super().__init__(self._section)
         self.z0 = z0
         self.f0 = f0
         self.u = f0 / abs(f0)
         self.rhs = rhs
         self.tol = tol
         self.arm_dist = max(100.0 * tol, 1e-6 * (1.0 + abs(z0)))
-        self.armed = False
 
     def _section(self, z):
         return ((z - self.z0) * self.u.conjugate()).real
 
-    def check(self, t, za, ka, zb, kb, h):
-        db = abs(zb - self.z0)
-        if not self.armed:
-            if db > self.arm_dist:
-                self.armed = True
-            return None
-        sa, sb = self._section(za), self._section(zb)
-        if not (sa < 0.0 <= sb):
-            return None
-        if min(abs(za - self.z0), db) > 4.0 * abs(zb - za) + 10.0 * self.tol:
-            return None
-        theta = _bisect_theta(lambda s: self._section(_hermite(za, ka, zb, kb, h, s)))
-        zc = _hermite(za, ka, zb, kb, h, theta)
-        if abs(zc - self.z0) > self.tol:
-            return None
-        fc = self.rhs(zc)
+    def veto(self, path, z_new):
+        # armed once an earlier accepted point left the seed's neighbourhood
+        z0 = self.z0
+        if not any(abs(z - z0) > self.arm_dist for _, z in islice(path, 1, None)):
+            return True
+        z_old = path[-1][1]
+        return min(abs(z_old - z0), abs(z_new - z0)) > 4.0 * abs(z_new - z_old) + 10.0 * self.tol
+
+    def rejects(self, z_cross):
+        if abs(z_cross - self.z0) > self.tol:
+            return True
+        fc = self.rhs(z_cross)
         denom = abs(fc) * abs(self.f0)
-        if denom == 0 or (fc * self.f0.conjugate()).real / denom < 0.999:
-            return None
-        return t + theta * h, zc
+        return denom == 0 or (fc * self.f0.conjugate()).real / denom < 0.999
 
 
 @dataclass
 class OdeResult:
     samples: list
     errors: list
-    crossings: list  # (radius, t, z) for each requested mark
-    status: str  # t_stop | radius | event | periodic | marks_done | underflow | overflow
-    period: Optional[float] = None
+    crossings: list  # (event, t, z) in the order the events fired
+    status: str  # t_stop | event | underflow | overflow
     exception: Optional[BaseException] = None
 
 
@@ -299,31 +323,23 @@ def drive_field(
     *,
     t0: float = 0.0,
     t_stop: float,
-    stop_radius: Optional[float] = None,
-    marks=(),
-    event: Optional[Callable[[complex], float]] = None,
-    detector: Optional[_ReturnDetector] = None,
+    events: Sequence[Event] = (),
     max_steps: int = 2_000_000,
 ) -> OdeResult:
     """Advance dz/dt = rhs(z) adaptively until a stop condition.
 
-    Stops at t_stop, at |z| >= stop_radius, when ``event`` changes sign
-    from negative to nonnegative, when all radius ``marks`` have been
-    crossed, or when the step size underflows the time resolution.
-    Crossing points are refined on the cubic Hermite interpolant of the
-    bracketing step.
+    Stops at t_stop, when a terminal event fires (status "event"; it is
+    the last entry of ``crossings`` and its crossing the last sample), or
+    when the step size underflows the time resolution.  Events that fire
+    in the same step are taken in the order given.
     """
     t, z = t0, complex(z0)
     samples = [(t, z)]
     errors = [0.0]
     crossings = []
-    marks = sorted(marks)
-    mark_idx = 0
-    while mark_idx < len(marks) and abs(z) >= marks[mark_idx]:
-        mark_idx += 1
 
     k1 = rhs(z)
-    e_prev = event(z) if event is not None else 0.0
+    watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
     h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
     steps = 0
@@ -331,8 +347,6 @@ def drive_field(
     while True:
         if t >= t_stop:
             return OdeResult(samples, errors, crossings, "t_stop")
-        if marks and mark_idx >= len(marks):
-            return OdeResult(samples, errors, crossings, "marks_done")
         steps += 1
         if steps > max_steps:
             raise PlaneflowError(f"step budget exceeded ({max_steps} steps) at t={t!r}")
@@ -367,44 +381,24 @@ def drive_field(
         if t_new == t:
             return OdeResult(samples, errors, crossings, "underflow")
 
-        if stop_radius is not None and abs(z_new) >= stop_radius:
-            theta = _bisect_theta(
-                lambda s: abs(_hermite(z, k1, z_new, k7, h, s)) - stop_radius
-            )
+        for entry in watch:
+            ev, g_old = entry
+            g_new = entry[1] = ev.g(z_new)
+            if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
+                continue
+            theta = _bisect_theta(lambda s: ev.g(_hermite(z, k1, z_new, k7, h, s)))
+            zc = _hermite(z, k1, z_new, k7, h, theta)
+            if ev.rejects(zc):
+                continue
             tc = t + theta * h
-            if tc <= t:
-                tc = math.nextafter(t, math.inf)
-            samples.append((tc, _hermite(z, k1, z_new, k7, h, theta)))
-            errors.append(err)
-            return OdeResult(samples, errors, crossings, "radius")
-
-        while mark_idx < len(marks) and abs(z_new) >= marks[mark_idx]:
-            r = marks[mark_idx]
-            theta = _bisect_theta(lambda s: abs(_hermite(z, k1, z_new, k7, h, s)) - r)
-            crossings.append((r, t + theta * h, _hermite(z, k1, z_new, k7, h, theta)))
-            mark_idx += 1
-
-        if event is not None:
-            e_new = event(z_new)
-            if e_prev < 0.0 <= e_new:
-                theta = _bisect_theta(
-                    lambda s: event(_hermite(z, k1, z_new, k7, h, s))
-                )
-                tc = t + theta * h
-                if tc <= t:
-                    tc = math.nextafter(t, math.inf)
-                samples.append((tc, _hermite(z, k1, z_new, k7, h, theta)))
+            crossings.append((ev, tc, zc))
+            if ev.terminal:
+                # sample times stay strictly increasing
+                samples.append((max(tc, math.nextafter(t, math.inf)), zc))
                 errors.append(err)
                 return OdeResult(samples, errors, crossings, "event")
-            e_prev = e_new
-
-        if detector is not None:
-            hit = detector.check(t, z, k1, z_new, k7, h)
-            if hit is not None:
-                t_hit, z_hit = hit
-                samples.append((t_hit, z_hit))
-                errors.append(err)
-                return OdeResult(samples, errors, crossings, "periodic", period=t_hit)
+            # retired; the loop goes on over the list it started with
+            watch = [other for other in watch if other is not entry]
 
         t, z, k1 = t_new, z_new, k7
         samples.append((t, z))
@@ -430,22 +424,16 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     if abs(f0) <= 1e-15 * (1.0 + abs(z0)):
         return Trajectory(spec, z0, ((0.0, z0),), (0.0,), FixedPointApproach(z0))
 
-    detector = _ReturnDetector(z0, f0, rhs, cfg.periodic_return_tol)
-    res = drive_field(
-        rhs,
-        z0,
-        cfg,
-        t_stop=cfg.t_max,
-        stop_radius=cfg.escape_radius,
-        detector=detector,
-    )
+    # a seed beyond the radius reaches it at the first step that ends there
+    radius = Event(lambda z: abs(z) - cfg.escape_radius, start_below=True)
+    events = (radius, _SeedReturn(z0, f0, rhs, cfg.periodic_return_tol))
+    res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":
         raise res.exception
 
-    if res.status == "radius":
-        term: Termination = ReachedRadius(res.samples[-1][0])
-    elif res.status == "periodic":
-        term = Periodic(res.period)
+    if res.status == "event":
+        t_end = res.samples[-1][0]
+        term: Termination = ReachedRadius(t_end) if res.crossings[-1][0] is radius else Periodic(t_end)
     elif res.status == "underflow":
         term = StepUnderflow()
     else:  # t_stop
@@ -559,8 +547,9 @@ def _poly_chart_estimate(rhs, coeffs, traj, cfg) -> Optional[BlowupEstimate]:
     r_safe = 2.0 * root_bound
     t_far, z_far = traj.samples[-1]
     if abs(z_far) < r_safe:
-        res = drive_field(rhs, z_far, cfg, t0=t_far, t_stop=t_far + cfg.t_max, stop_radius=r_safe)
-        if res.status != "radius":
+        out = Event(lambda z: abs(z) - r_safe)
+        res = drive_field(rhs, z_far, cfg, t0=t_far, t_stop=t_far + cfg.t_max, events=(out,))
+        if res.status != "event":
             return None
         t_far, z_far = res.samples[-1]
     w_far = 1.0 / z_far
@@ -591,9 +580,11 @@ def _dyadic_estimate(rhs, traj, cfg) -> BlowupEstimate:
     t_exit, z_exit = traj.samples[-1]
     r0 = abs(z_exit)
     window = cfg.blowup_extrapolation_window
-    marks = [r0 * 2.0**k for k in range(1, window)]
-    res = drive_field(rhs, z_exit, cfg, t0=t_exit, t_stop=t_exit + cfg.t_max, marks=marks)
-    times = [(r0, t_exit)] + [(r, t) for r, t, _ in res.crossings]
+    radii = [r0 * 2.0**k for k in range(1, window)]
+    marks = [Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii]
+    res = drive_field(rhs, z_exit, cfg, t0=t_exit, t_stop=t_exit + cfg.t_max, events=marks)
+    # radii are crossed in ascending order, the outermost ending the run
+    times = [(r0, t_exit)] + [(r, t) for r, (_, t, _) in zip(radii, res.crossings)]
 
     if len(times) < 3:
         # genuine blowups can exhaust the time resolution of doubles
@@ -649,11 +640,17 @@ def classify(traj: Trajectory, cfg: Optional[IntegratorConfig] = None) -> Termin
     term = traj.termination
     if isinstance(term, ReachedRadius):
         try:
-            est = blowup_time_estimate(traj, cfg)
+            return upgraded(term, blowup_time_estimate(traj, cfg))
         except PlaneflowError:
             return term
-        if est.conclusive:
-            return FiniteTimeBlowup(est.t_est, est.t_err)
+    return term
+
+
+def upgraded(term: Termination, est: BlowupEstimate) -> Termination:
+    """The termination that the estimate supports: ReachedRadius becomes
+    FiniteTimeBlowup when the estimate is conclusive; the rest pass through."""
+    if isinstance(term, ReachedRadius) and est.conclusive:
+        return FiniteTimeBlowup(est.t_est, est.t_err)
     return term
 
 

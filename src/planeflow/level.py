@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
 from .expr import FuncExpr, compile_fn, derivative
-from .flow import IntegratorConfig, drive_field
+from .flow import Event, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, adaptive_simpson
 
 __all__ = [
@@ -273,7 +273,7 @@ def transit_time(
         curve.zs[0],
         cfg,
         t_stop=t_budget,
-        event=lambda z: big_ge(z).real - x2,
+        events=(Event(lambda z: big_ge(z).real - x2),),
     )
     ode = res.samples[-1][0] if res.status == "event" else math.inf
     if math.isfinite(quad) and math.isfinite(ode):

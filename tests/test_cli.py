@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planeflow
 from planeflow.cli import parse_complex, run_cli
 from planeflow.reports import load_schema, validate_report
 
@@ -61,6 +66,21 @@ class TestSimulate:
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(["simulate", "--z0"], capsys)
         assert code == 2
+
+    def test_demo_takes_no_argument(self, capsys):
+        code, _, _ = run(["demo", "foo"], capsys)
+        assert code == 2
+
+    def test_module_entry_point_runs(self, tmp_path):
+        src = str(Path(planeflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "planeflow.cli", "poly-summary", "--coeffs", "0,0,1",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "finite" in proc.stdout
 
     def test_missing_expression_is_numerical_failure(self, capsys):
         code, _, err = run(["simulate", "--z0", "1"], capsys)

@@ -186,7 +186,42 @@ class TestRubelPath:
             rubel_path(parse_expr("exp(z)"), 0.0, complex(1.0, math.pi), 100.0, IntegratorConfig())
 
 
+class TestExports:
+    def test_star_import(self):
+        namespace = {}
+        exec("from planeflow.escape import *", namespace)
+        assert "RubelPathReport" in namespace
+
+
 class TestTractDemo:
+    def test_one_estimate_per_verdict(self, monkeypatch):
+        import planeflow.escape as escape_mod
+        import planeflow.flow as flow_mod
+
+        real = flow_mod.blowup_time_estimate
+        calls = []
+
+        def counted(traj, cfg=None):
+            calls.append((traj, cfg))
+            return real(traj, cfg)
+
+        monkeypatch.setattr(flow_mod, "blowup_time_estimate", counted)
+        monkeypatch.setattr(escape_mod, "blowup_time_estimate", counted)
+        rep = demo_antiholo_tract()
+        monkeypatch.undo()
+        assert len(calls) == 4
+        # each verdict is the one classify gives for the same run
+        (traj, cfg), *_, (last_traj, last_cfg) = calls
+        est = real(traj, cfg)
+        assert rep.finite_run.termination == classify(traj, cfg).name
+        assert (rep.finite_run.conclusive, rep.finite_run.t_est, rep.finite_run.t_err) == (
+            est.conclusive,
+            est.t_est,
+            est.t_err,
+        )
+        assert rep.infinite_run.termination == classify(last_traj, last_cfg).name
+        assert rep.infinite_run.conclusive == real(last_traj, last_cfg).conclusive
+
     def test_both_regimes(self):
         rep = demo_antiholo_tract()
         want = -math.log(1.0 - math.exp(-1.0))

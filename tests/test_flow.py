@@ -8,6 +8,7 @@ from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     REVERSED,
+    Event,
     FiniteTimeBlowup,
     FixedPointApproach,
     FlowSpec,
@@ -89,6 +90,16 @@ class TestIntegrate:
     def test_overflow_at_seed_propagates(self):
         with pytest.raises(EvaluationOverflow):
             integrate(holo("exp(z^2)"), 30.0, IntegratorConfig())
+
+    def test_seed_outside_radius_has_reached_it(self):
+        # 1/z = 1/20 - t: blowup at T = 0.05, and the seed is already outside
+        cfg = IntegratorConfig(escape_radius=10.0)
+        traj = integrate(holo("z^2"), 20.0, cfg)
+        assert isinstance(traj.termination, ReachedRadius)
+        assert traj.termination.t_exit <= 1e-12
+        term = classify(traj, cfg)
+        assert isinstance(term, FiniteTimeBlowup)
+        assert abs(term.t_est - 0.05) <= 1e-12
 
     def test_doubly_exponential_blowup_underflows_steps(self):
         # exp(z^2) reaches speeds beyond the time resolution of doubles
@@ -249,23 +260,56 @@ class TestDriver:
             0.0,
             IntegratorConfig(),
             t_stop=10.0,
-            event=lambda z: z.real - 2.0,
+            events=(Event(lambda z: z.real - 2.0),),
         )
         assert res.status == "event"
         t, z = res.samples[-1]
         assert abs(z.real - 2.0) <= 1e-9
 
+    @staticmethod
+    def radius_marks(radii):
+        return [Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii]
+
     def test_radius_marks_recorded_in_order(self):
+        radii = (2.0, 4.0, 8.0)
+        marks = self.radius_marks(radii)
         res = drive_field(
             lambda z: z,
             1.0,
             IntegratorConfig(h_max=0.5),
             t_stop=10.0,
-            marks=(2.0, 4.0, 8.0),
+            events=marks,
         )
-        assert res.status == "marks_done"
-        radii = [r for r, _, _ in res.crossings]
+        assert res.status == "event"
+        assert [ev for ev, _, _ in res.crossings] == marks
         times = [t for _, t, _ in res.crossings]
-        assert radii == [2.0, 4.0, 8.0]
         for r, t in zip(radii, times):
             assert abs(t - math.log(r)) <= 1e-6
+
+    def test_marks_passed_at_start_not_recorded(self):
+        radii = (2.0, 4.0, 8.0, 16.0)
+        marks = self.radius_marks(radii)
+        res = drive_field(
+            lambda z: z,
+            5.0,
+            IntegratorConfig(h_max=0.5),
+            t_stop=10.0,
+            events=marks,
+        )
+        assert [ev for ev, _, _ in res.crossings] == marks[2:]
+        for r, (_, t, _) in zip(radii[2:], res.crossings):
+            assert abs(t - math.log(r / 5.0)) <= 1e-6
+
+    def test_event_nonnegative_at_start_fires_after_going_negative(self):
+        # g is 1 at the start, negative for 1 < Re z < 5
+        res = drive_field(
+            lambda z: 1.0 + 0j,
+            0.0,
+            IntegratorConfig(),
+            t_stop=10.0,
+            events=(Event(lambda z: abs(z.real - 3.0) - 2.0),),
+        )
+        assert res.status == "event"
+        t, z = res.samples[-1]
+        assert abs(z.real - 5.0) <= 1e-9
+        assert abs(t - 5.0) <= 1e-9
