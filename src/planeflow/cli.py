@@ -86,6 +86,13 @@ def _config(args) -> IntegratorConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
 def _spec_from_args(args) -> FlowSpec:
     kind = HOLOMORPHIC if args.kind == "holo" else ANTIHOLOMORPHIC
     text = args.f if args.f is not None else args.g
@@ -597,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--z0", required=True)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=1000)
+    p.add_argument("--N", type=_positive_int, default=1000, help="number of samples")
     p.add_argument("--keep", type=int, default=40, help="trajectories kept for the SVG")
     _add_common(p)
     p.set_defaults(fn=_cmd_measure)

@@ -143,8 +143,11 @@ def escape_measure(
 
     Deterministic for a fixed seed.  Per-sample failures land in an
     ``error`` bucket instead of aborting the sweep; the reported
-    fraction counts only conclusive finite-time escapes.
+    fraction counts only conclusive finite-time escapes.  An empty
+    sweep reports fraction 0; a negative ``n_samples`` raises ValueError.
     """
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
     cfg = cfg or IntegratorConfig()
     # validates the preconditions (f nonzero on a coarse version of the segment)
     transverse_segment(f, z0, delta, 16, cfg)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import lru_cache, singledispatch
+from types import CodeType, FunctionType
 from typing import Callable, Union
 
 from .errors import EntiretyViolation, EvaluationOverflow, ParseError, UnsupportedAntiderivative
@@ -193,57 +194,80 @@ def normalize(expr: FuncExpr) -> FuncExpr:
 
 
 def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
-    """Build a fast closure computing expr(z).
+    """Build a fast function computing expr(z).
 
-    The returned callable raises EvaluationOverflow when the value (or
-    an exp along the way) leaves the double range.
+    The tree becomes one straight-line Python function with one
+    temporary per node, in post-order, left operand first: the same
+    operations in the same order as a recursive walk, so every value is
+    bit-identical to it.  Constants and nodes are bound as globals of
+    the function, never written into its source, so the source depends
+    only on the tree's shape and integer powers, and trees of one shape
+    share a cached code object.  Each call returns a fresh function.
+
+    The returned function raises EvaluationOverflow when the value, an
+    exp or an integer power along the way leaves the double range.
     """
-    fn = _build(expr)
+    env = {
+        "complex": complex,
+        "exp": cmath.exp,
+        "isfinite": cmath.isfinite,
+        "EvaluationOverflow": EvaluationOverflow,
+        "root": expr,
+    }
+    lines = ["def f(z0):", "    z = complex(z0)"]
+    out = _emit(expr, lines, env)
+    lines += [
+        f"    if not isfinite({out}):",
+        "        raise EvaluationOverflow(root, at=z0)",
+        f"    return {out}",
+    ]
+    return FunctionType(_function_code("\n".join(lines)), env)
 
-    def call(z: complex) -> complex:
-        w = fn(complex(z))
-        if not cmath.isfinite(w):
-            raise EvaluationOverflow(expr, at=z)
-        return w
 
-    return call
-
-
-def _build(expr: FuncExpr) -> Callable[[complex], complex]:
-    if isinstance(expr, Constant):
-        c = expr.value
-        return lambda z: c
+def _emit(expr: FuncExpr, lines: list, env: dict) -> str:
+    """Append the lines computing expr; return the name holding its value."""
     if isinstance(expr, Variable):
-        return lambda z: z
-    if isinstance(expr, Add):
-        fl, fr = _build(expr.left), _build(expr.right)
-        return lambda z: fl(z) + fr(z)
-    if isinstance(expr, Mul):
-        fl, fr = _build(expr.left), _build(expr.right)
-        return lambda z: fl(z) * fr(z)
-    if isinstance(expr, Negate):
-        fa = _build(expr.arg)
-        return lambda z: -fa(z)
-    if isinstance(expr, Exp):
-        fa = _build(expr.arg)
-        node = expr
+        return "z"
+    if isinstance(expr, Constant):
+        return _bind(env, "c", expr.value)
+    if isinstance(expr, (Add, Mul)):
+        l, r = _emit(expr.left, lines, env), _emit(expr.right, lines, env)
+        value = f"{l} + {r}" if isinstance(expr, Add) else f"{l} * {r}"
+    elif isinstance(expr, Negate):
+        value = f"-{_emit(expr.arg, lines, env)}"
+    elif isinstance(expr, Scale):
+        a = _emit(expr.arg, lines, env)
+        value = f"{_bind(env, 'c', expr.factor)} * {a}"
+    elif isinstance(expr, (Exp, IntPower)):
+        a = _emit(expr.arg, lines, env)
+        value = f"exp({a})" if isinstance(expr, Exp) else f"{a} ** {expr.power}"
+        out = f"t{len(lines)}"
+        lines += [
+            "    try:",
+            f"        {out} = {value}",
+            "    except OverflowError:",
+            f"        raise EvaluationOverflow({_bind(env, 'n', expr)}, at=z) from None",
+        ]
+        return out
+    else:
+        raise TypeError(f"not a FuncExpr node: {expr!r}")
+    out = f"t{len(lines)}"
+    lines.append(f"    {out} = {value}")
+    return out
 
-        def _exp(z):
-            try:
-                return cmath.exp(fa(z))
-            except OverflowError:
-                raise EvaluationOverflow(node, at=z) from None
 
-        return _exp
-    if isinstance(expr, IntPower):
-        fa = _build(expr.arg)
-        k = expr.power
-        return lambda z: fa(z) ** k
-    if isinstance(expr, Scale):
-        fa = _build(expr.arg)
-        c = expr.factor
-        return lambda z: c * fa(z)
-    raise TypeError(f"not a FuncExpr node: {expr!r}")
+def _bind(env: dict, prefix: str, value) -> str:
+    name = f"{prefix}{len(env)}"
+    env[name] = value
+    return name
+
+
+# compile() costs far more than building the source, and integrate()
+# compiles its right-hand side on every call.
+@lru_cache(maxsize=256)
+def _function_code(source: str) -> CodeType:
+    module = compile(source, "<compile_fn>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +491,11 @@ def _poly(expr: FuncExpr):
 
 _DIGITS = set("0123456789")
 
+# Deepest nesting of parentheses, exp( and unary minus the parser
+# accepts; each level costs several Python frames here and in every
+# recursive walker over the tree.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -521,6 +550,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -575,11 +605,18 @@ class _Parser:
         return e
 
     def unary(self) -> FuncExpr:
+        # every recursive path of the grammar passes through here
+        if self.depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2])
+        self.depth += 1
         if self.peek()[0] == "-":
             self.take()
             e = self.unary()
-            return Constant(-e.value) if isinstance(e, Constant) else Negate(e)
-        return self.postfix()
+            e = Constant(-e.value) if isinstance(e, Constant) else Negate(e)
+        else:
+            e = self.postfix()
+        self.depth -= 1
+        return e
 
     def postfix(self) -> FuncExpr:
         e = self.atom()

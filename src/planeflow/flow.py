@@ -107,7 +107,7 @@ class IntegratorConfig:
             "fixed_point_radius",
             "periodic_return_tol",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in doubles")

@@ -94,6 +94,23 @@ class TestSimulate:
         assert code == 3
         assert "EntiretyViolation" in err
 
+    def test_deeply_nested_expression_exit_3(self, tmp_path, capsys):
+        deep = "(" * 2000 + "z" + ")" * 2000
+        code, _, err = run(
+            ["classify", "--f", deep, "--z0", "1", "--out", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert "nested too deeply" in err
+
+    def test_nan_tolerance_exit_2(self, tmp_path, capsys):
+        code, out, err = run(
+            ["simulate", "--f", "z^2", "--z0", "1", "--tol", "nan", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "rel_tol" in err
+        assert out == ""
+
 
 class TestSubcommands:
     def test_transit_json(self, tmp_path, capsys):
@@ -138,6 +155,17 @@ class TestSubcommands:
                 )
             )
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_measure_nonpositive_samples_exit_2(self, tmp_path, capsys, n):
+        code, out, err = run(
+            ["measure", "--f", "-exp(-z)", "--z0", "0", "--N", n, "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "--N" in err
+        assert out == ""
+        assert not (tmp_path / "measure.json").exists()
 
     def test_measure_svg_styles_segment(self, tmp_path, capsys):
         code, _, _ = run(

@@ -77,6 +77,10 @@ class TestEscapeMeasure:
         assert rep.counts == {}
         assert rep.finite_time_fraction == 0.0
 
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError):
+            escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, -5, IntegratorConfig())
+
     def test_counts_sum_and_determinism(self):
         cfg = IntegratorConfig(escape_radius=10.0, t_max=20.0)
         f = parse_expr("-exp(-z)")

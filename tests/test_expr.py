@@ -1,8 +1,10 @@
+import cmath
 import random
 
 import pytest
 
-from planeflow.errors import EntiretyViolation, ParseError, UnsupportedAntiderivative
+from planeflow import expr as expr_module
+from planeflow.errors import EntiretyViolation, EvaluationOverflow, ParseError, UnsupportedAntiderivative
 from planeflow.expr import (
     Add,
     Constant,
@@ -24,7 +26,7 @@ from planeflow.expr import (
 )
 from planeflow.jets import eval_jet
 
-from conftest import tame_random_expr
+from conftest import random_expr, tame_random_expr
 
 Z = Variable()
 
@@ -77,6 +79,12 @@ class TestParse:
     def test_unknown_name(self):
         with pytest.raises(ParseError):
             parse_expr("sin(z)")
+
+    def test_nesting_cap(self):
+        assert parse_expr("(" * 99 + "z" + ")" * 99) == Z
+        for text in ("(" * 2000 + "z" + ")" * 2000, "-" * 2000 + "z", "exp(" * 2000 + "z"):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_expr(text)
 
     def test_whitespace_insignificant(self):
         assert parse_expr(" z ^ 2 -  1 ") == parse_expr("z^2-1")
@@ -177,3 +185,85 @@ class TestQueries:
         assert normalize(Scale(1.0, Z)) == Z
         assert normalize(Scale(-1.0, Exp(Z))) == Negate(Exp(Z))
         assert normalize(Mul(Constant(2), Constant(3))) == Constant(6)
+
+
+def _reference_eval(expr, z):
+    """Recursive walk with the semantics of the former closure tree."""
+    if isinstance(expr, Constant):
+        return expr.value
+    if isinstance(expr, Variable):
+        return z
+    if isinstance(expr, Add):
+        return _reference_eval(expr.left, z) + _reference_eval(expr.right, z)
+    if isinstance(expr, Mul):
+        return _reference_eval(expr.left, z) * _reference_eval(expr.right, z)
+    if isinstance(expr, Negate):
+        return -_reference_eval(expr.arg, z)
+    if isinstance(expr, Scale):
+        return expr.factor * _reference_eval(expr.arg, z)
+    if isinstance(expr, IntPower):
+        return _reference_eval(expr.arg, z) ** expr.power
+    return cmath.exp(_reference_eval(expr.arg, z))
+
+
+class TestCompile:
+    def test_matches_reference_walk_bit_for_bit(self):
+        rng = random.Random(20261018)
+        points = (*expr_module._CHECK_POINTS, complex(-0.0, -0.0), 0.0, 3 - 4j)
+        for _ in range(400):
+            tree = random_expr(rng, depth=rng.randint(1, 5))
+            fn = compile_fn(tree)
+            for z in points:
+                try:
+                    want = _reference_eval(tree, complex(z))
+                except OverflowError:
+                    want = None
+                if want is None or not cmath.isfinite(want):
+                    with pytest.raises(EvaluationOverflow):
+                        fn(z)
+                else:
+                    assert repr(fn(z)) == repr(want), (tree, z)
+
+    def test_exp_overflow_names_the_exp_node(self):
+        outer = parse_expr("exp(exp(z))")
+        with pytest.raises(EvaluationOverflow) as err:
+            compile_fn(outer)(10)
+        assert err.value.node is outer
+        assert err.value.at == 10
+
+    def test_nonfinite_value_names_the_root_and_caller_argument(self):
+        tree = parse_expr("z^2*z^2*z^2*z^2")
+        arg = 1e80
+        with pytest.raises(EvaluationOverflow) as err:
+            compile_fn(tree)(arg)
+        assert err.value.node is tree
+        assert err.value.at is arg
+
+    def test_int_power_overflow_is_evaluation_overflow(self):
+        tree = parse_expr("3 * z^200")
+        with pytest.raises(EvaluationOverflow) as err:
+            compile_fn(tree)(1e10)
+        assert err.value.node is tree.right
+        assert err.value.at == 1e10
+
+    def test_signed_constants_share_code_not_values(self):
+        fn_neg = compile_fn(Add(Z, Constant(-0.0)))
+        fn_pos = compile_fn(Add(Z, Constant(0.0)))
+        assert fn_neg.__code__ is fn_pos.__code__
+        z = complex(-0.0, -0.0)
+        assert repr(fn_neg(z)) != repr(fn_pos(z))
+        assert repr(fn_neg(z)) == repr(z + complex(-0.0))
+
+    def test_fresh_function_per_call(self):
+        tree = parse_expr("z + 1")
+        assert compile_fn(tree) is not compile_fn(tree)
+
+    def test_code_cache_is_bounded(self):
+        bound = expr_module._function_code.cache_info().maxsize
+        for k in range(bound + 20):
+            compile_fn(IntPower(Z, k))(0.5)
+        assert expr_module._function_code.cache_info().currsize == bound
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(TypeError):
+            compile_fn(Add(Z, "z"))

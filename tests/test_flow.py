@@ -51,6 +51,16 @@ class TestFlowSpecValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(blowup_extrapolation_window=2)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "h_max", "escape_radius",
+                                      "t_max", "fixed_point_radius", "periodic_return_tol"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{name: math.nan})
+
+    def test_infinite_budgets_still_accepted(self):
+        cfg = IntegratorConfig(h_max=math.inf, t_max=math.inf, escape_radius=math.inf)
+        assert cfg.t_max == math.inf
+
 
 class TestIntegrate:
     def test_linear_flow_exponential(self):

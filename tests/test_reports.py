@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from planeflow.flow import (
     blowup_time_estimate,
     integrate,
 )
+from planeflow import reports
 from planeflow.level import infinite_time_criterion, trace_level, transit_time
 from planeflow.reports import (
     dumps_report,
@@ -132,3 +134,32 @@ class TestValidator:
     def test_unknown_report_kind_rejected(self, schema):
         with pytest.raises(ValueError):
             validate_report({"type": "mystery"}, schema)
+
+    def test_shipped_schema_read_once(self, monkeypatch):
+        reads = []
+        real = reports.resources
+
+        def files(package):
+            reads.append(package)
+            return real.files(package)
+
+        monkeypatch.setattr(reports, "resources", SimpleNamespace(files=files))
+        reports._shipped_schema.cache_clear()
+        try:
+            data = roundtrip(poly_flow_summary([0, 0, 1], HOLOMORPHIC))
+            validate_report(data)
+            validate_report(data)
+        finally:
+            reports._shipped_schema.cache_clear()
+        assert len(reads) == 1
+
+    def test_load_schema_copy_does_not_leak(self):
+        data = roundtrip(poly_flow_summary([0, 0, 1], HOLOMORPHIC))
+        mutated = load_schema()
+        for node in mutated["$defs"].values():
+            node.clear()
+            node["type"] = "string"
+        with pytest.raises(ValueError):
+            validate_report(data, mutated)
+        validate_report(data)
+        assert load_schema() != mutated
