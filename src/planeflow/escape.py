@@ -23,6 +23,7 @@ from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     Event,
+    Field,
     FlowSpec,
     IntegratorConfig,
     antiholo_invariants,
@@ -63,13 +64,18 @@ class TransverseSegment:
     samples: tuple  # (y, z) with y ascending, z(0) = z0
 
 
-def _segment_point(fe, z_a, y_a, dy, cfg) -> complex:
+def _segment_fields(f: FuncExpr) -> tuple:
+    """dz/dy = i f with y increasing, and with y decreasing."""
+    return tuple(Field(f, "k * {}", sgn * 1j) for sgn in (1.0, -1.0))
+
+
+def _segment_point(fe, fields, z_a, y_a, dy, cfg) -> complex:
     """Point of the transverse segment at parameter y_a + dy, traced from
-    its point z_a at y_a (integrates dz/dy = i f)."""
+    its point z_a at y_a along ``_segment_fields(f)``; fe computes f."""
     if dy == 0.0:
         return complex(z_a)
     sgn = 1.0 if dy > 0 else -1.0
-    rhs = lambda z: sgn * 1j * fe(z)
+    rhs = fields[dy < 0]
     near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
     res = drive_field(rhs, z_a, cfg, t_stop=abs(dy), events=(near_zero,))
     if res.status == "event":
@@ -105,11 +111,12 @@ def transverse_segment(
         raise ValueError("f vanishes at z0; the segment is undefined")
     half = n // 2
     step = delta / half
+    fields = _segment_fields(f)
     out = {0: z0}
     for sgn in (1, -1):
         z = z0
         for k in range(1, half + 1):
-            z = _segment_point(fe, z, sgn * (k - 1) * step, sgn * step, cfg)
+            z = _segment_point(fe, fields, z, sgn * (k - 1) * step, sgn * step, cfg)
             out[sgn * k] = z
     samples = tuple((k * step, out[k]) for k in range(-half, half + 1))
     return TransverseSegment(f, z0, delta, samples)
@@ -152,6 +159,7 @@ def escape_measure(
     # validates the preconditions (f nonzero on a coarse version of the segment)
     transverse_segment(f, z0, delta, 16, cfg)
     fe = compile_fn(f)
+    fields = _segment_fields(f)
     spec = FlowSpec(HOLOMORPHIC, f)
     rng = random.Random(seed)
     counts: dict = {}
@@ -159,7 +167,7 @@ def escape_measure(
     for i in range(n_samples):
         y = rng.uniform(-delta, delta)
         try:
-            zy = _segment_point(fe, z0, 0.0, y, cfg)
+            zy = _segment_point(fe, fields, z0, 0.0, y, cfg)
             traj = integrate(spec, zy, cfg)
             term = classify(traj, cfg)
             name = term.name

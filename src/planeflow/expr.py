@@ -205,7 +205,23 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     share a cached code object.  Each call returns a fresh function.
 
     The returned function raises EvaluationOverflow when the value, an
-    exp or an integer power along the way leaves the double range.
+    exp or an integer power along the way leaves the double range, or
+    when exp has no value (a finite real and an infinite imaginary part).
+    """
+    body, out, env = _emit_body(expr)
+    source = "\n".join(["def f(z0):", "    z = complex(z0)", body, f"    return {out}"])
+    return FunctionType(_function_code(source), env)
+
+
+def _emit_body(expr: FuncExpr):
+    """The statements that compute expr at the complex ``z``, ending with
+    the finiteness check of the value; the name that holds the value; and
+    the globals the statements read.
+
+    An overflow names the node and ``z``; a non-finite value names the
+    root and ``z0``, which the caller binds to the argument it was given.
+    :func:`compile_fn` wraps these statements in a function; the flow
+    integrator inlines them into each stage of its step.
     """
     env = {
         "complex": complex,
@@ -214,14 +230,13 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
         "EvaluationOverflow": EvaluationOverflow,
         "root": expr,
     }
-    lines = ["def f(z0):", "    z = complex(z0)"]
+    lines: list = []
     out = _emit(expr, lines, env)
     lines += [
         f"    if not isfinite({out}):",
         "        raise EvaluationOverflow(root, at=z0)",
-        f"    return {out}",
     ]
-    return FunctionType(_function_code("\n".join(lines)), env)
+    return "\n".join(lines), out, env
 
 
 def _emit(expr: FuncExpr, lines: list, env: dict) -> str:
@@ -242,10 +257,12 @@ def _emit(expr: FuncExpr, lines: list, env: dict) -> str:
         a = _emit(expr.arg, lines, env)
         value = f"exp({a})" if isinstance(expr, Exp) else f"{a} ** {expr.power}"
         out = f"t{len(lines)}"
+        # cmath.exp raises ValueError for a finite real part and an
+        # infinite imaginary part
         lines += [
             "    try:",
             f"        {out} = {value}",
-            "    except OverflowError:",
+            "    except (OverflowError, ValueError):",
             f"        raise EvaluationOverflow({_bind(env, 'n', expr)}, at=z) from None",
         ]
         return out
@@ -262,12 +279,17 @@ def _bind(env: dict, prefix: str, value) -> str:
     return name
 
 
+def _code_of(source: str, filename: str) -> CodeType:
+    """Code object of the one function that ``source`` defines."""
+    module = compile(source, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
 # compile() costs far more than building the source, and integrate()
 # compiles its right-hand side on every call.
 @lru_cache(maxsize=256)
 def _function_code(source: str) -> CodeType:
-    module = compile(source, "<compile_fn>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    return _code_of(source, "<compile_fn>")
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +518,11 @@ _DIGITS = set("0123456789")
 # recursive walker over the tree.
 _MAX_NESTING = 100
 
+# Most nodes on a path from the root the parser builds.  Sums and
+# products parse in a loop but build left-deep trees, which the
+# recursive walkers descend one frame or two per node.
+_MAX_DEPTH = 200
+
 
 def _tokenize(text: str):
     tokens = []
@@ -574,6 +601,7 @@ class _Parser:
         return e
 
     def sum(self) -> FuncExpr:
+        start = self.pos
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()
@@ -581,6 +609,10 @@ class _Parser:
             if op[0] == "-":
                 rhs = Constant(-rhs.value) if isinstance(rhs, Constant) else Negate(rhs)
             e = Add(e, rhs)
+        # checked here, before a division walks the tree recursively; the
+        # parser makes at most two nodes per token, so a short sum is shallow
+        if 2 * (self.pos - start) > _MAX_DEPTH and _depth(e) > _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.tokens[start][2])
         return e
 
     def term(self) -> FuncExpr:
@@ -656,6 +688,19 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {lit!r}", off)
+
+
+def _depth(expr: FuncExpr) -> int:
+    """Most nodes on a path from the root, counted without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, (Add, Mul)):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+        elif isinstance(node, (Negate, Exp, IntPower, Scale)):
+            stack.append((node.arg, d + 1))
+    return deepest
 
 
 def parse_expr(text: str) -> FuncExpr:

@@ -25,12 +25,14 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import islice
+from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
-from .expr import FuncExpr, antiderivative, compile_fn, is_constant, poly_coeffs
-from .quadrature import adaptive_gauss
+from .expr import FuncExpr, _code_of, _emit_body, antiderivative, compile_fn, is_constant, poly_coeffs
+from .quadrature import QuadratureDiverged, adaptive_gauss
 
 __all__ = [
     "ANTIHOLOMORPHIC",
@@ -38,6 +40,7 @@ __all__ = [
     "BlowupEstimate",
     "Event",
     "FORWARD",
+    "Field",
     "FiniteTimeBlowup",
     "FixedPointApproach",
     "FlowSpec",
@@ -176,54 +179,102 @@ class Trajectory:
         return len(self.samples)
 
 
-def _rhs(spec: FlowSpec) -> Callable[[complex], complex]:
-    f = compile_fn(spec.func)
-    forward = spec.time_direction == FORWARD
-    if spec.kind == HOLOMORPHIC:
-        return f if forward else (lambda z: -f(z))
-    if forward:
-        return lambda z: f(z).conjugate()
-    return lambda z: -f(z).conjugate()
+# The post-operations a Field may apply to f's value, each written as the
+# code that computes it from the value ``{}``; ``k`` is the Field's factor.
+_POSTS = ("{}", "-{}", "{}.conjugate()", "-{}.conjugate()", "k * {}")
+
+
+@dataclass(frozen=True, eq=False)
+class Field:
+    """The right-hand side post(f(z)): a compiled tree f followed by one
+    fixed post-operation from ``_POSTS``.
+
+    Calling a Field evaluates it at a point.  :func:`drive_field` inlines
+    f and the post-operation into each stage of its Dormand-Prince step,
+    with the same operations in the same order as calling the Field, so
+    both give the same values and raise the same EvaluationOverflow.
+    """
+
+    func: FuncExpr
+    post: str = "{}"
+    factor: Optional[complex] = None
+
+    def __post_init__(self):
+        if self.post not in _POSTS:
+            raise ValueError(f"unknown post-operation {self.post!r}")
+        f = compile_fn(self.func)
+        if self.post != "{}":
+            f = FunctionType(_point_code(self.post), {"f": f, "k": self.factor})
+        object.__setattr__(self, "_point", f)
+
+    def __call__(self, z):
+        return self._point(z)
+
+    @cached_property
+    def step(self):
+        """The DP5(4) step ``(y, h, k1) -> (y_new, err, k7)`` with f inlined."""
+        body, out, env = _emit_body(self.func)
+        code = _step_code(body, self.post.format(out))
+        return FunctionType(code, {**_TABLEAU, **env, "k": self.factor})
+
+
+@lru_cache(maxsize=None)
+def _point_code(post: str) -> CodeType:
+    return _code_of(f"def point(z):\n    return {post.format('f(z)')}", "<Field>")
+
+
+def _rhs(spec: FlowSpec) -> Field:
+    post = "{}" if spec.kind == HOLOMORPHIC else "{}.conjugate()"
+    return Field(spec.func, post if spec.time_direction == FORWARD else "-" + post)
 
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) pair
 
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168,
-    -355 / 33,
-    46732 / 5247,
-    49 / 176,
-    -5103 / 18656,
+_TABLEAU = dict(
+    A21=1 / 5,
+    A31=3 / 40, A32=9 / 40,
+    A41=44 / 45, A42=-56 / 15, A43=32 / 9,
+    A51=19372 / 6561, A52=-25360 / 2187, A53=64448 / 6561, A54=-212 / 729,
+    A61=9017 / 3168, A62=-355 / 33, A63=46732 / 5247, A64=49 / 176, A65=-5103 / 18656,
+    B1=35 / 384, B3=500 / 1113, B4=125 / 192, B5=-2187 / 6784, B6=11 / 84,
+    # difference between the 5th and the embedded 4th order weights
+    E1=71 / 57600, E3=-71 / 16695, E4=71 / 1920, E5=-17253 / 339200, E6=22 / 525, E7=-1 / 40,
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# difference between the 5th and the embedded 4th order weights
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+
+# inputs of stages 2..7; the last is the 5th-order update.  Coefficients
+# multiply from the right: CPython then skips a failed float
+# multiplication, and products commute bit for bit.
+_STAGE_INPUTS = (
+    "y + (k1 * A21) * h",
+    "y + (k1 * A31 + k2 * A32) * h",
+    "y + (k1 * A41 + k2 * A42 + k3 * A43) * h",
+    "y + (k1 * A51 + k2 * A52 + k3 * A53 + k4 * A54) * h",
+    "y + (k1 * A61 + k2 * A62 + k3 * A63 + k4 * A64 + k5 * A65) * h",
+    "y_new = y + (k1 * B1 + k3 * B3 + k4 * B4 + k5 * B5 + k6 * B6) * h",
 )
 
 
-def _dp_step(rhs, z, h, k1):
-    k2 = rhs(z + h * (_A21 * k1))
-    k3 = rhs(z + h * (_A31 * k1 + _A32 * k2))
-    k4 = rhs(z + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = rhs(z + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = rhs(z + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    z_new = z + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = rhs(z_new)
-    err = abs(h) * abs(
-        _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
-    )
-    return z_new, err, k7
+@lru_cache(maxsize=256)
+def _step_code(body: str, value: str) -> CodeType:
+    """Code of a DP5(4) step whose stage n runs ``body`` and sets kn to
+    ``value``, both reading the stage input as ``z`` and ``z0``."""
+    lines = ["def step(y, h, k1):"]
+    for n, stage_input in enumerate(_STAGE_INPUTS, 2):
+        lines += [f"    z0 = z = {stage_input}", body, f"    k{n} = {value}"]
+    lines += [
+        "    err = abs(h) * abs(k1 * E1 + k3 * E3 + k4 * E4 + k5 * E5 + k6 * E6 + k7 * E7)",
+        "    return y_new, err, k7",
+    ]
+    return _code_of("\n".join(lines), "<drive_field>")
+
+
+def _stepper(rhs: Callable[[complex], complex]):
+    """The DP5(4) step for rhs: f inlined for a Field, one call per stage
+    for any other callable."""
+    if isinstance(rhs, Field):
+        return rhs.step
+    return FunctionType(_step_code("", "rhs(z)"), {**_TABLEAU, "rhs": rhs})
 
 
 def _hermite(z0, d0, z1, d1, h, theta):
@@ -331,7 +382,8 @@ def drive_field(
     Stops at t_stop, when a terminal event fires (status "event"; it is
     the last entry of ``crossings`` and its crossing the last sample), or
     when the step size underflows the time resolution.  Events that fire
-    in the same step are taken in the order given.
+    in the same step are taken in the order given.  A :class:`Field` rhs
+    is inlined into the step; any other callable is called once a stage.
     """
     t, z = t0, complex(z0)
     samples = [(t, z)]
@@ -343,6 +395,7 @@ def drive_field(
     h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
     steps = 0
+    step = _stepper(rhs)
 
     while True:
         if t >= t_stop:
@@ -353,7 +406,7 @@ def drive_field(
         h = min(h, cfg.h_max, t_stop - t)
         floor = 1000.0 * _EPS * abs(t)
         try:
-            z_new, err, k7 = _dp_step(rhs, z, h, k1)
+            z_new, err, k7 = step(z, h, k1)
         except EvaluationOverflow as exc:
             h *= 0.1
             if h < max(floor, 1e-300):
@@ -521,9 +574,11 @@ def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = Non
     zero-free radius, switch to the w = 1/z chart and integrate the
     remaining transit dt = -dw / (w^2 f(1/w)) along the chart segment to
     w = 0; the imaginary part of that integral is a built-in consistency
-    check since the true remaining time is real.  Otherwise: continue
-    through dyadic radii R, 2R, 4R, ... and accept a finite limit only
-    when the exit-time increments decay geometrically (ratio <= 0.75).
+    check since the true remaining time is real.  A chart quadrature
+    that does not converge within its budget gives an inconclusive
+    estimate.  Otherwise: continue through dyadic radii R, 2R, 4R, ...
+    and accept a finite limit only when the exit-time increments decay
+    geometrically (ratio <= 0.75).
     """
     cfg = cfg or IntegratorConfig()
     if not isinstance(traj.termination, ReachedRadius):
@@ -565,14 +620,17 @@ def _poly_chart_estimate(rhs, coeffs, traj, cfg) -> Optional[BlowupEstimate]:
         w = w_far * (1.0 - s)
         return w_far * w ** (n - 2) / q(w)
 
-    t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol=1e-14 * (1.0 + abs(w_far)))
+    exit_times = ((abs(traj.z_end), traj.t_end),)
+    try:
+        t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol=1e-14 * (1.0 + abs(w_far)))
+    except QuadratureDiverged as exc:
+        return _inconclusive(f"w-chart quadrature did not converge ({exc})", exit_times)
     t_est = t_far + t_rem.real
     # the true remaining transit is real; an imaginary residue means the
     # chart ray is not homotopic to the trajectory tail (not a blowup)
     if t_rem.real <= 0 or abs(t_rem.imag) > max(1e-8 * (1.0 + abs(t_est)), 4.0 * _EPS * abs(t_far)):
         return None
     t_err = abs(t_rem.imag) + 1e-10 * (1.0 + abs(t_est))
-    exit_times = ((abs(traj.z_end), traj.t_end),)
     return BlowupEstimate(t_est, t_err, True, "w_chart", exit_times)
 
 
@@ -666,7 +724,8 @@ def conformal_clock_residual(traj: Trajectory, f: Optional[FuncExpr] = None, qua
     sampled path should reproduce t - t0.  Panels are straight chords
     between consecutive samples (1/f is analytic nearby, so chords are
     exact up to quadrature error).  A vanishing f inside a panel makes
-    the clock meaningless; that is reported as an infinite residual.
+    the clock meaningless; that, and a panel whose quadrature does not
+    converge, is reported as an infinite residual.
     """
     if traj.spec.kind != HOLOMORPHIC:
         raise ValueError("conformal clock applies to holomorphic flows only")
@@ -682,7 +741,7 @@ def conformal_clock_residual(traj: Trajectory, f: Optional[FuncExpr] = None, qua
         dz = zb - za
         try:
             seg = adaptive_gauss(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, tol=quad_tol)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, QuadratureDiverged):
             return math.inf
         acc += seg * dz
         worst = max(worst, abs(acc - sign * (tb - t0)))

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
 from .expr import FuncExpr, compile_fn, derivative
-from .flow import Event, IntegratorConfig, drive_field
+from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, adaptive_simpson
 
 __all__ = [
@@ -226,7 +226,8 @@ def transit_time(
     if x2 <= x1:
         return TransitReport((x1, x2), 0.0, 0.0, 0.0)
     big_ge = compile_fn(curve.big_g)
-    ge = compile_fn(derivative(curve.big_g))
+    dg = derivative(curve.big_g)
+    ge = compile_fn(dg)
     beta = curve.beta
 
     def speed_inv(x, za, zb, xa, xb):
@@ -266,7 +267,7 @@ def transit_time(
         quad = math.inf
         witness = exc.witness
 
-    rhs = lambda z: ge(z).conjugate()
+    rhs = Field(dg, "{}.conjugate()")
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
     res = drive_field(
         rhs,

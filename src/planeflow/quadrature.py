@@ -35,8 +35,14 @@ _GL8_W = (
 )
 
 
+# Integrand evaluations one adaptive_gauss call may make; far above what
+# the package's callers need (24 in every call of the tests and the demo)
+_GAUSS_MAX_EVALS = 20_000
+
+
 class QuadratureDiverged(Exception):
-    """Adaptive refinement exhausted its depth; carries a witness abscissa."""
+    """Adaptive refinement exhausted its depth or its evaluation budget;
+    carries a witness abscissa."""
 
     def __init__(self, witness: float):
         super().__init__(f"integrand appears divergent near {witness!r}")
@@ -59,19 +65,28 @@ def adaptive_gauss(
     tol: float,
     max_depth: int = 44,
 ) -> complex:
-    """Adaptive 8-point Gauss on [a, b] to absolute tolerance tol."""
+    """Adaptive 8-point Gauss on [a, b] to absolute tolerance tol.
+
+    Raises QuadratureDiverged, witnessed by the midpoint of the panel it
+    would refine next, rather than exceed ``_GAUSS_MAX_EVALS`` evaluations.
+    """
     whole = gauss8(fn, a, b)
-    return _ag(fn, a, b, tol, whole, max_depth)
+    # gauss8 calls left; each refinement makes two
+    budget = [_GAUSS_MAX_EVALS // len(_GL8_X) - 1]
+    return _ag(fn, a, b, tol, whole, max_depth, budget)
 
 
-def _ag(fn, a, b, tol, whole, depth):
+def _ag(fn, a, b, tol, whole, depth, budget):
     mid = 0.5 * (a + b)
+    budget[0] -= 2
+    if budget[0] < 0:
+        raise QuadratureDiverged(mid)
     left = gauss8(fn, a, mid)
     right = gauss8(fn, mid, b)
     if abs(left + right - whole) <= tol or depth <= 0:
         return left + right
-    return _ag(fn, a, mid, 0.5 * tol, left, depth - 1) + _ag(
-        fn, mid, b, 0.5 * tol, right, depth - 1
+    return _ag(fn, a, mid, 0.5 * tol, left, depth - 1, budget) + _ag(
+        fn, mid, b, 0.5 * tol, right, depth - 1, budget
     )
 
 

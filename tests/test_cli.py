@@ -102,6 +102,22 @@ class TestSimulate:
         assert code == 3
         assert "nested too deeply" in err
 
+    def test_long_flat_chain_exit_3(self, tmp_path, capsys):
+        code, _, err = run(
+            ["classify", "--f", "+".join(["z"] * 1000), "--z0", "1", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "nested too deeply" in err
+
+    def test_exp_without_value_exit_3(self, tmp_path, capsys):
+        code, _, err = run(
+            ["simulate", "--f", "exp(1 + i*z^2*z^2)", "--z0", "1e80", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "EvaluationOverflow" in err
+
     def test_nan_tolerance_exit_2(self, tmp_path, capsys):
         code, out, err = run(
             ["simulate", "--f", "z^2", "--z0", "1", "--tol", "nan", "--out", str(tmp_path)],

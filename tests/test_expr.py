@@ -24,6 +24,7 @@ from planeflow.expr import (
     poly_coeffs,
     to_text,
 )
+from planeflow.flow import Field, _stepper
 from planeflow.jets import eval_jet
 
 from conftest import random_expr, tame_random_expr
@@ -85,6 +86,33 @@ class TestParse:
         for text in ("(" * 2000 + "z" + ")" * 2000, "-" * 2000 + "z", "exp(" * 2000 + "z"):
             with pytest.raises(ParseError, match="nested too deeply"):
                 parse_expr(text)
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_flat_chain_at_depth_cap_walks(self, op):
+        cap = expr_module._MAX_DEPTH
+        tree = parse_expr(op.join(["z"] * cap))
+        z = 0.5 + 0.25j
+        want = cap * z if op == "+" else z**cap
+        assert abs(compile_fn(tree)(z) - want) <= 1e-12 * abs(want)
+        rhs = Field(tree)
+        per_stage = _stepper(lambda w: rhs(w))
+        assert repr(rhs.step(z, 1e-3, rhs(z))) == repr(per_stage(z, 1e-3, rhs(z)))
+        assert parse_expr(to_text(tree)) == tree
+        assert normalize(tree) == tree
+        d = derivative(tree)
+        d_want = cap if op == "+" else cap * z ** (cap - 1)
+        assert abs(compile_fn(d)(z) - d_want) <= 1e-9 * abs(d_want)
+        assert abs(eval_jet(tree, z, 2).coeffs[1] - d_want) <= 1e-9 * abs(d_want)
+
+    @pytest.mark.parametrize("make", [
+        lambda cap: "+".join(["z"] * (cap + 1)),
+        lambda cap: "*".join(["z"] * 1000),
+        lambda cap: "z / (" + "+".join(["1"] * 5000) + ")",
+        lambda cap: "exp(" + "+".join(["z"] * cap) + ")",
+    ])
+    def test_depth_cap(self, make):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expr(make(expr_module._MAX_DEPTH))
 
     def test_whitespace_insignificant(self):
         assert parse_expr(" z ^ 2 -  1 ") == parse_expr("z^2-1")
@@ -238,6 +266,14 @@ class TestCompile:
             compile_fn(tree)(arg)
         assert err.value.node is tree
         assert err.value.at is arg
+
+    def test_exp_without_value_is_evaluation_overflow(self):
+        # cmath.exp has no value at a finite real and an infinite imaginary part
+        tree = parse_expr("exp(1 + i*z^2*z^2)")
+        with pytest.raises(EvaluationOverflow) as err:
+            compile_fn(tree)(1e80)
+        assert err.value.node is tree
+        assert err.value.at == 1e80
 
     def test_int_power_overflow_is_evaluation_overflow(self):
         tree = parse_expr("3 * z^200")

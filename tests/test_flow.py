@@ -1,14 +1,18 @@
 import math
+import random
 
 import pytest
 
+from planeflow import flow as flow_module
+from planeflow import quadrature
 from planeflow.errors import EvaluationOverflow
-from planeflow.expr import parse_expr
+from planeflow.expr import Add, Constant, Variable, compile_fn, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     REVERSED,
     Event,
+    Field,
     FiniteTimeBlowup,
     FixedPointApproach,
     FlowSpec,
@@ -24,6 +28,9 @@ from planeflow.flow import (
     integrate,
     sample_at,
 )
+from planeflow.quadrature import QuadratureDiverged, adaptive_gauss
+
+from conftest import random_expr
 
 
 def holo(text, direction="forward"):
@@ -323,3 +330,153 @@ class TestDriver:
         t, z = res.samples[-1]
         assert abs(z.real - 5.0) <= 1e-9
         assert abs(t - 5.0) <= 1e-9
+
+
+# The former flow._dp_step and its tableau, kept as the reference for the
+# generated step.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+
+
+def _reference_dp_step(rhs, z, h, k1):
+    k2 = rhs(z + h * (_A21 * k1))
+    k3 = rhs(z + h * (_A31 * k1 + _A32 * k2))
+    k4 = rhs(z + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = rhs(z + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = rhs(z + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    z_new = z + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = rhs(z_new)
+    err = abs(h) * abs(
+        _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7
+    )
+    return z_new, err, k7
+
+
+def _outcome(step, *args):
+    """repr of the step's result, or the node and point of its overflow."""
+    try:
+        return repr(step(*args))
+    except EvaluationOverflow as exc:
+        return ("overflow", exc.node, repr(exc.at))
+
+
+def _reference_rhs(tree, post, k):
+    """The point function for each Field post-operation, as the flow
+    integrator wrote its right-hand sides before Field."""
+    f = compile_fn(tree)
+    return {
+        "{}": f,
+        "-{}": lambda z: -f(z),
+        "{}.conjugate()": lambda z: f(z).conjugate(),
+        "-{}.conjugate()": lambda z: -f(z).conjugate(),
+        "k * {}": lambda z: k * f(z),
+    }[post]
+
+
+class TestGeneratedStep:
+    def test_matches_reference_step_bit_for_bit(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            tree = random_expr(rng, depth=rng.randint(1, 4))
+            for post in flow_module._POSTS:
+                factor = rng.choice((1.0, -1.0)) * 1j if post == "k * {}" else None
+                rhs = Field(tree, post, factor)
+                ref = _reference_rhs(tree, post, factor)
+                for _ in range(2):
+                    z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                    h = rng.choice((1e-3, 0.05, 0.4)) * rng.uniform(0.5, 1.0)
+                    k1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    assert _outcome(rhs, z) == _outcome(ref, z), (tree, post, z)
+                    want = _outcome(_reference_dp_step, ref, z, h, k1)
+                    assert _outcome(rhs.step, z, h, k1) == want, (tree, post, z, h, k1)
+
+    def test_opaque_callable_matches_reference_step(self):
+        rng = random.Random(7)
+        for rhs in (lambda z: z * z - 1.0, lambda z: 1.0 if z.real < 1.0 else 1e8 + 0j):
+            step = flow_module._stepper(rhs)
+            for _ in range(50):
+                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                h = rng.uniform(1e-3, 0.5)
+                k1 = rhs(z)
+                assert repr(step(z, h, k1)) == repr(_reference_dp_step(rhs, z, h, k1))
+
+    @pytest.mark.parametrize("text,h,k1,stage", [
+        ("exp(z)", 5000.0, 1.0, 2),
+        ("exp(z)", 1.69, 1.0, 7),
+        ("2 * exp(z)", 0.77, 2.0, 7),
+        ("z^2 * z^2 * z^2", 2.197, 1.0, 7),
+    ])
+    def test_overflow_matches_reference(self, text, h, k1, stage):
+        rhs = Field(parse_expr(text))
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return rhs(z)
+
+        with pytest.raises(EvaluationOverflow) as want:
+            _reference_dp_step(counted, 0j, h, complex(k1))
+        assert len(calls) == stage - 1
+        with pytest.raises(EvaluationOverflow) as got:
+            rhs.step(0j, h, complex(k1))
+        assert got.value.node is want.value.node
+        assert repr(got.value.at) == repr(want.value.at)
+        assert str(got.value) == str(want.value)
+
+    def test_signed_constants_share_step_code_not_values(self):
+        pos = Field(Add(Variable(), Constant(0.0)))
+        neg = Field(Add(Variable(), Constant(-0.0)))
+        assert pos.step.__code__ is neg.step.__code__
+        z = complex(-0.0, -0.0)
+        assert repr(pos(z)) != repr(neg(z))
+        for rhs in (pos, neg):
+            args = (z, 0.25, rhs(z))
+            assert repr(rhs.step(*args)) == repr(_reference_dp_step(rhs, *args))
+
+    def test_exp_without_value_is_overflow(self):
+        tree = parse_expr("exp(1 + i*z^2*z^2)")
+        rhs = Field(tree)
+        with pytest.raises(EvaluationOverflow) as point:
+            rhs(1e80)
+        assert point.value.node is tree
+        with pytest.raises(EvaluationOverflow) as step:
+            rhs.step(1e80 + 0j, 1e-3, 1 + 0j)
+        assert step.value.node is tree
+
+    def test_unknown_post_operation_rejected(self):
+        with pytest.raises(ValueError):
+            Field(parse_expr("z"), "2 * {}")
+
+
+class TestQuadratureBudget:
+    def test_near_pole_stops_at_budget(self):
+        calls = []
+
+        def near_pole(s):
+            calls.append(s)
+            return 1.0 / (s - 0.5 + 1e-9j)
+
+        with pytest.raises(QuadratureDiverged) as err:
+            adaptive_gauss(near_pole, 0.0, 1.0, 1e-14)
+        assert len(calls) <= quadrature._GAUSS_MAX_EVALS
+        assert abs(err.value.witness - 0.5) < 0.1
+
+    def _diverging(self, *args, **kwargs):
+        raise QuadratureDiverged(0.5)
+
+    def test_chart_quadrature_failure_is_inconclusive(self, monkeypatch):
+        traj = integrate(holo("z^2"), 1.0, IntegratorConfig(escape_radius=100.0))
+        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        est = blowup_time_estimate(traj, IntegratorConfig(escape_radius=100.0))
+        assert not est.conclusive
+        assert "did not converge" in est.note
+
+    def test_clock_quadrature_failure_is_infinite_residual(self, monkeypatch):
+        traj = integrate(holo("-exp(-z)"), 0.0, IntegratorConfig(t_max=0.5))
+        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        assert conformal_clock_residual(traj) == math.inf
