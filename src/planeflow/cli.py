@@ -9,6 +9,7 @@ produce byte-identical files.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import replace
@@ -91,6 +92,13 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return n
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return x
 
 
 def _spec_from_args(args) -> FlowSpec:
@@ -382,76 +390,67 @@ def _cmd_demo(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# built-in demo suite (the CLI face of the acceptance checks)
+# built-in demo suite: one function per acceptance criterion, returning (ok, detail, measured
+# values); `demo` prints ok and detail, tests/test_acceptance.py asserts on the values
 
 
 def _demo_closed_form_escape():
-    import cmath as _cmath
-
-    spec = FlowSpec(HOLOMORPHIC, parse_expr("-exp(-z)"))
-    traj = integrate(spec, 0.0, IntegratorConfig())
-    sup = max(
-        abs(_cmath.exp(z) - (1.0 - t)) for t, z in traj.samples if t <= 0.99
-    )
-    est = blowup_time_estimate(traj, IntegratorConfig())
+    cfg = IntegratorConfig()
+    traj = integrate(FlowSpec(HOLOMORPHIC, parse_expr("-exp(-z)")), 0.0, cfg)
+    sup = max(abs(cmath.exp(z) - (1.0 - t)) for t, z in traj.samples if t <= 0.99)
+    est = blowup_time_estimate(traj, cfg)
     ok = sup <= 1e-6 and est.conclusive and abs(est.t_est - 1.0) <= 1e-4
-    return ok, f"exp(z(t)) = exp(z0) - t: sup dev {sup:.2e}, escape T={est.t_est:.6f}"
+    return ok, f"exp(z(t)) = exp(z0) - t: sup dev {sup:.2e}, escape T={est.t_est:.6f}", dict(sup=sup, estimate=est)
 
 
 def _demo_quadratic_blowup():
     cfg = IntegratorConfig(escape_radius=100.0)
     spec = FlowSpec(HOLOMORPHIC, parse_expr("z^2"))
-    devs = []
-    for z0, want in ((1.0, 1.0), (2.0, 0.5)):
-        est = blowup_time_estimate(integrate(spec, z0, cfg), cfg)
-        devs.append(abs(est.t_est - want))
-    ok = all(d <= 1e-4 for d in devs)
-    return ok, f"dz/dt = z^2: T(1)=1, T(2)=0.5 within {max(devs):.2e}"
+    ests = {want: blowup_time_estimate(integrate(spec, z0, cfg), cfg) for z0, want in ((1.0, 1.0), (2.0, 0.5))}
+    ok = all(e.conclusive and e.method == "w_chart" and abs(e.t_est - w) <= 1e-4 for w, e in ests.items())
+    dev = max(abs(e.t_est - w) for w, e in ests.items())
+    return ok, f"dz/dt = z^2: T(1)=1, T(2)=0.5 within {dev:.2e}", dict(estimates=ests)
 
 
 def _demo_conformal_clock():
-    worst = 0.0
     cases = [
         ("z", (1.0, 1j, 1 + 1j, -2 + 0.5j, 0.3 - 0.7j)),
         ("z^2 - 1", (0.5j, 2.0, -0.3 + 0.8j, 0.2 - 0.6j, 1.5 + 0.5j)),
         ("exp(z)", (0.0, 0.5j, -1.0, 0.3 - 0.2j, -0.5 + 0.4j)),
     ]
+    res = []
     for text, seeds in cases:
         spec = FlowSpec(HOLOMORPHIC, parse_expr(text))
-        for z0 in seeds:
-            traj = integrate(spec, z0, IntegratorConfig(t_max=3.0))
-            worst = max(worst, conformal_clock_residual(traj))
-    ok = worst <= 1e-5
-    return ok, f"clock integral of dz/f tracks t: worst residual {worst:.2e}"
+        res.extend(conformal_clock_residual(integrate(spec, z0, IntegratorConfig(t_max=3.0))) for z0 in seeds)
+    ok = all(r <= 1e-5 for r in res)
+    return ok, f"clock integral of dz/f tracks t: worst residual {max(res):.2e}", dict(residuals=res)
 
 
 def _demo_antiholo_dichotomy():
     spec1 = FlowSpec(ANTIHOLOMORPHIC, parse_expr("z"))
-    pts = []
-    for radius in (10.0, 100.0, 1000.0, 10000.0):
-        cfg = IntegratorConfig(escape_radius=radius, t_max=100.0)
-        traj = integrate(spec1, 1.0, cfg)
-        pts.append((math.log(radius), traj.t_end))
-    n = len(pts)
-    sx = sum(x for x, _ in pts) / n
-    sy = sum(y for _, y in pts) / n
+    radii = (10.0, 100.0, 1000.0, 10000.0)
+    runs = [integrate(spec1, 1.0, IntegratorConfig(escape_radius=r, t_max=100.0)) for r in radii]
+    pts = [(math.log(r), traj.t_end) for r, traj in zip(radii, runs)]
+    sx = sum(x for x, _ in pts) / len(pts)
+    sy = sum(y for _, y in pts) / len(pts)
     slope = sum((x - sx) * (y - sy) for x, y in pts) / sum((x - sx) ** 2 for x, _ in pts)
-    spec2 = FlowSpec(ANTIHOLOMORPHIC, parse_expr("z^2"))
     cfg2 = IntegratorConfig(escape_radius=1e6, t_max=10.0)
-    t2 = integrate(spec2, 1.0, cfg2).t_end
-    ok = abs(slope - 1.0) <= 0.05 and 0.99 <= t2 <= 1.0
-    return ok, f"deg 1: time-to-R slope vs ln R = {slope:.4f}; deg 2: time to 1e6 = {t2:.6f}"
+    t2 = integrate(FlowSpec(ANTIHOLOMORPHIC, parse_expr("z^2")), 1.0, cfg2).t_end
+    names = [traj.termination.name for traj in runs]
+    ok = all(n == "ReachedRadius" for n in names) and abs(slope - 1.0) <= 0.05 and 0.99 <= t2 <= 1.0
+    detail = f"deg 1: time-to-R slope vs ln R = {slope:.4f}; deg 2: time to 1e6 = {t2:.6f}"
+    return ok, detail, dict(terminations=names, slope=slope, t_deg2=t2)
 
 
 def _demo_transit_gap():
     gaps = []
-    curve = trace_level(parse_expr("z^2 / 2"), 1.0, 50.0, IntegratorConfig(escape_radius=100.0))
-    gaps.append(transit_time(curve, IntegratorConfig(escape_radius=100.0)).relative_gap)
-    cfg3 = IntegratorConfig(escape_radius=1e7, t_max=10.0)
-    curve3 = trace_level(parse_expr("z^3 / 3"), 1.0, 1e18 / 3.0, cfg3)
-    gaps.append(transit_time(curve3, cfg3).relative_gap)
+    for text, x_max, cfg in (
+        ("z^2 / 2", 50.0, IntegratorConfig(escape_radius=100.0)),
+        ("z^3 / 3", 1e18 / 3.0, IntegratorConfig(escape_radius=1e7, t_max=10.0)),
+    ):
+        gaps.append(transit_time(trace_level(parse_expr(text), 1.0, x_max, cfg), cfg).relative_gap)
     ok = all(g <= 1e-3 for g in gaps)
-    return ok, f"transit quadrature vs flow time: gaps {', '.join(f'{g:.2e}' for g in gaps)}"
+    return ok, f"transit quadrature vs flow time: gaps {', '.join(f'{g:.2e}' for g in gaps)}", dict(gaps=gaps)
 
 
 def _demo_tract():
@@ -460,72 +459,79 @@ def _demo_tract():
     fr, ir = rep.finite_run, rep.infinite_run
     times_ok = all(t >= r - 2.0 for r, t in ir.times_to_radius)
     ok = (
-        fr.termination == "FiniteTimeBlowup"
-        and abs(fr.t_est - want) <= 1e-3
-        and not ir.conclusive
-        and times_ok
-        and max(fr.im_drift, ir.im_drift) <= 1e-6
+        fr.termination == "FiniteTimeBlowup" and abs(fr.t_est - want) <= 1e-3 and fr.im_drift <= 1e-6
+        and ir.termination == "ReachedRadius" and not ir.conclusive and ir.im_drift <= 1e-6
+        and tuple(r for r, _ in ir.times_to_radius) == (10.0, 100.0, 1000.0) and times_ok
     )
     return ok, (
         f"exp(-z)+1: left escape T={fr.t_est:.5f} (target {want:.5f}), "
         f"right escape needs t >= R-2 at R=10,100,1000: {times_ok}"
-    )
+    ), dict(report=rep)
 
 
 def _demo_measure_zero(n_samples=2000):
     cfg = IntegratorConfig(escape_radius=10.0, t_max=50.0)
     rep = escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, n_samples, cfg, seed=20260808)
-    ok = rep.finite_time_fraction <= 0.01
-    return ok, f"finite-time set on the segment: fraction {rep.finite_time_fraction!r} of {n_samples}"
+    ok = sum(rep.counts.values()) == n_samples and rep.finite_time_fraction <= 0.01
+    detail = f"finite-time set on the segment: fraction {rep.finite_time_fraction!r} of {n_samples}"
+    return ok, detail, dict(counts=rep.counts, fraction=rep.finite_time_fraction)
 
 
 def _demo_rubel():
-    import cmath as _cmath
-
     cfg = IntegratorConfig(escape_radius=1e9)
-    t_end = math.exp(110.0)
-    ok = True
-    details = []
+    paths = {}
     for d in (0.0, 5.0):
-        seed = 2.0 if d == 0.0 else _cmath.log(10 + 1j * d)
-        rep = rubel_path(parse_expr("exp(z)"), d, seed, t_end, cfg)
-        ratios_ok = True
-        increasing_ok = True
-        for m, points in rep.growth_ratios.items():
-            at100 = [q for r, q in points if r >= 100.0]
-            ratios_ok &= bool(at100) and min(at100) > 20.0
-            r_end = points[-1][0]
-            decade = [q for r, q in points if r >= r_end / 10.0]
-            increasing_ok &= all(a < b for a, b in zip(decade, decade[1:]))
-        tails_ok = all(t.finite for t in rep.tail_integrals)
-        ok &= rep.monotone and ratios_ok and increasing_ok and tails_ok
-        details.append(f"D={d:g}: monotone {rep.monotone}, tails finite {tails_ok}")
-    return ok, "; ".join(details)
+        seed = 2.0 if d == 0.0 else cmath.log(10 + 1j * d)
+        rep = rubel_path(parse_expr("exp(z)"), d, seed, math.exp(110.0), cfg)
+        at_100, rising = [], True
+        for points in rep.growth_ratios.values():
+            at_100.append(min((q for r, q in points if r >= 100.0), default=-math.inf))
+            decade = [q for r, q in points if r >= points[-1][0] / 10.0]
+            rising &= all(a < b for a, b in zip(decade, decade[1:]))
+        paths[d] = dict(
+            monotone=rep.monotone, orders=set(rep.growth_ratios), ratio_at_100=min(at_100), rising=rising,
+            tail_c={t.c for t in rep.tail_integrals}, tails_finite=all(t.finite for t in rep.tail_integrals),
+        )
+    ok = all(
+        p["monotone"] and p["orders"] >= {0, 1, 2, 3} and p["ratio_at_100"] > 20.0 and p["rising"]
+        and p["tail_c"] == {0.5, 1.0} and p["tails_finite"]
+        for p in paths.values()
+    )
+    detail = "; ".join(f"D={d:g}: monotone {p['monotone']}, tails finite {p['tails_finite']}" for d, p in paths.items())
+    return ok, detail, dict(paths=paths)
 
 
 def _demo_criterion():
     cfg = IntegratorConfig(escape_radius=1e4)
-    fired = infinite_time_criterion(trace_level(parse_expr("z"), 1.0, 700.0, cfg)).fires
-    flat = infinite_time_criterion(trace_level(parse_expr("z^2 / 2"), 1.0, 2e5, cfg)).fires
-    grow = infinite_time_criterion(
-        trace_level(parse_expr("z^3 / 3"), 1.0, 601.0**3 / 3.0, cfg)
-    ).fires
-    ok = fired and not flat and not grow
-    return ok, f"|G|/|z|^2 test: fires(G=z)={fired}, fires(z^2/2)={flat}, fires(z^3/3)={grow}"
+    reps = [
+        infinite_time_criterion(trace_level(parse_expr(text), 1.0, x_max, cfg))
+        for text, x_max in (("z", 700.0), ("z^2 / 2", 2e5), ("z^3 / 3", 601.0**3 / 3.0))
+    ]
+    fired, flat, grow = (r.fires for r in reps)
+    ok = fired and not flat and not grow and all(r.witnesses for r in reps)
+    detail = f"|G|/|z|^2 test: fires(G=z)={fired}, fires(z^2/2)={flat}, fires(z^3/3)={grow}"
+    return ok, detail, dict(zip(("z", "z^2/2", "z^3/3"), reps))
 
 
 def _demo_properties():
-    spec = FlowSpec(HOLOMORPHIC, parse_expr("z^2 - 1"))
-    traj = integrate(spec, 0.5j, IntegratorConfig(t_max=1.5))
-    rev = FlowSpec(HOLOMORPHIC, parse_expr("z^2 - 1"), REVERSED)
-    back = integrate(rev, traj.z_end, IntegratorConfig(t_max=traj.t_end))
-    ret = abs(back.z_end - 0.5j)
-    period = integrate(FlowSpec(HOLOMORPHIC, parse_expr("i*z")), 1.0, IntegratorConfig()).termination
-    period_dev = abs(period.period - 2.0 * math.pi) if period.name == "Periodic" else math.inf
-    spec_a = FlowSpec(ANTIHOLOMORPHIC, parse_expr("z^2"))
-    drift = antiholo_invariants(integrate(spec_a, 1 + 1j, IntegratorConfig(t_max=2.0))).im_drift
-    ok = ret <= 1e-5 and period_dev <= 1e-4 and drift <= 1e-6
-    return ok, f"reversal return {ret:.2e}; period dev {period_dev:.2e}; Im G drift {drift:.2e}"
+    returns = []
+    for kind, text, z0 in (
+        (HOLOMORPHIC, "z^2 - 1", 0.5j),
+        (HOLOMORPHIC, "-exp(-z)", 0.3 + 0.2j),
+        (ANTIHOLOMORPHIC, "z^2", 1 + 1j),
+    ):
+        traj = integrate(FlowSpec(kind, parse_expr(text)), z0, IntegratorConfig(t_max=1.5))
+        rev = FlowSpec(kind, parse_expr(text), REVERSED)
+        returns.append(abs(integrate(rev, traj.z_end, IntegratorConfig(t_max=traj.t_end)).z_end - z0))
+    drifts = []
+    for text, z0 in (("z", 1.0), ("z^2", 1 + 1j), ("exp(-z) + 1", complex(-1, math.pi))):
+        traj = integrate(FlowSpec(ANTIHOLOMORPHIC, parse_expr(text)), z0, IntegratorConfig(t_max=2.0))
+        drifts.append(antiholo_invariants(traj).im_drift)
+    term = classify(integrate(FlowSpec(HOLOMORPHIC, parse_expr("i*z")), 1.0, IntegratorConfig()))
+    period_dev = abs(term.period - 2.0 * math.pi) if term.name == "Periodic" else math.inf
+    ok = all(r <= 1e-5 for r in returns) and period_dev <= 1e-4 and all(d <= 1e-6 for d in drifts)
+    detail = f"reversal return {max(returns):.2e}; period dev {period_dev:.2e}; Im G drift {max(drifts):.2e}"
+    return ok, detail, dict(returns=returns, drifts=drifts, termination=term)
 
 
 _DEMOS = (
@@ -546,7 +552,7 @@ def run_demo_suite(verbose: bool = False):
     results = []
     for name, claim, fn in _DEMOS:
         try:
-            ok, detail = fn()
+            ok, detail, _ = fn()
         except PlaneflowError as exc:
             ok, detail = False, f"error: {exc}"
         results.append((name, ok, detail))
@@ -589,21 +595,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("level-trace", help="trace a level curve of Im G")
     p.add_argument("--G", required=True, help="potential whose level curve is traced")
     p.add_argument("--start", required=True, help="start point")
-    p.add_argument("--Xmax", type=float, required=True, help="target Re G")
+    p.add_argument("--Xmax", type=_finite_float, required=True, help="target Re G")
     _add_common(p)
     p.set_defaults(fn=_cmd_level_trace)
 
     p = sub.add_parser("transit", help="transit time along a level curve")
     p.add_argument("--G", required=True)
     p.add_argument("--start", required=True)
-    p.add_argument("--Xmax", type=float, required=True)
+    p.add_argument("--Xmax", type=_finite_float, required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_transit)
 
     p = sub.add_parser("measure", help="Monte Carlo escape measure on a transverse segment")
     p.add_argument("--f", required=True)
     p.add_argument("--z0", required=True)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=_finite_float, default=1.0)
     p.add_argument("--N", type=_positive_int, default=1000, help="number of samples")
     p.add_argument("--keep", type=int, default=40, help="trajectories kept for the SVG")
     _add_common(p)
@@ -611,11 +617,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rubel", help="trace a growth path where f - iD is real increasing")
     p.add_argument("--f", required=True)
-    p.add_argument("--D", type=float, default=0.0)
+    p.add_argument("--D", type=_finite_float, default=0.0)
     p.add_argument("--seed-point", required=True, help="seed inside the large-|f| tract")
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--c", type=float, action="append", default=None,
+    p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
     _add_common(p)
     p.set_defaults(fn=_cmd_rubel)

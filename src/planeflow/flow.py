@@ -559,9 +559,6 @@ class BlowupEstimate:
     exit_times: tuple
     note: str = ""
 
-    def as_tuple(self):
-        return self.t_est, self.t_err
-
 
 def _inconclusive(note, exit_times=()):
     return BlowupEstimate(math.nan, math.nan, False, "none", tuple(exit_times), note)

@@ -6,7 +6,7 @@ raw derivatives keeps the recurrences well scaled; the k! conversion
 happens only in :meth:`Jet.derivative`.  Propagation rules: sums and
 scalar multiples are elementwise, products use the Cauchy convolution,
 exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
-and integer powers are repeated products.
+and integer powers use binary powering.
 """
 
 from __future__ import annotations
@@ -73,11 +73,15 @@ def _c_exp(u):
     return tuple(v)
 
 def _c_pow(a, k):
-    n = len(a)
-    out = (1 + 0j,) + (0j,) * (n - 1)
-    for _ in range(k):
-        out = _c_mul(out, a)
-    return out
+    """a^k by binary powering: fewer than 2 * k.bit_length() products."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _c_mul(out, a)
+        k >>= 1
+        if k:
+            a = _c_mul(a, a)
+    return out if out is not None else (1 + 0j,) + (0j,) * (len(a) - 1)
 
 
 def eval_jet(expr: FuncExpr, z: complex, order: int) -> Jet:

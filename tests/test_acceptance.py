@@ -1,216 +1,118 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
-Each test pins the tolerance stated for it and prints a one-line
-pass summary with the measured values (visible with -s / -rP).
+Each criterion is computed once, by its function in the ``planeflow
+demo`` suite (``planeflow.cli._DEMOS``).  The test asserts on the values
+that function measured, with the tolerance stated for the criterion,
+and prints the demo's detail line (visible with -s / -rP).
 """
 
-import cmath
 import math
 
-from planeflow.cli import run_cli
-from planeflow.escape import demo_antiholo_tract, escape_measure, rubel_path
-from planeflow.expr import parse_expr
-from planeflow.flow import (
-    ANTIHOLOMORPHIC,
-    HOLOMORPHIC,
-    REVERSED,
-    FlowSpec,
-    IntegratorConfig,
-    antiholo_invariants,
-    blowup_time_estimate,
-    classify,
-    conformal_clock_residual,
-    integrate,
-)
-from planeflow.level import infinite_time_criterion, trace_level, transit_time
+from planeflow import cli
 
 
-def report(criterion, detail):
+def report(criterion, ok, detail):
+    assert ok, detail
     print(f"[criterion {criterion:>2}] pass: {detail}")
 
 
 def test_criterion_01_closed_form_exponential_escape():
-    spec = FlowSpec(HOLOMORPHIC, parse_expr("-exp(-z)"))
-    cfg = IntegratorConfig()
-    traj = integrate(spec, 0.0, cfg)
-    sup = max(abs(cmath.exp(z) - (1.0 - t)) for t, z in traj.samples if t <= 0.99)
-    assert sup <= 1e-6
-    est = blowup_time_estimate(traj, cfg)
-    assert est.conclusive
-    assert abs(est.t_est - 1.0) <= 1e-4
-    report(1, f"sup|exp(z(t)) - (1-t)| = {sup:.3e} on [0, 0.99]; T = {est.t_est:.8f} ± 1e-4")
+    ok, detail, m = cli._demo_closed_form_escape()
+    assert m["sup"] <= 1e-6
+    assert m["estimate"].conclusive
+    assert abs(m["estimate"].t_est - 1.0) <= 1e-4
+    report(1, ok, detail)
 
 
 def test_criterion_02_polynomial_blowup_chart_switched():
-    cfg = IntegratorConfig(escape_radius=100.0)
-    spec = FlowSpec(HOLOMORPHIC, parse_expr("z^2"))
-    results = []
-    for z0, want in ((1.0, 1.0), (2.0, 0.5)):
-        est = blowup_time_estimate(integrate(spec, z0, cfg), cfg)
+    ok, detail, m = cli._demo_quadratic_blowup()
+    assert sorted(m["estimates"]) == [0.5, 1.0]
+    for want, est in m["estimates"].items():
         assert est.conclusive and est.method == "w_chart"
         assert abs(est.t_est - want) <= 1e-4
-        results.append((z0, est.t_est))
-    report(2, "; ".join(f"T(z0={z0:g}) = {t:.8f}" for z0, t in results))
+    report(2, ok, detail)
 
 
 def test_criterion_03_conformal_clock():
-    cases = [
-        ("z", (1.0, 1j, 1 + 1j, -2 + 0.5j, 0.3 - 0.7j)),
-        ("z^2 - 1", (0.5j, 2.0, -0.3 + 0.8j, 0.2 - 0.6j, 1.5 + 0.5j)),
-        ("exp(z)", (0.0, 0.5j, -1.0, 0.3 - 0.2j, -0.5 + 0.4j)),
-    ]
-    worst = 0.0
-    for text, seeds in cases:
-        spec = FlowSpec(HOLOMORPHIC, parse_expr(text))
-        for z0 in seeds:
-            traj = integrate(spec, z0, IntegratorConfig(t_max=3.0))
-            residual = conformal_clock_residual(traj)
-            assert residual <= 1e-5
-            worst = max(worst, residual)
-    report(3, f"clock residual over 15 trajectories: worst {worst:.3e} <= 1e-5")
+    ok, detail, m = cli._demo_conformal_clock()
+    assert len(m["residuals"]) == 15
+    assert all(r <= 1e-5 for r in m["residuals"])
+    report(3, ok, detail)
 
 
 def test_criterion_04_antiholomorphic_dichotomy():
+    ok, detail, m = cli._demo_antiholo_dichotomy()
     # degree 1: time to radius R grows like ln R with unit slope
-    spec1 = FlowSpec(ANTIHOLOMORPHIC, parse_expr("z"))
-    pts = []
-    for radius in (10.0, 1e2, 1e3, 1e4):
-        traj = integrate(spec1, 1.0, IntegratorConfig(escape_radius=radius, t_max=100.0))
-        assert traj.termination.name == "ReachedRadius"
-        pts.append((math.log(radius), traj.t_end))
-    mean_x = sum(x for x, _ in pts) / len(pts)
-    mean_y = sum(y for _, y in pts) / len(pts)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in pts) / sum(
-        (x - mean_x) ** 2 for x, _ in pts
-    )
-    assert abs(slope - 1.0) <= 0.05
-
+    assert m["terminations"] == ["ReachedRadius"] * 4
+    assert abs(m["slope"] - 1.0) <= 0.05
     # degree 2: total time to radius 1e6 is 1 - 1e-6
-    spec2 = FlowSpec(ANTIHOLOMORPHIC, parse_expr("z^2"))
-    cfg2 = IntegratorConfig(escape_radius=1e6, t_max=10.0)
-    traj2 = integrate(spec2, 1.0, cfg2)
-    assert 0.99 <= traj2.t_end <= 1.0
-
-    # transit formula cross-check along the same curve
-    cfg3 = IntegratorConfig(escape_radius=1e7, t_max=10.0)
-    curve = trace_level(parse_expr("z^3 / 3"), 1.0, 1e18 / 3.0, cfg3)
-    rep = transit_time(curve, cfg3)
-    assert rep.relative_gap <= 1e-3
-    report(4, f"slope = {slope:.4f} (±5%); t(1e6) = {traj2.t_end:.8f}; transit gap {rep.relative_gap:.2e}")
+    assert 0.99 <= m["t_deg2"] <= 1.0
+    report(4, ok, detail)
 
 
 def test_criterion_05_transit_quadrature_vs_ode():
-    gaps = []
-    cfg_a = IntegratorConfig(escape_radius=100.0)
-    curve_a = trace_level(parse_expr("z^2 / 2"), 1.0, 50.0, cfg_a)
-    gaps.append(transit_time(curve_a, cfg_a).relative_gap)
-    cfg_b = IntegratorConfig(escape_radius=1e7, t_max=10.0)
-    curve_b = trace_level(parse_expr("z^3 / 3"), 1.0, 1e18 / 3.0, cfg_b)
-    gaps.append(transit_time(curve_b, cfg_b).relative_gap)
-    assert all(g <= 1e-3 for g in gaps)
-    report(5, f"relative gaps: z^2/2 -> {gaps[0]:.2e}, z^3/3 -> {gaps[1]:.2e} (<= 1e-3)")
+    ok, detail, m = cli._demo_transit_gap()
+    assert len(m["gaps"]) == 2
+    assert all(g <= 1e-3 for g in m["gaps"])
+    report(5, ok, detail)
 
 
 def test_criterion_06_tract_demo():
-    rep = demo_antiholo_tract()
+    ok, detail, m = cli._demo_tract()
     want = -math.log(1.0 - math.exp(-1.0))
-    fr = rep.finite_run
+    fr, ir = m["report"].finite_run, m["report"].infinite_run
     assert fr.termination == "FiniteTimeBlowup"
     assert abs(fr.t_est - want) <= 1e-3
-    ir = rep.infinite_run
+    assert fr.im_drift <= 1e-6
+    assert ir.termination == "ReachedRadius"
     assert not ir.conclusive
+    assert ir.im_drift <= 1e-6
     assert tuple(r for r, _ in ir.times_to_radius) == (10.0, 100.0, 1000.0)
     for radius, t in ir.times_to_radius:
         assert t >= radius - 2.0
-    report(6, f"left escape T = {fr.t_est:.6f} (target {want:.6f} ± 1e-3); right times >= R-2")
+    report(6, ok, detail)
 
 
 def test_criterion_07_measure_zero_experiment():
-    cfg = IntegratorConfig(escape_radius=10.0, t_max=50.0)
-    rep = escape_measure(
-        parse_expr("-exp(-z)"), 0.0, 1.0, 10_000, cfg, seed=20260808
-    )
-    assert sum(rep.counts.values()) == 10_000
-    assert rep.finite_time_fraction <= 0.01
-    report(7, f"finite-time fraction {rep.finite_time_fraction!r} of 10^4 samples (<= 0.01); counts {rep.counts}")
+    ok, detail, m = cli._demo_measure_zero(10_000)
+    assert sum(m["counts"].values()) == 10_000
+    assert m["fraction"] <= 0.01
+    report(7, ok, detail)
 
 
 def test_criterion_08_rubel_path_growth_and_integrability():
-    cfg = IntegratorConfig(escape_radius=1e9)
-    t_end = math.exp(110.0)
-    details = []
-    for d_shift in (0.0, 5.0):
-        seed = 2.0 if d_shift == 0.0 else cmath.log(10 + 1j * d_shift)
-        rep = rubel_path(parse_expr("exp(z)"), d_shift, seed, t_end, cfg)
-        assert rep.monotone
-        for m in range(4):
-            points = rep.growth_ratios[m]
-            at_100 = [q for r, q in points if r >= 100.0]
-            assert at_100 and min(at_100) > 20.0
-            r_end = points[-1][0]
-            decade = [q for r, q in points if r >= r_end / 10.0]
-            assert all(a < b for a, b in zip(decade, decade[1:]))
-        assert {t.c for t in rep.tail_integrals} == {0.5, 1.0}
-        assert all(t.finite for t in rep.tail_integrals)
-        details.append(f"D={d_shift:g} ok")
-    report(8, "Re f increasing, ratios > 20 by |z|=100 and rising, tails finite: " + ", ".join(details))
+    ok, detail, m = cli._demo_rubel()
+    assert sorted(m["paths"]) == [0.0, 5.0]
+    for path in m["paths"].values():
+        assert path["monotone"]
+        assert path["orders"] >= {0, 1, 2, 3}
+        assert path["ratio_at_100"] > 20.0
+        assert path["rising"]
+        assert path["tail_c"] == {0.5, 1.0}
+        assert path["tails_finite"]
+    report(8, ok, detail)
 
 
 def test_criterion_09_infinite_time_criterion():
-    cfg = IntegratorConfig(escape_radius=1e4)
-    fires = infinite_time_criterion(trace_level(parse_expr("z"), 1.0, 700.0, cfg))
-    flat = infinite_time_criterion(trace_level(parse_expr("z^2 / 2"), 1.0, 2e5, cfg))
-    grow = infinite_time_criterion(
-        trace_level(parse_expr("z^3 / 3"), 1.0, 601.0**3 / 3.0, cfg)
-    )
-    assert fires.fires and fires.witnesses
-    assert not flat.fires and flat.witnesses
-    assert not grow.fires and grow.witnesses
-    report(
-        9,
-        f"fires(G=z) with tail ratio {fires.witnesses[-1][1]:.4f}; "
-        f"no fire for z^2/2 (ratio {flat.witnesses[-1][1]:.3f}) and z^3/3 (growing)",
-    )
+    ok, detail, m = cli._demo_criterion()
+    assert m["z"].fires and m["z"].witnesses
+    assert not m["z^2/2"].fires and m["z^2/2"].witnesses
+    assert not m["z^3/3"].fires and m["z^3/3"].witnesses
+    report(9, ok, detail)
 
 
 def test_criterion_10_property_suites(tmp_path, capsys):
-    # time reversal
-    returns = []
-    for kind, text, z0 in (
-        (HOLOMORPHIC, "z^2 - 1", 0.5j),
-        (HOLOMORPHIC, "-exp(-z)", 0.3 + 0.2j),
-        (ANTIHOLOMORPHIC, "z^2", 1 + 1j),
-    ):
-        spec = FlowSpec(kind, parse_expr(text))
-        traj = integrate(spec, z0, IntegratorConfig(t_max=1.5))
-        back = integrate(
-            FlowSpec(kind, parse_expr(text), REVERSED),
-            traj.z_end,
-            IntegratorConfig(t_max=traj.t_end),
-        )
-        ret = abs(back.z_end - z0)
-        assert ret <= 1e-5
-        returns.append(ret)
-
-    # Im G conservation across antiholomorphic runs
-    drifts = []
-    for text, z0 in (("z", 1.0), ("z^2", 1 + 1j), ("exp(-z) + 1", complex(-1, math.pi))):
-        spec = FlowSpec(ANTIHOLOMORPHIC, parse_expr(text))
-        traj = integrate(spec, z0, IntegratorConfig(t_max=2.0))
-        drift = antiholo_invariants(traj).im_drift
-        assert drift <= 1e-6
-        drifts.append(drift)
-
-    # rotation period
-    term = classify(integrate(FlowSpec(HOLOMORPHIC, parse_expr("i*z")), 1.0, IntegratorConfig()))
-    assert term.name == "Periodic"
-    assert abs(term.period - 2.0 * math.pi) <= 1e-4
+    ok, detail, m = cli._demo_properties()
+    assert len(m["returns"]) == 3 and all(r <= 1e-5 for r in m["returns"])
+    assert len(m["drifts"]) == 3 and all(d <= 1e-6 for d in m["drifts"])
+    assert m["termination"].name == "Periodic"
+    assert abs(m["termination"].period - 2.0 * math.pi) <= 1e-4
 
     # identical seeds, byte-identical outputs
     blobs = []
     for sub in ("one", "two"):
         out = tmp_path / sub
-        code = run_cli(
+        code = cli.run_cli(
             ["measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1",
              "--N", "30", "--seed", "9", "--tmax", "20", "--svg", "--out", str(out)]
         )
@@ -220,8 +122,4 @@ def test_criterion_10_property_suites(tmp_path, capsys):
             ((out / "measure.json").read_bytes(), (out / "measure.svg").read_bytes())
         )
     assert blobs[0] == blobs[1]
-    report(
-        10,
-        f"reversal return <= {max(returns):.2e}; Im G drift <= {max(drifts):.2e}; "
-        f"period 2pi ± {abs(term.period - 2 * math.pi):.2e}; outputs byte-identical",
-    )
+    report(10, ok, detail + "; outputs byte-identical")

@@ -183,6 +183,27 @@ class TestSubcommands:
         assert out == ""
         assert not (tmp_path / "measure.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["level-trace", "--G", "z^2 / 2", "--start", "1"], "--Xmax"),
+            (["transit", "--G", "z", "--start", "1"], "--Xmax"),
+            (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5"], "--delta"),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2"], "--t-end"),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], "--D"),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], "--c"),
+        ],
+        ids=["level-trace-Xmax", "transit-Xmax", "measure-delta", "rubel-t-end", "rubel-D", "rubel-c"],
+    )
+    def test_nonfinite_float_option_exit_2(self, tmp_path, capsys, argv, option, value):
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + [option, value, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert option in err and "finite" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_measure_svg_styles_segment(self, tmp_path, capsys):
         code, _, _ = run(
             ["measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1",

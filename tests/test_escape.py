@@ -225,15 +225,3 @@ class TestTractDemo:
         )
         assert rep.infinite_run.termination == classify(last_traj, last_cfg).name
         assert rep.infinite_run.conclusive == real(last_traj, last_cfg).conclusive
-
-    def test_both_regimes(self):
-        rep = demo_antiholo_tract()
-        want = -math.log(1.0 - math.exp(-1.0))
-        assert rep.finite_run.termination == "FiniteTimeBlowup"
-        assert abs(rep.finite_run.t_est - want) <= 1e-3
-        assert rep.finite_run.im_drift <= 1e-6
-        assert rep.infinite_run.termination == "ReachedRadius"
-        assert not rep.infinite_run.conclusive
-        assert rep.infinite_run.im_drift <= 1e-6
-        for radius, t in rep.infinite_run.times_to_radius:
-            assert t >= radius - 2.0

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from planeflow.errors import EvaluationOverflow
 from planeflow.expr import Exp, IntPower, Negate, Scale, Variable, compile_fn, parse_expr
+from planeflow import jets
 from planeflow.jets import Jet, eval_jet
 
 from conftest import tame_random_expr
@@ -85,6 +87,50 @@ class TestOverflow:
         fn = compile_fn(Exp(Scale(1e6, Z)))
         with pytest.raises(EvaluationOverflow):
             fn(10.0)
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """Record every jet convolution."""
+    real = jets._c_mul
+    calls = []
+    monkeypatch.setattr(jets, "_c_mul", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+class TestIntPower:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 12, 1000, 10**5, 10**8])
+    def test_binary_powering_call_count(self, mul_calls, k):
+        jet = eval_jet(IntPower(Z, k), 1.0, 3)
+        assert len(mul_calls) <= 2 * k.bit_length()
+        assert jet.coeffs[1] == k  # d/dz z^k = k z^(k-1) at z = 1
+
+    def test_huge_power_overflows(self, mul_calls):
+        expr = IntPower(Z, 10**8)
+        with pytest.raises(EvaluationOverflow) as err:
+            eval_jet(expr, 2.0, 2)
+        assert err.value.node == expr
+        assert len(mul_calls) <= 2 * (10**8).bit_length()
+
+    @pytest.mark.parametrize(
+        "text, z",
+        [
+            ("z", 3.0),
+            ("exp(z)", 0.5 + 0.25j),
+            ("z^2 - 1", 0.3 + 0.7j),
+            ("exp(-z) + 1", complex(-1, math.pi)),
+            ("i*z + exp(z)", -0.7 + 0.2j),
+            ("z^3/3 - z", 1.1 - 0.4j),
+        ],
+    )
+    def test_matches_repeated_product(self, text, z):
+        a = eval_jet(parse_expr(text), z, 6).coeffs
+        for k in range(13):
+            ref = (1 + 0j,) + (0j,) * 6
+            for _ in range(k):
+                ref = jets._c_mul(ref, a)
+            got = jets._c_pow(a, k)
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-15 * max(abs(c) for c in ref)
 
 
 class TestJetType:
