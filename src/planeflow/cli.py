@@ -68,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", action="store_true", help="write trajectory CSV")
     p.add_argument(
         "--window",
-        type=str,
+        type=_window,
         default=None,
         help="plot window as 'cx,cy,halfwidth' (default: fit to data)",
     )
@@ -101,6 +101,16 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _window(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"must be 'cx,cy,halfwidth', got {text}")
+    cx, cy, hw = (_finite_float(v) for v in parts)
+    if hw <= 0:
+        raise argparse.ArgumentTypeError(f"half-width must be positive, got {text}")
+    return complex(cx, cy), hw
+
+
 def _spec_from_args(args) -> FlowSpec:
     kind = HOLOMORPHIC if args.kind == "holo" else ANTIHOLOMORPHIC
     text = args.f if args.f is not None else args.g
@@ -120,8 +130,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def _scene_window(args, points):
     if args.window:
-        cx, cy, hw = (float(v) for v in args.window.split(","))
-        return complex(cx, cy), hw
+        return args.window
     if not points:
         return 0j, 5.0
     re_lo = min(p.real for p in points)

@@ -262,9 +262,9 @@ def rubel_path(
     The seed must already satisfy the tract conditions (f - i*d_shift
     approximately real positive, f' nonzero); tracing follows
     dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift.
-    Derivative growth is recorded as log|f^(m)|/log|z|, evaluated
-    through the quotient f^(m)/f from one jet so only log|f| (known
-    exactly on the path) carries the large magnitude.  Tail integrals of
+    Growth log|f^(m)|/log|z| uses the quotient f^(m)/f so only log|f|
+    (exact on the path) is large; one jet and one speed |f'| per node
+    serve the growth ratios and every (m, c).  Tail integrals of
     |f^(m)|^(-c) |dz| report a partial sum plus a geometric bound from
     the dyadic-window decay ratio, never a bare claim of convergence.
     """
@@ -302,47 +302,45 @@ def rubel_path(
         quotient = jet.coeffs[m] * math.factorial(m) / jet.coeffs[0]
         return math.log(abs(quotient)) + 0.5 * math.log(t * t + d_shift * d_shift)
 
-    growth: dict = {m: [] for m in range(m_max + 1)}
-    next_mark = abs(zs[0])
-    marked = [False] * len(zs)
-    for i, (t, z) in enumerate(zip(ts, zs)):
-        r = abs(z)
-        if r < next_mark or r <= 1.0:
-            continue
-        marked[i] = True
+    def node(t, z):
+        # one jet and one speed per node, read by the growth ratios and every (m, c)
         jet = eval_jet(f, z, m_max)
-        for m in range(m_max + 1):
-            growth[m].append((r, log_abs_deriv(t, jet, m) / math.log(r)))
-        next_mark = r * 1.3
-    if not marked[-1] and abs(zs[-1]) > 1.0:
-        jet = eval_jet(f, zs[-1], m_max)
-        r = abs(zs[-1])
-        for m in range(m_max + 1):
-            growth[m].append((r, log_abs_deriv(ts[-1], jet, m) / math.log(r)))
+        return [log_abs_deriv(t, jet, m) for m in range(m_max + 1)], abs(fpe(z))
 
-    # Simpson nodes (endpoints + corrector-refined midpoints) with their
-    # jets, shared by every (m, c) pair
+    at_samples = [node(t, z) for t, z in zip(ts, zs)]
+    last = len(zs) - 1
+    marks = []
+    next_mark = abs(zs[0])
+    for i, z in enumerate(zs):
+        r = abs(z)
+        if r >= next_mark and r > 1.0:
+            marks.append(i)
+            next_mark = r * 1.3
+    if last not in marks[-1:] and abs(zs[last]) > 1.0:
+        marks.append(last)
+    growth = {
+        m: tuple((abs(zs[i]), at_samples[i][0][m] / math.log(abs(zs[i]))) for i in marks)
+        for m in range(m_max + 1)
+    }
+
+    # Simpson panels: the sample records at both ends and one record at
+    # the corrector-refined midpoint
     panels = []
-    for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:]):
+    for i, ((ta, za), (tb, zb)) in enumerate(zip(curve.samples, curve.samples[1:])):
         tm = 0.5 * (ta + tb)
-        zm = point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb))
-        nodes = tuple(
-            (t, eval_jet(f, z, m_max), abs(fpe(z)), w)
-            for t, z, w in ((ta, za, 1.0), (tm, zm, 4.0), (tb, zb, 1.0))
-        )
-        panels.append((tb - ta, nodes))
+        mid = node(tm, point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb)))
+        panels.append((tb - ta, ((at_samples[i], 1.0), (mid, 4.0), (at_samples[i + 1], 1.0))))
 
     # decay diagnostics on the exact last dyadic window [T/2, T]: uniform
-    # composite-Simpson nodes refined onto the path, shared across (m, c)
+    # composite-Simpson nodes refined onto the path
     t_hi = ts[-1]
     t_lo = 0.5 * t_hi
     n_sub = 16
     diag_nodes = []
     for k in range(n_sub + 1):
         t = t_lo + (t_hi - t_lo) * k / n_sub
-        i = min(bisect.bisect_left(ts, t), len(zs) - 1)
-        z = point_on_level(fe, fpe, t, d_shift, zs[i])
-        diag_nodes.append((t, eval_jet(f, z, m_max), abs(fpe(z))))
+        i = min(bisect.bisect_left(ts, t), last)
+        diag_nodes.append(node(t, point_on_level(fe, fpe, t, d_shift, zs[i])))
 
     tails = []
     for m in range(m_max + 1):
@@ -350,13 +348,10 @@ def rubel_path(
             partial = 0.0
             for width, nodes in panels:
                 contrib = 0.0
-                for t, jet, speed, w in nodes:
-                    contrib += w * math.exp(-c * log_abs_deriv(t, jet, m)) / speed
+                for (logs, speed), w in nodes:
+                    contrib += w * math.exp(-c * logs[m]) / speed
                 partial += contrib * width / 6.0
-            vals = [
-                math.exp(-c * log_abs_deriv(t, jet, m)) / speed
-                for t, jet, speed in diag_nodes
-            ]
+            vals = [math.exp(-c * logs[m]) / speed for logs, speed in diag_nodes]
             h = (t_hi - t_lo) / n_sub
             w_last = (h / 3.0) * (
                 vals[0]
@@ -370,9 +365,8 @@ def rubel_path(
             bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
             tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
 
-    growth_out = {m: tuple(points) for m, points in growth.items()}
     return RubelPathReport(
-        f, d_shift, curve.samples, monotone, im_dev, growth_out, tuple(tails)
+        f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails)
     )
 
 

@@ -4,9 +4,9 @@ An antiholomorphic trajectory is a level curve of Im G traversed with
 X = Re G increasing, so X itself is the natural curve parameter: the
 predictor follows dz/dX = 1/g(z) (g = G') and a Newton corrector pins
 G(z) back to X + i*beta after every step.  Parametrizing by X makes the
-transit time a one-dimensional integral of 1/|g|^2 over [X1, X2], which
-is computed by adaptive Simpson with corrector-refined evaluation
-points and cross-checked against direct integration of the flow.
+transit time a one-dimensional integral of 1/|g|^2 over [X1, X2]: adaptive
+Simpson on corrector-refined points, each panel endpoint corrected once,
+cross-checked against direct integration of the flow.
 """
 
 from __future__ import annotations
@@ -138,14 +138,14 @@ def trace_level(
         dx = min(dx, x_target - x)
         if x + dx == x:
             break  # remaining span below double resolution at this X
-        step = _pc_step(big_ge, ge, z, x, dx, beta, g_min)
+        step = _pc_step(big_ge, ge, z, g, x, dx, beta, g_min)
         if step is None:
             fails += 1
             dx *= 0.5
             if fails > 60:
                 # a persistent failure with g collapsing is the curve
                 # running into a critical point, not a tracer defect
-                if abs(ge(z)) < 1e3 * g_min:
+                if abs(g) < 1e3 * g_min:
                     stop = "critical_point"
                     break
                 raise CorrectorDivergence("level tracing stalled", z)
@@ -167,12 +167,10 @@ def trace_level(
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 
 
-def _pc_step(big_ge, ge, z, x, dx, beta, g_min):
+def _pc_step(big_ge, ge, z, g0, x, dx, beta, g_min):
+    """Midpoint predictor from z, where g(z) = g0, then the corrector."""
     target = complex(x + dx, beta)
     try:
-        g0 = ge(z)
-        if abs(g0) < g_min:
-            return None
         z_half = z + 0.5 * dx / g0
         g_half = ge(z_half)
         if abs(g_half) < g_min:
@@ -215,7 +213,7 @@ def transit_time(
     """Compare the level-curve transit integral with direct integration.
 
     quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range,
-    refining midpoints back onto the curve with the Newton corrector.
+    Newton-correcting each node onto the curve, each panel endpoint once.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
@@ -247,18 +245,22 @@ def transit_time(
     witness = None
     quad = 0.0
     try:
+        # each panel corrects its own two endpoints once; the neighbouring
+        # panel starts Newton from its own guess at the shared end
+        panels = [
+            (xa, za, speed_inv(xa, za, zb, xa, xb), xb, zb, speed_inv(xb, za, zb, xa, xb))
+            for (xa, za), (xb, zb) in zip(curve.samples, curve.samples[1:])
+        ]
         rough = 0.0
-        panels = list(zip(curve.samples, curve.samples[1:]))
-        for (xa, za), (xb, zb) in panels:
-            fa = speed_inv(xa, za, zb, xa, xb)
-            fb = speed_inv(xb, za, zb, xa, xb)
+        for xa, _, fa, xb, _, fb in panels:
             rough += 0.5 * (fa + fb) * (xb - xa)
         floor = rough / max(len(panels), 1)
-        for (xa, za), (xb, zb) in panels:
-            est = 0.5 * (speed_inv(xa, za, zb, xa, xb) + speed_inv(xb, za, zb, xa, xb)) * (xb - xa)
+        for xa, za, fa, xb, zb, fb in panels:
+            est = 0.5 * (fa + fb) * (xb - xa)
             tol = quad_rel_tol * (est + floor + 1e-300)
             quad += adaptive_simpson(
-                lambda x: speed_inv(x, za, zb, xa, xb), xa, xb, tol
+                lambda x: fa if x == xa else fb if x == xb else speed_inv(x, za, zb, xa, xb),
+                xa, xb, tol,
             )
     except _IntegrandDiverged as exc:
         quad = math.inf

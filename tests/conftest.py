@@ -1,3 +1,4 @@
+import cmath
 import random
 
 from planeflow.expr import (
@@ -46,3 +47,14 @@ def tame_random_expr(rng: random.Random, points, depth: int = 3, cap: float = 1e
                 return expr
         except Exception:
             continue
+
+
+def rubel_start(rng: random.Random, scale: float = 1.0):
+    """(D, seed) on the path exp(scale*z) = t + iD, t in [2, 20], D in [0, 5]."""
+    d_shift = rng.uniform(0.0, 5.0)
+    return d_shift, cmath.log(complex(rng.uniform(2.0, 20.0), d_shift)) / scale
+
+
+def level_start(rng: random.Random, k: int) -> complex:
+    """Start point for G = z^k/k with Re G > 0 and Im G > 0."""
+    return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.2) / k)

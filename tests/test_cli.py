@@ -204,6 +204,35 @@ class TestSubcommands:
         assert out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("window", ["nan,0,1", "0,0,inf", "0,0", "0,0,0", "0,0,-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--f", "i*z", "--z0", "1", "--svg"],
+            ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg"],
+            ["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5", "--svg"],
+        ],
+        ids=["simulate", "level-trace", "measure"],
+    )
+    def test_bad_window_exit_2(self, tmp_path, capsys, argv, window):
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + ["--window", window, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "argument --window:" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_window_sets_svg_view(self, tmp_path, capsys):
+        code, _, _ = run(
+            ["simulate", "--f", "i*z", "--z0", "1", "--svg", "--window", "-0.5,0,2",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        doc = (tmp_path / "trajectory.svg").read_text()
+        # 640 px across 4 units: the imaginary axis x = 0 sits 2.5 units from the left
+        assert '<polyline class="axis" points="400,0 400,640"/>' in doc
+
     def test_measure_svg_styles_segment(self, tmp_path, capsys):
         code, _, _ = run(
             ["measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1",

@@ -1,17 +1,23 @@
+import bisect
 import cmath
 import math
+import random
 
 import pytest
+from conftest import rubel_start
 
 from planeflow.errors import SegmentTruncated, TractViolation
+import planeflow.escape as escape_module
 from planeflow.escape import (
+    RubelPathReport,
+    TailIntegral,
     demo_antiholo_tract,
     escape_measure,
     poly_flow_summary,
     rubel_path,
     transverse_segment,
 )
-from planeflow.expr import parse_expr
+from planeflow.expr import compile_fn, derivative, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -20,6 +26,8 @@ from planeflow.flow import (
     classify,
     integrate,
 )
+from planeflow.jets import eval_jet
+from planeflow.level import point_on_level, trace_level
 from planeflow.quadrature import adaptive_gauss
 
 
@@ -147,6 +155,108 @@ class TestPolySummary:
             assert off_ray.name != "FiniteTimeBlowup"
 
 
+def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
+    """rubel_path's report from a traced curve, computed as it was before
+    each node got one jet: a jet per Simpson node per panel and per growth
+    mark, and log|f^(m)| per (m, c).  Also says whether the last sample
+    was a growth mark."""
+    fe = compile_fn(f)
+    fpe = compile_fn(derivative(f))
+    ts, zs = curve.xs, curve.zs
+    vs = [fe(z) for z in zs]
+    im_dev = max(abs(w.imag - d_shift) for w in vs)
+    monotone = all(b.real > a.real for a, b in zip(vs, vs[1:])) and all(
+        w.real > 0 for w in vs
+    )
+
+    def log_abs_deriv(t, jet, m):
+        if jet.coeffs[m] == 0:
+            return -math.inf
+        quotient = jet.coeffs[m] * math.factorial(m) / jet.coeffs[0]
+        return math.log(abs(quotient)) + 0.5 * math.log(t * t + d_shift * d_shift)
+
+    growth = {m: [] for m in range(m_max + 1)}
+    next_mark = abs(zs[0])
+    marked = [False] * len(zs)
+    for i, (t, z) in enumerate(zip(ts, zs)):
+        r = abs(z)
+        if r < next_mark or r <= 1.0:
+            continue
+        marked[i] = True
+        jet = eval_jet(f, z, m_max)
+        for m in range(m_max + 1):
+            growth[m].append((r, log_abs_deriv(t, jet, m) / math.log(r)))
+        next_mark = r * 1.3
+    if not marked[-1] and abs(zs[-1]) > 1.0:
+        jet = eval_jet(f, zs[-1], m_max)
+        r = abs(zs[-1])
+        for m in range(m_max + 1):
+            growth[m].append((r, log_abs_deriv(ts[-1], jet, m) / math.log(r)))
+
+    panels = []
+    for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:]):
+        tm = 0.5 * (ta + tb)
+        zm = point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb))
+        nodes = tuple(
+            (t, eval_jet(f, z, m_max), abs(fpe(z)), w)
+            for t, z, w in ((ta, za, 1.0), (tm, zm, 4.0), (tb, zb, 1.0))
+        )
+        panels.append((tb - ta, nodes))
+
+    t_hi = ts[-1]
+    t_lo = 0.5 * t_hi
+    n_sub = 16
+    diag_nodes = []
+    for k in range(n_sub + 1):
+        t = t_lo + (t_hi - t_lo) * k / n_sub
+        i = min(bisect.bisect_left(ts, t), len(zs) - 1)
+        z = point_on_level(fe, fpe, t, d_shift, zs[i])
+        diag_nodes.append((t, eval_jet(f, z, m_max), abs(fpe(z))))
+
+    tails = []
+    for m in range(m_max + 1):
+        for c in c_values:
+            partial = 0.0
+            for width, nodes in panels:
+                contrib = 0.0
+                for t, jet, speed, w in nodes:
+                    contrib += w * math.exp(-c * log_abs_deriv(t, jet, m)) / speed
+                partial += contrib * width / 6.0
+            vals = [
+                math.exp(-c * log_abs_deriv(t, jet, m)) / speed
+                for t, jet, speed in diag_nodes
+            ]
+            h = (t_hi - t_lo) / n_sub
+            w_last = (h / 3.0) * (
+                vals[0] + vals[-1] + 4.0 * sum(vals[1:-1:2]) + 2.0 * sum(vals[2:-1:2])
+            )
+            ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
+            finite = math.isfinite(partial) and ratio < 1.0
+            bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
+            tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
+
+    growth_out = {m: tuple(points) for m, points in growth.items()}
+    report = RubelPathReport(
+        f, d_shift, curve.samples, monotone, im_dev, growth_out, tuple(tails)
+    )
+    return report, marked[-1]
+
+
+def _rubel_cases():
+    """Seeded (f, D, seed, t_end, m_max, c_values) for exp(z) and exp(2z)."""
+    rng = random.Random(20261018)
+    exp_z, exp_2z = parse_expr("exp(z)"), parse_expr("exp(2*z)")
+    # from z = 2 the last sample is a growth mark at t_end = e^21 but not at e^60
+    cases = [(exp_z, 0.0, 2.0, math.exp(t), 3, (0.5, 1.0)) for t in (21.0, 60.0)]
+    for _ in range(14):
+        d_shift, seed = rubel_start(rng)
+        cases.append((exp_z, d_shift, seed, math.exp(rng.uniform(8.0, 80.0)), 3, (0.5, 1.0)))
+    for _ in range(5):
+        d_shift, seed = rubel_start(rng, 2.0)
+        cases.append((exp_2z, d_shift, seed, math.exp(rng.uniform(8.0, 80.0)), 4, (0.25, 1.0, 2.0)))
+    return cases
+
+
 class TestRubelPath:
     def test_real_axis_growth(self):
         cfg = IntegratorConfig(escape_radius=1e9)
@@ -180,6 +290,34 @@ class TestRubelPath:
         assert rep.monotone
         assert rep.im_deviation <= 1e-8
         assert all(t.finite for t in rep.tail_integrals)
+
+    def test_matches_reference_bit_for_bit(self):
+        cfg = IntegratorConfig(escape_radius=1e9)
+        last_marked = set()
+        for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases():
+            rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
+            curve = trace_level(f, seed, t_end, cfg)
+            want, marked = _reference_rubel_report(f, d_shift, curve, m_max, c_values)
+            assert repr(rep) == repr(want), (f, d_shift, seed, t_end)
+            last_marked.add(marked)
+        # both ways of ending the growth record are exercised
+        assert last_marked == {True, False}
+
+    def test_one_jet_per_node(self, monkeypatch):
+        real = escape_module.eval_jet
+        calls = []
+
+        def counted(expr, z, order):
+            calls.append(z)
+            return real(expr, z, order)
+
+        monkeypatch.setattr(escape_module, "eval_jet", counted)
+        cfg = IntegratorConfig(escape_radius=1e9)
+        for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases()[:6]:
+            calls.clear()
+            rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
+            # every sample, every panel midpoint and the 17 window nodes
+            assert len(calls) == 2 * len(rep.samples) - 1 + 17
 
     def test_off_level_seed_rejected(self):
         with pytest.raises(TractViolation):

@@ -1,15 +1,114 @@
 import math
+import random
+from collections import Counter
 
 import pytest
+from conftest import level_start
 
-from planeflow.expr import parse_expr
-from planeflow.flow import IntegratorConfig
+import planeflow.level as level_module
+from planeflow.errors import CorrectorDivergence
+from planeflow.expr import compile_fn, derivative, parse_expr
+from planeflow.flow import Event, Field, IntegratorConfig, drive_field
 from planeflow.level import (
     LevelCurve,
+    TransitReport,
     infinite_time_criterion,
+    point_on_level,
     trace_level,
     transit_time,
 )
+from planeflow.quadrature import QuadratureDiverged, adaptive_simpson
+
+
+class _Diverged(Exception):
+    def __init__(self, x):
+        self.x = x
+
+
+def _reference_transit_time(curve, cfg=None, *, quad_rel_tol=1e-7, g_min=1e-8):
+    """transit_time as it was before each panel endpoint was corrected
+    once: the rough pass, the panel estimate and adaptive Simpson each
+    correct both endpoints again."""
+    cfg = cfg or IntegratorConfig()
+    x1, x2 = curve.xs[0], curve.xs[-1]
+    if x2 <= x1:
+        return TransitReport((x1, x2), 0.0, 0.0, 0.0)
+    big_ge = compile_fn(curve.big_g)
+    dg = derivative(curve.big_g)
+    ge = compile_fn(dg)
+    beta = curve.beta
+
+    def speed_inv(x, za, zb, xa, xb):
+        frac = (x - xa) / (xb - xa)
+        guess = za + frac * (zb - za)
+        try:
+            z = point_on_level(big_ge, ge, x, beta, guess)
+        except CorrectorDivergence:
+            raise _Diverged(x) from None
+        g = ge(z)
+        if abs(g) < g_min:
+            raise _Diverged(x)
+        return 1.0 / (abs(g) * abs(g))
+
+    witness = None
+    quad = 0.0
+    try:
+        rough = 0.0
+        panels = list(zip(curve.samples, curve.samples[1:]))
+        for (xa, za), (xb, zb) in panels:
+            fa = speed_inv(xa, za, zb, xa, xb)
+            fb = speed_inv(xb, za, zb, xa, xb)
+            rough += 0.5 * (fa + fb) * (xb - xa)
+        floor = rough / max(len(panels), 1)
+        for (xa, za), (xb, zb) in panels:
+            est = 0.5 * (speed_inv(xa, za, zb, xa, xb) + speed_inv(xb, za, zb, xa, xb)) * (xb - xa)
+            tol = quad_rel_tol * (est + floor + 1e-300)
+            quad += adaptive_simpson(lambda x: speed_inv(x, za, zb, xa, xb), xa, xb, tol)
+    except _Diverged as exc:
+        quad = math.inf
+        witness = exc.x
+    except QuadratureDiverged as exc:
+        quad = math.inf
+        witness = exc.witness
+
+    rhs = Field(dg, "{}.conjugate()")
+    t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
+    res = drive_field(
+        rhs, curve.zs[0], cfg, t_stop=t_budget, events=(Event(lambda z: big_ge(z).real - x2),)
+    )
+    ode = res.samples[-1][0] if res.status == "event" else math.inf
+    if math.isfinite(quad) and math.isfinite(ode):
+        gap = abs(quad - ode) / max(abs(ode), 1e-12)
+    else:
+        gap = math.inf
+    return TransitReport((x1, x2), quad, ode, gap, witness)
+
+
+def _power_curves(per_k=6):
+    """Seeded level curves of G = z^k/k, k = 1..4, short and long."""
+    rng = random.Random(20261018)
+    cfg = IntegratorConfig(escape_radius=1e9)
+    curves = []
+    for k in (1, 2, 3, 4):
+        big_g = parse_expr("z" if k == 1 else f"z^{k} * (1/{k})")
+        for i in range(per_k):
+            z0 = level_start(rng, k)
+            reach = (20.0, 2000.0)[i % 2]
+            curves.append(trace_level(big_g, z0, (reach * abs(z0)) ** k / k, cfg))
+    return cfg, curves
+
+
+def _critical_value_curve():
+    # synthetic curve whose X-range walks through the critical value
+    # of G = z^2/2 at 0: the 1/|g|^2 integrand has a c/X singularity
+    xs, zs = [], []
+    for x in (-0.5, -0.3, -0.1, 0.1, 0.3, 0.5):
+        if x < 0:
+            zs.append(1j * math.sqrt(-2.0 * x))
+        else:
+            zs.append(complex(math.sqrt(2.0 * x), 0.0))
+        xs.append(x)
+    return LevelCurve(parse_expr("z^2 / 2"), 0.0, tuple(xs), tuple(zs), "target")
 
 
 class TestTrace:
@@ -57,6 +156,33 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_level(parse_expr("z^2 / 2"), 1.0, 0.2)
 
+    def test_derivative_evaluated_once_per_point(self, monkeypatch):
+        real = level_module.compile_fn
+        seen = []
+
+        def compiling(expr):
+            fn = real(expr)
+            if expr != derivative_of:
+                return fn
+
+            def counted(z):
+                seen.append(z)
+                return fn(z)
+
+            return counted
+
+        monkeypatch.setattr(level_module, "compile_fn", compiling)
+        rng = random.Random(7)
+        cfg = IntegratorConfig(escape_radius=1e9)
+        for k in (1, 2, 3, 4):
+            big_g = parse_expr("z" if k == 1 else f"z^{k} * (1/{k})")
+            derivative_of = derivative(big_g)
+            z0 = level_start(rng, k)
+            seen.clear()
+            trace_level(big_g, z0, (2000.0 * abs(z0)) ** k / k, cfg)
+            assert len(seen) > 2
+            assert all(a != b for a, b in zip(seen, seen[1:]))
+
     def test_radius_stop(self):
         curve = trace_level(parse_expr("z^2 / 2"), 1.0, 1e9, IntegratorConfig(escape_radius=50.0))
         assert curve.stop_reason == "radius"
@@ -89,21 +215,38 @@ class TestTransit:
         assert rep.relative_gap == 0.0
 
     def test_divergence_flag_near_interior_critical_point(self):
-        # synthetic curve whose X-range walks through the critical value
-        # of G = z^2/2 at 0: the 1/|g|^2 integrand has a c/X singularity
-        big_g = parse_expr("z^2 / 2")
-        xs, zs = [], []
-        for x in (-0.5, -0.3, -0.1, 0.1, 0.3, 0.5):
-            if x < 0:
-                zs.append(1j * math.sqrt(-2.0 * x))
-            else:
-                zs.append(complex(math.sqrt(2.0 * x), 0.0))
-            xs.append(x)
-        curve = LevelCurve(big_g, 0.0, tuple(xs), tuple(zs), "target")
-        rep = transit_time(curve)
+        rep = transit_time(_critical_value_curve())
         assert rep.quadrature_time == math.inf
         assert rep.divergence_witness is not None
         assert abs(rep.divergence_witness) < 0.5
+
+    def test_matches_reference_bit_for_bit(self):
+        cfg, curves = _power_curves()
+        for curve in curves:
+            assert repr(transit_time(curve, cfg)) == repr(_reference_transit_time(curve, cfg))
+        rep = transit_time(_critical_value_curve())
+        assert rep.quadrature_time == math.inf
+        assert repr(rep) == repr(_reference_transit_time(_critical_value_curve()))
+
+    def test_each_point_corrected_once(self, monkeypatch):
+        real = level_module.point_on_level
+        calls = Counter()
+
+        def counted(big_ge, ge, x, beta, z_guess, tol_scale=1e-12):
+            calls[x, z_guess] += 1
+            return real(big_ge, ge, x, beta, z_guess, tol_scale)
+
+        monkeypatch.setattr(level_module, "point_on_level", counted)
+        cfg, curves = _power_curves(per_k=2)
+        for curve in curves:
+            calls.clear()
+            transit_time(curve, cfg)
+            assert calls
+            # a sample abscissa is corrected once from each panel it ends
+            # (the two guesses may coincide), any other abscissa once
+            ends = Counter(curve.xs[:-1]) + Counter(curve.xs[1:])
+            per_x = Counter(x for x, _ in calls.elements())
+            assert all(n <= ends.get(x, 1) for x, n in per_x.items())
 
 
 class TestCriterion:
