@@ -13,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .errors import PlaneflowError
@@ -57,23 +58,6 @@ def parse_complex(text: str) -> complex:
     return constant_value(expr)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-    p.add_argument("--tmax", type=float, default=None, help="integration time budget")
-    p.add_argument("--radius", type=float, default=None, help="escape radius")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed where randomness appears")
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--json", action="store_true", help="write a JSON report")
-    p.add_argument("--svg", action="store_true", help="write an SVG scene")
-    p.add_argument("--csv", action="store_true", help="write trajectory CSV")
-    p.add_argument(
-        "--window",
-        type=_window,
-        default=None,
-        help="plot window as 'cx,cy,halfwidth' (default: fit to data)",
-    )
-
-
 def _config(args) -> IntegratorConfig:
     cfg = IntegratorConfig()
     overrides = {}
@@ -87,15 +71,26 @@ def _config(args) -> IntegratorConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return n
+def _int_at_least(least: int):
+    """argparse type for an integer >= least."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
+        return n
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return x
@@ -109,6 +104,32 @@ def _window(text: str) -> tuple:
     if hw <= 0:
         raise argparse.ArgumentTypeError(f"half-width must be positive, got {text}")
     return complex(cx, cy), hw
+
+
+# flags shared by several subcommands; each subcommand registers the ones it reads
+_FLAGS = {
+    "f": dict(help="holomorphic flow expression"),
+    "g": dict(help="antiholomorphic flow expression"),
+    "z0": dict(required=True, help="start point 're,im' or 'a+bi'"),
+    "kind": dict(choices=("holo", "antiholo"), default="holo"),
+    "reversed": dict(action="store_true", help="reverse time"),
+    "G": dict(required=True, help="potential whose level curve is traced"),
+    "start": dict(required=True, help="start point"),
+    "Xmax": dict(type=_finite_float, required=True, help="target Re G"),
+    "tol": dict(type=float, default=None, help="relative tolerance override"),
+    "tmax": dict(type=float, default=None, help="integration time budget"),
+    "radius": dict(type=float, default=None, help="escape radius"),
+    "out": dict(type=Path, default=Path("."), help="output directory"),
+    "json": dict(action="store_true", help="write a JSON report (transit, measure, rubel, poly-summary always do)"),
+    "svg": dict(action="store_true", help="write an SVG scene"),
+    "csv": dict(action="store_true", help="write a CSV table (level-trace always does)"),
+    "window": dict(type=_window, default=None, help="plot window as 'cx,cy,halfwidth' (default: fit to data)"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, names: str) -> None:
+    for name in names.split():
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _spec_from_args(args) -> FlowSpec:
@@ -348,7 +369,7 @@ def _cmd_rubel(args) -> int:
         args.t_end,
         cfg,
         m_max=args.m_max,
-        c_values=tuple(args.c),
+        c_values=tuple(args.c or (0.5, 1.0)),
     )
     print(
         f"path traced to t={report.samples[-1][0]:.6g} "
@@ -582,49 +603,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="simulate plane flows of entire functions and their escape behavior",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags match by full name only: as a prefix, `rubel --seed` would set --seed-point
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("simulate", help="integrate one trajectory and classify it")
-    p.add_argument("--f", help="holomorphic flow expression")
-    p.add_argument("--g", help="antiholomorphic flow expression")
-    p.add_argument("--z0", required=True, help="start point 're,im' or 'a+bi'")
-    p.add_argument("--kind", choices=("holo", "antiholo"), default="holo")
-    p.add_argument("--reversed", action="store_true", help="reverse time")
-    _add_common(p)
+    p = command("simulate", help="integrate one trajectory and classify it")
+    _add_flags(p, "f g z0 kind reversed tol tmax radius out json svg csv window")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("classify", help="integrate and report escape-time analysis")
-    p.add_argument("--f", help="holomorphic flow expression")
-    p.add_argument("--g", help="antiholomorphic flow expression")
-    p.add_argument("--z0", required=True)
-    p.add_argument("--kind", choices=("holo", "antiholo"), default="holo")
-    p.add_argument("--reversed", action="store_true")
-    _add_common(p)
+    p = command("classify", help="integrate and report escape-time analysis")
+    _add_flags(p, "f g z0 kind reversed tol tmax radius out json csv")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("level-trace", help="trace a level curve of Im G")
-    p.add_argument("--G", required=True, help="potential whose level curve is traced")
-    p.add_argument("--start", required=True, help="start point")
-    p.add_argument("--Xmax", type=_finite_float, required=True, help="target Re G")
-    _add_common(p)
+    p = command("level-trace", help="trace a level curve of Im G")
+    _add_flags(p, "G start Xmax tol tmax radius out json svg csv window")
     p.set_defaults(fn=_cmd_level_trace)
 
-    p = sub.add_parser("transit", help="transit time along a level curve")
-    p.add_argument("--G", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--Xmax", type=_finite_float, required=True)
-    _add_common(p)
+    p = command("transit", help="transit time along a level curve")
+    _add_flags(p, "G start Xmax tol tmax radius out json")
     p.set_defaults(fn=_cmd_transit)
 
-    p = sub.add_parser("measure", help="Monte Carlo escape measure on a transverse segment")
+    p = command("measure", help="Monte Carlo escape measure on a transverse segment")
     p.add_argument("--f", required=True)
-    p.add_argument("--z0", required=True)
     p.add_argument("--delta", type=_finite_float, default=1.0)
-    p.add_argument("--N", type=_positive_int, default=1000, help="number of samples")
-    p.add_argument("--keep", type=int, default=40, help="trajectories kept for the SVG")
-    _add_common(p)
+    p.add_argument("--N", type=_int_at_least(1), default=1000, help="number of samples")
+    p.add_argument("--keep", type=_int_at_least(0), default=40, help="trajectories kept for the SVG")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_flags(p, "z0 tol tmax radius out json svg window")
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("rubel", help="trace a growth path where f - iD is real increasing")
+    p = command("rubel", help="trace a growth path where f - iD is real increasing")
     p.add_argument("--f", required=True)
     p.add_argument("--D", type=_finite_float, default=0.0)
     p.add_argument("--seed-point", required=True, help="seed inside the large-|f| tract")
@@ -632,16 +639,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
-    _add_common(p)
+    _add_flags(p, "tol tmax radius out json")
     p.set_defaults(fn=_cmd_rubel)
 
-    p = sub.add_parser("poly-summary", help="predicted escape structure of a polynomial flow")
+    p = command("poly-summary", help="predicted escape structure of a polynomial flow")
     p.add_argument("--coeffs", required=True, help="ascending coefficients 'a0,a1,...'")
-    p.add_argument("--kind", choices=("holo", "antiholo"), default="holo")
-    _add_common(p)
+    _add_flags(p, "kind out json")
     p.set_defaults(fn=_cmd_poly_summary)
 
-    p = sub.add_parser("demo", help="run the built-in example suite and print pass/fail")
+    p = command("demo", help="run the built-in example suite and print pass/fail")
     p.set_defaults(fn=_cmd_demo)
 
     return parser
@@ -673,8 +679,6 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(_join_expression_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "c", None) is None and hasattr(args, "c"):
-        args.c = [0.5, 1.0]
     try:
         return args.fn(args)
     except PlaneflowError as exc:

@@ -349,36 +349,6 @@ def _(expr: Scale) -> FuncExpr:
     return _scale(expr.factor, derivative(expr.arg))
 
 
-def _as_affine(expr: FuncExpr):
-    """Decompose expr as a*z + b, or return None."""
-    if is_constant(expr):
-        return 0j, constant_value(expr)
-    if isinstance(expr, Variable):
-        return 1 + 0j, 0j
-    if isinstance(expr, Add):
-        l, r = _as_affine(expr.left), _as_affine(expr.right)
-        if l is None or r is None:
-            return None
-        return l[0] + r[0], l[1] + r[1]
-    if isinstance(expr, Negate):
-        p = _as_affine(expr.arg)
-        return None if p is None else (-p[0], -p[1])
-    if isinstance(expr, Scale):
-        p = _as_affine(expr.arg)
-        return None if p is None else (expr.factor * p[0], expr.factor * p[1])
-    if isinstance(expr, Mul):
-        if is_constant(expr.left):
-            c, p = constant_value(expr.left), _as_affine(expr.right)
-        elif is_constant(expr.right):
-            c, p = constant_value(expr.right), _as_affine(expr.left)
-        else:
-            return None
-        return None if p is None else (c * p[0], c * p[1])
-    if isinstance(expr, IntPower) and expr.power == 1:
-        return _as_affine(expr.arg)
-    return None
-
-
 def antiderivative(expr: FuncExpr) -> FuncExpr:
     """Symbolic antiderivative with the integration constant fixed to 0.
 
@@ -416,13 +386,12 @@ def _anti(expr: FuncExpr) -> FuncExpr:
             return _scale(1.0 / (k + 1), IntPower(_Z, k + 1))
         raise UnsupportedAntiderivative(expr)
     if isinstance(expr, Exp):
-        aff = _as_affine(expr.arg)
-        if aff is None:
+        c = poly_coeffs(expr.arg)
+        if c is None or len(c) > 2:
             raise UnsupportedAntiderivative(expr)
-        a, b = aff
-        if a == 0:
-            return _scale(cmath.exp(b), _Z)
-        return _scale(1.0 / a, expr)
+        if len(c) == 1:
+            return _scale(cmath.exp(c[0]), _Z)
+        return _scale(1.0 / c[1], expr)
     raise TypeError(f"not a FuncExpr node: {expr!r}")
 
 

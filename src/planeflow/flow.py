@@ -71,6 +71,12 @@ REVERSED = "reversed"
 
 _EPS = sys.float_info.epsilon
 
+_MAX_STEPS = 2_000_000  # accepted or rejected steps one drive_field run may take
+_FIXED_POINT_RADIUS = 1e-3  # tail drift below which a stalled run is a fixed point
+_PERIODIC_RETURN_TOL = 1e-6  # how close a return through the seed's section must pass
+_DYADIC_WINDOW = 4  # exit times at r0, 2r0, 4r0, 8r0 feed the extrapolation
+_CLOCK_QUAD_TOL = 1e-12  # absolute tolerance of each conformal-clock panel
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -96,26 +102,13 @@ class IntegratorConfig:
     h_max: float = 1e6
     escape_radius: float = 10.0
     t_max: float = 100.0
-    blowup_extrapolation_window: int = 4
-    fixed_point_radius: float = 1e-3
-    periodic_return_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in (
-            "rel_tol",
-            "abs_tol",
-            "h_max",
-            "escape_radius",
-            "t_max",
-            "fixed_point_radius",
-            "periodic_return_tol",
-        ):
+        for name in ("rel_tol", "abs_tol", "h_max", "escape_radius", "t_max"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in doubles")
-        if self.blowup_extrapolation_window < 3:
-            raise ValueError("blowup_extrapolation_window must be at least 3")
 
 
 class Termination:
@@ -375,7 +368,6 @@ def drive_field(
     t0: float = 0.0,
     t_stop: float,
     events: Sequence[Event] = (),
-    max_steps: int = 2_000_000,
 ) -> OdeResult:
     """Advance dz/dt = rhs(z) adaptively until a stop condition.
 
@@ -401,29 +393,20 @@ def drive_field(
         if t >= t_stop:
             return OdeResult(samples, errors, crossings, "t_stop")
         steps += 1
-        if steps > max_steps:
-            raise PlaneflowError(f"step budget exceeded ({max_steps} steps) at t={t!r}")
+        if steps > _MAX_STEPS:
+            raise PlaneflowError(f"step budget exceeded ({_MAX_STEPS} steps) at t={t!r}")
         h = min(h, cfg.h_max, t_stop - t)
         floor = 1000.0 * _EPS * abs(t)
         try:
             z_new, err, k7 = step(z, h, k1)
+            if not math.isfinite(err):
+                raise EvaluationOverflow(None, at=z)
         except EvaluationOverflow as exc:
             h *= 0.1
             if h < max(floor, 1e-300):
                 return OdeResult(samples, errors, crossings, "overflow", exception=exc)
             continue
         sc = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z_new))
-        if not math.isfinite(err):
-            h *= 0.1
-            if h < max(floor, 1e-300):
-                return OdeResult(
-                    samples,
-                    errors,
-                    crossings,
-                    "overflow",
-                    exception=EvaluationOverflow(None, at=z),
-                )
-            continue
         if err > sc:
             h *= max(0.1, 0.9 * (sc / err) ** 0.2)
             if h < floor:
@@ -479,7 +462,7 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
 
     # a seed beyond the radius reaches it at the first step that ends there
     radius = Event(lambda z: abs(z) - cfg.escape_radius, start_below=True)
-    events = (radius, _SeedReturn(z0, f0, rhs, cfg.periodic_return_tol))
+    events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL))
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":
         raise res.exception
@@ -490,12 +473,12 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     elif res.status == "underflow":
         term = StepUnderflow()
     else:  # t_stop
-        fp = _fixed_point_from_tail(res.samples, rhs, cfg)
+        fp = _fixed_point_from_tail(res.samples, rhs)
         term = fp if fp is not None else TimeBudgetExhausted()
     return Trajectory(spec, z0, tuple(res.samples), tuple(res.errors), term)
 
 
-def _fixed_point_from_tail(samples, rhs, cfg) -> Optional[FixedPointApproach]:
+def _fixed_point_from_tail(samples, rhs) -> Optional[FixedPointApproach]:
     """FixedPointApproach when the driving function stayed numerically zero
     and the state barely drifted over the trailing stretch of the run."""
     t_end, z_end = samples[-1]
@@ -508,7 +491,7 @@ def _fixed_point_from_tail(samples, rhs, cfg) -> Optional[FixedPointApproach]:
         if abs(rhs(z)) >= 1e-12 * (1.0 + abs(z)):
             return None
     drift = max(abs(z - z_end) for _, z in tail)
-    if drift < cfg.fixed_point_radius:
+    if drift < _FIXED_POINT_RADIUS:
         return FixedPointApproach(z_end)
     return None
 
@@ -634,8 +617,7 @@ def _poly_chart_estimate(rhs, coeffs, traj, cfg) -> Optional[BlowupEstimate]:
 def _dyadic_estimate(rhs, traj, cfg) -> BlowupEstimate:
     t_exit, z_exit = traj.samples[-1]
     r0 = abs(z_exit)
-    window = cfg.blowup_extrapolation_window
-    radii = [r0 * 2.0**k for k in range(1, window)]
+    radii = [r0 * 2.0**k for k in range(1, _DYADIC_WINDOW)]
     marks = [Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii]
     res = drive_field(rhs, z_exit, cfg, t0=t_exit, t_stop=t_exit + cfg.t_max, events=marks)
     # radii are crossed in ascending order, the outermost ending the run
@@ -713,7 +695,7 @@ def upgraded(term: Termination, est: BlowupEstimate) -> Termination:
 # flow invariants
 
 
-def conformal_clock_residual(traj: Trajectory, f: Optional[FuncExpr] = None, quad_tol: float = 1e-12) -> float:
+def conformal_clock_residual(traj: Trajectory) -> float:
     """Worst deviation of the quadrature clock from integration time.
 
     Along a holomorphic-flow trajectory the primitive of 1/f advances
@@ -726,7 +708,7 @@ def conformal_clock_residual(traj: Trajectory, f: Optional[FuncExpr] = None, qua
     """
     if traj.spec.kind != HOLOMORPHIC:
         raise ValueError("conformal clock applies to holomorphic flows only")
-    fe = compile_fn(f if f is not None else traj.spec.func)
+    fe = compile_fn(traj.spec.func)
     samples = traj.samples
     if len(samples) < 2:
         return 0.0
@@ -737,7 +719,7 @@ def conformal_clock_residual(traj: Trajectory, f: Optional[FuncExpr] = None, qua
     for (ta, za), (tb, zb) in zip(samples, samples[1:]):
         dz = zb - za
         try:
-            seg = adaptive_gauss(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, tol=quad_tol)
+            seg = adaptive_gauss(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, tol=_CLOCK_QUAD_TOL)
         except (ZeroDivisionError, QuadratureDiverged):
             return math.inf
         acc += seg * dz
@@ -752,7 +734,7 @@ class AntiholoInvariants:
     speed_residual: float
 
 
-def antiholo_invariants(traj: Trajectory, g: Optional[FuncExpr] = None) -> AntiholoInvariants:
+def antiholo_invariants(traj: Trajectory) -> AntiholoInvariants:
     """Check the conserved quantities of an antiholomorphic run.
 
     Im G is constant along trajectories and Re G increases at speed
@@ -761,7 +743,7 @@ def antiholo_invariants(traj: Trajectory, g: Optional[FuncExpr] = None) -> Antih
     """
     if traj.spec.kind != ANTIHOLOMORPHIC:
         raise ValueError("antiholomorphic invariants need an antiholomorphic trajectory")
-    g = g if g is not None else traj.spec.func
+    g = traj.spec.func
     big_g = antiderivative(g)
     ge = compile_fn(g)
     big_ge = compile_fn(big_g)

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 _G_MIN = 1e-8  # tracing stops here: critical points are infinitely far in time
+_POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
+_TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to each panel
+_SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
+_SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
 
 
 @dataclass(frozen=True)
@@ -62,33 +66,28 @@ class LevelCurve:
         return len(self.xs)
 
 
-def _corrector(big_ge, ge, target, z_guess, tol, g_min=_G_MIN, max_iter=8):
+def _corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess; returns (z, iterations) or None."""
     z = z_guess
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         try:
             v = big_ge(z)
         except EvaluationOverflow:
             return None
         if abs(v - target) <= tol:
             return z, it
+        if it == max_iter:
+            return None
         g = ge(z)
-        if abs(g) < g_min:
+        if abs(g) < _G_MIN:
             return None
         z = z - (v - target) / g
-    try:
-        v = big_ge(z)
-    except EvaluationOverflow:
-        return None
-    if abs(v - target) <= tol:
-        return z, max_iter
-    return None
 
 
-def point_on_level(big_ge, ge, x, beta, z_guess, tol_scale=1e-12):
+def point_on_level(big_ge, ge, x, beta, z_guess):
     """Corrector-refined curve point at Re G = x (shared by the quadratures)."""
     target = complex(x, beta)
-    tol = tol_scale * (1.0 + abs(target))
+    tol = _POINT_TOL * (1.0 + abs(target))
     got = _corrector(big_ge, ge, target, z_guess, tol, max_iter=12)
     if got is None:
         raise CorrectorDivergence("level-curve corrector diverged", z_guess)
@@ -102,12 +101,11 @@ def trace_level(
     cfg: Optional[IntegratorConfig] = None,
     *,
     step_scale: float = 0.1,
-    g_min: float = _G_MIN,
 ) -> LevelCurve:
     """Trace {Im G = Im G(z_start)} from z_start toward larger Re G.
 
     Stops at x_target, when |z| leaves the configured radius, or when
-    |g| < g_min (approaching a critical point of G, which the flow
+    |g| < ``_G_MIN`` (approaching a critical point of G, which the flow
     cannot reach in finite time anyway).  ``step_scale`` bounds the
     spatial step to step_scale*(1+|z|); halving it retraces the same
     curve with finer sampling.
@@ -122,7 +120,7 @@ def trace_level(
     if x_target <= x:
         raise ValueError("x_target must exceed Re G at the start point")
     g = ge(z)
-    if abs(g) < g_min:
+    if abs(g) < _G_MIN:
         raise ValueError("start point lies at a critical point of G")
 
     xs = [x]
@@ -138,14 +136,14 @@ def trace_level(
         dx = min(dx, x_target - x)
         if x + dx == x:
             break  # remaining span below double resolution at this X
-        step = _pc_step(big_ge, ge, z, g, x, dx, beta, g_min)
+        step = _pc_step(big_ge, ge, z, g, x, dx, beta)
         if step is None:
             fails += 1
             dx *= 0.5
             if fails > 60:
                 # a persistent failure with g collapsing is the curve
                 # running into a critical point, not a tracer defect
-                if abs(g) < 1e3 * g_min:
+                if abs(g) < 1e3 * _G_MIN:
                     stop = "critical_point"
                     break
                 raise CorrectorDivergence("level tracing stalled", z)
@@ -156,7 +154,7 @@ def trace_level(
         xs.append(x)
         zs.append(z)
         g = ge(z)
-        if abs(g) < g_min:
+        if abs(g) < _G_MIN:
             stop = "critical_point"
             break
         if abs(z) > cfg.escape_radius:
@@ -167,13 +165,13 @@ def trace_level(
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 
 
-def _pc_step(big_ge, ge, z, g0, x, dx, beta, g_min):
+def _pc_step(big_ge, ge, z, g0, x, dx, beta):
     """Midpoint predictor from z, where g(z) = g0, then the corrector."""
     target = complex(x + dx, beta)
     try:
         z_half = z + 0.5 * dx / g0
         g_half = ge(z_half)
-        if abs(g_half) < g_min:
+        if abs(g_half) < _G_MIN:
             return None
         z_pred = z + dx / g_half
     except EvaluationOverflow:
@@ -181,10 +179,7 @@ def _pc_step(big_ge, ge, z, g0, x, dx, beta, g_min):
     # tolerance scales with the step so points near a critical value of G
     # (|target| tiny) are still resolved to full relative precision
     tol = 1e-12 * (abs(target) + dx)
-    got = _corrector(big_ge, ge, target, z_pred, tol, g_min)
-    if got is None:
-        return None
-    return got
+    return _corrector(big_ge, ge, target, z_pred, tol)
 
 
 @dataclass(frozen=True)
@@ -206,18 +201,17 @@ class _IntegrandDiverged(Exception):
 def transit_time(
     curve: LevelCurve,
     cfg: Optional[IntegratorConfig] = None,
-    *,
-    quad_rel_tol: float = 1e-7,
-    g_min: float = _G_MIN,
 ) -> TransitReport:
     """Compare the level-curve transit integral with direct integration.
 
-    quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range,
-    Newton-correcting each node onto the curve, each panel endpoint once.
+    quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range to
+    ``_TRANSIT_REL_TOL`` relative to each panel, Newton-correcting each
+    node onto the curve, each panel endpoint once.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
-    reports +inf with a witness abscissa instead of a number.
+    reports +inf with a witness abscissa instead of a number; so does
+    a node where |g| < ``_G_MIN``.
     """
     cfg = cfg or IntegratorConfig()
     x1, x2 = curve.xs[0], curve.xs[-1]
@@ -238,7 +232,7 @@ def transit_time(
             # of G sits inside the X-range
             raise _IntegrandDiverged(x) from None
         g = ge(z)
-        if abs(g) < g_min:
+        if abs(g) < _G_MIN:
             raise _IntegrandDiverged(x)
         return 1.0 / (abs(g) * abs(g))
 
@@ -257,7 +251,7 @@ def transit_time(
         floor = rough / max(len(panels), 1)
         for xa, za, fa, xb, zb, fb in panels:
             est = 0.5 * (fa + fb) * (xb - xa)
-            tol = quad_rel_tol * (est + floor + 1e-300)
+            tol = _TRANSIT_REL_TOL * (est + floor + 1e-300)
             quad += adaptive_simpson(
                 lambda x: fa if x == xa else fb if x == xb else speed_inv(x, za, zb, xa, xb),
                 xa, xb, tol,
@@ -296,17 +290,12 @@ class CriterionReport:
     note: str = ""
 
 
-def infinite_time_criterion(
-    curve: LevelCurve,
-    *,
-    ratio_threshold: float = 0.01,
-    run_length: int = 3,
-) -> CriterionReport:
+def infinite_time_criterion(curve: LevelCurve) -> CriterionReport:
     """Sufficient (not necessary) test that the transit to infinity is infinite.
 
     Samples the curve at dyadic radii and fires when |G(z)|/|z|^2 drops
-    below ``ratio_threshold`` and keeps strictly decreasing across at
-    least ``run_length`` consecutive radii.  The threshold is calibrated
+    below ``_SLOW_RATIO`` and keeps strictly decreasing across at
+    least ``_SLOW_RUN`` consecutive radii.  The threshold is calibrated
     so that a constant ratio (quadratic growth of G) never fires.
     """
     r_head = abs(curve.zs[0])
@@ -328,9 +317,9 @@ def infinite_time_criterion(
         radius *= 2.0
     fires = False
     ratios = [w[1] for w in witnesses]
-    for j in range(len(ratios) - run_length + 1):
-        window = ratios[j : j + run_length]
-        if all(r < ratio_threshold for r in window) and all(
+    for j in range(len(ratios) - _SLOW_RUN + 1):
+        window = ratios[j : j + _SLOW_RUN]
+        if all(r < _SLOW_RATIO for r in window) and all(
             a > b for a, b in zip(window, window[1:])
         ):
             fires = True

@@ -38,6 +38,8 @@ _GL8_W = (
 # Integrand evaluations one adaptive_gauss call may make; far above what
 # the package's callers need (24 in every call of the tests and the demo)
 _GAUSS_MAX_EVALS = 20_000
+_GAUSS_MAX_DEPTH = 44  # bisections past which a Gauss panel is accepted as is
+_SIMPSON_MAX_DEPTH = 48  # bisections past which adaptive_simpson gives up
 
 
 class QuadratureDiverged(Exception):
@@ -63,7 +65,6 @@ def adaptive_gauss(
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 44,
 ) -> complex:
     """Adaptive 8-point Gauss on [a, b] to absolute tolerance tol.
 
@@ -73,7 +74,7 @@ def adaptive_gauss(
     whole = gauss8(fn, a, b)
     # gauss8 calls left; each refinement makes two
     budget = [_GAUSS_MAX_EVALS // len(_GL8_X) - 1]
-    return _ag(fn, a, b, tol, whole, max_depth, budget)
+    return _ag(fn, a, b, tol, whole, _GAUSS_MAX_DEPTH, budget)
 
 
 def _ag(fn, a, b, tol, whole, depth, budget):
@@ -95,13 +96,12 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 48,
 ) -> float:
     """Adaptive Simpson for a real integrand; raises QuadratureDiverged
-    when refinement keeps failing at max_depth."""
+    when refinement keeps failing at ``_SIMPSON_MAX_DEPTH`` bisections."""
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _as(fn, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _as(fn, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
 
 
 def _as(fn, a, b, fa, fm, fb, whole, tol, depth):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,54 @@ class TestSubcommands:
         code, out, err = run(argv + ["--window", window, "--out", str(out_dir)], capsys)
         assert code == 2
         assert "argument --window:" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["level-trace", "--G", "z^2 / 2", "--start", "1"], ["--Xmax", "abc"]),
+            (["measure", "--f", "-exp(-z)", "--z0", "0"], ["--N", "abc"]),
+            (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5"], ["--delta", "x"]),
+            (["simulate", "--f", "i*z", "--z0", "1", "--svg"], ["--window", "a,b,c"]),
+            (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5", "--svg"], ["--keep", "-3"]),
+        ],
+        ids=["Xmax", "N", "delta", "window", "keep"],
+    )
+    def test_bad_option_value_plain_message(self, tmp_path, capsys, argv, bad):
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + bad + ["--out", str(out_dir)], capsys)
+        assert code == 2
+        assert f"argument {bad[0]}:" in err
+        # no internal name such as a type function's leaks into the message
+        assert re.search(r"(?<![\w-])_\w", err) is None
+        assert out == ""
+        assert not out_dir.exists()
+
+    _BASE = {
+        "simulate": ["simulate", "--f", "i*z", "--z0", "1"],
+        "classify": ["classify", "--f", "z^2", "--z0", "1"],
+        "level-trace": ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50"],
+        "transit": ["transit", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50"],
+        "measure": ["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5"],
+        "rubel": ["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"],
+        "poly-summary": ["poly-summary", "--coeffs", "0,0,1"],
+    }
+    _VALUES = {"--seed": ["3"], "--window": ["0,0,1"], "--tol": ["1e-8"], "--tmax": ["5"], "--radius": ["50"]}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, "--seed") for c in ("simulate", "classify", "level-trace", "transit", "rubel", "poly-summary")]
+        + [(c, f) for c in ("classify", "transit", "rubel") for f in ("--svg", "--window")]
+        + [(c, "--csv") for c in ("transit", "measure", "rubel")]
+        + [("poly-summary", f) for f in ("--tol", "--tmax", "--radius", "--svg", "--csv", "--window")],
+    )
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        out_dir = tmp_path / "out"
+        argv = self._BASE[command] + [flag] + self._VALUES.get(flag, []) + ["--out", str(out_dir)]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
         assert out == ""
         assert not out_dir.exists()
 

@@ -232,9 +232,9 @@ class TestTransit:
         real = level_module.point_on_level
         calls = Counter()
 
-        def counted(big_ge, ge, x, beta, z_guess, tol_scale=1e-12):
+        def counted(big_ge, ge, x, beta, z_guess):
             calls[x, z_guess] += 1
-            return real(big_ge, ge, x, beta, z_guess, tol_scale)
+            return real(big_ge, ge, x, beta, z_guess)
 
         monkeypatch.setattr(level_module, "point_on_level", counted)
         cfg, curves = _power_curves(per_k=2)
