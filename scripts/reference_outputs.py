@@ -32,6 +32,7 @@ COMMANDS = (
     ("classify-square", ["classify", "--f", "z^2", "--z0", "1", "--radius", "100", "--json"]),
     ("classify-exp", ["classify", "--f", "-exp(-z)", "--z0", "0", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
+    ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--csv", "--json"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6", "--json"]),
     ("measure", [

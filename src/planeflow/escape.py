@@ -100,8 +100,8 @@ def transverse_segment(
     z0 exactly).  Meeting a zero of f raises SegmentTruncated with the
     parameter span that was achieved.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be a positive finite number")
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
     cfg = cfg or IntegratorConfig()

@@ -94,6 +94,9 @@ class FlowSpec:
         if is_constant(self.func):
             raise ValueError("flow function must be nonconstant")
 
+    def __getstate__(self):  # the kept Field holds generated functions
+        return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -217,8 +220,15 @@ def _point_code(post: str) -> CodeType:
 
 
 def _rhs(spec: FlowSpec) -> Field:
-    post = "{}" if spec.kind == HOLOMORPHIC else "{}.conjugate()"
-    return Field(spec.func, post if spec.time_direction == FORWARD else "-" + post)
+    """The Field of ``spec``'s flow, kept on the spec object, never found by
+    equality (Constant(0.0) == Constant(-0.0), yet their bits differ), and
+    built again once ``compile_fn`` is rebound, as bench/tracing.py does."""
+    kept = spec.__dict__.get("_rhs")
+    if kept is None or kept[0] is not compile_fn:
+        post = "{}" if spec.kind == HOLOMORPHIC else "{}.conjugate()"
+        kept = compile_fn, Field(spec.func, post if spec.time_direction == FORWARD else "-" + post)
+        object.__setattr__(spec, "_rhs", kept)
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +337,13 @@ class _SeedReturn(Event):
         super().__init__(self._section)
         self.z0 = z0
         self.f0 = f0
-        self.u = f0 / abs(f0)
+        self.u_conj = (f0 / abs(f0)).conjugate()
         self.rhs = rhs
         self.tol = tol
         self.arm_dist = max(100.0 * tol, 1e-6 * (1.0 + abs(z0)))
 
     def _section(self, z):
-        return ((z - self.z0) * self.u.conjugate()).real
+        return ((z - self.z0) * self.u_conj).real
 
     def veto(self, path, z_new):
         # armed once an earlier accepted point left the seed's neighbourhood
@@ -376,6 +386,8 @@ def drive_field(
     when the step size underflows the time resolution.  Events that fire
     in the same step are taken in the order given.  A :class:`Field` rhs
     is inlined into the step; any other callable is called once a stage.
+    Its step-size clamps are comparisons that pick the same operand as
+    ``min``/``max`` do: the first, unless a later one wins strictly.
     """
     t, z = t0, complex(z0)
     samples = [(t, z)]
@@ -386,30 +398,29 @@ def drive_field(
     watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
     h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
-    steps = 0
     step = _stepper(rhs)
+    h_max, abs_tol, rel_tol, inf, size = cfg.h_max, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
+    add_sample, add_error = samples.append, errors.append
 
-    while True:
+    for _ in range(_MAX_STEPS):
         if t >= t_stop:
-            return OdeResult(samples, errors, crossings, "t_stop")
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise PlaneflowError(f"step budget exceeded ({_MAX_STEPS} steps) at t={t!r}")
-        h = min(h, cfg.h_max, t_stop - t)
-        floor = 1000.0 * _EPS * abs(t)
+            break
+        h = h_max if h_max < h else h
+        h = t_stop - t if t_stop - t < h else h
         try:
             z_new, err, k7 = step(z, h, k1)
-            if not math.isfinite(err):
+            if not err < inf:
                 raise EvaluationOverflow(None, at=z)
         except EvaluationOverflow as exc:
             h *= 0.1
-            if h < max(floor, 1e-300):
+            if h < max(1000.0 * _EPS * abs(t), 1e-300):
                 return OdeResult(samples, errors, crossings, "overflow", exception=exc)
             continue
-        sc = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z_new))
+        size_new = abs(z_new)
+        sc = abs_tol + rel_tol * (size_new if size_new > size else size)
         if err > sc:
-            h *= max(0.1, 0.9 * (sc / err) ** 0.2)
-            if h < floor:
+            h *= g if (g := 0.9 * (sc / err) ** 0.2) > 0.1 else 0.1
+            if h < 1000.0 * _EPS * abs(t):
                 return OdeResult(samples, errors, crossings, "underflow")
             continue
 
@@ -430,16 +441,20 @@ def drive_field(
             crossings.append((ev, tc, zc))
             if ev.terminal:
                 # sample times stay strictly increasing
-                samples.append((max(tc, math.nextafter(t, math.inf)), zc))
-                errors.append(err)
+                add_sample((max(tc, math.nextafter(t, math.inf)), zc))
+                add_error(err)
                 return OdeResult(samples, errors, crossings, "event")
             # retired; the loop goes on over the list it started with
             watch = [other for other in watch if other is not entry]
 
-        t, z, k1 = t_new, z_new, k7
-        samples.append((t, z))
-        errors.append(err)
-        h = min(cfg.h_max, h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sc / err) ** 0.2))))
+        t, z, k1, size = t_new, z_new, k7, size_new
+        add_sample((t, z))
+        add_error(err)
+        g = 0.9 * (sc / err) ** 0.2 if err else 5.0
+        h *= (g if g < 5.0 else 5.0) if g > 0.2 else 0.2
+    if not t >= t_stop:
+        raise PlaneflowError(f"step budget exceeded ({_MAX_STEPS} steps) at t={t!r}")
+    return OdeResult(samples, errors, crossings, "t_stop")
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +476,7 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
         return Trajectory(spec, z0, ((0.0, z0),), (0.0,), FixedPointApproach(z0))
 
     # a seed beyond the radius reaches it at the first step that ends there
-    radius = Event(lambda z: abs(z) - cfg.escape_radius, start_below=True)
+    radius = Event(lambda z, r=cfg.escape_radius: abs(z) - r, start_below=True)
     events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL))
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":

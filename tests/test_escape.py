@@ -78,6 +78,14 @@ class TestTransverseSegment:
         with pytest.raises(ValueError):
             transverse_segment(parse_expr("z"), 0.0, 0.5, 8)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_delta_not_positive_finite_rejected(self, delta):
+        # a NaN delta used to be reported as a zero of f at |y| = nan
+        with pytest.raises(ValueError, match="positive finite"):
+            transverse_segment(parse_expr("-exp(-z)"), 0.0, delta, 8)
+        with pytest.raises(ValueError, match="positive finite"):
+            escape_measure(parse_expr("-exp(-z)"), 0.0, delta, 2)
+
 
 class TestEscapeMeasure:
     def test_empty_run(self):

@@ -1,11 +1,13 @@
 import math
+import pickle
 import random
 
 import pytest
 
+from planeflow import expr as expr_module
 from planeflow import flow as flow_module
 from planeflow import quadrature
-from planeflow.errors import EvaluationOverflow
+from planeflow.errors import EvaluationOverflow, PlaneflowError
 from planeflow.expr import Add, Constant, Variable, compile_fn, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
@@ -30,7 +32,7 @@ from planeflow.flow import (
 )
 from planeflow.quadrature import QuadratureDiverged, adaptive_gauss
 
-from conftest import random_expr
+from conftest import random_expr, tame_random_expr
 
 
 def holo(text, direction="forward"):
@@ -448,6 +450,256 @@ class TestGeneratedStep:
     def test_unknown_post_operation_rejected(self):
         with pytest.raises(ValueError):
             Field(parse_expr("z"), "2 * {}")
+
+
+class TestFieldPerSpec:
+    def test_one_field_per_spec_object(self, monkeypatch):
+        seen = []
+        point = Field.__call__
+        monkeypatch.setattr(Field, "__call__", lambda self, z: seen.append(self) or point(self, z))
+        spec, cfg = holo("-exp(-z)"), IntegratorConfig()
+        traj = integrate(spec, 0.0, cfg)
+        users = [len(seen)]
+        blowup_time_estimate(traj, cfg)
+        users.append(len(seen))
+        assert classify(traj, cfg).name == "FiniteTimeBlowup"
+        users.append(len(seen))
+        sample_at(traj, 0.5 * traj.t_end)
+        users.append(len(seen))
+        assert 0 < users[0] < users[1] < users[2] < users[3]
+        assert all(rhs is flow_module._rhs(spec) for rhs in seen)
+
+    def test_equal_specs_keep_their_own_fields(self):
+        # equal trees, different bits: a cache keyed on equality would
+        # hand one of them the other's field
+        pos = FlowSpec(HOLOMORPHIC, Add(Variable(), Constant(0.0)))
+        neg = FlowSpec(HOLOMORPHIC, Add(Variable(), Constant(-0.0)))
+        assert pos == neg
+        assert flow_module._rhs(pos) is not flow_module._rhs(neg)
+        assert repr(flow_module._rhs(pos)(-0.0)) != repr(flow_module._rhs(neg)(-0.0))
+
+    def test_spec_pickles_without_its_field(self):
+        spec = holo("z^2")
+        traj = integrate(spec, 1.0)
+        back = pickle.loads(pickle.dumps(traj))
+        assert back == traj and "_rhs" not in back.spec.__dict__
+        assert integrate(back.spec, 1.0) == traj
+
+    def test_tree_emitted_per_spec_not_per_call(self, monkeypatch):
+        calls = []
+        emit = expr_module._emit_body
+
+        def counted(tree):
+            calls.append(tree)
+            return emit(tree)
+
+        for module in (expr_module, flow_module):
+            monkeypatch.setattr(module, "_emit_body", counted)
+        spec, cfg = holo("-exp(-z)"), IntegratorConfig(t_max=5.0)
+        traj = integrate(spec, 0.0, cfg)
+        # once for the point function (through compile_fn), once for the step
+        assert calls == [spec.func, spec.func]
+        integrate(spec, 0.5, cfg)
+        classify(traj, cfg)
+        assert len(calls) == 2
+
+    def test_kept_field_follows_a_rebound_compile_fn(self, monkeypatch):
+        # bench/tracing.py wraps flow.compile_fn to count evaluations; a
+        # spec whose Field was built before must not bypass the wrapper
+        spec, cfg = holo("-exp(-z)"), IntegratorConfig(t_max=5.0)
+        traj = integrate(spec, 0.0, cfg)
+        kept = flow_module._rhs(spec)
+        points = []
+
+        def counting(tree):
+            f = compile_fn(tree)
+            return lambda z: points.append(z) or f(z)
+
+        monkeypatch.setattr(flow_module, "compile_fn", counting)
+        assert integrate(spec, 0.0, cfg) == traj
+        assert points and flow_module._rhs(spec) is not kept
+        assert flow_module._rhs(spec) is flow_module._rhs(spec)
+
+
+def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
+    """The drive_field loop as it was written with min/max and a step
+    counter, kept as the reference for the loop's clamps and budget."""
+    _EPS, _MAX_STEPS = flow_module._EPS, flow_module._MAX_STEPS
+    _stepper, _bisect_theta, _hermite = flow_module._stepper, flow_module._bisect_theta, flow_module._hermite
+    OdeResult = flow_module.OdeResult
+    t, z = t0, complex(z0)
+    samples = [(t, z)]
+    errors = [0.0]
+    crossings = []
+
+    k1 = rhs(z)
+    watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
+    h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
+    h = max(h, 1e-300)
+    steps = 0
+    step = _stepper(rhs)
+
+    while True:
+        if t >= t_stop:
+            return OdeResult(samples, errors, crossings, "t_stop")
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise PlaneflowError(f"step budget exceeded ({_MAX_STEPS} steps) at t={t!r}")
+        h = min(h, cfg.h_max, t_stop - t)
+        floor = 1000.0 * _EPS * abs(t)
+        try:
+            z_new, err, k7 = step(z, h, k1)
+            if not math.isfinite(err):
+                raise EvaluationOverflow(None, at=z)
+        except EvaluationOverflow as exc:
+            h *= 0.1
+            if h < max(floor, 1e-300):
+                return OdeResult(samples, errors, crossings, "overflow", exception=exc)
+            continue
+        sc = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(z_new))
+        if err > sc:
+            h *= max(0.1, 0.9 * (sc / err) ** 0.2)
+            if h < floor:
+                return OdeResult(samples, errors, crossings, "underflow")
+            continue
+
+        t_new = t + h
+        if t_new == t:
+            return OdeResult(samples, errors, crossings, "underflow")
+
+        for entry in watch:
+            ev, g_old = entry
+            g_new = entry[1] = ev.g(z_new)
+            if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
+                continue
+            theta = _bisect_theta(lambda s: ev.g(_hermite(z, k1, z_new, k7, h, s)))
+            zc = _hermite(z, k1, z_new, k7, h, theta)
+            if ev.rejects(zc):
+                continue
+            tc = t + theta * h
+            crossings.append((ev, tc, zc))
+            if ev.terminal:
+                # sample times stay strictly increasing
+                samples.append((max(tc, math.nextafter(t, math.inf)), zc))
+                errors.append(err)
+                return OdeResult(samples, errors, crossings, "event")
+            # retired; the loop goes on over the list it started with
+            watch = [other for other in watch if other is not entry]
+
+        t, z, k1 = t_new, z_new, k7
+        samples.append((t, z))
+        errors.append(err)
+        h = min(cfg.h_max, h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sc / err) ** 0.2))))
+
+
+def _run_outcome(drive, rhs, z0, cfg, t_stop, events=()):
+    """repr of everything a drive_field run returns, or of what it raised."""
+    try:
+        res = drive(rhs, z0, cfg, t_stop=t_stop, events=events)
+    except PlaneflowError as exc:
+        return repr(("raised", type(exc).__name__, str(exc)))
+    crossings = [(events.index(ev), t, z) for ev, t, z in res.crossings]
+    exc = res.exception
+    raised = exc and (type(exc).__name__, str(exc), exc.node, repr(exc.at))
+    return repr((res.samples, res.errors, crossings, res.status, raised))
+
+
+def _integrate_events(rhs, z0, radius):
+    """The events integrate() watches: its radius and the seed's return."""
+    return (
+        Event(lambda z: abs(z) - radius, start_below=True),
+        flow_module._SeedReturn(z0, rhs(z0), rhs, flow_module._PERIODIC_RETURN_TOL),
+    )
+
+
+def _integrate_case(text, z0, radius, t_stop=20.0):
+    """The run integrate() starts for the holomorphic flow of text."""
+    rhs = Field(parse_expr(text))
+    return rhs, z0, IntegratorConfig(), t_stop, _integrate_events(rhs, z0, radius)
+
+
+def _dyadic_marks(z0, n=3):
+    radii = [abs(z0) * 2.0**k for k in range(1, n + 1)]
+    return tuple(Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii)
+
+
+def _stuck_above_one(z):
+    # speed 1 towards a wall at Re z = 1 where the field has no value
+    if z.real >= 1.0:
+        raise EvaluationOverflow(None, at=z)
+    return 1.0 + 0j
+
+
+def _unchecked_cube(z):
+    # no overflow check: a stage may return inf and the error turn non-finite
+    return z * z * z
+
+
+def _drive_cases():
+    """(rhs, z0, cfg, t_stop, events) covering every exit and branch of
+    drive_field, with seeded random fields from the conftest generators."""
+    cfg = IntegratorConfig()
+    cases = [
+        # t_stop, and t_stop before the first step
+        (Field(parse_expr("-exp(-z)")), 0j, cfg, 0.7, ()),
+        (Field(parse_expr("-exp(-z)")), 0j, cfg, 0.0, ()),
+        # integrate's events: periodic return of i*z (veto before the
+        # event arms, then a crossing), spirals whose returns are vetoed
+        # or rejected, and a radius reached
+        _integrate_case("i*z", 1 + 0j, 10.0),
+        _integrate_case("(0.1 + i)*z", 1 + 0j, 1e3),
+        _integrate_case("(0.000001 + i)*z", 1 + 0j, 1e3),
+        _integrate_case("-exp(-z)", 0j, 10.0, t_stop=50.0),
+        # dyadic marks: non-terminal crossings, then the terminal one
+        (Field(parse_expr("z^2")), 10 + 0j, cfg, 10.0, _dyadic_marks(10 + 0j)),
+        (Field(parse_expr("z^3"), "{}.conjugate()"), 10 + 0j, cfg, 10.0, _dyadic_marks(10 + 0j)),
+        # overflow retries: recovered on the way, then ending in overflow,
+        # raised by the field or by a non-finite error estimate
+        (_stuck_above_one, 0j, cfg, 5.0, ()),
+        (Field(parse_expr("exp(z)")), 0j, IntegratorConfig(rel_tol=1e-4), 2.0, ()),
+        (_unchecked_cube, 1e100 + 0j, IntegratorConfig(rel_tol=1e-6), 1.0, ()),
+        # past the blowup of z^2: rejections shrink h below the time
+        # resolution, or accepted steps stop advancing t
+        (Field(parse_expr("z^2")), 1 + 0j, IntegratorConfig(rel_tol=1e-6), 2.0, ()),
+        (Field(parse_expr("z^2")), 1 + 0j, cfg, 2.0, ()),
+        # a small h_max clamps every step
+        (Field(parse_expr("i*z")), 1 + 0j, IntegratorConfig(h_max=0.01), 1.0, _dyadic_marks(0.5 + 0j)),
+    ]
+    rng = random.Random(20261019)
+    points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+    for _ in range(40):
+        tree = tame_random_expr(rng, points, depth=rng.randint(1, 4))
+        post = rng.choice(flow_module._POSTS)
+        rhs = Field(tree, post, rng.choice((1j, -1j)) if post == "k * {}" else None)
+        z0 = rng.choice(points)
+        run_cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), h_max=rng.choice((1e6, 0.05)))
+        try:
+            events = rng.choice(((), _dyadic_marks(z0), _integrate_events(rhs, z0, 5.0)))
+        except ZeroDivisionError:  # rhs vanishes at z0: no seed direction
+            events = ()
+        cases.append((rhs, z0, run_cfg, rng.uniform(0.5, 5.0), events))
+    return cases
+
+
+class TestDriveFieldLoop:
+    def test_matches_reference_loop_bit_for_bit(self):
+        statuses = set()
+        for rhs, z0, cfg, t_stop, events in _drive_cases():
+            want = _run_outcome(_reference_drive_field, rhs, z0, cfg, t_stop, events)
+            got = _run_outcome(drive_field, rhs, z0, cfg, t_stop, events)
+            assert got == want, (rhs, z0, cfg, t_stop)
+            statuses.add(drive_field(rhs, z0, cfg, t_stop=t_stop, events=events).status)
+        assert statuses == {"t_stop", "event", "overflow", "underflow"}
+
+    def test_step_budget_matches_reference(self, monkeypatch):
+        rhs, cfg = Field(parse_expr("-exp(-z)")), IntegratorConfig()
+        # stops at and around the end of the seventh step, and far beyond
+        t_stops = [t for t, _ in drive_field(rhs, 0j, cfg, t_stop=50.0).samples[5:10]] + [50.0]
+        monkeypatch.setattr(flow_module, "_MAX_STEPS", 7)
+        for t_stop in t_stops:
+            want = _run_outcome(_reference_drive_field, rhs, 0j, cfg, t_stop)
+            assert _run_outcome(drive_field, rhs, 0j, cfg, t_stop) == want
+        assert "step budget exceeded (7 steps)" in _run_outcome(drive_field, rhs, 0j, cfg, 50.0)
 
 
 class TestQuadratureBudget:
