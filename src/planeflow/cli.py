@@ -40,6 +40,7 @@ from .flow import (
     integrate,
     upgraded,
 )
+from .jets import _MAX_JET_ORDER
 from .level import infinite_time_criterion, trace_level, transit_time
 from .reports import write_report
 from .svg import SvgScene, render_svg
@@ -71,8 +72,8 @@ def _config(args) -> IntegratorConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _int_at_least(least: int):
-    """argparse type for an integer >= least."""
+def _int_at_least(least: int, most: float = math.inf):
+    """argparse type for an integer >= least (and <= most)."""
 
     def parse(text: str) -> int:
         try:
@@ -81,6 +82,8 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"must be an integer, got {text}") from None
         if n < least:
             raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text}")
+        if n > most:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {most}, got {text}")
         return n
 
     return parse
@@ -636,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=_finite_float, default=0.0)
     p.add_argument("--seed-point", required=True, help="seed inside the large-|f| tract")
     p.add_argument("--t-end", type=_finite_float, required=True)
-    p.add_argument("--m-max", type=int, default=3)
+    p.add_argument("--m-max", type=_int_at_least(0, _MAX_JET_ORDER), default=3)
     p.add_argument("--c", type=_finite_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
     _add_flags(p, "tol tmax radius out json")

@@ -33,7 +33,7 @@ from .flow import (
     integrate,
     upgraded,
 )
-from .jets import eval_jet
+from .jets import _MAX_JET_ORDER, eval_jet
 from .level import point_on_level, trace_level
 
 __all__ = [
@@ -64,14 +64,9 @@ class TransverseSegment:
     samples: tuple  # (y, z) with y ascending, z(0) = z0
 
 
-def _segment_fields(f: FuncExpr) -> tuple:
-    """dz/dy = i f with y increasing, and with y decreasing."""
-    return tuple(Field(f, "k * {}", sgn * 1j) for sgn in (1.0, -1.0))
-
-
 def _segment_point(fe, fields, z_a, y_a, dy, cfg) -> complex:
     """Point of the transverse segment at parameter y_a + dy, traced from
-    its point z_a at y_a along ``_segment_fields(f)``; fe computes f."""
+    its point z_a at y_a along the fields of ``_traced_segment``; fe computes f."""
     if dy == 0.0:
         return complex(z_a)
     sgn = 1.0 if dy > 0 else -1.0
@@ -100,26 +95,30 @@ def transverse_segment(
     z0 exactly).  Meeting a zero of f raises SegmentTruncated with the
     parameter span that was achieved.
     """
+    samples = _traced_segment(f, z0, delta, n, cfg or IntegratorConfig())[2]
+    return TransverseSegment(f, complex(z0), delta, samples)
+
+
+def _traced_segment(f, z0, delta, n, cfg):
+    """transverse_segment's checks and samples, and the fe and fields that traced them."""
     if not 0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
-    cfg = cfg or IntegratorConfig()
     z0 = complex(z0)
     fe = compile_fn(f)
     if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
         raise ValueError("f vanishes at z0; the segment is undefined")
     half = n // 2
     step = delta / half
-    fields = _segment_fields(f)
+    fields = tuple(Field(f, "k * {}", sgn * 1j) for sgn in (1.0, -1.0))  # dz/dy = i f, y up and y down
     out = {0: z0}
     for sgn in (1, -1):
         z = z0
         for k in range(1, half + 1):
             z = _segment_point(fe, fields, z, sgn * (k - 1) * step, sgn * step, cfg)
             out[sgn * k] = z
-    samples = tuple((k * step, out[k]) for k in range(-half, half + 1))
-    return TransverseSegment(f, z0, delta, samples)
+    return fe, fields, tuple((k * step, out[k]) for k in range(-half, half + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +156,7 @@ def escape_measure(
         raise ValueError("n_samples must be nonnegative")
     cfg = cfg or IntegratorConfig()
     # validates the preconditions (f nonzero on a coarse version of the segment)
-    transverse_segment(f, z0, delta, 16, cfg)
-    fe = compile_fn(f)
-    fields = _segment_fields(f)
+    fe, fields, _ = _traced_segment(f, z0, delta, 16, cfg)
     spec = FlowSpec(HOLOMORPHIC, f)
     rng = random.Random(seed)
     counts: dict = {}
@@ -268,6 +265,8 @@ def rubel_path(
     |f^(m)|^(-c) |dz| report a partial sum plus a geometric bound from
     the dyadic-window decay ratio, never a bare claim of convergence.
     """
+    if not 0 <= m_max <= _MAX_JET_ORDER:
+        raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
     fe = compile_fn(f)
@@ -295,17 +294,17 @@ def rubel_path(
         w.real > 0 for w in vs
     )
 
-    def log_abs_deriv(t, jet, m):
-        # log|f^(m)| = log|f^(m)/f| + log|f|; on the path |f| = |t + iD|
-        if jet.coeffs[m] == 0:
-            return -math.inf
-        quotient = jet.coeffs[m] * math.factorial(m) / jet.coeffs[0]
-        return math.log(abs(quotient)) + 0.5 * math.log(t * t + d_shift * d_shift)
+    factorials = [math.factorial(m) for m in range(m_max + 1)]
 
     def node(t, z):
-        # one jet and one speed per node, read by the growth ratios and every (m, c)
+        # one jet and one speed per node, read by the growth ratios and every
+        # (m, c); log|f^(m)| = log|f^(m)/f| + log|f|, and on the path |f| = |t + iD|
         jet = eval_jet(f, z, m_max)
-        return [log_abs_deriv(t, jet, m) for m in range(m_max + 1)], abs(fpe(z))
+        log_f = 0.5 * math.log(t * t + d_shift * d_shift)
+        return [
+            math.log(abs(a * k / jet.coeffs[0])) + log_f if a != 0 else -math.inf
+            for a, k in zip(jet.coeffs, factorials)
+        ], abs(fpe(z))
 
     at_samples = [node(t, z) for t, z in zip(ts, zs)]
     last = len(zs) - 1
@@ -325,11 +324,10 @@ def rubel_path(
 
     # Simpson panels: the sample records at both ends and one record at
     # the corrector-refined midpoint
-    panels = []
-    for i, ((ta, za), (tb, zb)) in enumerate(zip(curve.samples, curve.samples[1:])):
-        tm = 0.5 * (ta + tb)
-        mid = node(tm, point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb)))
-        panels.append((tb - ta, ((at_samples[i], 1.0), (mid, 4.0), (at_samples[i + 1], 1.0))))
+    at_mids = [
+        node(0.5 * (ta + tb), point_on_level(fe, fpe, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)))
+        for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:])
+    ]
 
     # decay diagnostics on the exact last dyadic window [T/2, T]: uniform
     # composite-Simpson nodes refined onto the path
@@ -345,12 +343,12 @@ def rubel_path(
     tails = []
     for m in range(m_max + 1):
         for c in c_values:
+            # each node's term once: 1 * term at the samples, 4 * term at the midpoints
+            qs = [math.exp(-c * logs[m]) / speed for logs, speed in at_samples]
+            q4s = [4.0 * math.exp(-c * logs[m]) / speed for logs, speed in at_mids]
             partial = 0.0
-            for width, nodes in panels:
-                contrib = 0.0
-                for (logs, speed), w in nodes:
-                    contrib += w * math.exp(-c * logs[m]) / speed
-                partial += contrib * width / 6.0
+            for qa, q4, qb, ta, tb in zip(qs, q4s, qs[1:], ts, ts[1:]):
+                partial += (qa + q4 + qb) * (tb - ta) / 6.0
             vals = [math.exp(-c * logs[m]) / speed for logs, speed in diag_nodes]
             h = (t_hi - t_lo) / n_sub
             w_last = (h / 3.0) * (

@@ -7,17 +7,26 @@ happens only in :meth:`Jet.derivative`.  Propagation rules: sums and
 scalar multiples are elementwise, products use the Cauchy convolution,
 exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
 and integer powers use binary powering.
+
+:func:`eval_jet` runs a straight-line function generated per (tree, order),
+and kernels for products and exp generated per order; they do a recursive
+walk's operations in its order, so every bit and the overflowing node match.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
+from types import FunctionType
 
 from .errors import EvaluationOverflow
-from .expr import Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable
+from .expr import Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _function_code
 
 __all__ = ["Jet", "eval_jet"]
+
+_MAX_JET_ORDER = 64  # the generated kernels grow with the order squared
+_GENERATED_KEPT = 64  # generated jet functions kept, one per (tree, order)
 
 
 @dataclass(frozen=True)
@@ -52,77 +61,99 @@ class Jet:
         return Jet(self.center, self.coeffs[: order + 1])
 
 
-def _c_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-def _c_neg(a):
-    return tuple(-x for x in a)
-
-def _c_scale(c, a):
-    return tuple(c * x for x in a)
-
-def _c_mul(a, b):
-    n = len(a)
-    return tuple(sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n))
-
-def _c_exp(u):
-    n = len(u)
-    v = [cmath.exp(u[0])] + [0j] * (n - 1)
-    for k in range(1, n):
-        v[k] = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
-    return tuple(v)
-
-def _c_pow(a, k):
-    """a^k by binary powering: fewer than 2 * k.bit_length() products."""
-    out = None
-    while k:
-        if k & 1:
-            out = a if out is None else _c_mul(out, a)
-        k >>= 1
-        if k:
-            a = _c_mul(a, a)
-    return out if out is not None else (1 + 0j,) + (0j,) * (len(a) - 1)
-
-
 def eval_jet(expr: FuncExpr, z: complex, order: int) -> Jet:
     """Evaluate expr and its Taylor coefficients a_0..a_order at z.
 
     a_k equals the k-th derivative divided by k!, so ``coeffs[0]`` is
-    the plain value.  Overflow in any coefficient raises
-    EvaluationOverflow carrying the innermost offending node.
+    the plain value.  Overflow in any coefficient, or an exp without a
+    value, raises EvaluationOverflow carrying the innermost offending
+    node.  The order must lie in 0..``_MAX_JET_ORDER``.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not 0 <= order <= _MAX_JET_ORDER:
+        raise ValueError(f"order must be in 0..{_MAX_JET_ORDER}, got {order!r}")
     z = complex(z)
-    coeffs = _jet_walk(expr, z, order)
-    return Jet(z, coeffs)
+    kept = _GENERATED.get((id(expr), order))
+    if kept is None:
+        env = dict(_kernels(order + 1), power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
+        lines: list = []
+        out = _emit(expr, order + 1, lines, env)
+        source = "\n".join(["def jet(z):", *lines, f"    return ({', '.join(out)},)"])
+        if len(_GENERATED) >= _GENERATED_KEPT:
+            del _GENERATED[next(iter(_GENERATED))]  # the oldest
+        kept = _GENERATED[id(expr), order] = expr, FunctionType(_function_code(source), env)
+    return Jet(z, kept[1](z))
 
 
-def _jet_walk(expr: FuncExpr, z: complex, order: int):
-    n = order + 1
-    if isinstance(expr, Constant):
-        return (expr.value,) + (0j,) * (n - 1)
+# (id(tree), order) -> (tree, its jet function), never found by equality:
+# Constant(0.0) == Constant(-0.0), yet their bits differ.  An entry holds
+# its tree alive, so no other tree takes that id while the entry lasts.
+_GENERATED: dict = {}
+
+
+def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
+    """Append the lines computing expr's n coefficients; return their names."""
     if isinstance(expr, Variable):
-        if n == 1:
-            return (z,)
-        return (z, 1 + 0j) + (0j,) * (n - 2)
-    if isinstance(expr, Add):
-        out = _c_add(_jet_walk(expr.left, z, order), _jet_walk(expr.right, z, order))
-    elif isinstance(expr, Mul):
-        out = _c_mul(_jet_walk(expr.left, z, order), _jet_walk(expr.right, z, order))
-    elif isinstance(expr, Negate):
-        out = _c_neg(_jet_walk(expr.arg, z, order))
-    elif isinstance(expr, Scale):
-        out = _c_scale(expr.factor, _jet_walk(expr.arg, z, order))
-    elif isinstance(expr, Exp):
-        try:
-            out = _c_exp(_jet_walk(expr.arg, z, order))
-        except OverflowError:
-            raise EvaluationOverflow(expr, at=z) from None
-    elif isinstance(expr, IntPower):
-        out = _c_pow(_jet_walk(expr.arg, z, order), expr.power)
+        return ["z", "(1 + 0j)", *["0j"] * (n - 2)][:n]
+    if isinstance(expr, Constant):
+        return [_bind(env, "c", expr.value), *["0j"] * (n - 1)]
+    if isinstance(expr, (Add, Mul)):
+        a, b = _emit(expr.left, n, lines, env), _emit(expr.right, n, lines, env)
+        value = [f"{x} + {y}" for x, y in zip(a, b)] if isinstance(expr, Add) else f"mul({', '.join(a + b)})"
+    elif isinstance(expr, (Negate, Scale)):
+        a = _emit(expr.arg, n, lines, env)
+        prefix = "-" if isinstance(expr, Negate) else f"{_bind(env, 'c', expr.factor)} * "
+        value = [prefix + x for x in a]
+    elif isinstance(expr, (Exp, IntPower)):
+        a = ", ".join(_emit(expr.arg, n, lines, env))
+        value = f"exp_jet({a})" if isinstance(expr, Exp) else f"power(mul, ({a},), {expr.power})"
     else:
         raise TypeError(f"not a FuncExpr node: {expr!r}")
-    if not all(cmath.isfinite(c) for c in out):
-        raise EvaluationOverflow(expr, at=z)
+    node = _bind(env, "n", expr)
+    out = [f"t{len(lines)}_{k}" for k in range(n)]
+    if isinstance(value, list):
+        lines += [f"    {o} = {v}" for o, v in zip(out, value)]
+    else:
+        # of the kernels only exp raises (ValueError: finite real, infinite imaginary part)
+        lines += [
+            "    try:",
+            f"        {', '.join(out)}, = {value}",
+            "    except (OverflowError, ValueError):",
+            f"        raise EvaluationOverflow({node}, at=z) from None",
+        ]
+    lines += [
+        f"    if not ({' and '.join(f'isfinite({o})' for o in out)}):",
+        f"        raise EvaluationOverflow({node}, at=z)",
+    ]
     return out
+
+
+@lru_cache(maxsize=None)  # one entry per order: at most _MAX_JET_ORDER + 1
+def _kernels(n: int):
+    """Straight-line Cauchy product and exp recurrence on n coefficients,
+    by name; their sums start from 0, as ``sum()`` starts them."""
+    a, b, u, v = ([f"{p}{k}" for k in range(n)] for p in "abuv")
+    conv = [" + ".join(["0", *(f"a{j} * b{k - j}" for j in range(k + 1))]) for k in range(n)]
+    rec = [" + ".join(["0", *(f"{j} * u{j} * v{k - j}" for j in range(1, k + 1))]) for k in range(1, n)]
+    source = "\n".join([
+        f"def mul({', '.join(a + b)}):",
+        f"    return ({', '.join(conv)},)",
+        f"def exp_jet({', '.join(u)}):",
+        "    v0 = exp(u0)",
+        *(f"    v{k} = ({terms}) / {k}" for k, terms in enumerate(rec, 1)),
+        f"    return ({', '.join(v)},)",
+    ])
+    env = {"exp": cmath.exp}
+    exec(compile(source, "<eval_jet>", "exec"), env)
+    return {"mul": env["mul"], "exp_jet": env["exp_jet"]}
+
+
+def _power(mul, a: tuple, k: int) -> tuple:
+    """a^k by binary powering: fewer than 2 * k.bit_length() products."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else mul(*out, *a)
+        k >>= 1
+        if k:
+            a = mul(*a, *a)
+    return out if out is not None else (1 + 0j,) + (0j,) * (len(a) - 1)

@@ -5,7 +5,7 @@ X = Re G increasing, so X itself is the natural curve parameter: the
 predictor follows dz/dX = 1/g(z) (g = G') and a Newton corrector pins
 G(z) back to X + i*beta after every step.  Parametrizing by X makes the
 transit time a one-dimensional integral of 1/|g|^2 over [X1, X2]: adaptive
-Simpson on corrector-refined points, each panel endpoint corrected once,
+Simpson on corrector-refined points, each curve sample corrected once,
 cross-checked against direct integration of the flow.
 """
 
@@ -193,11 +193,6 @@ class TransitReport:
     divergence_witness: Optional[float] = None
 
 
-class _IntegrandDiverged(Exception):
-    def __init__(self, x):
-        self.x = x
-
-
 def transit_time(
     curve: LevelCurve,
     cfg: Optional[IntegratorConfig] = None,
@@ -206,7 +201,7 @@ def transit_time(
 
     quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range to
     ``_TRANSIT_REL_TOL`` relative to each panel, Newton-correcting each
-    node onto the curve, each panel endpoint once.
+    node onto the curve, each curve sample once.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
@@ -222,29 +217,24 @@ def transit_time(
     ge = compile_fn(dg)
     beta = curve.beta
 
-    def speed_inv(x, za, zb, xa, xb):
-        frac = (x - xa) / (xb - xa)
-        guess = za + frac * (zb - za)
+    def speed_inv(x, guess):
         try:
             z = point_on_level(big_ge, ge, x, beta, guess)
         except CorrectorDivergence:
             # the corrector cannot pin the curve here: a critical value
             # of G sits inside the X-range
-            raise _IntegrandDiverged(x) from None
+            raise QuadratureDiverged(x) from None
         g = ge(z)
         if abs(g) < _G_MIN:
-            raise _IntegrandDiverged(x)
+            raise QuadratureDiverged(x)
         return 1.0 / (abs(g) * abs(g))
 
     witness = None
     quad = 0.0
     try:
-        # each panel corrects its own two endpoints once; the neighbouring
-        # panel starts Newton from its own guess at the shared end
-        panels = [
-            (xa, za, speed_inv(xa, za, zb, xa, xb), xb, zb, speed_inv(xb, za, zb, xa, xb))
-            for (xa, za), (xb, zb) in zip(curve.samples, curve.samples[1:])
-        ]
+        # each sample is corrected once, from itself, for both of its panels
+        fs = [speed_inv(x, z) for x, z in curve.samples]
+        panels = list(zip(curve.xs, curve.zs, fs, curve.xs[1:], curve.zs[1:], fs[1:]))
         rough = 0.0
         for xa, _, fa, xb, _, fb in panels:
             rough += 0.5 * (fa + fb) * (xb - xa)
@@ -253,12 +243,10 @@ def transit_time(
             est = 0.5 * (fa + fb) * (xb - xa)
             tol = _TRANSIT_REL_TOL * (est + floor + 1e-300)
             quad += adaptive_simpson(
-                lambda x: fa if x == xa else fb if x == xb else speed_inv(x, za, zb, xa, xb),
+                lambda x: fa if x == xa else fb if x == xb
+                else speed_inv(x, za + (x - xa) / (xb - xa) * (zb - za)),
                 xa, xb, tol,
             )
-    except _IntegrandDiverged as exc:
-        quad = math.inf
-        witness = exc.x
     except QuadratureDiverged as exc:
         quad = math.inf
         witness = exc.witness

@@ -231,8 +231,10 @@ class TestSubcommands:
             (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5"], ["--delta", "x"]),
             (["simulate", "--f", "i*z", "--z0", "1", "--svg"], ["--window", "a,b,c"]),
             (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5", "--svg"], ["--keep", "-3"]),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--m-max", "65"]),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--m-max", "-1"]),
         ],
-        ids=["Xmax", "N", "delta", "window", "keep"],
+        ids=["Xmax", "N", "delta", "window", "keep", "m-max-above-cap", "m-max-negative"],
     )
     def test_bad_option_value_plain_message(self, tmp_path, capsys, argv, bad):
         out_dir = tmp_path / "out"

@@ -113,6 +113,20 @@ class TestEscapeMeasure:
         assert sum(rep.counts.values()) == 40
         assert 0.0 <= rep.finite_time_fraction <= 1.0
 
+    def test_zero_on_segment_raises_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(escape_module, "integrate", None)
+        with pytest.raises(SegmentTruncated):
+            escape_measure(parse_expr("i*z + 1"), 0.0, 25.0, 5)
+
+    def test_segment_fields_built_once(self, monkeypatch):
+        real = escape_module.Field
+        built = []
+        monkeypatch.setattr(escape_module, "Field", lambda *args: built.append(args) or real(*args))
+        escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 3, IntegratorConfig(t_max=5.0))
+        # dz/dy = i f for y increasing and for y decreasing, shared by the
+        # validating trace and the sweep
+        assert len(built) == 2
+
     def test_collect_trajectories(self):
         cfg = IntegratorConfig(escape_radius=10.0, t_max=20.0)
         rep = escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 10, cfg, seed=5, collect=4)
@@ -326,6 +340,12 @@ class TestRubelPath:
             rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
             # every sample, every panel midpoint and the 17 window nodes
             assert len(calls) == 2 * len(rep.samples) - 1 + 17
+
+    @pytest.mark.parametrize("m_max", [-1, 65])
+    def test_m_max_rejected_before_tracing(self, monkeypatch, m_max):
+        monkeypatch.setattr(escape_module, "trace_level", None)
+        with pytest.raises(ValueError, match="m_max"):
+            rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 100.0, m_max=m_max)
 
     def test_off_level_seed_rejected(self):
         with pytest.raises(TractViolation):

@@ -1,16 +1,94 @@
+import cmath
 import math
 import random
 
 import pytest
 
 from planeflow.errors import EvaluationOverflow
-from planeflow.expr import Exp, IntPower, Negate, Scale, Variable, compile_fn, parse_expr
+from planeflow.expr import (
+    Add,
+    Constant,
+    Exp,
+    FuncExpr,
+    IntPower,
+    Mul,
+    Negate,
+    Scale,
+    Variable,
+    compile_fn,
+    parse_expr,
+)
 from planeflow import jets
 from planeflow.jets import Jet, eval_jet
 
-from conftest import tame_random_expr
+from conftest import random_expr, tame_random_expr
 
 Z = Variable()
+
+
+# The recursive walk eval_jet used before it was generated, kept as the
+# reference the generated jets must match bit for bit.
+
+def _c_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+def _c_neg(a):
+    return tuple(-x for x in a)
+
+def _c_scale(c, a):
+    return tuple(c * x for x in a)
+
+def _c_mul(a, b):
+    n = len(a)
+    return tuple(sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n))
+
+def _c_exp(u):
+    n = len(u)
+    v = [cmath.exp(u[0])] + [0j] * (n - 1)
+    for k in range(1, n):
+        v[k] = sum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
+    return tuple(v)
+
+def _c_pow(a, k):
+    """a^k by binary powering: fewer than 2 * k.bit_length() products."""
+    out = None
+    while k:
+        if k & 1:
+            out = a if out is None else _c_mul(out, a)
+        k >>= 1
+        if k:
+            a = _c_mul(a, a)
+    return out if out is not None else (1 + 0j,) + (0j,) * (len(a) - 1)
+
+
+def _jet_walk(expr: FuncExpr, z: complex, order: int):
+    n = order + 1
+    if isinstance(expr, Constant):
+        return (expr.value,) + (0j,) * (n - 1)
+    if isinstance(expr, Variable):
+        if n == 1:
+            return (z,)
+        return (z, 1 + 0j) + (0j,) * (n - 2)
+    if isinstance(expr, Add):
+        out = _c_add(_jet_walk(expr.left, z, order), _jet_walk(expr.right, z, order))
+    elif isinstance(expr, Mul):
+        out = _c_mul(_jet_walk(expr.left, z, order), _jet_walk(expr.right, z, order))
+    elif isinstance(expr, Negate):
+        out = _c_neg(_jet_walk(expr.arg, z, order))
+    elif isinstance(expr, Scale):
+        out = _c_scale(expr.factor, _jet_walk(expr.arg, z, order))
+    elif isinstance(expr, Exp):
+        try:
+            out = _c_exp(_jet_walk(expr.arg, z, order))
+        except OverflowError:
+            raise EvaluationOverflow(expr, at=z) from None
+    elif isinstance(expr, IntPower):
+        out = _c_pow(_jet_walk(expr.arg, z, order), expr.power)
+    else:
+        raise TypeError(f"not a FuncExpr node: {expr!r}")
+    if not all(cmath.isfinite(c) for c in out):
+        raise EvaluationOverflow(expr, at=z)
+    return out
 
 
 class TestExamples:
@@ -91,10 +169,15 @@ class TestOverflow:
 
 @pytest.fixture
 def mul_calls(monkeypatch):
-    """Record every jet convolution."""
-    real = jets._c_mul
+    """Record every jet convolution of the jet functions generated from here on."""
+    real = jets._kernels
     calls = []
-    monkeypatch.setattr(jets, "_c_mul", lambda a, b: calls.append(1) or real(a, b))
+
+    def kernels(n):
+        mul = real(n)["mul"]
+        return dict(real(n), mul=lambda *ab: calls.append(1) or mul(*ab))
+
+    monkeypatch.setattr(jets, "_kernels", kernels)
     return calls
 
 
@@ -125,12 +208,60 @@ class TestIntPower:
     )
     def test_matches_repeated_product(self, text, z):
         a = eval_jet(parse_expr(text), z, 6).coeffs
+        mul = jets._kernels(7)["mul"]
         for k in range(13):
             ref = (1 + 0j,) + (0j,) * 6
             for _ in range(k):
-                ref = jets._c_mul(ref, a)
-            got = jets._c_pow(a, k)
+                ref = _c_mul(ref, a)
+            got = jets._power(mul, a, k)
             assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-15 * max(abs(c) for c in ref)
+
+
+def _outcome(fn):
+    """repr of the coefficients, or the exception's class, node and point."""
+    try:
+        return repr(fn())
+    except EvaluationOverflow as exc:
+        return type(exc), id(exc.node), repr(exc.at)
+
+
+class TestGenerated:
+    def test_matches_walk_bit_for_bit(self):
+        rng = random.Random(20261018)
+        raised = 0
+        for _ in range(1500):
+            expr = random_expr(rng, rng.randint(1, 4))
+            order = rng.randint(0, 8)
+            # |z| up to 1e150 so that exp and the powers overflow on some trees
+            z = cmath.rect(10.0 ** rng.uniform(-2.0, 150.0) if rng.random() < 0.3 else rng.uniform(0.0, 3.0),
+                           rng.uniform(-math.pi, math.pi))
+            want = _outcome(lambda: _jet_walk(expr, z, order))
+            assert _outcome(lambda: eval_jet(expr, z, order).coeffs) == want, (expr, order, z)
+            raised += isinstance(want, tuple)
+        assert raised >= 20  # the overflowing node is compared too
+
+    def test_signed_zero_constants_kept_apart(self):
+        # Constant(0j) == Constant(-0j), so a table keyed by equality would
+        # hand the second tree the first one's function
+        assert repr(eval_jet(Add(Constant(0j), Z), -0j, 0).coeffs[0]) == "0j"
+        assert repr(eval_jet(Add(Constant(-0j), Z), -0j, 0).coeffs[0]) == "(-0-0j)"
+
+    def test_exp_without_value_overflows(self):
+        # cmath.exp raises ValueError for a finite real and an infinite imaginary part
+        expr = Exp(Z)
+        with pytest.raises(EvaluationOverflow) as err:
+            eval_jet(expr, complex(0.0, math.inf), 1)
+        assert err.value.node is expr
+
+    def test_order_capped(self):
+        assert eval_jet(Z, 1.0, jets._MAX_JET_ORDER).order == jets._MAX_JET_ORDER
+        with pytest.raises(ValueError, match="order"):
+            eval_jet(Z, 1.0, jets._MAX_JET_ORDER + 1)
+
+    def test_table_bounded(self):
+        for k in range(2 * jets._GENERATED_KEPT):
+            eval_jet(Scale(k, Z), 1.0, 2)
+        assert len(jets._GENERATED) == jets._GENERATED_KEPT
 
 
 class TestJetType:

@@ -242,11 +242,11 @@ class TestTransit:
             calls.clear()
             transit_time(curve, cfg)
             assert calls
-            # a sample abscissa is corrected once from each panel it ends
-            # (the two guesses may coincide), any other abscissa once
-            ends = Counter(curve.xs[:-1]) + Counter(curve.xs[1:])
+            # a sample abscissa is corrected once, from the sample itself,
+            # for both panels it ends; any other abscissa once
             per_x = Counter(x for x, _ in calls.elements())
-            assert all(n <= ends.get(x, 1) for x, n in per_x.items())
+            assert set(per_x.values()) == {1}
+            assert all((x, z) in calls for x, z in curve.samples)
 
 
 class TestCriterion:
