@@ -35,6 +35,7 @@ COMMANDS = (
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--csv", "--json"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6", "--json"]),
+    ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4", "--json"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg", "--json",
     ]),

@@ -33,7 +33,7 @@ from .expr import (
     poly_coeffs,
     to_text,
 )
-from .jets import Jet, eval_jet
+from .jets import eval_jet
 from .flow import (
     ANTIHOLOMORPHIC,
     FORWARD,

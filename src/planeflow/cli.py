@@ -99,6 +99,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return x
+
+
 def _window(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -119,7 +126,7 @@ _FLAGS = {
     "G": dict(required=True, help="potential whose level curve is traced"),
     "start": dict(required=True, help="start point"),
     "Xmax": dict(type=_finite_float, required=True, help="target Re G"),
-    "tol": dict(type=float, default=None, help="relative tolerance override"),
+    "tol": dict(type=_finite_float, default=None, help="relative tolerance override"),
     "tmax": dict(type=float, default=None, help="integration time budget"),
     "radius": dict(type=float, default=None, help="escape radius"),
     "out": dict(type=Path, default=Path("."), help="output directory"),
@@ -640,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-point", required=True, help="seed inside the large-|f| tract")
     p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--m-max", type=_int_at_least(0, _MAX_JET_ORDER), default=3)
-    p.add_argument("--c", type=_finite_float, action="append", default=None,
+    p.add_argument("--c", type=_positive_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
     _add_flags(p, "tol tmax radius out json")
     p.set_defaults(fn=_cmd_rubel)

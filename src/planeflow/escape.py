@@ -34,7 +34,7 @@ from .flow import (
     upgraded,
 )
 from .jets import _MAX_JET_ORDER, eval_jet
-from .level import point_on_level, trace_level
+from .level import _newton, point_on_level, trace_level
 
 __all__ = [
     "EscapeMeasureReport",
@@ -263,14 +263,19 @@ def rubel_path(
     (exact on the path) is large; one jet and one speed |f'| per node
     serve the growth ratios and every (m, c).  Tail integrals of
     |f^(m)|^(-c) |dz| report a partial sum plus a geometric bound from
-    the dyadic-window decay ratio, never a bare claim of convergence.
+    the dyadic-window decay ratio, never a bare claim of convergence;
+    each c must be positive and finite.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
         raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
+    # for c <= 0, |f^(m)|^(-c) |dz| does not decay along the path
+    if not all(0 < c < math.inf for c in c_values):
+        raise ValueError(f"each tail exponent c must be positive and finite, got {tuple(c_values)!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
     fe = compile_fn(f)
-    fpe = compile_fn(derivative(f))
+    df = derivative(f)
+    fpe = compile_fn(df)
     v = fe(z_seed)
     if abs(v.imag - d_shift) > 1e-6 * (1.0 + abs(v)):
         raise TractViolation(
@@ -295,15 +300,16 @@ def rubel_path(
     )
 
     factorials = [math.factorial(m) for m in range(m_max + 1)]
+    newton = _newton(f, df)
 
     def node(t, z):
         # one jet and one speed per node, read by the growth ratios and every
         # (m, c); log|f^(m)| = log|f^(m)/f| + log|f|, and on the path |f| = |t + iD|
-        jet = eval_jet(f, z, m_max)
+        coeffs = eval_jet(f, z, m_max)
         log_f = 0.5 * math.log(t * t + d_shift * d_shift)
         return [
-            math.log(abs(a * k / jet.coeffs[0])) + log_f if a != 0 else -math.inf
-            for a, k in zip(jet.coeffs, factorials)
+            math.log(abs(a * k / coeffs[0])) + log_f if a != 0 else -math.inf
+            for a, k in zip(coeffs, factorials)
         ], abs(fpe(z))
 
     at_samples = [node(t, z) for t, z in zip(ts, zs)]
@@ -325,7 +331,7 @@ def rubel_path(
     # Simpson panels: the sample records at both ends and one record at
     # the corrector-refined midpoint
     at_mids = [
-        node(0.5 * (ta + tb), point_on_level(fe, fpe, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)))
+        node(0.5 * (ta + tb), point_on_level(newton, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)))
         for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:])
     ]
 
@@ -338,7 +344,7 @@ def rubel_path(
     for k in range(n_sub + 1):
         t = t_lo + (t_hi - t_lo) * k / n_sub
         i = min(bisect.bisect_left(ts, t), last)
-        diag_nodes.append(node(t, point_on_level(fe, fpe, t, d_shift, zs[i])))
+        diag_nodes.append(node(t, point_on_level(newton, t, d_shift, zs[i])))
 
     tails = []
     for m in range(m_max + 1):

@@ -15,7 +15,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache, singledispatch
 from types import CodeType, FunctionType
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .errors import EntiretyViolation, EvaluationOverflow, ParseError, UnsupportedAntiderivative
 
@@ -213,7 +213,7 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     return FunctionType(_function_code(source), env)
 
 
-def _emit_body(expr: FuncExpr):
+def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", temp: str = "t"):
     """The statements that compute expr at the complex ``z``, ending with
     the finiteness check of the value; the name that holds the value; and
     the globals the statements read.
@@ -222,41 +222,47 @@ def _emit_body(expr: FuncExpr):
     root and ``z0``, which the caller binds to the argument it was given.
     :func:`compile_fn` wraps these statements in a function; the flow
     integrator inlines them into each stage of its step.
+
+    Given the ``env`` of an earlier body, a second tree binds its constants
+    and nodes into it; ``root`` and ``temp`` then name its root and prefix
+    its temporaries apart from the earlier body's, so that both bodies can
+    run in one function.
     """
-    env = {
-        "complex": complex,
-        "exp": cmath.exp,
-        "isfinite": cmath.isfinite,
-        "EvaluationOverflow": EvaluationOverflow,
-        "root": expr,
-    }
+    if env is None:
+        env = {
+            "complex": complex,
+            "exp": cmath.exp,
+            "isfinite": cmath.isfinite,
+            "EvaluationOverflow": EvaluationOverflow,
+        }
+    env[root] = expr
     lines: list = []
-    out = _emit(expr, lines, env)
+    out = _emit(expr, lines, env, temp)
     lines += [
         f"    if not isfinite({out}):",
-        "        raise EvaluationOverflow(root, at=z0)",
+        f"        raise EvaluationOverflow({root}, at=z0)",
     ]
     return "\n".join(lines), out, env
 
 
-def _emit(expr: FuncExpr, lines: list, env: dict) -> str:
+def _emit(expr: FuncExpr, lines: list, env: dict, temp: str) -> str:
     """Append the lines computing expr; return the name holding its value."""
     if isinstance(expr, Variable):
         return "z"
     if isinstance(expr, Constant):
         return _bind(env, "c", expr.value)
     if isinstance(expr, (Add, Mul)):
-        l, r = _emit(expr.left, lines, env), _emit(expr.right, lines, env)
+        l, r = _emit(expr.left, lines, env, temp), _emit(expr.right, lines, env, temp)
         value = f"{l} + {r}" if isinstance(expr, Add) else f"{l} * {r}"
     elif isinstance(expr, Negate):
-        value = f"-{_emit(expr.arg, lines, env)}"
+        value = f"-{_emit(expr.arg, lines, env, temp)}"
     elif isinstance(expr, Scale):
-        a = _emit(expr.arg, lines, env)
+        a = _emit(expr.arg, lines, env, temp)
         value = f"{_bind(env, 'c', expr.factor)} * {a}"
     elif isinstance(expr, (Exp, IntPower)):
-        a = _emit(expr.arg, lines, env)
+        a = _emit(expr.arg, lines, env, temp)
         value = f"exp({a})" if isinstance(expr, Exp) else f"{a} ** {expr.power}"
-        out = f"t{len(lines)}"
+        out = f"{temp}{len(lines)}"
         # cmath.exp raises ValueError for a finite real part and an
         # infinite imaginary part
         lines += [
@@ -268,7 +274,7 @@ def _emit(expr: FuncExpr, lines: list, env: dict) -> str:
         return out
     else:
         raise TypeError(f"not a FuncExpr node: {expr!r}")
-    out = f"t{len(lines)}"
+    out = f"{temp}{len(lines)}"
     lines.append(f"    {out} = {value}")
     return out
 
@@ -409,8 +415,8 @@ def _verify_antiderivative(g: FuncExpr, big_g: FuncExpr) -> None:
     from .jets import eval_jet  # local import to avoid a cycle
 
     for z in _CHECK_POINTS:
-        got = eval_jet(big_g, z, 1).coeffs[1]
-        want = eval_jet(g, z, 0).coeffs[0]
+        got = eval_jet(big_g, z, 1)[1]
+        want = eval_jet(g, z, 0)[0]
         if abs(got - want) > 1e-10 * (1.0 + abs(want)):
             raise UnsupportedAntiderivative(g)
 

@@ -110,6 +110,10 @@ class IntegratorConfig:
         for name in ("rel_tol", "abs_tol", "h_max", "escape_radius", "t_max"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
+        # an infinite tolerance accepts every step; the budgets may be infinite
+        for name in ("rel_tol", "abs_tol"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in doubles")
 

@@ -1,9 +1,9 @@
 """Truncated Taylor (jet) arithmetic for exact higher derivatives.
 
-A jet stores the Taylor coefficients a_0..a_m of a function at a
+A jet is the tuple of Taylor coefficients a_0..a_m of a function at a
 center, with a_k = f^(k)(center)/k!.  Storing coefficients rather than
-raw derivatives keeps the recurrences well scaled; the k! conversion
-happens only in :meth:`Jet.derivative`.  Propagation rules: sums and
+raw derivatives keeps the recurrences well scaled; a caller that needs
+the k-th derivative multiplies a_k by k!.  Propagation rules: sums and
 scalar multiples are elementwise, products use the Cauchy convolution,
 exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
 and integer powers use binary powering.
@@ -16,58 +16,25 @@ walk's operations in its order, so every bit and the overflowing node match.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from types import FunctionType
 
 from .errors import EvaluationOverflow
 from .expr import Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _function_code
 
-__all__ = ["Jet", "eval_jet"]
+__all__ = ["eval_jet"]
 
 _MAX_JET_ORDER = 64  # the generated kernels grow with the order squared
 _GENERATED_KEPT = 64  # generated jet functions kept, one per (tree, order)
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Value plus truncated Taylor coefficients at a point."""
+def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
+    """The Taylor coefficients (a_0, ..., a_order) of expr at z, a tuple.
 
-    center: complex
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a jet needs at least the order-0 coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def value(self) -> complex:
-        return self.coeffs[0]
-
-    def derivative(self, k: int) -> complex:
-        """k-th derivative at the center (coefficient times k!)."""
-        out = self.coeffs[k]
-        for j in range(2, k + 1):
-            out *= j
-        return out
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} jet to {order}")
-        return Jet(self.center, self.coeffs[: order + 1])
-
-
-def eval_jet(expr: FuncExpr, z: complex, order: int) -> Jet:
-    """Evaluate expr and its Taylor coefficients a_0..a_order at z.
-
-    a_k equals the k-th derivative divided by k!, so ``coeffs[0]`` is
-    the plain value.  Overflow in any coefficient, or an exp without a
-    value, raises EvaluationOverflow carrying the innermost offending
-    node.  The order must lie in 0..``_MAX_JET_ORDER``.
+    a_k equals the k-th derivative divided by k!, so ``a_0`` is the plain
+    value.  Overflow in any coefficient, or an exp without a value, raises
+    EvaluationOverflow carrying the innermost offending node.  The order
+    must lie in 0..``_MAX_JET_ORDER``.
     """
     if not 0 <= order <= _MAX_JET_ORDER:
         raise ValueError(f"order must be in 0..{_MAX_JET_ORDER}, got {order!r}")
@@ -81,7 +48,7 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> Jet:
         if len(_GENERATED) >= _GENERATED_KEPT:
             del _GENERATED[next(iter(_GENERATED))]  # the oldest
         kept = _GENERATED[id(expr), order] = expr, FunctionType(_function_code(source), env)
-    return Jet(z, kept[1](z))
+    return kept[1](z)
 
 
 # (id(tree), order) -> (tree, its jet function), never found by equality:

@@ -3,20 +3,25 @@
 An antiholomorphic trajectory is a level curve of Im G traversed with
 X = Re G increasing, so X itself is the natural curve parameter: the
 predictor follows dz/dX = 1/g(z) (g = G') and a Newton corrector pins
-G(z) back to X + i*beta after every step.  Parametrizing by X makes the
-transit time a one-dimensional integral of 1/|g|^2 over [X1, X2]: adaptive
-Simpson on corrector-refined points, each curve sample corrected once,
-cross-checked against direct integration of the flow.
+G(z) back to X + i*beta after every step.  The corrector is generated per
+G: one straight-line Newton loop with the statements that compute G and g
+inlined, as the flow integrator inlines f into its step.  Parametrizing by
+X makes the transit time a one-dimensional integral of 1/|g|^2 over
+[X1, X2]: adaptive Simpson on corrector-refined points, each curve sample
+corrected once, cross-checked against direct integration of the flow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from textwrap import indent
+from types import CodeType, FunctionType
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import FuncExpr, compile_fn, derivative
+from .expr import FuncExpr, _code_of, _emit_body, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, adaptive_simpson
 
@@ -66,29 +71,56 @@ class LevelCurve:
         return len(self.xs)
 
 
-def _corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
-    """Newton solve G(z) = target from z_guess; returns (z, iterations) or None."""
-    z = z_guess
-    for it in range(max_iter + 1):
-        try:
-            v = big_ge(z)
-        except EvaluationOverflow:
-            return None
-        if abs(v - target) <= tol:
-            return z, it
-        if it == max_iter:
-            return None
-        g = ge(z)
-        if abs(g) < _G_MIN:
-            return None
-        z = z - (v - target) / g
+def _newton(big_g: FuncExpr, dg: FuncExpr):
+    """The Newton corrector ``(target, z_guess, tol, max_iter)`` of G = big_g
+    with g = dg = G', generated as one function; see :func:`_corrector`.
+
+    Each iteration runs the statements :func:`compile_fn` would run for G
+    and then for g, inlined, so values and exceptions are those of calling
+    the two compiled functions: an overflow in G ends the solve, one in g
+    propagates.  Constants and nodes are bound as globals, never written
+    into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
+    """
+    big_body, v, env = _emit_body(big_g)
+    body, g, env = _emit_body(dg, env, root="droot", temp="d")
+    return FunctionType(_newton_code(big_body, v, body, g), {**env, "G_MIN": _G_MIN})
 
 
-def point_on_level(big_ge, ge, x, beta, z_guess):
+@lru_cache(maxsize=256)
+def _newton_code(big_body: str, v: str, body: str, g: str) -> CodeType:
+    """Code of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
+    for g = g(z), with ``z0`` the point as given and ``z`` as complex."""
+    source = "\n".join([
+        "def newton(target, z0, tol, max_iter):",
+        "    z = complex(z0)",
+        "    for it in range(max_iter + 1):",
+        "        try:",
+        indent(big_body, " " * 8),
+        "        except EvaluationOverflow:",
+        "            return None",
+        f"        if abs({v} - target) <= tol:",
+        "            return z0, it",
+        "        if it == max_iter:",
+        "            return None",
+        indent(body, " " * 4),
+        f"        if abs({g}) < G_MIN:",
+        "            return None",
+        f"        z0 = z = z - ({v} - target) / {g}",
+    ])
+    return _code_of(source, "<newton>")
+
+
+def _corrector(newton, target, z_guess, tol, max_iter=8):
+    """Newton solve G(z) = target from z_guess with the corrector ``newton``
+    of G (see :func:`_newton`); returns (z, iterations) or None."""
+    return newton(target, z_guess, tol, max_iter)
+
+
+def point_on_level(newton, x, beta, z_guess):
     """Corrector-refined curve point at Re G = x (shared by the quadratures)."""
     target = complex(x, beta)
     tol = _POINT_TOL * (1.0 + abs(target))
-    got = _corrector(big_ge, ge, target, z_guess, tol, max_iter=12)
+    got = _corrector(newton, target, z_guess, tol, max_iter=12)
     if got is None:
         raise CorrectorDivergence("level-curve corrector diverged", z_guess)
     return got[0]
@@ -112,7 +144,9 @@ def trace_level(
     """
     cfg = cfg or IntegratorConfig()
     big_ge = compile_fn(big_g)
-    ge = compile_fn(derivative(big_g))
+    dg = derivative(big_g)
+    ge = compile_fn(dg)
+    newton = _newton(big_g, dg)
     z = complex(z_start)
     v0 = big_ge(z)
     beta = v0.imag
@@ -136,7 +170,7 @@ def trace_level(
         dx = min(dx, x_target - x)
         if x + dx == x:
             break  # remaining span below double resolution at this X
-        step = _pc_step(big_ge, ge, z, g, x, dx, beta)
+        step = _pc_step(newton, ge, z, g, x, dx, beta)
         if step is None:
             fails += 1
             dx *= 0.5
@@ -165,7 +199,7 @@ def trace_level(
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 
 
-def _pc_step(big_ge, ge, z, g0, x, dx, beta):
+def _pc_step(newton, ge, z, g0, x, dx, beta):
     """Midpoint predictor from z, where g(z) = g0, then the corrector."""
     target = complex(x + dx, beta)
     try:
@@ -179,7 +213,7 @@ def _pc_step(big_ge, ge, z, g0, x, dx, beta):
     # tolerance scales with the step so points near a critical value of G
     # (|target| tiny) are still resolved to full relative precision
     tol = 1e-12 * (abs(target) + dx)
-    return _corrector(big_ge, ge, target, z_pred, tol)
+    return _corrector(newton, target, z_pred, tol)
 
 
 @dataclass(frozen=True)
@@ -215,11 +249,12 @@ def transit_time(
     big_ge = compile_fn(curve.big_g)
     dg = derivative(curve.big_g)
     ge = compile_fn(dg)
+    newton = _newton(curve.big_g, dg)
     beta = curve.beta
 
     def speed_inv(x, guess):
         try:
-            z = point_on_level(big_ge, ge, x, beta, guess)
+            z = point_on_level(newton, x, beta, guess)
         except CorrectorDivergence:
             # the corrector cannot pin the curve here: a critical value
             # of G sits inside the X-range

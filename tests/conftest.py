@@ -1,6 +1,7 @@
 import cmath
 import random
 
+from planeflow.errors import CorrectorDivergence, EvaluationOverflow
 from planeflow.expr import (
     Add,
     Constant,
@@ -12,6 +13,7 @@ from planeflow.expr import (
     Variable,
     compile_fn,
 )
+from planeflow.level import _G_MIN, _POINT_TOL
 
 
 def random_expr(rng: random.Random, depth: int = 3):
@@ -58,3 +60,35 @@ def rubel_start(rng: random.Random, scale: float = 1.0):
 def level_start(rng: random.Random, k: int) -> complex:
     """Start point for G = z^k/k with Re G > 0 and Im G > 0."""
     return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.2) / k)
+
+
+# The level-curve corrector as it was before it was generated per G: two
+# compiled functions, G and g = G', called once per Newton iteration.  Kept
+# as the reference the generated corrector must match bit for bit.
+
+def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
+    """Newton solve G(z) = target from z_guess; returns (z, iterations) or None."""
+    z = z_guess
+    for it in range(max_iter + 1):
+        try:
+            v = big_ge(z)
+        except EvaluationOverflow:
+            return None
+        if abs(v - target) <= tol:
+            return z, it
+        if it == max_iter:
+            return None
+        g = ge(z)
+        if abs(g) < _G_MIN:
+            return None
+        z = z - (v - target) / g
+
+
+def reference_point_on_level(big_ge, ge, x, beta, z_guess):
+    """Corrector-refined curve point at Re G = x (shared by the quadratures)."""
+    target = complex(x, beta)
+    tol = _POINT_TOL * (1.0 + abs(target))
+    got = reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=12)
+    if got is None:
+        raise CorrectorDivergence("level-curve corrector diverged", z_guess)
+    return got[0]

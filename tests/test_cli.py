@@ -125,7 +125,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 2
-        assert "rel_tol" in err
+        assert "argument --tol:" in err  # rejected at the argparse edge
         assert out == ""
 
 
@@ -194,8 +194,9 @@ class TestSubcommands:
             (["rubel", "--f", "exp(z)", "--seed-point", "2"], "--t-end"),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], "--D"),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], "--c"),
+            (["classify", "--f", "z^2", "--z0", "1"], "--tol"),
         ],
-        ids=["level-trace-Xmax", "transit-Xmax", "measure-delta", "rubel-t-end", "rubel-D", "rubel-c"],
+        ids=["level-trace-Xmax", "transit-Xmax", "measure-delta", "rubel-t-end", "rubel-D", "rubel-c", "classify-tol"],
     )
     def test_nonfinite_float_option_exit_2(self, tmp_path, capsys, argv, option, value):
         out_dir = tmp_path / "out"
@@ -233,8 +234,10 @@ class TestSubcommands:
             (["measure", "--f", "-exp(-z)", "--z0", "0", "--N", "5", "--svg"], ["--keep", "-3"]),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--m-max", "65"]),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--m-max", "-1"]),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--c", "-400"]),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--c", "0"]),
         ],
-        ids=["Xmax", "N", "delta", "window", "keep", "m-max-above-cap", "m-max-negative"],
+        ids=["Xmax", "N", "delta", "window", "keep", "m-max-above-cap", "m-max-negative", "c-negative", "c-zero"],
     )
     def test_bad_option_value_plain_message(self, tmp_path, capsys, argv, bad):
         out_dir = tmp_path / "out"

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from conftest import rubel_start
+from conftest import reference_point_on_level, rubel_start
 
 from planeflow.errors import SegmentTruncated, TractViolation
 import planeflow.escape as escape_module
@@ -27,7 +27,7 @@ from planeflow.flow import (
     integrate,
 )
 from planeflow.jets import eval_jet
-from planeflow.level import point_on_level, trace_level
+from planeflow.level import trace_level
 from planeflow.quadrature import adaptive_gauss
 
 
@@ -192,9 +192,9 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     )
 
     def log_abs_deriv(t, jet, m):
-        if jet.coeffs[m] == 0:
+        if jet[m] == 0:
             return -math.inf
-        quotient = jet.coeffs[m] * math.factorial(m) / jet.coeffs[0]
+        quotient = jet[m] * math.factorial(m) / jet[0]
         return math.log(abs(quotient)) + 0.5 * math.log(t * t + d_shift * d_shift)
 
     growth = {m: [] for m in range(m_max + 1)}
@@ -218,7 +218,7 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     panels = []
     for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:]):
         tm = 0.5 * (ta + tb)
-        zm = point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb))
+        zm = reference_point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb))
         nodes = tuple(
             (t, eval_jet(f, z, m_max), abs(fpe(z)), w)
             for t, z, w in ((ta, za, 1.0), (tm, zm, 4.0), (tb, zb, 1.0))
@@ -232,7 +232,7 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     for k in range(n_sub + 1):
         t = t_lo + (t_hi - t_lo) * k / n_sub
         i = min(bisect.bisect_left(ts, t), len(zs) - 1)
-        z = point_on_level(fe, fpe, t, d_shift, zs[i])
+        z = reference_point_on_level(fe, fpe, t, d_shift, zs[i])
         diag_nodes.append((t, eval_jet(f, z, m_max), abs(fpe(z))))
 
     tails = []
@@ -346,6 +346,14 @@ class TestRubelPath:
         monkeypatch.setattr(escape_module, "trace_level", None)
         with pytest.raises(ValueError, match="m_max"):
             rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 100.0, m_max=m_max)
+
+    @pytest.mark.parametrize("c_values", [(0.0,), (-400.0,), (0.5, -1.0), (math.nan,), (math.inf,)])
+    def test_nonpositive_c_rejected_before_tracing(self, monkeypatch, c_values):
+        # for c <= 0 the tail integrand does not decay: c = 0 is the path's
+        # length, and c = -400 overflowed
+        monkeypatch.setattr(escape_module, "trace_level", None)
+        with pytest.raises(ValueError, match="tail exponent"):
+            rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 1e18, c_values=c_values)
 
     def test_off_level_seed_rejected(self):
         with pytest.raises(TractViolation):

@@ -58,10 +58,15 @@ class TestFlowSpecValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=-1.0)
 
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "h_max", "escape_radius", "t_max"])
-    def test_nan_rejected(self, name):
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(n, math.nan, id=n) for n in ("rel_tol", "abs_tol", "h_max", "escape_radius", "t_max")]
+        # an infinite tolerance accepts every step
+        + [pytest.param(n, math.inf, id=f"{n}-inf") for n in ("rel_tol", "abs_tol")],
+    )
+    def test_nan_rejected(self, name, value):
         with pytest.raises(ValueError):
-            IntegratorConfig(**{name: math.nan})
+            IntegratorConfig(**{name: value})
 
     def test_infinite_budgets_still_accepted(self):
         cfg = IntegratorConfig(h_max=math.inf, t_max=math.inf, escape_radius=math.inf)

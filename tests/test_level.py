@@ -1,19 +1,19 @@
+import cmath
 import math
 import random
 from collections import Counter
 
 import pytest
-from conftest import level_start
+from conftest import level_start, random_expr, reference_corrector, reference_point_on_level
 
 import planeflow.level as level_module
-from planeflow.errors import CorrectorDivergence
-from planeflow.expr import compile_fn, derivative, parse_expr
+from planeflow.errors import CorrectorDivergence, EvaluationOverflow
+from planeflow.expr import Add, Constant, Mul, Scale, Variable, compile_fn, derivative, parse_expr
 from planeflow.flow import Event, Field, IntegratorConfig, drive_field
 from planeflow.level import (
     LevelCurve,
     TransitReport,
     infinite_time_criterion,
-    point_on_level,
     trace_level,
     transit_time,
 )
@@ -42,7 +42,7 @@ def _reference_transit_time(curve, cfg=None, *, quad_rel_tol=1e-7, g_min=1e-8):
         frac = (x - xa) / (xb - xa)
         guess = za + frac * (zb - za)
         try:
-            z = point_on_level(big_ge, ge, x, beta, guess)
+            z = reference_point_on_level(big_ge, ge, x, beta, guess)
         except CorrectorDivergence:
             raise _Diverged(x) from None
         g = ge(z)
@@ -111,6 +111,68 @@ def _critical_value_curve():
     return LevelCurve(parse_expr("z^2 / 2"), 0.0, tuple(xs), tuple(zs), "target")
 
 
+def _outcome(fn):
+    """repr of the result, or the exception's class, args, node and point."""
+    try:
+        return repr(fn())
+    except EvaluationOverflow as exc:
+        return type(exc), exc.args, id(exc.node), repr(exc.at)
+
+
+class TestCorrector:
+    def test_matches_reference_bit_for_bit(self):
+        rng = random.Random(20261018)
+        zero, neg_zero = Constant(0j), Constant(-0j)
+        trees = [Add(Variable(), zero), Add(Variable(), neg_zero)]
+        for _ in range(60):
+            tree = random_expr(rng, 4)
+            trees += [tree, Add(tree, zero), Mul(Add(neg_zero, Variable()), tree)]
+        cases = []
+        for big_g in trees:
+            big_ge = compile_fn(big_g)
+            cases.append((big_g, 0j, complex(1.0, -0.0), 0.0, 1))
+            for _ in range(6):
+                z_true = cmath.rect(10 ** rng.uniform(-1, 3), rng.uniform(-math.pi, math.pi))
+                try:
+                    target = big_ge(z_true)
+                except EvaluationOverflow:
+                    target = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                guess = z_true * complex(1 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+                cases.append((big_g, target, guess, 1e-12 * (1 + abs(target)), rng.choice((8, 12))))
+        # G scaled to near the top of the double range where |g| > 4|G|:
+        # at the guess G is finite and g overflows
+        scaled = 0
+        while scaled < 20:
+            tree, z = random_expr(rng, 4), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            try:
+                a, b = abs(compile_fn(tree)(z)), abs(compile_fn(derivative(tree))(z))
+            except EvaluationOverflow:
+                continue
+            if 1 <= a and 4 * a < b:
+                cases.append((Scale(1e308 / a, tree), 0j, z, 0.0, 8))
+                scaled += 1
+        raised = nones = 0
+        for big_g, target, guess, tol, max_iter in cases:
+            dg = derivative(big_g)
+            newton = level_module._newton(big_g, dg)
+            big_ge, ge = compile_fn(big_g), compile_fn(dg)
+            want = _outcome(lambda: reference_corrector(big_ge, ge, target, guess, tol, max_iter))
+            got = _outcome(lambda: level_module._corrector(newton, target, guess, tol, max_iter))
+            assert got == want, (big_g, target, guess, tol, max_iter)
+            raised += isinstance(want, tuple)
+            nones += want == "None"
+        # both ways out of a failed solve are exercised
+        assert raised >= 20 and nones >= 20
+
+    def test_signed_zero_constants_kept_apart(self):
+        # Constant(0j) == Constant(-0j): code found by tree equality, or with
+        # the constants written into its source, would give one of these the
+        # other's bits
+        got = [level_module._newton(Add(Variable(), c), Constant(1.0))(0j, complex(1.0, -0.0), 0.0, 1)
+               for c in (Constant(0j), Constant(-0j))]
+        assert repr(got) == "[(-0j, 1), (0j, 1)]"
+
+
 class TestTrace:
     def test_parabola_curve_is_positive_real_axis(self):
         # G = z^2/2 from 1: z(X) = sqrt(2X), so X=50 lands on z=10
@@ -171,7 +233,14 @@ class TestTrace:
 
             return counted
 
+        def newton(big_g, dg):
+            # the corrector as the two compiled functions it inlines, so that
+            # its g evaluations are seen in order with trace_level's own
+            big_ge, ge = compiling(big_g), compiling(dg)
+            return lambda *args: reference_corrector(big_ge, ge, *args)
+
         monkeypatch.setattr(level_module, "compile_fn", compiling)
+        monkeypatch.setattr(level_module, "_newton", newton)
         rng = random.Random(7)
         cfg = IntegratorConfig(escape_radius=1e9)
         for k in (1, 2, 3, 4):
@@ -232,9 +301,9 @@ class TestTransit:
         real = level_module.point_on_level
         calls = Counter()
 
-        def counted(big_ge, ge, x, beta, z_guess):
+        def counted(newton, x, beta, z_guess):
             calls[x, z_guess] += 1
-            return real(big_ge, ge, x, beta, z_guess)
+            return real(newton, x, beta, z_guess)
 
         monkeypatch.setattr(level_module, "point_on_level", counted)
         cfg, curves = _power_curves(per_k=2)
