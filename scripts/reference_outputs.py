@@ -3,15 +3,15 @@
 Usage: python scripts/reference_outputs.py OUTDIR
 
 Each command runs through the ``src/`` tree of the checkout this script
-sits in, with ``--out .`` and its working directory set to its own empty
-``OUTDIR/<name>/files``.  Its stdout, stderr and exit code go to
+sits in, with its working directory set to its own empty
+``OUTDIR/<name>/files``, and with ``--out .`` unless it is ``demo``, which
+writes no files.  Its stdout, stderr and exit code go to
 ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt`` in ``OUTDIR/<name>``.
 To check that a change keeps the outputs byte-identical, run the script
 in a checkout of each commit and compare with ``diff -r OLD NEW``.
 
 Exits 1 when any command exits non-zero, so a documented command that
-stops working fails the run.  ``planeflow demo`` is not among them; it
-is run on its own.
+stops working fails the run.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ COMMANDS = (
     ]),
     ("classify-square", ["classify", "--f", "z^2", "--z0", "1", "--radius", "100", "--json"]),
     ("classify-exp", ["classify", "--f", "-exp(-z)", "--z0", "0", "--json"]),
+    # the seed starts beyond the radius: its crossing takes all 60 bisection halvings
+    ("classify-outside", ["classify", "--f", "z^2", "--z0", "20", "--radius", "10", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--csv", "--json"]),
@@ -41,6 +43,8 @@ COMMANDS = (
     ]),
     ("rubel", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e45", "--json"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo", "--json"]),
+    # the ten acceptance criteria, one of them a run that starts on its radius
+    ("demo", ["demo"]),
 )
 
 
@@ -60,7 +64,7 @@ def main(argv) -> int:
         files = run_dir / "files"
         files.mkdir(parents=True)
         proc = subprocess.run(
-            [sys.executable, "-m", "planeflow.cli", *args, "--out", "."],
+            [sys.executable, "-m", "planeflow.cli", *args, *(["--out", "."] if args != ["demo"] else [])],
             cwd=files, env=env, capture_output=True,
         )
         (run_dir / "stdout.txt").write_bytes(proc.stdout)

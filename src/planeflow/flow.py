@@ -17,6 +17,12 @@ from the w = 1/z chart (polynomials of degree >= 2, where the residual
 transit time is a regular quadrature in the chart) or from geometric
 extrapolation of exit times through dyadic radii.  When neither
 applies, the negative result is reported as evidence, never proof.
+
+Every stop short of the time budget is an :class:`Event`: a zero
+crossing of a real function g, refined by bisection on the accepted
+step's cubic Hermite interpolant.  Radii are events too, built with
+:meth:`Event.at_radius`; the integrator reads their g from the |z| each
+step already holds.
 """
 
 from __future__ import annotations
@@ -295,11 +301,33 @@ def _hermite(z0, d0, z1, d1, h, theta):
     )
 
 
-def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
-    """Bisect fn over [lo, hi] assuming fn(lo) < 0 <= fn(hi)."""
-    for _ in range(iters):
+def _crossing_theta(g, z0, d0, z1, d1, h):
+    """The theta in (0, 1] where g turns nonnegative along the step's
+    cubic Hermite interpolant, bisected assuming g < 0 at theta = 0.
+
+    The cubic is ``_hermite``'s, with the same operations in the same
+    order; its integer literals are written as floats, which gives the
+    same bits without converting them on every multiplication.  The
+    sixty halvings stop once the midpoint equals an end: a midpoint
+    equal to ``hi`` cannot move it, and one equal to ``lo`` (never the
+    first 0.0, as ``hi`` stays at least 2^-60) re-tests a point already
+    seen negative, so ``hi`` is that of all sixty.
+    """
+    hd0, hd1 = h * d0, h * d1
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if fn(mid) < 0.0:
+        if mid == lo or mid == hi:
+            break
+        t2 = mid * mid
+        t3 = t2 * mid
+        zm = (
+            (2.0 * t3 - 3.0 * t2 + 1.0) * z0
+            + (t3 - 2.0 * t2 + mid) * hd0
+            + (-2.0 * t3 + 3.0 * t2) * z1
+            + (t3 - t2) * hd1
+        )
+        if g(zm) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -314,14 +342,28 @@ class Event:
     therefore fires only after g has gone negative, unless
     ``start_below`` counts g as negative before the first step.  The
     crossing is located by bisection on the step's cubic Hermite
-    interpolant.  A terminal event then ends the run; any other records
-    its crossing and is retired.
+    interpolant, which takes g to be deterministic: the same point
+    always gives the same value.  A terminal event then ends the run;
+    any other records its crossing and is retired.
+
+    :meth:`at_radius` builds the event of reaching a radius r, whose g
+    is |z| - r; on each step :func:`drive_field` computes that value
+    from the |z| it already holds, with the same bits as calling g.
     """
+
+    radius: Optional[float] = None  # set by at_radius
 
     def __init__(self, g: Callable[[complex], float], terminal: bool = True, *, start_below: bool = False):
         self.g = g
         self.terminal = terminal
         self.start_below = start_below
+
+    @classmethod
+    def at_radius(cls, r: float, terminal: bool = True, *, start_below: bool = False) -> "Event":
+        """The event of |z| reaching r."""
+        ev = cls(lambda z: abs(z) - r, terminal, start_below=start_below)
+        ev.radius = r
+        return ev
 
     def veto(self, path, z_new) -> bool:
         """True dismisses a rise onto z_new before it is refined; ``path``
@@ -392,14 +434,20 @@ def drive_field(
     is inlined into the step; any other callable is called once a stage.
     Its step-size clamps are comparisons that pick the same operand as
     ``min``/``max`` do: the first, unless a later one wins strictly.
+    ``t0`` must be finite and ``t_stop`` not NaN; ``t_stop`` may be
+    infinite.
     """
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    if math.isnan(t_stop):
+        raise ValueError("t_stop must not be NaN")
     t, z = t0, complex(z0)
     samples = [(t, z)]
     errors = [0.0]
     crossings = []
 
     k1 = rhs(z)
-    watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
+    watch = [[ev, -math.inf if ev.start_below else ev.g(z), ev.radius] for ev in events]
     h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
     step = _stepper(rhs)
@@ -433,11 +481,11 @@ def drive_field(
             return OdeResult(samples, errors, crossings, "underflow")
 
         for entry in watch:
-            ev, g_old = entry
-            g_new = entry[1] = ev.g(z_new)
+            ev, g_old, r = entry
+            g_new = entry[1] = ev.g(z_new) if r is None else size_new - r
             if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
                 continue
-            theta = _bisect_theta(lambda s: ev.g(_hermite(z, k1, z_new, k7, h, s)))
+            theta = _crossing_theta(ev.g, z, k1, z_new, k7, h)
             zc = _hermite(z, k1, z_new, k7, h, theta)
             if ev.rejects(zc):
                 continue
@@ -480,7 +528,7 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
         return Trajectory(spec, z0, ((0.0, z0),), (0.0,), FixedPointApproach(z0))
 
     # a seed beyond the radius reaches it at the first step that ends there
-    radius = Event(lambda z, r=cfg.escape_radius: abs(z) - r, start_below=True)
+    radius = Event.at_radius(cfg.escape_radius, start_below=True)
     events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL))
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":
@@ -601,7 +649,7 @@ def _poly_chart_estimate(rhs, coeffs, traj, cfg) -> Optional[BlowupEstimate]:
     r_safe = 2.0 * root_bound
     t_far, z_far = traj.samples[-1]
     if abs(z_far) < r_safe:
-        out = Event(lambda z: abs(z) - r_safe)
+        out = Event.at_radius(r_safe)
         res = drive_field(rhs, z_far, cfg, t0=t_far, t_stop=t_far + cfg.t_max, events=(out,))
         if res.status != "event":
             return None
@@ -637,7 +685,7 @@ def _dyadic_estimate(rhs, traj, cfg) -> BlowupEstimate:
     t_exit, z_exit = traj.samples[-1]
     r0 = abs(z_exit)
     radii = [r0 * 2.0**k for k in range(1, _DYADIC_WINDOW)]
-    marks = [Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii]
+    marks = [Event.at_radius(r, terminal=r == radii[-1]) for r in radii]
     res = drive_field(rhs, z_exit, cfg, t0=t_exit, t_stop=t_exit + cfg.t_max, events=marks)
     # radii are crossed in ascending order, the outermost ending the run
     times = [(r0, t_exit)] + [(r, t) for r, (_, t, _) in zip(radii, res.crossings)]

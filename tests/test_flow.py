@@ -335,6 +335,49 @@ class TestDriver:
         assert abs(z.real - 5.0) <= 1e-9
         assert abs(t - 5.0) <= 1e-9
 
+    def test_radius_event(self):
+        ev = Event.at_radius(3.0, terminal=False, start_below=True)
+        assert (ev.radius, ev.terminal, ev.start_below) == (3.0, False, True)
+        assert ev.g(3 + 4j) == 2.0
+        assert Event(ev.g).radius is None
+
+    def test_two_radii_in_one_step_fire_in_the_order_given(self):
+        events = _two_radii_in_one_step()
+        res = drive_field(Field(parse_expr("z")), 1 + 0j, IntegratorConfig(), t_stop=5.0, events=events)
+        assert res.status == "event"
+        assert [ev for ev, _, _ in res.crossings] == list(events)
+        (_, t1, _), (_, t2, _) = res.crossings
+        # both after the last accepted sample: crossed in the same step
+        assert res.samples[-2][0] < t1 <= t2 == res.samples[-1][0]
+        assert abs(t1 - math.log(2.0)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "times, name",
+        [
+            pytest.param({"t_stop": math.nan}, "t_stop", id="t_stop-nan"),
+            pytest.param({"t0": math.nan, "t_stop": 1.0}, "t0", id="t0-nan"),
+            pytest.param({"t0": -math.inf, "t_stop": 1.0}, "t0", id="t0-inf"),
+        ],
+    )
+    def test_nan_time_rejected_before_any_step(self, times, name):
+        # a NaN t_stop ran -exp(-z) into "underflow" and i*z into the step budget
+        calls = []
+
+        def rhs(z):
+            calls.append(z)
+            return 1j * z
+
+        with pytest.raises(ValueError, match=name):
+            drive_field(rhs, 1 + 0j, IntegratorConfig(), **times)
+        assert calls == []
+
+    def test_infinite_t_stop_accepted(self):
+        res = drive_field(
+            Field(parse_expr("z")), 1 + 0j, IntegratorConfig(), t_stop=math.inf, events=(Event.at_radius(10.0),)
+        )
+        assert res.status == "event"
+        assert abs(res.samples[-1][0] - math.log(10.0)) <= 1e-8
+
 
 # The former flow._dp_step and its tableau, kept as the reference for the
 # generated step.
@@ -526,11 +569,26 @@ class TestFieldPerSpec:
         assert flow_module._rhs(spec) is flow_module._rhs(spec)
 
 
+# The former flow._bisect_theta and drive_field loop, kept as the references
+# for drive_field's crossing refinement, clamps and budget.
+
+
+def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
+    """Bisect fn over [lo, hi] assuming fn(lo) < 0 <= fn(hi)."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
-    """The drive_field loop as it was written with min/max and a step
-    counter, kept as the reference for the loop's clamps and budget."""
+    """The drive_field loop as it was written with min/max, a step
+    counter, g called for every event and 60 bisection halvings."""
     _EPS, _MAX_STEPS = flow_module._EPS, flow_module._MAX_STEPS
-    _stepper, _bisect_theta, _hermite = flow_module._stepper, flow_module._bisect_theta, flow_module._hermite
+    _stepper, _hermite = flow_module._stepper, flow_module._hermite
     OdeResult = flow_module.OdeResult
     t, z = t0, complex(z0)
     samples = [(t, z)]
@@ -612,7 +670,7 @@ def _run_outcome(drive, rhs, z0, cfg, t_stop, events=()):
 def _integrate_events(rhs, z0, radius):
     """The events integrate() watches: its radius and the seed's return."""
     return (
-        Event(lambda z: abs(z) - radius, start_below=True),
+        Event.at_radius(radius, start_below=True),
         flow_module._SeedReturn(z0, rhs(z0), rhs, flow_module._PERIODIC_RETURN_TOL),
     )
 
@@ -625,7 +683,17 @@ def _integrate_case(text, z0, radius, t_stop=20.0):
 
 def _dyadic_marks(z0, n=3):
     radii = [abs(z0) * 2.0**k for k in range(1, n + 1)]
+    return tuple(Event.at_radius(r, terminal=r == radii[-1]) for r in radii)
+
+
+def _called_marks(z0, n=3):
+    """Dyadic marks whose g drive_field must call on every step."""
+    radii = [abs(z0) * 2.0**k for k in range(1, n + 1)]
     return tuple(Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii)
+
+
+def _two_radii_in_one_step():
+    return Event.at_radius(2.0, terminal=False), Event.at_radius(2.0 + 1e-9)
 
 
 def _stuck_above_one(z):
@@ -658,6 +726,13 @@ def _drive_cases():
         # dyadic marks: non-terminal crossings, then the terminal one
         (Field(parse_expr("z^2")), 10 + 0j, cfg, 10.0, _dyadic_marks(10 + 0j)),
         (Field(parse_expr("z^3"), "{}.conjugate()"), 10 + 0j, cfg, 10.0, _dyadic_marks(10 + 0j)),
+        (Field(parse_expr("z^2")), 10 + 0j, cfg, 10.0, _called_marks(10 + 0j)),
+        # two radii crossed in one step, the non-terminal given first; a
+        # start_below radius from beyond it (crossed at theta = 2^-60);
+        # an infinite radius, never reached
+        (Field(parse_expr("z")), 1 + 0j, cfg, 5.0, _two_radii_in_one_step()),
+        (Field(parse_expr("z^2")), 20 + 0j, cfg, 1.0, (Event.at_radius(10.0, start_below=True),)),
+        (Field(parse_expr("z")), 1 + 0j, cfg, 3.0, (Event.at_radius(math.inf, start_below=True),)),
         # overflow retries: recovered on the way, then ending in overflow,
         # raised by the field or by a non-finite error estimate
         (_stuck_above_one, 0j, cfg, 5.0, ()),
@@ -705,6 +780,64 @@ class TestDriveFieldLoop:
             want = _run_outcome(_reference_drive_field, rhs, 0j, cfg, t_stop)
             assert _run_outcome(drive_field, rhs, 0j, cfg, t_stop) == want
         assert "step budget exceeded (7 steps)" in _run_outcome(drive_field, rhs, 0j, cfg, 50.0)
+
+
+def _crossing_gs(rng, rhs, step):
+    """The g of each event kind drive_field refines, set to cross the
+    step's Hermite cubic: radii (between the ends, through a point of the
+    cubic, near theta = 0 and 1, and one never negative), the seed's
+    section, and the forms of the segment's near-zero and the transit's
+    level event."""
+    z, k1, z_new, k7, h = step
+    zs = flow_module._hermite(z, k1, z_new, k7, h, rng.random())
+    near_one = flow_module._hermite(z, k1, z_new, k7, h, 1.0 - 2.0**-50)
+    gs = [
+        Event.at_radius(rng.uniform(abs(z), abs(z_new))).g,
+        Event.at_radius(abs(zs)).g,
+        Event.at_radius(abs(z) * (1.0 + 1e-13)).g,
+        Event.at_radius(abs(z_new)).g,
+        Event.at_radius(abs(near_one)).g,
+        Event.at_radius(0.0, start_below=True).g,
+        flow_module._SeedReturn(zs, rhs(zs), rhs, flow_module._PERIODIC_RETURN_TOL).g,
+    ]
+    f_s = rhs(zs)
+    gs.append(lambda q: 1e-9 * (1.0 + abs(q)) - abs(rhs(q) - f_s))
+    gs.append(lambda q: rhs(q).real - f_s.real)
+    return gs
+
+
+class TestCrossingTheta:
+    def test_matches_sixty_halvings_through_hermite(self):
+        rng = random.Random(20261018)
+        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        thetas, calls, steps = [], [], 0
+        while steps < 150:
+            rhs = Field(tame_random_expr(rng, points, depth=rng.randint(1, 4)))
+            z, h = rng.choice(points), rng.uniform(1e-3, 0.3)
+            try:
+                k1 = rhs(z)
+                z_new, _, k7 = rhs.step(z, h, k1)
+                gs = _crossing_gs(rng, rhs, (z, k1, z_new, k7, h))
+            except (EvaluationOverflow, ZeroDivisionError):  # no value, or no seed direction
+                continue
+            steps += 1
+            for g in gs:
+                seen = []
+
+                def counted(q, g=g):
+                    seen.append(q)
+                    return g(q)
+
+                want = _bisect_theta(lambda s: g(flow_module._hermite(z, k1, z_new, k7, h, s)))
+                got = flow_module._crossing_theta(counted, z, k1, z_new, k7, h)
+                assert repr(got) == repr(want), (rhs.func, z, h)
+                thetas.append(got)
+                calls.append(len(seen))
+        # theta near 0 takes all sixty halvings, the rest stop early
+        assert 2.0**-60 in thetas and max(calls) == 60
+        assert sum(theta > 1.0 - 1e-12 for theta in thetas) >= 100
+        assert sum(1e-15 < theta < 1e-9 for theta in thetas) >= 10
+        assert min(calls) <= 55
 
 
 class TestQuadratureBudget:
