@@ -71,9 +71,7 @@ from .escape import (
     PolyFlowSummary,
     RubelPathReport,
     TailIntegral,
-    TractDemoReport,
     TransverseSegment,
-    demo_antiholo_tract,
     escape_measure,
     poly_flow_summary,
     rubel_path,

@@ -14,11 +14,11 @@ import bisect
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, compile_fn, derivative, to_text
+from .expr import FuncExpr, Scale, compile_fn, derivative
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -26,12 +26,9 @@ from .flow import (
     Field,
     FlowSpec,
     IntegratorConfig,
-    antiholo_invariants,
-    blowup_time_estimate,
     classify,
     drive_field,
     integrate,
-    upgraded,
 )
 from .jets import _MAX_JET_ORDER, eval_jet
 from .level import _newton, point_on_level, trace_level
@@ -41,10 +38,7 @@ __all__ = [
     "PolyFlowSummary",
     "RubelPathReport",
     "TailIntegral",
-    "TractDemoReport",
-    "TractRun",
     "TransverseSegment",
-    "demo_antiholo_tract",
     "escape_measure",
     "poly_flow_summary",
     "rubel_path",
@@ -111,7 +105,7 @@ def _traced_segment(f, z0, delta, n, cfg):
         raise ValueError("f vanishes at z0; the segment is undefined")
     half = n // 2
     step = delta / half
-    fields = tuple(Field(f, "k * {}", sgn * 1j) for sgn in (1.0, -1.0))  # dz/dy = i f, y up and y down
+    fields = tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0))  # dz/dy = i f, y up and y down
     out = {0: z0}
     for sgn in (1, -1):
         z = z0
@@ -372,79 +366,3 @@ def rubel_path(
     return RubelPathReport(
         f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails)
     )
-
-
-# ---------------------------------------------------------------------------
-# built-in tract demonstration for g(z) = exp(-z) + 1
-
-
-@dataclass(frozen=True)
-class TractRun:
-    start: complex
-    termination: str
-    conclusive: bool
-    t_est: float
-    t_err: float
-    im_drift: float
-    times_to_radius: tuple  # (radius, time) pairs
-
-
-@dataclass(frozen=True)
-class TractDemoReport:
-    g_text: str
-    finite_run: TractRun
-    infinite_run: TractRun
-
-
-def demo_antiholo_tract(cfg: Optional[IntegratorConfig] = None) -> TractDemoReport:
-    """Both escape regimes of the antiholomorphic flow of g(z) = exp(-z) + 1.
-
-    From -1 + i*pi the flow runs along the invariant line Im z = pi into
-    the left half-plane and escapes in finite time; from 1 it crawls
-    through the right half-plane at speed between 1 and 2, so the time
-    to radius R grows like R (infinite-time evidence).
-    """
-    from .expr import parse_expr
-
-    cfg = cfg or IntegratorConfig()
-    g = parse_expr("exp(-z) + 1")
-    spec = FlowSpec(ANTIHOLOMORPHIC, g)
-
-    z_fin = complex(-1.0, math.pi)
-    traj_fin = integrate(spec, z_fin, cfg)
-    est = blowup_time_estimate(traj_fin, cfg)
-    term_fin = upgraded(traj_fin.termination, est)
-    inv_fin = antiholo_invariants(traj_fin)
-    finite_run = TractRun(
-        z_fin,
-        term_fin.name,
-        est.conclusive,
-        est.t_est,
-        est.t_err,
-        inv_fin.im_drift,
-        tuple((r, t) for r, t in est.exit_times),
-    )
-
-    z_inf = complex(1.0, 0.0)
-    times = []
-    drift = 0.0
-    last_term = "TimeBudgetExhausted"
-    last_conclusive = False
-    for radius in (10.0, 100.0, 1000.0):
-        cfg_r = replace(cfg, escape_radius=radius, t_max=max(cfg.t_max, 3.0 * radius))
-        traj = integrate(spec, z_inf, cfg_r)
-        times.append((radius, traj.t_end))
-        est_r = blowup_time_estimate(traj, cfg_r)
-        last_term = upgraded(traj.termination, est_r).name
-        last_conclusive = est_r.conclusive
-        drift = max(drift, antiholo_invariants(traj).im_drift)
-    infinite_run = TractRun(
-        z_inf,
-        last_term,
-        last_conclusive,
-        math.nan,
-        math.nan,
-        drift,
-        tuple(times),
-    )
-    return TractDemoReport(to_text(g), finite_run, infinite_run)

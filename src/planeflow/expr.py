@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache, singledispatch
+from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import Callable, Optional, Union
 
@@ -302,57 +302,32 @@ def _function_code(source: str) -> CodeType:
 # symbolic derivative and antiderivative
 
 
-@singledispatch
 def derivative(expr: FuncExpr) -> FuncExpr:
     """Exact derivative tree; the class is closed under differentiation."""
-    raise TypeError(f"not a FuncExpr node: {expr!r}")
-
-
-@derivative.register
-def _(expr: Constant) -> FuncExpr:
-    return _ZERO
-
-
-@derivative.register
-def _(expr: Variable) -> FuncExpr:
-    return Constant(1.0)
-
-
-@derivative.register
-def _(expr: Add) -> FuncExpr:
-    return _add(derivative(expr.left), derivative(expr.right))
-
-
-@derivative.register
-def _(expr: Mul) -> FuncExpr:
-    return _add(_mul(derivative(expr.left), expr.right), _mul(expr.left, derivative(expr.right)))
-
-
-@derivative.register
-def _(expr: Negate) -> FuncExpr:
-    d = derivative(expr.arg)
-    return _ZERO if (isinstance(d, Constant) and d.value == 0) else Negate(d)
-
-
-@derivative.register
-def _(expr: Exp) -> FuncExpr:
-    return _mul(derivative(expr.arg), expr)
-
-
-@derivative.register
-def _(expr: IntPower) -> FuncExpr:
-    k = expr.power
-    if k == 0:
+    if isinstance(expr, Constant):
         return _ZERO
-    inner = derivative(expr.arg)
-    if k == 1:
-        return inner
-    return _scale(k, _mul(IntPower(expr.arg, k - 1), inner))
-
-
-@derivative.register
-def _(expr: Scale) -> FuncExpr:
-    return _scale(expr.factor, derivative(expr.arg))
+    if isinstance(expr, Variable):
+        return Constant(1.0)
+    if isinstance(expr, Add):
+        return _add(derivative(expr.left), derivative(expr.right))
+    if isinstance(expr, Mul):
+        return _add(_mul(derivative(expr.left), expr.right), _mul(expr.left, derivative(expr.right)))
+    if isinstance(expr, Negate):
+        d = derivative(expr.arg)
+        return _ZERO if (isinstance(d, Constant) and d.value == 0) else Negate(d)
+    if isinstance(expr, Exp):
+        return _mul(derivative(expr.arg), expr)
+    if isinstance(expr, IntPower):
+        k = expr.power
+        if k == 0:
+            return _ZERO
+        inner = derivative(expr.arg)
+        if k == 1:
+            return inner
+        return _scale(k, _mul(IntPower(expr.arg, k - 1), inner))
+    if isinstance(expr, Scale):
+        return _scale(expr.factor, derivative(expr.arg))
+    raise TypeError(f"not a FuncExpr node: {expr!r}")
 
 
 def antiderivative(expr: FuncExpr) -> FuncExpr:

@@ -185,9 +185,9 @@ class Trajectory:
         return len(self.samples)
 
 
-# The post-operations a Field may apply to f's value, each written as the
-# code that computes it from the value ``{}``; ``k`` is the Field's factor.
-_POSTS = ("{}", "-{}", "{}.conjugate()", "-{}.conjugate()", "k * {}")
+# The post-operations a Field may apply to f's value, one per flow kind and
+# time direction, each written as the code that computes it from the value ``{}``.
+_POSTS = ("{}", "-{}", "{}.conjugate()", "-{}.conjugate()")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +203,13 @@ class Field:
 
     func: FuncExpr
     post: str = "{}"
-    factor: Optional[complex] = None
 
     def __post_init__(self):
         if self.post not in _POSTS:
             raise ValueError(f"unknown post-operation {self.post!r}")
         f = compile_fn(self.func)
         if self.post != "{}":
-            f = FunctionType(_point_code(self.post), {"f": f, "k": self.factor})
+            f = FunctionType(_point_code(self.post), {"f": f})
         object.__setattr__(self, "_point", f)
 
     def __call__(self, z):
@@ -221,7 +220,7 @@ class Field:
         """The DP5(4) step ``(y, h, k1) -> (y_new, err, k7)`` with f inlined."""
         body, out, env = _emit_body(self.func)
         code = _step_code(body, self.post.format(out))
-        return FunctionType(code, {**_TABLEAU, **env, "k": self.factor})
+        return FunctionType(code, {**_TABLEAU, **env})
 
 
 @lru_cache(maxsize=None)
@@ -655,11 +654,10 @@ def _poly_chart_estimate(rhs, coeffs, traj, cfg) -> Optional[BlowupEstimate]:
             return None
         t_far, z_far = res.samples[-1]
     w_far = 1.0 / z_far
-    rev = coeffs[::-1]  # q(w) = w^2 f(1/w) / w^(2-n); q(0) = a_n
 
-    def q(w):
+    def q(w):  # q(w) = w^2 f(1/w) / w^(2-n) = sum of coeffs[k] w^(n-k); q(0) = a_n
         acc = 0j
-        for c in rev[::-1]:
+        for c in coeffs:
             acc = acc * w + c
         return acc
 

@@ -20,8 +20,6 @@ from .escape import (
     EscapeMeasureReport,
     PolyFlowSummary,
     RubelPathReport,
-    TractDemoReport,
-    TractRun,
     TransverseSegment,
 )
 from .expr import to_text
@@ -134,13 +132,6 @@ def report_to_dict(report) -> dict:
             "finite_time_directions": [_num(a) for a in report.finite_time_directions],
             "finite_transit": report.finite_transit,
         }
-    if isinstance(report, TractDemoReport):
-        return {
-            "type": "tract_demo",
-            "g": report.g_text,
-            "finite_run": _tract_run_dict(report.finite_run),
-            "infinite_run": _tract_run_dict(report.infinite_run),
-        }
     if isinstance(report, TransverseSegment):
         return {
             "type": "transverse_segment",
@@ -168,18 +159,6 @@ def report_to_dict(report) -> dict:
             "note": report.note,
         }
     raise TypeError(f"no JSON form for {type(report).__name__}")
-
-
-def _tract_run_dict(run: TractRun) -> dict:
-    return {
-        "start": _cplx(run.start),
-        "termination": run.termination,
-        "conclusive": bool(run.conclusive),
-        "t_est": _num(run.t_est),
-        "t_err": _num(run.t_err),
-        "im_drift": _num(run.im_drift),
-        "times_to_radius": [[_num(r), _num(t)] for r, t in run.times_to_radius],
-    }
 
 
 def dumps_report(report) -> str:

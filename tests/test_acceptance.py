@@ -60,15 +60,15 @@ def test_criterion_05_transit_quadrature_vs_ode():
 def test_criterion_06_tract_demo():
     ok, detail, m = cli._demo_tract()
     want = -math.log(1.0 - math.exp(-1.0))
-    fr, ir = m["report"].finite_run, m["report"].infinite_run
-    assert fr.termination == "FiniteTimeBlowup"
-    assert abs(fr.t_est - want) <= 1e-3
-    assert fr.im_drift <= 1e-6
-    assert ir.termination == "ReachedRadius"
-    assert not ir.conclusive
-    assert ir.im_drift <= 1e-6
-    assert tuple(r for r, _ in ir.times_to_radius) == (10.0, 100.0, 1000.0)
-    for radius, t in ir.times_to_radius:
+    finite, infinite = m["finite"], m["infinite"]
+    assert finite["termination"] == "FiniteTimeBlowup"
+    assert abs(finite["t_est"] - want) <= 1e-3
+    assert finite["im_drift"] <= 1e-6
+    assert infinite["termination"] == "ReachedRadius"
+    assert not infinite["conclusive"]
+    assert infinite["im_drift"] <= 1e-6
+    assert tuple(r for r, _ in infinite["times_to_radius"]) == (10.0, 100.0, 1000.0)
+    for radius, t in infinite["times_to_radius"]:
         assert t >= radius - 2.0
     report(6, ok, detail)
 

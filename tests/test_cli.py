@@ -83,32 +83,62 @@ class TestSimulate:
         assert proc.returncode == 0
         assert "finite" in proc.stdout
 
-    def test_missing_expression_is_numerical_failure(self, capsys):
+    def test_missing_expression_exit_2(self, capsys):
         code, _, err = run(["simulate", "--z0", "1"], capsys)
-        assert code == 3
-        assert "error" in err
+        assert code == 2
+        assert "an expression is required" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    @pytest.mark.parametrize("flags", [
+        ["--g", "z"],
+        ["--g", "z", "--kind", "holo"],
+        ["--f", "z", "--kind", "antiholo"],
+        ["--f", "z", "--g", "z"],
+        ["--f", "z", "--g", "z", "--kind", "antiholo"],
+    ])
+    def test_contradictory_expression_flags_exit_2(self, tmp_path, capsys, command, flags):
+        out_dir = tmp_path / "out"
+        code, out, err = run([command, *flags, "--z0", "1", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "does not apply to --kind" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate", "--f", "z", "--z0", "abc"], "ParseError"),
+        (["classify", "--g", "(z", "--kind", "antiholo", "--z0", "1"], "ParseError"),
+        (["poly-summary", "--coeffs", "a,b"], "ParseError"),
+        (["level-trace", "--G", "exp(1/z)", "--start", "1", "--Xmax", "5"], "EntiretyViolation"),
+    ])
+    def test_malformed_expression_or_point_exit_2(self, tmp_path, capsys, argv, error):
+        out_dir = tmp_path / "out"
+        code, out, err = run([*argv, "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert f"error [{error}]" in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_parse_error_exit(self, tmp_path, capsys):
         code, _, err = run(
             ["simulate", "--f", "1/z", "--z0", "1", "--out", str(tmp_path)], capsys
         )
-        assert code == 3
+        assert code == 2
         assert "EntiretyViolation" in err
 
-    def test_deeply_nested_expression_exit_3(self, tmp_path, capsys):
+    def test_deeply_nested_expression_exit_2(self, tmp_path, capsys):
         deep = "(" * 2000 + "z" + ")" * 2000
         code, _, err = run(
             ["classify", "--f", deep, "--z0", "1", "--out", str(tmp_path)], capsys
         )
-        assert code == 3
+        assert code == 2
         assert "nested too deeply" in err
 
-    def test_long_flat_chain_exit_3(self, tmp_path, capsys):
+    def test_long_flat_chain_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             ["classify", "--f", "+".join(["z"] * 1000), "--z0", "1", "--out", str(tmp_path)],
             capsys,
         )
-        assert code == 3
+        assert code == 2
         assert "nested too deeply" in err
 
     def test_exp_without_value_exit_3(self, tmp_path, capsys):

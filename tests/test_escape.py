@@ -8,10 +8,10 @@ from conftest import reference_point_on_level, rubel_start
 
 from planeflow.errors import SegmentTruncated, TractViolation
 import planeflow.escape as escape_module
+from planeflow import cli
 from planeflow.escape import (
     RubelPathReport,
     TailIntegral,
-    demo_antiholo_tract,
     escape_measure,
     poly_flow_summary,
     rubel_path,
@@ -373,7 +373,6 @@ class TestExports:
 
 class TestTractDemo:
     def test_one_estimate_per_verdict(self, monkeypatch):
-        import planeflow.escape as escape_mod
         import planeflow.flow as flow_mod
 
         real = flow_mod.blowup_time_estimate
@@ -384,18 +383,15 @@ class TestTractDemo:
             return real(traj, cfg)
 
         monkeypatch.setattr(flow_mod, "blowup_time_estimate", counted)
-        monkeypatch.setattr(escape_mod, "blowup_time_estimate", counted)
-        rep = demo_antiholo_tract()
+        monkeypatch.setattr(cli, "blowup_time_estimate", counted)
+        _, _, m = cli._demo_tract()
         monkeypatch.undo()
         assert len(calls) == 4
         # each verdict is the one classify gives for the same run
         (traj, cfg), *_, (last_traj, last_cfg) = calls
         est = real(traj, cfg)
-        assert rep.finite_run.termination == classify(traj, cfg).name
-        assert (rep.finite_run.conclusive, rep.finite_run.t_est, rep.finite_run.t_err) == (
-            est.conclusive,
-            est.t_est,
-            est.t_err,
-        )
-        assert rep.infinite_run.termination == classify(last_traj, last_cfg).name
-        assert rep.infinite_run.conclusive == real(last_traj, last_cfg).conclusive
+        finite, infinite = m["finite"], m["infinite"]
+        assert finite["termination"] == classify(traj, cfg).name
+        assert (finite["conclusive"], finite["t_est"], finite["t_err"]) == (est.conclusive, est.t_est, est.t_err)
+        assert infinite["termination"] == classify(last_traj, last_cfg).name
+        assert infinite["conclusive"] == real(last_traj, last_cfg).conclusive

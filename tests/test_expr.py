@@ -1,5 +1,6 @@
 import cmath
 import random
+from functools import singledispatch
 
 import pytest
 
@@ -141,6 +142,63 @@ class TestPrint:
                 assert abs(fn_a(z) - fn_b(z)) <= 1e-9 * (1 + abs(fn_a(z)))
 
 
+# derivative as it was written with functools.singledispatch, kept as the
+# reference that the isinstance walk in planeflow.expr reproduces tree for tree
+@singledispatch
+def _reference_derivative(expr):
+    raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+@_reference_derivative.register
+def _(expr: Constant):
+    return expr_module._ZERO
+
+
+@_reference_derivative.register
+def _(expr: Variable):
+    return Constant(1.0)
+
+
+@_reference_derivative.register
+def _(expr: Add):
+    return expr_module._add(_reference_derivative(expr.left), _reference_derivative(expr.right))
+
+
+@_reference_derivative.register
+def _(expr: Mul):
+    return expr_module._add(
+        expr_module._mul(_reference_derivative(expr.left), expr.right),
+        expr_module._mul(expr.left, _reference_derivative(expr.right)),
+    )
+
+
+@_reference_derivative.register
+def _(expr: Negate):
+    d = _reference_derivative(expr.arg)
+    return expr_module._ZERO if (isinstance(d, Constant) and d.value == 0) else Negate(d)
+
+
+@_reference_derivative.register
+def _(expr: Exp):
+    return expr_module._mul(_reference_derivative(expr.arg), expr)
+
+
+@_reference_derivative.register
+def _(expr: IntPower):
+    k = expr.power
+    if k == 0:
+        return expr_module._ZERO
+    inner = _reference_derivative(expr.arg)
+    if k == 1:
+        return inner
+    return expr_module._scale(k, expr_module._mul(IntPower(expr.arg, k - 1), inner))
+
+
+@_reference_derivative.register
+def _(expr: Scale):
+    return expr_module._scale(expr.factor, _reference_derivative(expr.arg))
+
+
 class TestDerivative:
     def test_power_rule(self):
         d = derivative(IntPower(Z, 3))
@@ -161,6 +219,17 @@ class TestDerivative:
             for z in pts:
                 jet = eval_jet(tree, z, 1)
                 assert abs(dfn(z) - jet[1]) <= 1e-9 * (1 + abs(jet[1]))
+
+    def test_matches_reference_tree_for_tree(self):
+        # repr tells Constant(-0.0) from Constant(0.0), which == does not
+        rng = random.Random(20261018)
+        trees = [random_expr(rng, depth=rng.randint(1, 5)) for _ in range(400)]
+        trees += [parse_expr(t) for t in ("0*z", "-(0*z)", "-(z - z)", "(-0.0)*z^2", "z^0 + z^1", "-exp(-z)*z")]
+        trees += [Negate(Constant(-0.0)), Scale(-1.0, Mul(Constant(-0.0), Z)), Mul(Z, Constant(-0.0))]
+        for tree in trees:
+            assert repr(derivative(tree)) == repr(_reference_derivative(tree)), tree
+        with pytest.raises(TypeError):
+            derivative("z")
 
 
 class TestAntiderivative:

@@ -8,7 +8,7 @@ from planeflow import expr as expr_module
 from planeflow import flow as flow_module
 from planeflow import quadrature
 from planeflow.errors import EvaluationOverflow, PlaneflowError
-from planeflow.expr import Add, Constant, Variable, compile_fn, parse_expr
+from planeflow.expr import Add, Constant, Scale, Variable, compile_fn, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -404,17 +404,22 @@ def _reference_dp_step(rhs, z, h, k1):
     return z_new, err, k7
 
 
-def _outcome(step, *args):
-    """repr of the step's result, or the node and point of its overflow."""
+def _outcome(step, *args, root=None):
+    """repr of the step's result, or the node and point of its overflow.
+
+    An overflow at a ``root`` that is Scale(k, f) is named by f, as the
+    reference k * f(z) names it."""
     try:
         return repr(step(*args))
     except EvaluationOverflow as exc:
-        return ("overflow", exc.node, repr(exc.at))
+        node = exc.node.arg if isinstance(root, Scale) and exc.node is root else exc.node
+        return ("overflow", node, repr(exc.at))
 
 
 def _reference_rhs(tree, post, k):
-    """The point function for each Field post-operation, as the flow
-    integrator wrote its right-hand sides before Field."""
+    """The point function for each Field post-operation, and for the
+    segment field k * f, as the flow integrator wrote its right-hand
+    sides before Field."""
     f = compile_fn(tree)
     return {
         "{}": f,
@@ -430,17 +435,17 @@ class TestGeneratedStep:
         rng = random.Random(20261018)
         for _ in range(300):
             tree = random_expr(rng, depth=rng.randint(1, 4))
-            for post in flow_module._POSTS:
+            for post in (*flow_module._POSTS, "k * {}"):
                 factor = rng.choice((1.0, -1.0)) * 1j if post == "k * {}" else None
-                rhs = Field(tree, post, factor)
+                rhs = Field(Scale(factor, tree)) if factor else Field(tree, post)
                 ref = _reference_rhs(tree, post, factor)
                 for _ in range(2):
                     z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                     h = rng.choice((1e-3, 0.05, 0.4)) * rng.uniform(0.5, 1.0)
                     k1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                    assert _outcome(rhs, z) == _outcome(ref, z), (tree, post, z)
+                    assert _outcome(rhs, z, root=rhs.func) == _outcome(ref, z), (tree, post, z)
                     want = _outcome(_reference_dp_step, ref, z, h, k1)
-                    assert _outcome(rhs.step, z, h, k1) == want, (tree, post, z, h, k1)
+                    assert _outcome(rhs.step, z, h, k1, root=rhs.func) == want, (tree, post, z, h, k1)
 
     def test_opaque_callable_matches_reference_step(self):
         rng = random.Random(7)
@@ -749,8 +754,8 @@ def _drive_cases():
     points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
     for _ in range(40):
         tree = tame_random_expr(rng, points, depth=rng.randint(1, 4))
-        post = rng.choice(flow_module._POSTS)
-        rhs = Field(tree, post, rng.choice((1j, -1j)) if post == "k * {}" else None)
+        post = rng.choice((*flow_module._POSTS, "k * {}"))
+        rhs = Field(Scale(rng.choice((1j, -1j)), tree)) if post == "k * {}" else Field(tree, post)
         z0 = rng.choice(points)
         run_cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), h_max=rng.choice((1e6, 0.05)))
         try:

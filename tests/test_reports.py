@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from planeflow.escape import (
-    demo_antiholo_tract,
     escape_measure,
     poly_flow_summary,
     rubel_path,
@@ -89,10 +88,6 @@ class TestSerialization:
         data = roundtrip(poly_flow_summary([0, 0, 1], HOLOMORPHIC))
         validate_report(data, schema)
 
-    def test_tract_demo_report(self, schema):
-        data = roundtrip(demo_antiholo_tract())
-        validate_report(data, schema)
-
     def test_segment_report(self, schema):
         seg = transverse_segment(parse_expr("-exp(-z)"), 0.0, 1.0, 8)
         data = roundtrip(seg)
@@ -163,3 +158,22 @@ class TestValidator:
             validate_report(data, mutated)
         validate_report(data)
         assert load_schema() != mutated
+
+    def test_every_definition_reachable(self, schema):
+        def refs(node):
+            if isinstance(node, dict):
+                if "$ref" in node:
+                    yield node["$ref"].removeprefix("#/$defs/")
+                for value in node.values():
+                    yield from refs(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from refs(value)
+
+        reached, todo = set(), list(refs(schema["oneOf"]))
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(refs(schema["$defs"][name]))
+        assert reached == set(schema["$defs"])
