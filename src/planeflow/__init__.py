@@ -56,7 +56,6 @@ from .flow import (
     classify,
     conformal_clock_residual,
     integrate,
-    sample_at,
 )
 from .level import (
     CriterionReport,
@@ -71,7 +70,6 @@ from .escape import (
     PolyFlowSummary,
     RubelPathReport,
     TailIntegral,
-    TransverseSegment,
     escape_measure,
     poly_flow_summary,
     rubel_path,

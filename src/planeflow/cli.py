@@ -58,7 +58,6 @@ def _config(args) -> IntegratorConfig:
     overrides = {}
     if args.tol is not None:
         overrides["rel_tol"] = args.tol
-        overrides["abs_tol"] = args.tol * 1e-2
     if args.tmax is not None:
         overrides["t_max"] = args.tmax
     if args.radius is not None:
@@ -282,8 +281,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_level_trace(args) -> int:
     cfg = _config(args)
-    if args.radius is None:
-        cfg = replace(cfg, escape_radius=1e9)
     big_g = parse_expr(args.G)
     z0 = parse_complex(args.start)
     curve = trace_level(big_g, z0, args.Xmax, cfg)
@@ -309,8 +306,6 @@ def _cmd_level_trace(args) -> int:
 
 def _cmd_transit(args) -> int:
     cfg = _config(args)
-    if args.radius is None:
-        cfg = replace(cfg, escape_radius=1e9)
     big_g = parse_expr(args.G)
     z0 = parse_complex(args.start)
     curve = trace_level(big_g, z0, args.Xmax, cfg)
@@ -349,14 +344,14 @@ def _cmd_measure(args) -> int:
     write_report(report, args.out / "measure.json")
     if args.svg:
         seg = transverse_segment(f, z0, args.delta, 64, cfg)
-        points = [z for _, z in seg.samples]
+        points = [z for _, z in seg]
         for _, traj, _ in report.trajectories:
             points.extend(z for _, z in traj.samples)
         scene = SvgScene(*_scene_window(args, points))
         for _, traj, name in report.trajectories:
             css = "blowup" if name == "FiniteTimeBlowup" else "trajectory"
             scene.add_polyline([z for _, z in traj.samples], css)
-        scene.add_polyline([z for _, z in seg.samples], "segment")
+        scene.add_polyline([z for _, z in seg], "segment")
         scene.add_marker(z0, "seed")
         scene.add_legend(f"finite-time fraction {report.finite_time_fraction:.4g}")
         (args.out / "measure.svg").write_text(render_svg(scene))
@@ -365,8 +360,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_rubel(args) -> int:
     cfg = _config(args)
-    if args.radius is None:
-        cfg = replace(cfg, escape_radius=1e9)
     f = parse_expr(args.f)
     seed_pt = parse_complex(args.seed_point)
     report = rubel_path(
@@ -643,11 +636,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("level-trace", help="trace a level curve of Im G")
     _add_flags(p, "G start Xmax tol tmax radius out json svg csv window")
-    p.set_defaults(fn=_cmd_level_trace)
+    p.set_defaults(fn=_cmd_level_trace, radius=1e9)
 
     p = command("transit", help="transit time along a level curve")
     _add_flags(p, "G start Xmax tol tmax radius out json")
-    p.set_defaults(fn=_cmd_transit)
+    p.set_defaults(fn=_cmd_transit, radius=1e9)
 
     p = command("measure", help="Monte Carlo escape measure on a transverse segment")
     p.add_argument("--f", required=True)
@@ -667,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_positive_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
     _add_flags(p, "tol tmax radius out json")
-    p.set_defaults(fn=_cmd_rubel)
+    p.set_defaults(fn=_cmd_rubel, radius=1e9)
 
     p = command("poly-summary", help="predicted escape structure of a polynomial flow")
     p.add_argument("--coeffs", required=True, help="ascending coefficients 'a0,a1,...'")

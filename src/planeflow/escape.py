@@ -38,7 +38,6 @@ __all__ = [
     "PolyFlowSummary",
     "RubelPathReport",
     "TailIntegral",
-    "TransverseSegment",
     "escape_measure",
     "poly_flow_summary",
     "rubel_path",
@@ -48,14 +47,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # transverse segment
-
-
-@dataclass(frozen=True)
-class TransverseSegment:
-    func: FuncExpr
-    z0: complex
-    delta: float
-    samples: tuple  # (y, z) with y ascending, z(0) = z0
 
 
 def _segment_point(fe, fields, z_a, y_a, dy, cfg) -> complex:
@@ -81,16 +72,15 @@ def transverse_segment(
     delta: float,
     n: int,
     cfg: Optional[IntegratorConfig] = None,
-) -> TransverseSegment:
+) -> tuple:
     """Trace the segment crossing the trajectory through z0 at right angles.
 
-    Samples n+1 equispaced parameter values on [-delta, delta]; n must
-    be even so the grid contains y = 0 (where the segment passes through
-    z0 exactly).  Meeting a zero of f raises SegmentTruncated with the
-    parameter span that was achieved.
+    Returns the (y, z) samples at n+1 equispaced parameter values y on
+    [-delta, delta], y ascending; n must be even so the grid contains
+    y = 0 (where the segment passes through z0 exactly).  Meeting a zero
+    of f raises SegmentTruncated with the parameter span that was achieved.
     """
-    samples = _traced_segment(f, z0, delta, n, cfg or IntegratorConfig())[2]
-    return TransverseSegment(f, complex(z0), delta, samples)
+    return _traced_segment(f, z0, delta, n, cfg or IntegratorConfig())[2]
 
 
 def _traced_segment(f, z0, delta, n, cfg):

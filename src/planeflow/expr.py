@@ -605,6 +605,8 @@ class _Parser:
         while self.peek()[0] == "^":
             caret = self.take()
             tok = self.take()
+            if tok[0] not in ("num", "-"):
+                raise ParseError("expected an integer exponent after '^'", tok[2])
             if tok[0] == "-":
                 raise EntiretyViolation("negative exponent is not entire", caret[2])
             if tok[0] != "num" or tok[1].endswith("i") or not tok[1].isdigit():

@@ -66,7 +66,6 @@ __all__ = [
     "conformal_clock_residual",
     "drive_field",
     "integrate",
-    "sample_at",
     "upgraded",
 ]
 
@@ -78,6 +77,7 @@ REVERSED = "reversed"
 _EPS = sys.float_info.epsilon
 
 _MAX_STEPS = 2_000_000  # accepted or rejected steps one drive_field run may take
+_H_MAX = 1e6  # largest time step drive_field takes
 _FIXED_POINT_RADIUS = 1e-3  # tail drift below which a stalled run is a fixed point
 _PERIODIC_RETURN_TOL = 1e-6  # how close a return through the seed's section must pass
 _DYADIC_WINDOW = 4  # exit times at r0, 2r0, 4r0, 8r0 feed the extrapolation
@@ -107,21 +107,23 @@ class FlowSpec:
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    h_max: float = 1e6
     escape_radius: float = 10.0
     t_max: float = 100.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "h_max", "escape_radius", "t_max"):
+        for name in ("rel_tol", "escape_radius", "t_max"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         # an infinite tolerance accepts every step; the budgets may be infinite
-        for name in ("rel_tol", "abs_tol"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
+        if self.rel_tol == math.inf:
+            raise ValueError("rel_tol must be finite")
         if self.rel_tol < 1e-14:
             raise ValueError("rel_tol below 1e-14 is not resolvable in doubles")
+
+    @property
+    def abs_tol(self) -> float:
+        """The error floor near z = 0: a hundredth of ``rel_tol``."""
+        return self.rel_tol * 1e-2
 
 
 class Termination:
@@ -447,10 +449,10 @@ def drive_field(
 
     k1 = rhs(z)
     watch = [[ev, -math.inf if ev.start_below else ev.g(z), ev.radius] for ev in events]
-    h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
+    h = min(_H_MAX, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
     step = _stepper(rhs)
-    h_max, abs_tol, rel_tol, inf, size = cfg.h_max, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
+    h_max, abs_tol, rel_tol, inf, size = _H_MAX, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
     add_sample, add_error = samples.append, errors.append
 
     for _ in range(_MAX_STEPS):
@@ -560,33 +562,6 @@ def _fixed_point_from_tail(samples, rhs) -> Optional[FixedPointApproach]:
     if drift < _FIXED_POINT_RADIUS:
         return FixedPointApproach(z_end)
     return None
-
-
-def sample_at(traj: Trajectory, t: float) -> complex:
-    """State at an arbitrary time inside the trajectory's span.
-
-    Uses cubic Hermite interpolation on the bracketing accepted step,
-    with end derivatives recomputed from the right-hand side.
-    """
-    samples = traj.samples
-    if not samples[0][0] <= t <= samples[-1][0]:
-        raise ValueError(f"t={t!r} outside trajectory span")
-    lo, hi = 0, len(samples) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if samples[mid][0] <= t:
-            lo = mid
-        else:
-            hi = mid
-    ta, za = samples[lo]
-    tb, zb = samples[hi]
-    if t == ta:
-        return za
-    if t == tb:
-        return zb
-    rhs = _rhs(traj.spec)
-    h = tb - ta
-    return _hermite(za, rhs(za), zb, rhs(zb), h, (t - ta) / h)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
 _TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to each panel
 _SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
 _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
+_STEP_SCALE = 0.1  # a tracing step moves z at most this times (1 + |z|)
 
 
 @dataclass(frozen=True)
@@ -131,15 +132,13 @@ def trace_level(
     z_start: complex,
     x_target: float,
     cfg: Optional[IntegratorConfig] = None,
-    *,
-    step_scale: float = 0.1,
 ) -> LevelCurve:
     """Trace {Im G = Im G(z_start)} from z_start toward larger Re G.
 
     Stops at x_target, when |z| leaves the configured radius, or when
     |g| < ``_G_MIN`` (approaching a critical point of G, which the flow
-    cannot reach in finite time anyway).  ``step_scale`` bounds the
-    spatial step to step_scale*(1+|z|); halving it retraces the same
+    cannot reach in finite time anyway).  ``_STEP_SCALE`` bounds the
+    spatial step to _STEP_SCALE*(1+|z|); halving it retraces the same
     curve with finer sampling.
     """
     cfg = cfg or IntegratorConfig()
@@ -160,7 +159,7 @@ def trace_level(
     xs = [x]
     zs = [z]
     stop = "target"
-    dx = step_scale * (1.0 + abs(z)) * abs(g)
+    dx = _STEP_SCALE * (1.0 + abs(z)) * abs(g)
     fails = 0
     steps = 0
     while x < x_target:
@@ -194,7 +193,7 @@ def trace_level(
         if abs(z) > cfg.escape_radius:
             stop = "radius"
             break
-        cap = step_scale * (1.0 + abs(z)) * abs(g)
+        cap = _STEP_SCALE * (1.0 + abs(z)) * abs(g)
         dx = min(dx * (1.6 if iters <= 3 else 1.0), cap)
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 

@@ -20,11 +20,10 @@ from .escape import (
     EscapeMeasureReport,
     PolyFlowSummary,
     RubelPathReport,
-    TransverseSegment,
 )
 from .expr import to_text
 from .flow import BlowupEstimate, Termination, Trajectory
-from .level import CriterionReport, LevelCurve, TransitReport
+from .level import LevelCurve, TransitReport
 
 __all__ = [
     "load_schema",
@@ -132,14 +131,6 @@ def report_to_dict(report) -> dict:
             "finite_time_directions": [_num(a) for a in report.finite_time_directions],
             "finite_transit": report.finite_transit,
         }
-    if isinstance(report, TransverseSegment):
-        return {
-            "type": "transverse_segment",
-            "func": to_text(report.func),
-            "z0": _cplx(report.z0),
-            "delta": _num(report.delta),
-            "samples": [[_num(y), _cplx(z)] for y, z in report.samples],
-        }
     if isinstance(report, LevelCurve):
         return {
             "type": "level_curve",
@@ -149,14 +140,6 @@ def report_to_dict(report) -> dict:
             "n_samples": len(report),
             "x_range": [_num(report.x_start), _num(report.x_end)],
             "z_end": _cplx(report.z_end),
-        }
-    if isinstance(report, CriterionReport):
-        return {
-            "type": "infinite_time_criterion",
-            "fires": bool(report.fires),
-            "conclusive": bool(report.conclusive),
-            "witnesses": [[_cplx(z), _num(r)] for z, r in report.witnesses],
-            "note": report.note,
         }
     raise TypeError(f"no JSON form for {type(report).__name__}")
 

@@ -34,11 +34,11 @@ _STYLES = """\
 class SvgScene:
     """Plot window plus layered content; populate then render."""
 
-    center: complex = 0j
-    half_width: float = 5.0
-    polylines: List[Tuple[tuple, str]] = field(default_factory=list)
-    markers: List[Tuple[complex, str]] = field(default_factory=list)
-    legend: List[str] = field(default_factory=list)
+    center: complex
+    half_width: float
+    polylines: List[Tuple[tuple, str]] = field(default_factory=list, init=False)
+    markers: List[Tuple[complex, str]] = field(default_factory=list, init=False)
+    legend: List[str] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not self.half_width > 0:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import planeflow
-from planeflow.cli import parse_complex, run_cli
+from planeflow.cli import _build_parser, _config, parse_complex, run_cli
+from planeflow.flow import IntegratorConfig
 from planeflow.reports import load_schema, validate_report
 
 
@@ -29,6 +30,21 @@ class TestParseComplex:
     def test_nonconstant_rejected(self):
         with pytest.raises(ValueError):
             parse_complex("z+1")
+
+
+class TestConfig:
+    def test_tol_flag_matches_library_tolerance(self):
+        args = _build_parser().parse_args(["classify", "--f", "z^2", "--z0", "1", "--tol", "1e-6"])
+        assert _config(args) == IntegratorConfig(rel_tol=1e-6)
+        assert IntegratorConfig().abs_tol == 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50"],
+        ["transit", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50"],
+        ["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e45"],
+    ], ids=lambda argv: argv[0])
+    def test_curve_commands_default_to_radius_1e9(self, argv):
+        assert _config(_build_parser().parse_args(argv)) == IntegratorConfig(escape_radius=1e9)
 
 
 class TestSimulate:
@@ -109,6 +125,9 @@ class TestSimulate:
         (["classify", "--g", "(z", "--kind", "antiholo", "--z0", "1"], "ParseError"),
         (["poly-summary", "--coeffs", "a,b"], "ParseError"),
         (["level-trace", "--G", "exp(1/z)", "--start", "1", "--Xmax", "5"], "EntiretyViolation"),
+        (["simulate", "--f", "z^", "--z0", "1"], "ParseError"),
+        (["transit", "--G", "z^z", "--start", "1", "--Xmax", "5"], "ParseError"),
+        (["simulate", "--f", "z^2i", "--z0", "1"], "EntiretyViolation"),
     ])
     def test_malformed_expression_or_point_exit_2(self, tmp_path, capsys, argv, error):
         out_dir = tmp_path / "out"

@@ -35,28 +35,28 @@ class TestTransverseSegment:
     def test_exponential_segment_closed_form(self):
         # F(z) = 1 - exp(z) for f = -exp(-z), so F^{-1}(iy) = log(1 - iy)
         seg = transverse_segment(parse_expr("-exp(-z)"), 0.0, 1.0, 16)
-        for y, z in seg.samples:
+        for y, z in seg:
             assert abs(z - cmath.log(1.0 - 1j * y)) <= 1e-9
 
     def test_constant_field_gives_vertical_segment(self):
         # constants are fine here even though FlowSpec rejects them
         seg = transverse_segment(parse_expr("1"), 0.0, 1.0, 8)
-        for y, z in seg.samples:
+        for y, z in seg:
             assert abs(z - 1j * y) <= 1e-10
 
     def test_center_sample_is_seed(self):
         seg = transverse_segment(parse_expr("-exp(-z)"), 0.25 + 0.1j, 0.5, 8)
-        ys = [y for y, _ in seg.samples]
+        ys = [y for y, _ in seg]
         assert 0.0 in ys
-        assert seg.samples[len(seg.samples) // 2] == (0.0, 0.25 + 0.1j)
+        assert seg[len(seg) // 2] == (0.0, 0.25 + 0.1j)
 
     def test_clock_inverse_residual(self):
         # F(z(y)) must equal iy; F evaluated by chord quadrature along the segment
         f = parse_expr("-exp(-z)")
         fe = lambda z: -cmath.exp(-z)
         seg = transverse_segment(f, 0.0, 1.0, 32)
-        mid = len(seg.samples) // 2
-        for side in (seg.samples[mid:], seg.samples[mid::-1]):
+        mid = len(seg) // 2
+        for side in (seg[mid:], seg[mid::-1]):
             acc = 0j
             for (ya, za), (yb, zb) in zip(side, side[1:]):
                 dz = zb - za

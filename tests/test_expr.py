@@ -63,6 +63,19 @@ class TestParse:
         with pytest.raises(EntiretyViolation):
             parse_expr("z^1.5")
 
+    @pytest.mark.parametrize("text", ["z^", "z^(2)", "z^z"])
+    def test_missing_exponent_is_a_syntax_error(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert type(err.value) is ParseError
+        assert "expected an integer exponent after '^'" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["z^-1", "z^1.5", "z^2i"])
+    def test_non_entire_exponent_is_an_entirety_violation(self, text):
+        with pytest.raises(EntiretyViolation) as err:
+            parse_expr(text)
+        assert type(err.value) is EntiretyViolation
+
     def test_complex_literals(self):
         assert parse_expr("2i") == Constant(2j)
         assert parse_expr("i") == Constant(1j)

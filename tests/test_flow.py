@@ -28,7 +28,6 @@ from planeflow.flow import (
     conformal_clock_residual,
     drive_field,
     integrate,
-    sample_at,
 )
 from planeflow.quadrature import QuadratureDiverged, adaptive_gauss
 
@@ -60,31 +59,29 @@ class TestFlowSpecValidation:
 
     @pytest.mark.parametrize(
         "name, value",
-        [pytest.param(n, math.nan, id=n) for n in ("rel_tol", "abs_tol", "h_max", "escape_radius", "t_max")]
+        [pytest.param(n, math.nan, id=n) for n in ("rel_tol", "escape_radius", "t_max")]
         # an infinite tolerance accepts every step
-        + [pytest.param(n, math.inf, id=f"{n}-inf") for n in ("rel_tol", "abs_tol")],
+        + [pytest.param("rel_tol", math.inf, id="rel_tol-inf")],
     )
     def test_nan_rejected(self, name, value):
         with pytest.raises(ValueError):
             IntegratorConfig(**{name: value})
 
     def test_infinite_budgets_still_accepted(self):
-        cfg = IntegratorConfig(h_max=math.inf, t_max=math.inf, escape_radius=math.inf)
+        cfg = IntegratorConfig(t_max=math.inf, escape_radius=math.inf)
         assert cfg.t_max == math.inf
 
 
 class TestIntegrate:
     def test_linear_flow_exponential(self):
-        traj = integrate(holo("z"), 1.0)
-        assert isinstance(traj.termination, ReachedRadius)
-        z1 = sample_at(traj, 1.0)
-        assert abs(z1 - math.e) <= 1e-8
+        traj = integrate(holo("z"), 1.0, IntegratorConfig(t_max=1.0))
+        assert isinstance(traj.termination, TimeBudgetExhausted)
+        assert abs(traj.z_end - math.e) <= 1e-8
 
     def test_exponential_closed_form(self):
         # z(t) = log(1 - t) for dz/dt = -exp(-z) from 0
-        traj = integrate(holo("-exp(-z)"), 0.0)
-        z_half = sample_at(traj, 0.5)
-        assert abs(z_half - math.log(0.5)) <= 1e-6
+        traj = integrate(holo("-exp(-z)"), 0.0, IntegratorConfig(t_max=0.5))
+        assert abs(traj.z_end - math.log(0.5)) <= 1e-6
 
     def test_quadratic_spiral_to_fixed_point(self):
         cfg = IntegratorConfig(t_max=4e6)
@@ -291,13 +288,14 @@ class TestDriver:
     def radius_marks(radii):
         return [Event((lambda z, r=r: abs(z) - r), terminal=r == radii[-1]) for r in radii]
 
-    def test_radius_marks_recorded_in_order(self):
+    def test_radius_marks_recorded_in_order(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "_H_MAX", 0.5)
         radii = (2.0, 4.0, 8.0)
         marks = self.radius_marks(radii)
         res = drive_field(
             lambda z: z,
             1.0,
-            IntegratorConfig(h_max=0.5),
+            IntegratorConfig(),
             t_stop=10.0,
             events=marks,
         )
@@ -307,13 +305,14 @@ class TestDriver:
         for r, t in zip(radii, times):
             assert abs(t - math.log(r)) <= 1e-6
 
-    def test_marks_passed_at_start_not_recorded(self):
+    def test_marks_passed_at_start_not_recorded(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "_H_MAX", 0.5)
         radii = (2.0, 4.0, 8.0, 16.0)
         marks = self.radius_marks(radii)
         res = drive_field(
             lambda z: z,
             5.0,
-            IntegratorConfig(h_max=0.5),
+            IntegratorConfig(),
             t_stop=10.0,
             events=marks,
         )
@@ -517,9 +516,7 @@ class TestFieldPerSpec:
         users.append(len(seen))
         assert classify(traj, cfg).name == "FiniteTimeBlowup"
         users.append(len(seen))
-        sample_at(traj, 0.5 * traj.t_end)
-        users.append(len(seen))
-        assert 0 < users[0] < users[1] < users[2] < users[3]
+        assert 0 < users[0] < users[1] < users[2]
         assert all(rhs is flow_module._rhs(spec) for rhs in seen)
 
     def test_equal_specs_keep_their_own_fields(self):
@@ -592,7 +589,7 @@ def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
 def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
     """The drive_field loop as it was written with min/max, a step
     counter, g called for every event and 60 bisection halvings."""
-    _EPS, _MAX_STEPS = flow_module._EPS, flow_module._MAX_STEPS
+    _EPS, _MAX_STEPS, _H_MAX = flow_module._EPS, flow_module._MAX_STEPS, flow_module._H_MAX
     _stepper, _hermite = flow_module._stepper, flow_module._hermite
     OdeResult = flow_module.OdeResult
     t, z = t0, complex(z0)
@@ -602,7 +599,7 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
 
     k1 = rhs(z)
     watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
-    h = min(cfg.h_max, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
+    h = min(_H_MAX, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
     steps = 0
     step = _stepper(rhs)
@@ -613,7 +610,7 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
         steps += 1
         if steps > _MAX_STEPS:
             raise PlaneflowError(f"step budget exceeded ({_MAX_STEPS} steps) at t={t!r}")
-        h = min(h, cfg.h_max, t_stop - t)
+        h = min(h, _H_MAX, t_stop - t)
         floor = 1000.0 * _EPS * abs(t)
         try:
             z_new, err, k7 = step(z, h, k1)
@@ -657,7 +654,7 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
         t, z, k1 = t_new, z_new, k7
         samples.append((t, z))
         errors.append(err)
-        h = min(cfg.h_max, h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sc / err) ** 0.2))))
+        h = min(_H_MAX, h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sc / err) ** 0.2))))
 
 
 def _run_outcome(drive, rhs, z0, cfg, t_stop, events=()):
@@ -714,8 +711,9 @@ def _unchecked_cube(z):
 
 
 def _drive_cases():
-    """(rhs, z0, cfg, t_stop, events) covering every exit and branch of
-    drive_field, with seeded random fields from the conftest generators."""
+    """(h_max, rhs, z0, cfg, t_stop, events) covering every exit and branch
+    of drive_field, with seeded random fields from the conftest generators;
+    h_max is the value of flow._H_MAX for the run."""
     cfg = IntegratorConfig()
     cases = [
         # t_stop, and t_stop before the first step
@@ -747,9 +745,10 @@ def _drive_cases():
         # resolution, or accepted steps stop advancing t
         (Field(parse_expr("z^2")), 1 + 0j, IntegratorConfig(rel_tol=1e-6), 2.0, ()),
         (Field(parse_expr("z^2")), 1 + 0j, cfg, 2.0, ()),
-        # a small h_max clamps every step
-        (Field(parse_expr("i*z")), 1 + 0j, IntegratorConfig(h_max=0.01), 1.0, _dyadic_marks(0.5 + 0j)),
     ]
+    cases = [(flow_module._H_MAX, *case) for case in cases]
+    # a small h_max clamps every step
+    cases.append((0.01, Field(parse_expr("i*z")), 1 + 0j, cfg, 1.0, _dyadic_marks(0.5 + 0j)))
     rng = random.Random(20261019)
     points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
     for _ in range(40):
@@ -757,19 +756,21 @@ def _drive_cases():
         post = rng.choice((*flow_module._POSTS, "k * {}"))
         rhs = Field(Scale(rng.choice((1j, -1j)), tree)) if post == "k * {}" else Field(tree, post)
         z0 = rng.choice(points)
-        run_cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), h_max=rng.choice((1e6, 0.05)))
+        run_cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)))
+        h_max = rng.choice((1e6, 0.05))
         try:
             events = rng.choice(((), _dyadic_marks(z0), _integrate_events(rhs, z0, 5.0)))
         except ZeroDivisionError:  # rhs vanishes at z0: no seed direction
             events = ()
-        cases.append((rhs, z0, run_cfg, rng.uniform(0.5, 5.0), events))
+        cases.append((h_max, rhs, z0, run_cfg, rng.uniform(0.5, 5.0), events))
     return cases
 
 
 class TestDriveFieldLoop:
-    def test_matches_reference_loop_bit_for_bit(self):
+    def test_matches_reference_loop_bit_for_bit(self, monkeypatch):
         statuses = set()
-        for rhs, z0, cfg, t_stop, events in _drive_cases():
+        for h_max, rhs, z0, cfg, t_stop, events in _drive_cases():
+            monkeypatch.setattr(flow_module, "_H_MAX", h_max)
             want = _run_outcome(_reference_drive_field, rhs, z0, cfg, t_stop, events)
             got = _run_outcome(drive_field, rhs, z0, cfg, t_stop, events)
             assert got == want, (rhs, z0, cfg, t_stop)

@@ -204,10 +204,11 @@ class TestTrace:
         curve = trace_level(parse_expr("z^3 / 3"), 1.0, 500.0, IntegratorConfig(escape_radius=100.0))
         assert all(b > a for a, b in zip(curve.xs, curve.xs[1:]))
 
-    def test_retrace_with_halved_steps(self):
+    def test_retrace_with_halved_steps(self, monkeypatch):
         cfg = IntegratorConfig(escape_radius=100.0)
         a = trace_level(parse_expr("z^2 / 2"), 1 + 1j, 60.0, cfg)
-        b = trace_level(parse_expr("z^2 / 2"), 1 + 1j, 60.0, cfg, step_scale=0.05)
+        monkeypatch.setattr(level_module, "_STEP_SCALE", 0.05)
+        b = trace_level(parse_expr("z^2 / 2"), 1 + 1j, 60.0, cfg)
         assert abs(a.z_end - b.z_end) <= 1e-5 * (1.0 + abs(a.z_end))
 
     def test_start_at_critical_point_rejected(self):

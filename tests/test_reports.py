@@ -8,7 +8,6 @@ from planeflow.escape import (
     escape_measure,
     poly_flow_summary,
     rubel_path,
-    transverse_segment,
 )
 from planeflow.expr import parse_expr
 from planeflow.flow import (
@@ -19,7 +18,7 @@ from planeflow.flow import (
     integrate,
 )
 from planeflow import reports
-from planeflow.level import infinite_time_criterion, trace_level, transit_time
+from planeflow.level import trace_level, transit_time
 from planeflow.reports import (
     dumps_report,
     load_schema,
@@ -88,11 +87,6 @@ class TestSerialization:
         data = roundtrip(poly_flow_summary([0, 0, 1], HOLOMORPHIC))
         validate_report(data, schema)
 
-    def test_segment_report(self, schema):
-        seg = transverse_segment(parse_expr("-exp(-z)"), 0.0, 1.0, 8)
-        data = roundtrip(seg)
-        validate_report(data, schema)
-
     def test_estimate_and_curve_and_criterion(self, schema):
         cfg = IntegratorConfig(escape_radius=100.0)
         est = blowup_time_estimate(
@@ -101,7 +95,6 @@ class TestSerialization:
         validate_report(roundtrip(est), schema)
         curve = trace_level(parse_expr("z"), 1.0, 700.0, IntegratorConfig(escape_radius=1e4))
         validate_report(roundtrip(curve), schema)
-        validate_report(roundtrip(infinite_time_criterion(curve)), schema)
 
     def test_write_report(self, tmp_path, schema):
         rep = poly_flow_summary([0, 1], "antiholomorphic")

@@ -9,7 +9,7 @@ from planeflow.svg import SvgScene, render_svg
 
 class TestRender:
     def test_empty_scene_is_valid_svg_with_axes(self):
-        doc = render_svg(SvgScene())
+        doc = render_svg(SvgScene(0j, 5.0))
         assert doc.startswith("<svg xmlns=")
         assert doc.rstrip().endswith("</svg>")
         assert doc.count('class="axis"') == 2
