@@ -1,4 +1,4 @@
-"""Run the reference CLI commands and record everything they produce.
+"""Run the eighteen reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -40,6 +40,12 @@ COMMANDS = (
     ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4", "--json"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg", "--json",
+    ]),
+    # every sample lies below the first step of its segment trace (delta
+    # 0.01 < 0.02); the 300 FiniteTimeBlowup verdicts are today's output,
+    # not an expectation (ROADMAP item 1)
+    ("measure-square", [
+        "measure", "--f", "z^2", "--z0", "1", "--delta", "1e-2", "--N", "300", "--seed", "7", "--svg", "--json",
     ]),
     ("rubel", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e45", "--json"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo", "--json"]),

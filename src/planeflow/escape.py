@@ -33,6 +33,10 @@ from .flow import (
 from .jets import _MAX_JET_ORDER, eval_jet
 from .level import _newton, point_on_level, trace_level
 
+# samples placed by one pair of side traces; each placed sample's result
+# holds a copy of its trace, so larger sweeps trace the sides again
+_SIDE_STOPS = 1024
+
 __all__ = [
     "EscapeMeasureReport",
     "PolyFlowSummary",
@@ -49,21 +53,38 @@ __all__ = [
 # transverse segment
 
 
-def _segment_point(fe, fields, z_a, y_a, dy, cfg) -> complex:
-    """Point of the transverse segment at parameter y_a + dy, traced from
-    its point z_a at y_a along the fields of ``_traced_segment``; fe computes f."""
-    if dy == 0.0:
-        return complex(z_a)
-    sgn = 1.0 if dy > 0 else -1.0
-    rhs = fields[dy < 0]
+def _segment_setup(f, z0, delta):
+    """z0 as a complex, the fields dz/dy = i f for y up and for y down,
+    and the event of |f| falling to 1e-9 (1 + |z|), where the segment
+    field contracts onto a zero of f; delta and f(z0) are checked first."""
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be a positive finite number")
+    z0 = complex(z0)
+    fe = compile_fn(f)
+    if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
+        raise ValueError("f vanishes at z0; the segment is undefined")
     near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
-    res = drive_field(rhs, z_a, cfg, t_stop=abs(dy), events=(near_zero,))
+    return z0, tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0)), near_zero
+
+
+def _segment_end(res, y_a, sgn) -> complex:
+    """The last point of a segment trace started at parameter y_a in
+    direction sgn, or the error that stopped it short."""
     if res.status == "event":
         t, z = res.samples[-1]
         raise SegmentTruncated(abs(y_a + sgn * t), z)
     if res.status != "t_stop":
         raise PlaneflowError(f"segment tracing stopped early ({res.status})")
     return res.samples[-1][1]
+
+
+def _segment_point(fields, near_zero, z_a, y_a, dy, cfg) -> complex:
+    """Point of the transverse segment at parameter y_a + dy, traced from
+    its point z_a at y_a with the fields and event of ``_segment_setup``."""
+    if dy == 0.0:
+        return complex(z_a)
+    res = drive_field(fields[dy < 0], z_a, cfg, t_stop=abs(dy), events=(near_zero,))
+    return _segment_end(res, y_a, 1.0 if dy > 0 else -1.0)
 
 
 def transverse_segment(
@@ -80,29 +101,19 @@ def transverse_segment(
     y = 0 (where the segment passes through z0 exactly).  Meeting a zero
     of f raises SegmentTruncated with the parameter span that was achieved.
     """
-    return _traced_segment(f, z0, delta, n, cfg or IntegratorConfig())[2]
-
-
-def _traced_segment(f, z0, delta, n, cfg):
-    """transverse_segment's checks and samples, and the fe and fields that traced them."""
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be a positive finite number")
+    z0, fields, near_zero = _segment_setup(f, z0, delta)
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
-    z0 = complex(z0)
-    fe = compile_fn(f)
-    if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
-        raise ValueError("f vanishes at z0; the segment is undefined")
+    cfg = cfg or IntegratorConfig()
     half = n // 2
     step = delta / half
-    fields = tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0))  # dz/dy = i f, y up and y down
     out = {0: z0}
     for sgn in (1, -1):
         z = z0
         for k in range(1, half + 1):
-            z = _segment_point(fe, fields, z, sgn * (k - 1) * step, sgn * step, cfg)
+            z = _segment_point(fields, near_zero, z, sgn * (k - 1) * step, sgn * step, cfg)
             out[sgn * k] = z
-    return fe, fields, tuple((k * step, out[k]) for k in range(-half, half + 1))
+    return tuple((k * step, out[k]) for k in range(-half, half + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,11 @@ def escape_measure(
 ) -> EscapeMeasureReport:
     """Sample the transverse segment uniformly and tabulate trajectory fates.
 
-    Deterministic for a fixed seed.  Per-sample failures land in an
+    Deterministic for a fixed seed.  Each side of the segment is traced
+    once from z0 to |y| = delta, which checks it for zeros of f before
+    any sample is integrated; each sample's point is that trace
+    continued from the sample's last unclamped step, identical to
+    tracing the sample alone.  Per-sample failures land in an
     ``error`` bucket instead of aborting the sweep; the reported
     fraction counts only conclusive finite-time escapes.  An empty
     sweep reports fraction 0; a negative ``n_samples`` raises ValueError.
@@ -139,25 +154,34 @@ def escape_measure(
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     cfg = cfg or IntegratorConfig()
-    # validates the preconditions (f nonzero on a coarse version of the segment)
-    fe, fields, _ = _traced_segment(f, z0, delta, 16, cfg)
-    spec = FlowSpec(HOLOMORPHIC, f)
+    z0, fields, near_zero = _segment_setup(f, z0, delta)
     rng = random.Random(seed)
+    ys = [rng.uniform(-delta, delta) for _ in range(n_samples)]
+    spec = FlowSpec(HOLOMORPHIC, f)
     counts: dict = {}
     kept = []
-    for i in range(n_samples):
-        y = rng.uniform(-delta, delta)
-        try:
-            zy = _segment_point(fe, fields, z0, 0.0, y, cfg)
-            traj = integrate(spec, zy, cfg)
-            term = classify(traj, cfg)
-            name = term.name
-        except PlaneflowError:
-            name = "error"
-            traj = None
-        counts[name] = counts.get(name, 0) + 1
-        if traj is not None and len(kept) < collect:
-            kept.append((y, traj, name))
+    # an empty sweep still checks the segment
+    for first in range(0, max(n_samples, 1), _SIDE_STOPS):
+        chunk = ys[first : first + _SIDE_STOPS]
+        points = {}  # y -> the side trace's result at |y|
+        for sgn in (1.0, -1.0):
+            side = [y for y in chunk if y * sgn > 0.0]
+            stops = [abs(y) for y in side]
+            res = drive_field(fields[sgn < 0], z0, cfg, t_stop=delta, events=(near_zero,), stops=stops)
+            _segment_end(res, 0.0, sgn)
+            points.update(zip(side, res.at_stops))
+        for y in chunk:
+            try:
+                zy = _segment_end(points[y], 0.0, 1.0 if y > 0 else -1.0) if y else z0
+                traj = integrate(spec, zy, cfg)
+                term = classify(traj, cfg)
+                name = term.name
+            except PlaneflowError:
+                name = "error"
+                traj = None
+            counts[name] = counts.get(name, 0) + 1
+            if traj is not None and len(kept) < collect:
+                kept.append((y, traj, name))
     fraction = counts.get("FiniteTimeBlowup", 0) / n_samples if n_samples else 0.0
     return EscapeMeasureReport(delta, n_samples, seed, counts, fraction, tuple(kept))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import islice
 from types import CodeType, FunctionType
@@ -415,6 +415,7 @@ class OdeResult:
     crossings: list  # (event, t, z) in the order the events fired
     status: str  # t_stop | event | underflow | overflow
     exception: Optional[BaseException] = None
+    at_stops: tuple = field(default=(), init=False)  # one OdeResult per stop given to drive_field
 
 
 def drive_field(
@@ -425,6 +426,7 @@ def drive_field(
     t0: float = 0.0,
     t_stop: float,
     events: Sequence[Event] = (),
+    stops: Sequence[float] = (),
 ) -> OdeResult:
     """Advance dz/dt = rhs(z) adaptively until a stop condition.
 
@@ -437,29 +439,60 @@ def drive_field(
     ``min``/``max`` do: the first, unless a later one wins strictly.
     ``t0`` must be finite and ``t_stop`` not NaN; ``t_stop`` may be
     infinite.
+
+    Each of ``stops`` must lie in (t0, t_stop].  The result's
+    ``at_stops`` holds, in the given order, one result per stop, equal
+    field for field to that of ``drive_field(..., t_stop=s)``: up to its
+    first clamped step, a run to s makes the same attempts as this one,
+    so at the first attempt whose step reaches past s a copy of the state
+    goes on to s.  A stop the run never reaches gets a copy of the run's
+    own result, sharing its lists.
     """
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     if math.isnan(t_stop):
         raise ValueError("t_stop must not be NaN")
-    t, z = t0, complex(z0)
-    samples = [(t, z)]
-    errors = [0.0]
-    crossings = []
-
+    for s in stops:
+        if not t0 < s <= t_stop:  # also rejects NaN
+            raise ValueError(f"each stop must lie in (t0, t_stop], got {s!r}")
+    z = complex(z0)
     k1 = rhs(z)
     watch = [[ev, -math.inf if ev.start_below else ev.g(z), ev.radius] for ev in events]
-    h = min(_H_MAX, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
-    h = max(h, 1e-300)
-    step = _stepper(rhs)
+    h = min(_H_MAX, max(t_stop - t0, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
+    done = {}
+    res = _advance(
+        _stepper(rhs), cfg, t0, z, k1, max(h, 1e-300), watch, [(t0, z)], [0.0], [], t_stop, _MAX_STEPS,
+        sorted(set(stops), reverse=True), done,
+    )
+    if stops:
+        res.at_stops = tuple(done.get(s) or replace(res) for s in stops)
+    return res
+
+
+def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, budget, pending, done):
+    """The loop of :func:`drive_field` from the state t, z, k1, h and watch,
+    extending the lists accepted so far, for at most ``budget`` attempts.
+    Each stop s of ``pending``, smallest last, that the attempt's step
+    reaches past gets ``done[s]``: this loop run to s from a copy of the state.
+    Stops lie at or before t_stop, so an attempt whose step reaches past
+    neither the nearest stop nor t_stop skips both checks."""
     h_max, abs_tol, rel_tol, inf, size = _H_MAX, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
     add_sample, add_error = samples.append, errors.append
+    edge = pending[-1] if pending else t_stop
 
-    for _ in range(_MAX_STEPS):
+    for n in range(budget):
         if t >= t_stop:
             break
         h = h_max if h_max < h else h
-        h = t_stop - t if t_stop - t < h else h
+        if edge - t < h:
+            while pending and pending[-1] - t < h:
+                s = pending.pop()
+                done[s] = _advance(
+                    step, cfg, t, z, k1, h, [list(entry) for entry in watch], samples[:], errors[:], crossings[:],
+                    s, budget - n, [], done,
+                )
+            edge = pending[-1] if pending else t_stop
+            h = t_stop - t if t_stop - t < h else h
         try:
             z_new, err, k7 = step(z, h, k1)
             if not err < inf:

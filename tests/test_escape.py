@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import reference_point_on_level, rubel_start
 
-from planeflow.errors import SegmentTruncated, TractViolation
+from planeflow.errors import PlaneflowError, SegmentTruncated, TractViolation
 import planeflow.escape as escape_module
 from planeflow import cli
 from planeflow.escape import (
@@ -87,7 +87,60 @@ class TestTransverseSegment:
             escape_measure(parse_expr("-exp(-z)"), 0.0, delta, 2)
 
 
+def _reference_escape_measure(f, z0, delta, n_samples, cfg, seed):
+    """escape_measure as it was written: a 16-piece trace of the segment
+    checks it for zeros of f, then each sample is traced from z0 alone.
+    Returns the counts and every (y, samples, termination, name)."""
+    transverse_segment(f, z0, delta, 16, cfg)
+    z0, fields, near_zero = escape_module._segment_setup(f, z0, delta)
+    spec = FlowSpec(HOLOMORPHIC, f)
+    rng = random.Random(seed)
+    counts, kept = {}, []
+    for _ in range(n_samples):
+        y = rng.uniform(-delta, delta)
+        try:
+            zy = escape_module._segment_point(fields, near_zero, z0, 0.0, y, cfg)
+            traj = integrate(spec, zy, cfg)
+            name = classify(traj, cfg).name
+        except PlaneflowError:
+            name = "error"
+            traj = None
+        counts[name] = counts.get(name, 0) + 1
+        if traj is not None:
+            kept.append((y, traj.samples, traj.termination, name))
+    return counts, kept
+
+
 class TestEscapeMeasure:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize(
+        "text, z0, delta",
+        [
+            ("-exp(-z)", 0j, 1.0),
+            ("z^2", 1 + 0j, 1e-2),
+            ("z^2", 1 + 0j, 0.1),
+            ("z^3", 1 + 0.5j, 0.1),
+            ("0.5*z^2 + 0.3*exp(-z)", 1 + 0.5j, 0.5),
+        ],
+    )
+    def test_matches_per_sample_reference(self, text, z0, delta, tol):
+        f = parse_expr(text)
+        cfg = IntegratorConfig(rel_tol=tol, t_max=20.0)
+        for seed in (1, 2, 3):
+            want = _reference_escape_measure(f, z0, delta, 8, cfg, seed)
+            rep = escape_measure(f, z0, delta, 8, cfg, seed=seed, collect=8)
+            kept = [(y, traj.samples, traj.termination, name) for y, traj, name in rep.trajectories]
+            assert repr((rep.counts, kept)) == repr(want)
+
+    def test_sweep_in_chunks_matches_per_sample_reference(self, monkeypatch):
+        # eleven samples placed three at a time: four pairs of side traces
+        monkeypatch.setattr(escape_module, "_SIDE_STOPS", 3)
+        f, cfg = parse_expr("z^2"), IntegratorConfig(t_max=20.0)
+        want = _reference_escape_measure(f, 1 + 0j, 0.1, 11, cfg, 5)
+        rep = escape_measure(f, 1 + 0j, 0.1, 11, cfg, seed=5, collect=11)
+        kept = [(y, traj.samples, traj.termination, name) for y, traj, name in rep.trajectories]
+        assert repr((rep.counts, kept)) == repr(want)
+
     def test_empty_run(self):
         rep = escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 0, IntegratorConfig())
         assert rep.counts == {}
@@ -115,16 +168,19 @@ class TestEscapeMeasure:
 
     def test_zero_on_segment_raises_before_sampling(self, monkeypatch):
         monkeypatch.setattr(escape_module, "integrate", None)
-        with pytest.raises(SegmentTruncated):
-            escape_measure(parse_expr("i*z + 1"), 0.0, 25.0, 5)
+        for n_samples in (5, 0):
+            with pytest.raises(SegmentTruncated) as err:
+                escape_measure(parse_expr("i*z + 1"), 0.0, 25.0, n_samples)
+            # along dz/dy = i(iz + 1), |f| = e^-y falls to the 1e-9 (1 + |z|)
+            # threshold near |z| = 1, at y = ln(5e8)
+            assert abs(err.value.achieved_delta - math.log(5e8)) < 0.01
 
     def test_segment_fields_built_once(self, monkeypatch):
         real = escape_module.Field
         built = []
         monkeypatch.setattr(escape_module, "Field", lambda *args: built.append(args) or real(*args))
         escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 3, IntegratorConfig(t_max=5.0))
-        # dz/dy = i f for y increasing and for y decreasing, shared by the
-        # validating trace and the sweep
+        # dz/dy = i f for y increasing and for y decreasing, one per side trace
         assert len(built) == 2
 
     def test_collect_trajectories(self):

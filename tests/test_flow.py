@@ -663,6 +663,11 @@ def _run_outcome(drive, rhs, z0, cfg, t_stop, events=()):
         res = drive(rhs, z0, cfg, t_stop=t_stop, events=events)
     except PlaneflowError as exc:
         return repr(("raised", type(exc).__name__, str(exc)))
+    return _result_outcome(res, events)
+
+
+def _result_outcome(res, events):
+    """repr of every field of a drive_field result but ``at_stops``."""
     crossings = [(events.index(ev), t, z) for ev, t, z in res.crossings]
     exc = res.exception
     raised = exc and (type(exc).__name__, str(exc), exc.node, repr(exc.at))
@@ -696,6 +701,10 @@ def _called_marks(z0, n=3):
 
 def _two_radii_in_one_step():
     return Event.at_radius(2.0, terminal=False), Event.at_radius(2.0 + 1e-9)
+
+
+def _retired_on_circle():
+    return Event(lambda z: -z.imag, terminal=False), Event(lambda z: z.real, terminal=False, start_below=True)
 
 
 def _stuck_above_one(z):
@@ -736,6 +745,9 @@ def _drive_cases():
         (Field(parse_expr("z")), 1 + 0j, cfg, 5.0, _two_radii_in_one_step()),
         (Field(parse_expr("z^2")), 20 + 0j, cfg, 1.0, (Event.at_radius(10.0, start_below=True),)),
         (Field(parse_expr("z")), 1 + 0j, cfg, 3.0, (Event.at_radius(math.inf, start_below=True),)),
+        # non-terminal events retired on a circle that crosses them again,
+        # one of them start_below from the side where it is met first
+        (Field(parse_expr("i*z")), 1 + 0j, cfg, 10.0, _retired_on_circle()),
         # overflow retries: recovered on the way, then ending in overflow,
         # raised by the field or by a non-finite error estimate
         (_stuck_above_one, 0j, cfg, 5.0, ()),
@@ -786,6 +798,37 @@ class TestDriveFieldLoop:
             want = _run_outcome(_reference_drive_field, rhs, 0j, cfg, t_stop)
             assert _run_outcome(drive_field, rhs, 0j, cfg, t_stop) == want
         assert "step budget exceeded (7 steps)" in _run_outcome(drive_field, rhs, 0j, cfg, 50.0)
+
+    def test_stops_match_separate_runs_bit_for_bit(self, monkeypatch):
+        rng = random.Random(20261018)
+        statuses = set()
+        for h_max, rhs, z0, cfg, t_stop, events in _drive_cases():
+            if t_stop <= 0.0:
+                continue
+            monkeypatch.setattr(flow_module, "_H_MAX", h_max)
+            first = min(h_max, t_stop, 0.01 * (1.0 + abs(z0)) / max(abs(rhs(z0)), 1e-12))
+            # inside the span the run covers, then below the first step,
+            # repeated, and t_stop itself
+            reach = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events).samples[-1][0]
+            stops = [reach * (1.0 - rng.random()) for _ in range(rng.randint(1, 3))]
+            stops += [first * (1.0 - rng.random()), stops[0], t_stop]
+            rng.shuffle(stops)
+            res = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events, stops=stops)
+            assert _result_outcome(res, events) == _run_outcome(drive_field, rhs, z0, cfg, t_stop, events)
+            assert len(res.at_stops) == len(stops)
+            for s, got in zip(stops, res.at_stops):
+                want = _run_outcome(drive_field, rhs, z0, cfg, s, events)
+                assert _result_outcome(got, events) == want, (rhs, z0, cfg, t_stop, s)
+                statuses.add(got.status)
+        assert statuses == {"t_stop", "event", "overflow", "underflow"}
+
+    @pytest.mark.parametrize("stop", [math.nan, 0.0, -1.0, 2.0])
+    def test_stop_outside_the_run_rejected_before_any_step(self, stop):
+        def no_calls(z):
+            raise AssertionError("rhs evaluated")
+
+        with pytest.raises(ValueError):
+            drive_field(no_calls, 0j, IntegratorConfig(), t_stop=1.0, stops=(0.5, stop))
 
 
 def _crossing_gs(rng, rhs, step):
