@@ -1,4 +1,4 @@
-"""Run the eighteen reference CLI commands and record everything they produce.
+"""Run the nineteen reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -35,20 +35,26 @@ COMMANDS = (
     ("classify-outside", ["classify", "--f", "z^2", "--z0", "20", "--radius", "10", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
-    ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--csv", "--json"]),
-    ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6", "--json"]),
-    ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4", "--json"]),
+    ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
+    ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6"]),
+    ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4"]),
     ("measure", [
-        "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg", "--json",
+        "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),
     # every sample lies below the first step of its segment trace (delta
     # 0.01 < 0.02); the 300 FiniteTimeBlowup verdicts are today's output,
     # not an expectation (ROADMAP item 1)
     ("measure-square", [
-        "measure", "--f", "z^2", "--z0", "1", "--delta", "1e-2", "--N", "300", "--seed", "7", "--svg", "--json",
+        "measure", "--f", "z^2", "--z0", "1", "--delta", "1e-2", "--N", "300", "--seed", "7", "--svg",
     ]),
-    ("rubel", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e45", "--json"]),
-    ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo", "--json"]),
+    # a curved segment: its polyline is read from the side traces of a
+    # non-exponential f
+    ("measure-mixed", [
+        "measure", "--f", "0.5*z^2 + 0.3*exp(-z)", "--z0", "1+0.5i", "--delta", "0.5", "--N", "40", "--seed", "9",
+        "--tol", "1e-3", "--svg",
+    ]),
+    ("rubel", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
+    ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius
     ("demo", ["demo"]),
 )

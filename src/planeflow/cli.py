@@ -16,9 +16,9 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .errors import ParseError, PlaneflowError
+from .errors import EvaluationOverflow, ParseError, PlaneflowError
 from .escape import escape_measure, poly_flow_summary, rubel_path, transverse_segment
-from .expr import constant_value, is_constant, parse_expr, to_text
+from .expr import Constant, constant_value, is_constant, parse_expr, poly_coeffs, to_text
 from .flow import (
     ANTIHOLOMORPHIC,
     FORWARD,
@@ -43,14 +43,19 @@ __all__ = ["main", "run_cli"]
 
 
 def parse_complex(text: str) -> complex:
-    """Accept 're,im' pairs or expression-style literals like '1+2i'."""
+    """Accept 're,im' pairs or expression-style literals like '1+2i'; a
+    point that is not finite is a ParseError."""
     if "," in text:
         re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    expr = parse_expr(text)
-    if not is_constant(expr):
-        raise ValueError(f"{text!r} is not a constant")
-    return constant_value(expr)
+        expr = Constant(complex(float(re_s), float(im_s)))
+    else:
+        expr = parse_expr(text)
+        if not is_constant(expr):
+            raise ValueError(f"{text!r} is not a constant")
+    try:
+        return constant_value(expr)
+    except EvaluationOverflow:  # the compiled constant checks that it is finite
+        raise ParseError(f"point {text!r} is not finite", 0) from None
 
 
 def _config(args) -> IntegratorConfig:
@@ -123,9 +128,9 @@ _FLAGS = {
     "tmax": dict(type=float, default=None, help="integration time budget"),
     "radius": dict(type=float, default=None, help="escape radius"),
     "out": dict(type=Path, default=Path("."), help="output directory"),
-    "json": dict(action="store_true", help="write a JSON report (transit, measure, rubel, poly-summary always do)"),
+    "json": dict(action="store_true", help="write a JSON report"),
     "svg": dict(action="store_true", help="write an SVG scene"),
-    "csv": dict(action="store_true", help="write a CSV table (level-trace always does)"),
+    "csv": dict(action="store_true", help="write a CSV table"),
     "window": dict(type=_window, default=None, help="plot window as 'cx,cy,halfwidth' (default: fit to data)"),
 }
 
@@ -245,8 +250,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _poly_roots_of(spec: FlowSpec):
-    from .expr import poly_coeffs
-
     coeffs = poly_coeffs(spec.func)
     return _poly_roots(coeffs) if coeffs else []
 
@@ -635,11 +638,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = command("level-trace", help="trace a level curve of Im G")
-    _add_flags(p, "G start Xmax tol tmax radius out json svg csv window")
+    _add_flags(p, "G start Xmax tol tmax radius out json svg window")
     p.set_defaults(fn=_cmd_level_trace, radius=1e9)
 
     p = command("transit", help="transit time along a level curve")
-    _add_flags(p, "G start Xmax tol tmax radius out json")
+    _add_flags(p, "G start Xmax tol tmax radius out")
     p.set_defaults(fn=_cmd_transit, radius=1e9)
 
     p = command("measure", help="Monte Carlo escape measure on a transverse segment")
@@ -648,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_int_at_least(1), default=1000, help="number of samples")
     p.add_argument("--keep", type=_int_at_least(0), default=40, help="trajectories kept for the SVG")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    _add_flags(p, "z0 tol tmax radius out json svg window")
+    _add_flags(p, "z0 tol tmax radius out svg window")
     p.set_defaults(fn=_cmd_measure)
 
     p = command("rubel", help="trace a growth path where f - iD is real increasing")
@@ -659,12 +662,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=_int_at_least(0, _MAX_JET_ORDER), default=3)
     p.add_argument("--c", type=_positive_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
-    _add_flags(p, "tol tmax radius out json")
+    _add_flags(p, "tol tmax radius out")
     p.set_defaults(fn=_cmd_rubel, radius=1e9)
 
     p = command("poly-summary", help="predicted escape structure of a polynomial flow")
     p.add_argument("--coeffs", required=True, help="ascending coefficients 'a0,a1,...'")
-    _add_flags(p, "kind out json")
+    _add_flags(p, "kind out")
     p.set_defaults(fn=_cmd_poly_summary)
 
     p = command("demo", help="run the built-in example suite and print pass/fail")
@@ -693,10 +696,8 @@ def _join_expression_values(argv):
 
 def run_cli(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_expression_values(list(argv)))
+        args = parser.parse_args(_join_expression_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -33,8 +33,8 @@ from .flow import (
 from .jets import _MAX_JET_ORDER, eval_jet
 from .level import _newton, point_on_level, trace_level
 
-# samples placed by one pair of side traces; each placed sample's result
-# holds a copy of its trace, so larger sweeps trace the sides again
+# points placed by one pair of side traces; each stop's result holds a
+# copy of its trace, so more points trace the sides again
 _SIDE_STOPS = 1024
 
 __all__ = [
@@ -53,10 +53,27 @@ __all__ = [
 # transverse segment
 
 
-def _segment_setup(f, z0, delta):
-    """z0 as a complex, the fields dz/dy = i f for y up and for y down,
-    and the event of |f| falling to 1e-9 (1 + |z|), where the segment
-    field contracts onto a zero of f; delta and f(z0) are checked first."""
+def _segment_end(res):
+    """The last point of a segment trace from z0, or the error that stopped it."""
+    if res.status == "event":
+        return SegmentTruncated(*res.samples[-1])
+    if res.status == "t_stop":
+        return res.samples[-1][1]
+    return PlaneflowError(f"segment tracing stopped early ({res.status})")
+
+
+def _checked(z) -> complex:
+    """A segment point; the error that stopped its trace is raised."""
+    if isinstance(z, PlaneflowError):
+        raise z
+    return z
+
+
+def _segment_points(f, z0, delta, ys, cfg):
+    """Yield (y, point) for each y in ys, |y| <= delta: the segment's point at y,
+    or the PlaneflowError that stopped its trace.  dz/dy = i f is traced once per
+    side to delta and read at the stops |y|; delta and f(z0) are checked at the
+    call, and each side trace raises before any of its points is yielded."""
     if not 0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
     z0 = complex(z0)
@@ -64,27 +81,21 @@ def _segment_setup(f, z0, delta):
     if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
         raise ValueError("f vanishes at z0; the segment is undefined")
     near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
-    return z0, tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0)), near_zero
+    fields = tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0))
 
+    def chunks():
+        # no y at all still checks the segment
+        for first in range(0, max(len(ys), 1), _SIDE_STOPS):
+            chunk = ys[first : first + _SIDE_STOPS]
+            ends = {}  # y -> the side trace's result at |y|
+            for sgn in (1.0, -1.0):
+                side = [y for y in chunk if y * sgn > 0.0]
+                res = drive_field(fields[sgn < 0], z0, cfg, t_stop=delta, events=(near_zero,), stops=[abs(y) for y in side])
+                _checked(_segment_end(res))
+                ends.update(zip(side, res.at_stops))
+            yield from ((y, _segment_end(ends[y]) if y else z0) for y in chunk)
 
-def _segment_end(res, y_a, sgn) -> complex:
-    """The last point of a segment trace started at parameter y_a in
-    direction sgn, or the error that stopped it short."""
-    if res.status == "event":
-        t, z = res.samples[-1]
-        raise SegmentTruncated(abs(y_a + sgn * t), z)
-    if res.status != "t_stop":
-        raise PlaneflowError(f"segment tracing stopped early ({res.status})")
-    return res.samples[-1][1]
-
-
-def _segment_point(fields, near_zero, z_a, y_a, dy, cfg) -> complex:
-    """Point of the transverse segment at parameter y_a + dy, traced from
-    its point z_a at y_a with the fields and event of ``_segment_setup``."""
-    if dy == 0.0:
-        return complex(z_a)
-    res = drive_field(fields[dy < 0], z_a, cfg, t_stop=abs(dy), events=(near_zero,))
-    return _segment_end(res, y_a, 1.0 if dy > 0 else -1.0)
+    return chunks()
 
 
 def transverse_segment(
@@ -98,22 +109,16 @@ def transverse_segment(
 
     Returns the (y, z) samples at n+1 equispaced parameter values y on
     [-delta, delta], y ascending; n must be even so the grid contains
-    y = 0 (where the segment passes through z0 exactly).  Meeting a zero
-    of f raises SegmentTruncated with the parameter span that was achieved.
+    y = 0 (where the segment passes through z0 exactly), read from one
+    trace per side as ``escape_measure`` reads its samples.  Meeting a
+    zero of f raises SegmentTruncated with the parameter span achieved.
     """
-    z0, fields, near_zero = _segment_setup(f, z0, delta)
     if n < 2 or n % 2:
         raise ValueError("n must be an even integer >= 2")
-    cfg = cfg or IntegratorConfig()
     half = n // 2
-    step = delta / half
-    out = {0: z0}
-    for sgn in (1, -1):
-        z = z0
-        for k in range(1, half + 1):
-            z = _segment_point(fields, near_zero, z, sgn * (k - 1) * step, sgn * step, cfg)
-            out[sgn * k] = z
-    return tuple((k * step, out[k]) for k in range(-half, half + 1))
+    ys = [k * (delta / half) for k in range(-half, half + 1)]
+    # traced to the grid's own end, which can pass delta by an ulp; no stop may pass t_stop
+    return tuple((y, _checked(z)) for y, z in _segment_points(f, z0, ys[-1], ys, cfg or IntegratorConfig()))
 
 
 # ---------------------------------------------------------------------------
@@ -142,46 +147,30 @@ def escape_measure(
 ) -> EscapeMeasureReport:
     """Sample the transverse segment uniformly and tabulate trajectory fates.
 
-    Deterministic for a fixed seed.  Each side of the segment is traced
-    once from z0 to |y| = delta, which checks it for zeros of f before
-    any sample is integrated; each sample's point is that trace
-    continued from the sample's last unclamped step, identical to
-    tracing the sample alone.  Per-sample failures land in an
-    ``error`` bucket instead of aborting the sweep; the reported
-    fraction counts only conclusive finite-time escapes.  An empty
-    sweep reports fraction 0; a negative ``n_samples`` raises ValueError.
+    Deterministic for a fixed seed.  The sample points are read from one
+    trace per side, which raises for a zero of f before any sample is
+    integrated; each equals the sample's own trace from z0.  Per-sample
+    failures land in an ``error`` bucket instead of aborting the sweep;
+    the reported fraction counts only conclusive finite-time escapes.  An
+    empty sweep reports fraction 0; a negative ``n_samples`` raises ValueError.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     cfg = cfg or IntegratorConfig()
-    z0, fields, near_zero = _segment_setup(f, z0, delta)
     rng = random.Random(seed)
     ys = [rng.uniform(-delta, delta) for _ in range(n_samples)]
+    points = _segment_points(f, z0, delta, ys, cfg)
     spec = FlowSpec(HOLOMORPHIC, f)
-    counts: dict = {}
-    kept = []
-    # an empty sweep still checks the segment
-    for first in range(0, max(n_samples, 1), _SIDE_STOPS):
-        chunk = ys[first : first + _SIDE_STOPS]
-        points = {}  # y -> the side trace's result at |y|
-        for sgn in (1.0, -1.0):
-            side = [y for y in chunk if y * sgn > 0.0]
-            stops = [abs(y) for y in side]
-            res = drive_field(fields[sgn < 0], z0, cfg, t_stop=delta, events=(near_zero,), stops=stops)
-            _segment_end(res, 0.0, sgn)
-            points.update(zip(side, res.at_stops))
-        for y in chunk:
-            try:
-                zy = _segment_end(points[y], 0.0, 1.0 if y > 0 else -1.0) if y else z0
-                traj = integrate(spec, zy, cfg)
-                term = classify(traj, cfg)
-                name = term.name
-            except PlaneflowError:
-                name = "error"
-                traj = None
-            counts[name] = counts.get(name, 0) + 1
-            if traj is not None and len(kept) < collect:
-                kept.append((y, traj, name))
+    counts, kept = {}, []
+    for y, zy in points:
+        try:
+            traj = integrate(spec, _checked(zy), cfg)
+            name = classify(traj, cfg).name
+        except PlaneflowError:
+            name, traj = "error", None
+        counts[name] = counts.get(name, 0) + 1
+        if traj is not None and len(kept) < collect:
+            kept.append((y, traj, name))
     fraction = counts.get("FiniteTimeBlowup", 0) / n_samples if n_samples else 0.0
     return EscapeMeasureReport(delta, n_samples, seed, counts, fraction, tuple(kept))
 

@@ -620,10 +620,10 @@ class _Parser:
         tok = self.take()
         kind, lit, off = tok
         if kind == "num":
-            if lit.endswith("i"):
-                body = lit[:-1]
-                return Constant(complex(0.0, float(body) if body else 1.0))
-            return Constant(complex(float(lit), 0.0))
+            x = float(lit.rstrip("i"))
+            if cmath.isinf(x):
+                raise ParseError(f"numeric literal {lit!r} overflows", off)
+            return Constant(complex(0.0, x) if lit.endswith("i") else complex(x, 0.0))
         if kind == "name":
             if lit == "z":
                 return Variable()

@@ -128,6 +128,16 @@ class TestSimulate:
         (["simulate", "--f", "z^", "--z0", "1"], "ParseError"),
         (["transit", "--G", "z^z", "--start", "1", "--Xmax", "5"], "ParseError"),
         (["simulate", "--f", "z^2i", "--z0", "1"], "EntiretyViolation"),
+        # a point or literal that is not finite is bad input, not a numerical failure
+        (["simulate", "--f", "z", "--z0", "inf,0"], "ParseError"),
+        (["classify", "--f", "z^2", "--z0", "1,nan"], "ParseError"),
+        (["level-trace", "--G", "z^2", "--start", "nan,1", "--Xmax", "10"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "1e400"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "1e400i"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "1e200*1e200"], "ParseError"),
+        (["poly-summary", "--coeffs", "0,0,1e400"], "ParseError"),
+        (["simulate", "--f", "1e400*z", "--z0", "1"], "ParseError"),
+        (["measure", "--f", "-exp(-z)", "--z0", "inf,0"], "ParseError"),
     ])
     def test_malformed_expression_or_point_exit_2(self, tmp_path, capsys, argv, error):
         out_dir = tmp_path / "out"
@@ -314,7 +324,10 @@ class TestSubcommands:
         [(c, "--seed") for c in ("simulate", "classify", "level-trace", "transit", "rubel", "poly-summary")]
         + [(c, f) for c in ("classify", "transit", "rubel") for f in ("--svg", "--window")]
         + [(c, "--csv") for c in ("transit", "measure", "rubel")]
-        + [("poly-summary", f) for f in ("--tol", "--tmax", "--radius", "--svg", "--csv", "--window")],
+        + [("poly-summary", f) for f in ("--tol", "--tmax", "--radius", "--svg", "--csv", "--window")]
+        # each command writes its JSON report (level-trace its CSV table) unasked
+        + [(c, "--json") for c in ("transit", "measure", "rubel", "poly-summary")]
+        + [("level-trace", "--csv")],
     )
     def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
         out_dir = tmp_path / "out"

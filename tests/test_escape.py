@@ -17,13 +17,16 @@ from planeflow.escape import (
     rubel_path,
     transverse_segment,
 )
-from planeflow.expr import compile_fn, derivative, parse_expr
+from planeflow.expr import Scale, compile_fn, derivative, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
+    Event,
+    Field,
     FlowSpec,
     IntegratorConfig,
     classify,
+    drive_field,
     integrate,
 )
 from planeflow.jets import eval_jet
@@ -87,19 +90,37 @@ class TestTransverseSegment:
             escape_measure(parse_expr("-exp(-z)"), 0.0, delta, 2)
 
 
+def _segment_fields(f):
+    """The fields dz/dy = i f (y up) and -i f (y down) and the event of
+    |f| falling to 1e-9 (1 + |z|), as the transverse segment is traced."""
+    fe = compile_fn(f)
+    near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
+    return tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0)), near_zero
+
+
+def _reference_segment_point(f, z0, y, cfg):
+    """The segment point at y traced alone, by one run from z0 to |y|."""
+    if y == 0.0:
+        return complex(z0)
+    fields, near_zero = _segment_fields(f)
+    res = drive_field(fields[y < 0], complex(z0), cfg, t_stop=abs(y), events=(near_zero,))
+    if res.status != "t_stop":
+        raise PlaneflowError(f"segment trace stopped ({res.status})")
+    return res.samples[-1][1]
+
+
 def _reference_escape_measure(f, z0, delta, n_samples, cfg, seed):
     """escape_measure as it was written: a 16-piece trace of the segment
     checks it for zeros of f, then each sample is traced from z0 alone.
     Returns the counts and every (y, samples, termination, name)."""
     transverse_segment(f, z0, delta, 16, cfg)
-    z0, fields, near_zero = escape_module._segment_setup(f, z0, delta)
     spec = FlowSpec(HOLOMORPHIC, f)
     rng = random.Random(seed)
     counts, kept = {}, []
     for _ in range(n_samples):
         y = rng.uniform(-delta, delta)
         try:
-            zy = escape_module._segment_point(fields, near_zero, z0, 0.0, y, cfg)
+            zy = _reference_segment_point(f, z0, y, cfg)
             traj = integrate(spec, zy, cfg)
             name = classify(traj, cfg).name
         except PlaneflowError:
@@ -111,18 +132,31 @@ def _reference_escape_measure(f, z0, delta, n_samples, cfg, seed):
     return counts, kept
 
 
+_MEASURE_CASES = [
+    ("-exp(-z)", 0j, 1.0),
+    ("z^2", 1 + 0j, 1e-2),
+    ("z^2", 1 + 0j, 0.1),
+    ("z^3", 1 + 0.5j, 0.1),
+    ("0.5*z^2 + 0.3*exp(-z)", 1 + 0.5j, 0.5),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("text, z0, delta", _MEASURE_CASES)
+def test_segment_points_match_separate_runs(text, z0, delta, tol):
+    # each grid point is the one run from z0 to its |y|, as a Monte Carlo
+    # sample's point is, not a chain of runs between grid points
+    f = parse_expr(text)
+    cfg = IntegratorConfig(rel_tol=tol, t_max=20.0)
+    for n in (2, 16, 64):
+        seg = transverse_segment(f, z0, delta, n, cfg)
+        assert [y for y, _ in seg] == [k * (delta / (n // 2)) for k in range(-(n // 2), n // 2 + 1)]
+        assert repr([z for _, z in seg]) == repr([_reference_segment_point(f, z0, y, cfg) for y, _ in seg])
+
+
 class TestEscapeMeasure:
     @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
-    @pytest.mark.parametrize(
-        "text, z0, delta",
-        [
-            ("-exp(-z)", 0j, 1.0),
-            ("z^2", 1 + 0j, 1e-2),
-            ("z^2", 1 + 0j, 0.1),
-            ("z^3", 1 + 0.5j, 0.1),
-            ("0.5*z^2 + 0.3*exp(-z)", 1 + 0.5j, 0.5),
-        ],
-    )
+    @pytest.mark.parametrize("text, z0, delta", _MEASURE_CASES)
     def test_matches_per_sample_reference(self, text, z0, delta, tol):
         f = parse_expr(text)
         cfg = IntegratorConfig(rel_tol=tol, t_max=20.0)
@@ -176,12 +210,18 @@ class TestEscapeMeasure:
             assert abs(err.value.achieved_delta - math.log(5e8)) < 0.01
 
     def test_segment_fields_built_once(self, monkeypatch):
-        real = escape_module.Field
-        built = []
-        monkeypatch.setattr(escape_module, "Field", lambda *args: built.append(args) or real(*args))
-        escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 3, IntegratorConfig(t_max=5.0))
-        # dz/dy = i f for y increasing and for y decreasing, one per side trace
-        assert len(built) == 2
+        calls = []
+        for name in ("Field", "drive_field"):
+            real = getattr(escape_module, name)
+            monkeypatch.setattr(
+                escape_module, name, lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
+            )
+        f, cfg = parse_expr("-exp(-z)"), IntegratorConfig(t_max=5.0)
+        for run in (lambda: escape_measure(f, 0.0, 1.0, 3, cfg), lambda: transverse_segment(f, 0.0, 1.0, 64, cfg)):
+            calls.clear()
+            run()
+            # dz/dy = i f for y increasing and for y decreasing, one trace per side
+            assert sorted(calls) == ["Field", "Field", "drive_field", "drive_field"]
 
     def test_collect_trajectories(self):
         cfg = IntegratorConfig(escape_radius=10.0, t_max=20.0)

@@ -82,6 +82,12 @@ class TestParse:
         assert parse_expr("(1+2i)") == Add(Constant(1), Constant(2j))
         assert constant_value(parse_expr("(1+2i)")) == 1 + 2j
 
+    @pytest.mark.parametrize("text, offset", [("1e400*z", 0), ("z + 2e999i", 4)])
+    def test_overflowing_literal_rejected(self, text, offset):
+        with pytest.raises(ParseError, match="overflows") as err:
+            parse_expr(text)
+        assert err.value.offset == offset
+
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as err:
             parse_expr("z + $")
