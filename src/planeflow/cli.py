@@ -16,9 +16,9 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .errors import EvaluationOverflow, ParseError, PlaneflowError
+from .errors import ParseError, PlaneflowError
 from .escape import escape_measure, poly_flow_summary, rubel_path, transverse_segment
-from .expr import Constant, constant_value, is_constant, parse_expr, poly_coeffs, to_text
+from .expr import constant_value, is_constant, parse_expr, poly_coeffs, to_text
 from .flow import (
     ANTIHOLOMORPHIC,
     FORWARD,
@@ -32,7 +32,6 @@ from .flow import (
     classify,
     conformal_clock_residual,
     integrate,
-    upgraded,
 )
 from .jets import _MAX_JET_ORDER
 from .level import infinite_time_criterion, trace_level, transit_time
@@ -44,18 +43,17 @@ __all__ = ["main", "run_cli"]
 
 def parse_complex(text: str) -> complex:
     """Accept 're,im' pairs or expression-style literals like '1+2i'; a
-    point that is not finite is a ParseError."""
+    point that is not finite, or whose modulus overflows, is a ParseError."""
     if "," in text:
-        re_s, im_s = text.split(",", 1)
-        expr = Constant(complex(float(re_s), float(im_s)))
+        z = complex(*map(float, text.split(",", 1)))
     else:
         expr = parse_expr(text)
         if not is_constant(expr):
             raise ValueError(f"{text!r} is not a constant")
-    try:
-        return constant_value(expr)
-    except EvaluationOverflow:  # the compiled constant checks that it is finite
-        raise ParseError(f"point {text!r} is not finite", 0) from None
+        z = constant_value(expr)
+    if not math.isfinite(math.hypot(z.real, z.imag)):  # where abs(z) would raise OverflowError
+        raise ParseError(f"point {text!r} is not finite", 0)
+    return z
 
 
 def _config(args) -> IntegratorConfig:
@@ -266,8 +264,7 @@ def _cmd_classify(args) -> int:
     z0 = parse_complex(args.z0)
     traj = integrate(spec, z0, cfg)
     est = blowup_time_estimate(traj, cfg)
-    term = upgraded(traj.termination, est)
-    print(_termination_line(term))
+    print(_termination_line(classify(traj, cfg)))
     if est.conclusive:
         print(f"  escape time {est.t_est!r} ± {est.t_err:.3g} ({est.method})")
     else:
@@ -495,7 +492,7 @@ def _demo_tract():
     traj = integrate(spec, complex(-1.0, math.pi), cfg)
     est = blowup_time_estimate(traj, cfg)
     finite = dict(
-        termination=upgraded(traj.termination, est).name, conclusive=est.conclusive,
+        termination=classify(traj, cfg).name, conclusive=est.conclusive,
         t_est=est.t_est, t_err=est.t_err, im_drift=antiholo_invariants(traj).im_drift,
     )
     times, drift = [], 0.0
@@ -506,7 +503,7 @@ def _demo_tract():
         est = blowup_time_estimate(traj, cfg_r)
         drift = max(drift, antiholo_invariants(traj).im_drift)
     infinite = dict(
-        termination=upgraded(traj.termination, est).name, conclusive=est.conclusive,
+        termination=classify(traj, cfg_r).name, conclusive=est.conclusive,
         im_drift=drift, times_to_radius=times,
     )
     want = -math.log(1.0 - math.exp(-1.0))

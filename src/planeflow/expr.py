@@ -494,6 +494,8 @@ def _tokenize(text: str):
                 j += 1
                 while j < n and text[j] in _DIGITS:
                     j += 1
+            if text[i:j] == ".":
+                raise ParseError("numeric literal has no digits", i)
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
@@ -548,6 +550,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if _constant_checked(e):
+            _check_part(e)
         return e
 
     def sum(self) -> FuncExpr:
@@ -642,6 +646,28 @@ class _Parser:
         raise ParseError(f"unexpected token {lit!r}", off)
 
 
+def _constant_checked(expr: FuncExpr) -> bool:
+    """is_constant(expr), found in one walk that evaluates each largest constant
+    part of a non-constant expr, so that one with no finite value raises."""
+    if isinstance(expr, (Constant, Variable)):
+        return isinstance(expr, Constant)
+    if not isinstance(expr, (Add, Mul)):  # as constant as its argument, or z^0
+        return _constant_checked(expr.arg) or isinstance(expr, IntPower) and expr.power == 0
+    left, right = _constant_checked(expr.left), _constant_checked(expr.right)
+    if left != right:
+        _check_part(expr.left if left else expr.right)
+    return left and right
+
+
+def _check_part(part: FuncExpr) -> None:
+    # a literal was checked when read; a sum of two, such as (1+2i), is their sum
+    if isinstance(part, Add) and isinstance(part.left, Constant) and isinstance(part.right, Constant):
+        if not cmath.isfinite(part.left.value + part.right.value):
+            raise EvaluationOverflow(part, at=0j)
+    elif not isinstance(part, Constant):
+        constant_value(part)
+
+
 def _depth(expr: FuncExpr) -> int:
     """Most nodes on a path from the root, counted without recursion."""
     deepest, stack = 0, [(expr, 1)]
@@ -662,7 +688,10 @@ def parse_expr(text: str) -> FuncExpr:
     ``+ - *`` and unary ``-``; ``^k`` with integer k >= 0; ``exp(...)``;
     division only by a nonzero constant.  Whitespace is insignificant.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except EvaluationOverflow as exc:  # a constant part with no finite value
+        raise ParseError(f"constant {to_text(exc.node)!r} is not finite", 0) from None
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ __all__ = [
     "conformal_clock_residual",
     "drive_field",
     "integrate",
-    "upgraded",
 ]
 
 HOLOMORPHIC = "holomorphic"
@@ -174,6 +173,9 @@ class Trajectory:
     samples: tuple
     errors: tuple
     termination: Termination
+
+    def __getstate__(self):  # the kept estimate belongs to this object only
+        return {k: v for k, v in self.__dict__.items() if k != "_estimate"}
 
     @property
     def t_end(self) -> float:
@@ -633,8 +635,19 @@ def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = Non
     estimate.  Otherwise: continue through dyadic radii R, 2R, 4R, ...
     and accept a finite limit only when the exit-time increments decay
     geometrically (ratio <= 0.75).
+
+    The estimate is kept on ``traj`` with ``cfg``: a call with an equal
+    config returns it, another config replaces it, a raise keeps nothing.
     """
     cfg = cfg or IntegratorConfig()
+    kept = traj.__dict__.get("_estimate")
+    if kept is None or kept[0] != cfg:
+        kept = cfg, _estimate(traj, cfg)
+        object.__setattr__(traj, "_estimate", kept)
+    return kept[1]
+
+
+def _estimate(traj, cfg) -> BlowupEstimate:
     if not isinstance(traj.termination, ReachedRadius):
         return _inconclusive("not an escape candidate")
     rhs = _rhs(traj.spec)
@@ -740,27 +753,19 @@ def _dyadic_estimate(rhs, traj, cfg) -> BlowupEstimate:
 def classify(traj: Trajectory, cfg: Optional[IntegratorConfig] = None) -> Termination:
     """Refine a trajectory's termination.
 
-    ReachedRadius upgrades to FiniteTimeBlowup exactly when the exit-time
-    analysis of :func:`blowup_time_estimate` converges; periodic and
-    fixed-point terminations are detected during integration and pass
-    through unchanged.  Classification is total: it never raises for a
-    well-formed trajectory.
+    ReachedRadius upgrades to FiniteTimeBlowup exactly when the estimate of
+    :func:`blowup_time_estimate`, the one kept on traj for an equal cfg if
+    any, is conclusive; other terminations pass through unchanged.
+    Classification is total: it never raises for a well-formed trajectory.
     """
-    cfg = cfg or IntegratorConfig()
     term = traj.termination
     if isinstance(term, ReachedRadius):
         try:
-            return upgraded(term, blowup_time_estimate(traj, cfg))
+            est = blowup_time_estimate(traj, cfg)
         except PlaneflowError:
             return term
-    return term
-
-
-def upgraded(term: Termination, est: BlowupEstimate) -> Termination:
-    """The termination that the estimate supports: ReachedRadius becomes
-    FiniteTimeBlowup when the estimate is conclusive; the rest pass through."""
-    if isinstance(term, ReachedRadius) and est.conclusive:
-        return FiniteTimeBlowup(est.t_est, est.t_err)
+        if est.conclusive:
+            return FiniteTimeBlowup(est.t_est, est.t_err)
     return term
 
 

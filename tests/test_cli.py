@@ -137,6 +137,13 @@ class TestSimulate:
         (["simulate", "--f", "z", "--z0", "1e200*1e200"], "ParseError"),
         (["poly-summary", "--coeffs", "0,0,1e400"], "ParseError"),
         (["simulate", "--f", "1e400*z", "--z0", "1"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "1.3e308,1.3e308"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "1.3e308+1.3e308i"], "ParseError"),
+        (["simulate", "--f", "exp(1000)*z", "--z0", "1"], "ParseError"),
+        (["simulate", "--f", "1e200*1e200*z", "--z0", "1"], "ParseError"),
+        (["simulate", "--f", "z/exp(1000)", "--z0", "1"], "ParseError"),
+        (["simulate", "--f", ".", "--z0", "1"], "ParseError"),
+        (["simulate", "--f", "z", "--z0", "."], "ParseError"),
         (["measure", "--f", "-exp(-z)", "--z0", "inf,0"], "ParseError"),
     ])
     def test_malformed_expression_or_point_exit_2(self, tmp_path, capsys, argv, error):

@@ -88,6 +88,38 @@ class TestParse:
             parse_expr(text)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("text, offset", [(".", 0), ("z + .e5", 4), ("2*.i", 2)])
+    def test_literal_without_digits_rejected(self, text, offset):
+        with pytest.raises(ParseError, match="no digits") as err:
+            parse_expr(text)
+        assert type(err.value) is ParseError and err.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, part",
+        [
+            ("exp(1000)*z", "exp(1000)"),
+            ("1e200*1e200*z", "1e+200 * 1e+200"),
+            ("z + exp(exp(7))", "exp(exp(7))"),
+            ("exp(1000)^0", "exp(1000)"),
+            ("z/exp(1000)", "exp(1000)"),
+            # a sum of two literals is checked by adding them, not compiled
+            ("(1e308+1e308)*z", "1e+308 + 1e+308"),
+            ("exp(1000)", "exp(1000)"),
+        ],
+    )
+    def test_overflowing_constant_part_rejected(self, text, part):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"constant {part!r} is not finite (at offset 0)"
+
+    def test_finite_constant_part_kept_unfolded(self):
+        # the part 1e200*1e200 overflows, but the largest constant part is 0
+        e = parse_expr("exp(-(1e200*1e200))*z")
+        assert e == Mul(Exp(Negate(Mul(Constant(1e200), Constant(1e200)))), Variable())
+        assert compile_fn(e)(2.0) == 0
+        assert parse_expr("(1e308+1e308i)*z") == Mul(Add(Constant(1e308), Constant(1e308j)), Variable())
+
     def test_syntax_error_offset(self):
         with pytest.raises(ParseError) as err:
             parse_expr("z + $")

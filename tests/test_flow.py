@@ -199,6 +199,67 @@ class TestBlowupEstimate:
         assert abs(est.t_est - 1.0) <= 1e-4
 
 
+class TestKeptEstimate:
+    def _count_runs(self, monkeypatch):
+        runs = []
+        drive = flow_module.drive_field
+        monkeypatch.setattr(flow_module, "drive_field", lambda *a, **k: runs.append(a) or drive(*a, **k))
+        return runs
+
+    @pytest.mark.parametrize(
+        "spec, z0, radius, method",
+        [
+            # both ends of the dyadic continuation, and the w-chart one: z^2 at
+            # radius 1.5 continues to its zero-free radius 2 before the chart
+            (anti("z^3"), 1.0, 10.0, "dyadic"),
+            (holo("-exp(-z)"), 0.0, 10.0, "time_resolution"),
+            (holo("z^2"), 1.0, 1.5, "w_chart"),
+        ],
+    )
+    def test_classify_after_estimate_runs_nothing(self, monkeypatch, spec, z0, radius, method):
+        cfg = IntegratorConfig(escape_radius=radius)
+        traj = integrate(spec, z0, cfg)
+        runs = self._count_runs(monkeypatch)
+        est = blowup_time_estimate(traj, cfg)
+        assert est.conclusive and est.method == method and len(runs) == 1
+        assert classify(traj, cfg) == FiniteTimeBlowup(est.t_est, est.t_err)
+        assert blowup_time_estimate(traj, IntegratorConfig(escape_radius=radius)) is est
+        assert len(runs) == 1
+
+    def test_other_config_computes_again(self, monkeypatch):
+        spec, cfg = holo("-exp(-z)"), IntegratorConfig()
+        traj = integrate(spec, 0.0, cfg)
+        blowup_time_estimate(traj, cfg)
+        runs = self._count_runs(monkeypatch)
+        other = IntegratorConfig(escape_radius=20.0)
+        est = blowup_time_estimate(traj, other)
+        assert len(runs) == 1 and traj.__dict__["_estimate"] == (other, est)
+        assert est == blowup_time_estimate(integrate(spec, 0.0, cfg), other)
+
+    def test_estimate_that_raises_keeps_nothing(self, monkeypatch):
+        cfg = IntegratorConfig()
+        traj = integrate(holo("-exp(-z)"), 0.0, cfg)
+
+        def failing(*args):
+            raise PlaneflowError("continuation failed")
+
+        monkeypatch.setattr(flow_module, "_dyadic_estimate", failing)
+        with pytest.raises(PlaneflowError):
+            blowup_time_estimate(traj, cfg)
+        assert "_estimate" not in traj.__dict__
+        assert classify(traj, cfg) == traj.termination
+        monkeypatch.undo()
+        assert classify(traj, cfg).name == "FiniteTimeBlowup"
+
+    def test_trajectory_pickles_without_its_estimate(self):
+        cfg = IntegratorConfig()
+        traj = integrate(holo("-exp(-z)"), 0.0, cfg)
+        blowup_time_estimate(traj, cfg)
+        back = pickle.loads(pickle.dumps(traj))
+        assert back == traj and "_estimate" not in back.__dict__
+        assert "_estimate" in traj.__dict__
+
+
 class TestConformalClock:
     @pytest.mark.parametrize("text,z0", [
         ("z", 1.0),
@@ -516,7 +577,12 @@ class TestFieldPerSpec:
         users.append(len(seen))
         assert classify(traj, cfg).name == "FiniteTimeBlowup"
         users.append(len(seen))
-        assert 0 < users[0] < users[1] < users[2]
+        # classify reads the estimate kept on traj
+        assert 0 < users[0] < users[1] == users[2]
+        fresh = integrate(spec, 0.0, cfg)
+        users.append(len(seen))
+        assert classify(fresh, cfg).name == "FiniteTimeBlowup"
+        assert len(seen) > users[3]
         assert all(rhs is flow_module._rhs(spec) for rhs in seen)
 
     def test_equal_specs_keep_their_own_fields(self):
