@@ -1,4 +1,4 @@
-"""Run the twenty-one reference CLI commands and record everything they produce.
+"""Run the twenty-three reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -11,8 +11,9 @@ To check that a change keeps the outputs byte-identical, run the script
 in a checkout of each commit and compare with ``diff -r OLD NEW``.
 
 Exits 1 when any command exits with another code than it should: 0, or
-2 for the commands in ``USAGE_ERRORS``, whose input is rejected at the
-edge.  So a documented command that stops working fails the run.
+the code ``EXPECTED_EXITS`` gives it: 2 for an input rejected at the
+edge, 3 for a numerical failure.  So a documented command that stops
+working fails the run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ COMMANDS = (
     ("classify-outside", ["classify", "--f", "z^2", "--z0", "20", "--radius", "10", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
+    # f has no zero, so no orbit can close and no seed return is watched
+    ("classify-zero-free", ["classify", "--f", "0.5*exp(z)^2", "--z0", "0", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6"]),
     ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4"]),
@@ -62,8 +65,10 @@ COMMANDS = (
     ("simulate-overflow-point", ["simulate", "--f", "z", "--z0", "1.3e308,1.3e308"]),
     # a constant part of f that overflows
     ("simulate-overflow-constant", ["simulate", "--f", "exp(1000)*z", "--z0", "1"]),
+    # a finite point whose first step overflows: reported at the given point
+    ("simulate-overflow-step", ["simulate", "--f", "z", "--z0", "1e308,1e308"]),
 )
-USAGE_ERRORS = {"simulate-overflow-point", "simulate-overflow-constant"}
+EXPECTED_EXITS = {"simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3}
 
 
 def main(argv) -> int:
@@ -88,7 +93,7 @@ def main(argv) -> int:
         (run_dir / "stdout.txt").write_bytes(proc.stdout)
         (run_dir / "stderr.txt").write_bytes(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
-        if proc.returncode != (2 if name in USAGE_ERRORS else 0):
+        if proc.returncode != EXPECTED_EXITS.get(name, 0):
             failed.append(name)
         print(f"{name}: exit {proc.returncode}")
     if failed:

@@ -37,7 +37,10 @@ from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
-from .expr import FuncExpr, _code_of, _emit_body, antiderivative, compile_fn, is_constant, poly_coeffs
+from .expr import (
+    Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale,
+    _code_of, _emit_body, antiderivative, compile_fn, is_constant, poly_coeffs,
+)
 from .quadrature import QuadratureDiverged, adaptive_gauss
 
 __all__ = [
@@ -383,16 +386,14 @@ class _SeedReturn(Event):
     direction of travel."""
 
     def __init__(self, z0, f0, rhs, tol):
-        super().__init__(self._section)
+        u_conj = (f0 / abs(f0)).conjugate()
+        # a closure, not a bound method: the event holds no reference to itself
+        super().__init__(lambda z: ((z - z0) * u_conj).real)
         self.z0 = z0
         self.f0 = f0
-        self.u_conj = (f0 / abs(f0)).conjugate()
         self.rhs = rhs
         self.tol = tol
         self.arm_dist = max(100.0 * tol, 1e-6 * (1.0 + abs(z0)))
-
-    def _section(self, z):
-        return ((z - self.z0) * self.u_conj).real
 
     def veto(self, path, z_new):
         # armed once an earlier accepted point left the seed's neighbourhood
@@ -449,6 +450,10 @@ def drive_field(
     so at the first attempt whose step reaches past s a copy of the state
     goes on to s.  A stop the run never reaches gets a copy of the run's
     own result, sharing its lists.
+
+    While every watched event is a radius event, a step that starts and
+    ends below the smallest radius makes no event checks: no radius can
+    be reached on it, and each skipped g is already negative.
     """
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
@@ -471,6 +476,13 @@ def drive_field(
     return res
 
 
+def _nearest_radius(watch) -> float:
+    """The smallest radius watched if every watched event is a radius event,
+    else -inf; a step that starts and ends below it can fire no event."""
+    radii = [entry[2] for entry in watch]
+    return -math.inf if None in radii else min(radii, default=math.inf)
+
+
 def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, budget, pending, done):
     """The loop of :func:`drive_field` from the state t, z, k1, h and watch,
     extending the lists accepted so far, for at most ``budget`` attempts.
@@ -481,6 +493,7 @@ def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, 
     h_max, abs_tol, rel_tol, inf, size = _H_MAX, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
     add_sample, add_error = samples.append, errors.append
     edge = pending[-1] if pending else t_stop
+    nearest = _nearest_radius(watch)
 
     for n in range(budget):
         if t >= t_stop:
@@ -516,24 +529,27 @@ def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, 
         if t_new == t:
             return OdeResult(samples, errors, crossings, "underflow")
 
-        for entry in watch:
-            ev, g_old, r = entry
-            g_new = entry[1] = ev.g(z_new) if r is None else size_new - r
-            if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
-                continue
-            theta = _crossing_theta(ev.g, z, k1, z_new, k7, h)
-            zc = _hermite(z, k1, z_new, k7, h, theta)
-            if ev.rejects(zc):
-                continue
-            tc = t + theta * h
-            crossings.append((ev, tc, zc))
-            if ev.terminal:
-                # sample times stay strictly increasing
-                add_sample((max(tc, math.nextafter(t, math.inf)), zc))
-                add_error(err)
-                return OdeResult(samples, errors, crossings, "event")
-            # retired; the loop goes on over the list it started with
-            watch = [other for other in watch if other is not entry]
+        # a NaN |z| fails both tests and takes the full loop
+        if not (size < nearest and size_new < nearest):
+            for entry in watch:
+                ev, g_old, r = entry
+                g_new = entry[1] = ev.g(z_new) if r is None else size_new - r
+                if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
+                    continue
+                theta = _crossing_theta(ev.g, z, k1, z_new, k7, h)
+                zc = _hermite(z, k1, z_new, k7, h, theta)
+                if ev.rejects(zc):
+                    continue
+                tc = t + theta * h
+                crossings.append((ev, tc, zc))
+                if ev.terminal:
+                    # sample times stay strictly increasing
+                    add_sample((max(tc, math.nextafter(t, math.inf)), zc))
+                    add_error(err)
+                    return OdeResult(samples, errors, crossings, "event")
+                # retired; the loop goes on over the list it started with
+                watch = [other for other in watch if other is not entry]
+                nearest = _nearest_radius(watch)
 
         t, z, k1, size = t_new, z_new, k7, size_new
         add_sample((t, z))
@@ -553,8 +569,12 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     """Integrate the flow from z0 until the first termination condition.
 
     A seed sitting on a zero of the driving function returns immediately
-    as FixedPointApproach (the trajectory is constant).  Evaluation
-    overflow inside the right-hand side propagates to the caller.
+    as FixedPointApproach (the trajectory is constant).  The return through
+    the seed's cross-section (Periodic) is watched only where an orbit can
+    close: for a holomorphic flow whose f may vanish (:func:`_may_close`).
+    Evaluation overflow inside the right-hand side propagates to the
+    caller, at the run's last accepted point when the point it names is
+    not finite (a Dormand-Prince stage point past the double range).
     """
     cfg = cfg or IntegratorConfig()
     z0 = complex(z0)
@@ -565,10 +585,13 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
 
     # a seed beyond the radius reaches it at the first step that ends there
     radius = Event.at_radius(cfg.escape_radius, start_below=True)
-    events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL))
+    events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL)) if _may_close(spec) else (radius,)
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":
-        raise res.exception
+        exc = res.exception
+        if not cmath.isfinite(exc.at):
+            raise EvaluationOverflow(exc.node, at=res.samples[-1][1]) from exc
+        raise exc
 
     if res.status == "event":
         t_end = res.samples[-1][0]
@@ -579,6 +602,36 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
         fp = _fixed_point_from_tail(res.samples, rhs)
         term = fp if fp is not None else TimeBudgetExhausted()
     return Trajectory(spec, z0, tuple(res.samples), tuple(res.errors), term)
+
+
+def _may_close(spec: FlowSpec) -> bool:
+    """Whether the flow can have a closed orbit.  A closed orbit of a plane
+    vector field encloses a zero of it (index theory), so a holomorphic
+    flow whose f is zero-free by its tree has none; along an
+    antiholomorphic flow Re G rises at speed |g|^2, so it never returns."""
+    return spec.kind == HOLOMORPHIC and not _zero_free(spec.func)
+
+
+def _zero_free(expr: FuncExpr) -> bool:
+    """True when the tree has no zero: an Exp, a nonzero Constant or sum of
+    two Constants (the parser's ``(a+bi)``), or a Negate, IntPower, Mul or
+    nonzero Scale of such parts.  Any other tree may vanish."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Mul):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Negate, IntPower)) or isinstance(node, Scale) and node.factor != 0:
+            stack.append(node.arg)
+        elif isinstance(node, Constant):
+            if node.value == 0:
+                return False
+        elif isinstance(node, Add) and isinstance(node.left, Constant) and isinstance(node.right, Constant):
+            if node.left.value + node.right.value == 0:
+                return False
+        elif not isinstance(node, Exp):
+            return False
+    return True
 
 
 def _fixed_point_from_tail(samples, rhs) -> Optional[FixedPointApproach]:

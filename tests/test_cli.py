@@ -185,6 +185,15 @@ class TestSimulate:
         assert code == 3
         assert "EvaluationOverflow" in err
 
+    @pytest.mark.parametrize("z0, shown", [("1e308,1e308", "(1e+308+1e+308j)"), ("1e308", "(1e+308+0j)")])
+    def test_overflowing_first_step_names_the_given_point(self, tmp_path, capsys, z0, shown):
+        # the first step's stage sums overflow; the message names the start
+        # point, not the NaN stage point after the overflow
+        code, out, err = run(["simulate", "--f", "z", "--z0", z0, "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert err == f"error [EvaluationOverflow]: evaluation overflow in Variable() at z={shown}\n"
+        assert "nan" not in err and out == ""
+
     def test_nan_tolerance_exit_2(self, tmp_path, capsys):
         code, out, err = run(
             ["simulate", "--f", "z^2", "--z0", "1", "--tol", "nan", "--out", str(tmp_path)],

@@ -1,6 +1,9 @@
+import cmath
+import gc
 import math
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -8,9 +11,12 @@ from planeflow import expr as expr_module
 from planeflow import flow as flow_module
 from planeflow import quadrature
 from planeflow.errors import EvaluationOverflow, PlaneflowError
-from planeflow.expr import Add, Constant, Scale, Variable, compile_fn, parse_expr
+from planeflow.expr import (
+    Add, Constant, Exp, IntPower, Mul, Negate, Scale, Variable, compile_fn, is_constant, parse_expr,
+)
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
+    FORWARD,
     HOLOMORPHIC,
     REVERSED,
     Event,
@@ -38,8 +44,8 @@ def holo(text, direction="forward"):
     return FlowSpec(HOLOMORPHIC, parse_expr(text), direction)
 
 
-def anti(text):
-    return FlowSpec(ANTIHOLOMORPHIC, parse_expr(text))
+def anti(text, direction="forward"):
+    return FlowSpec(ANTIHOLOMORPHIC, parse_expr(text), direction)
 
 
 class TestFlowSpecValidation:
@@ -125,6 +131,171 @@ class TestIntegrate:
         cfg = IntegratorConfig(escape_radius=1e4, t_max=10.0)
         traj = integrate(holo("exp(z^2)"), 1.0, cfg)
         assert traj.termination.name == "StepUnderflow"
+
+    @pytest.mark.parametrize("z0", [complex(1e308, 1e308), complex(1e308, 0.0)])
+    def test_overflowing_first_step_reported_at_the_seed(self, z0):
+        # the first step's stage sums overflow, and the run names the NaN
+        # stage point after them; integrate names the last accepted point
+        res = drive_field(Field(parse_expr("z")), z0, IntegratorConfig(), t_stop=100.0)
+        assert res.status == "overflow" and cmath.isnan(res.exception.at)
+        with pytest.raises(EvaluationOverflow) as err:
+            integrate(holo("z"), z0)
+        assert err.value.node == Variable() and repr(err.value.at) == repr(z0)
+        assert "nan" not in str(err.value)
+
+    def test_finite_overflow_point_propagates_as_it_is(self):
+        # exp overflows at a finite stage point past the last accepted one
+        cfg = IntegratorConfig(rel_tol=1e-4, escape_radius=math.inf, t_max=2.0)
+        with pytest.raises(EvaluationOverflow) as err:
+            integrate(holo("exp(z)"), 0.0, cfg)
+        res = drive_field(Field(parse_expr("exp(z)")), 0j, cfg, t_stop=2.0, events=(Event.at_radius(math.inf),))
+        assert repr(err.value.at) == repr(res.exception.at) and cmath.isfinite(err.value.at)
+        assert err.value.at != res.samples[-1][1]
+
+
+def _zero_free_or_antiholo_specs(rng, n):
+    """Seeded flows with no closed orbit: zero-free wrappings of random
+    trees (exponent damped as conftest.random_expr damps its own) and
+    antiholomorphic flows of random trees, in either time direction."""
+    points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+
+    def damped_exp():
+        c = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        return Exp(Scale(c, tame_random_expr(rng, points, depth=rng.randint(1, 3))))
+
+    specs = []
+    while len(specs) < n:
+        shape = rng.choice(("scale", "product", "negate", "power", "anti"))
+        if shape == "scale":
+            kind, tree = HOLOMORPHIC, Scale(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), damped_exp())
+        elif shape == "product":
+            kind, tree = HOLOMORPHIC, Mul(Scale(rng.choice((1j, -1.5)), damped_exp()), damped_exp())
+        elif shape == "negate":
+            kind, tree = HOLOMORPHIC, Negate(damped_exp())
+        elif shape == "power":
+            kind, tree = HOLOMORPHIC, IntPower(damped_exp(), rng.randint(1, 3))
+        else:
+            kind, tree = ANTIHOLOMORPHIC, tame_random_expr(rng, points, depth=rng.randint(1, 4))
+        if is_constant(tree):
+            continue
+        spec = FlowSpec(kind, tree, rng.choice((FORWARD, REVERSED)))
+        z0 = rng.choice(points)
+        if abs(flow_module._rhs(spec)(z0)) <= 1e-6:  # too near a fixed point for a seed direction
+            continue
+        specs.append((spec, z0))
+    return specs
+
+
+def _integrate_outcome(spec, z0, cfg):
+    """(termination name, repr of integrate's samples, errors and
+    termination), or ("overflow", repr of the node it raised at)."""
+    try:
+        traj = integrate(spec, z0, cfg)
+    except EvaluationOverflow as exc:
+        return "overflow", repr(exc.node)
+    return traj.termination.name, repr((traj.samples, traj.errors, traj.termination))
+
+
+def _watching_return_outcome(spec, z0, cfg):
+    """_integrate_outcome of a run that also watches the seed's return: one
+    drive_field run with the radius and the return, as integrate made it
+    for every flow."""
+    rhs = flow_module._rhs(spec)
+    events = _integrate_events(rhs, z0, cfg.escape_radius)
+    res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
+    if res.status == "overflow":
+        return "overflow", repr(res.exception.node)
+    t_end = res.samples[-1][0]
+    if res.status == "event":
+        term = ReachedRadius(t_end) if res.crossings[-1][0] is events[0] else Periodic(t_end)
+    elif res.status == "underflow":
+        term = flow_module.StepUnderflow()
+    else:
+        term = flow_module._fixed_point_from_tail(res.samples, rhs) or TimeBudgetExhausted()
+    return term.name, repr((tuple(res.samples), tuple(res.errors), term))
+
+
+class TestClosedOrbitWatch:
+    @pytest.mark.parametrize("kind, text, direction, may_close", [
+        (ANTIHOLOMORPHIC, "z^2", FORWARD, False),
+        (ANTIHOLOMORPHIC, "z^2", REVERSED, False),
+        (ANTIHOLOMORPHIC, "exp(-z) + 1", FORWARD, False),
+        (ANTIHOLOMORPHIC, "exp(-z) + 1", REVERSED, False),
+        (HOLOMORPHIC, "-exp(-z)", FORWARD, False),
+        (HOLOMORPHIC, "-exp(-z)", REVERSED, False),
+        (HOLOMORPHIC, "0.5*exp(z)^2", FORWARD, False),
+        (HOLOMORPHIC, "(2-1i)*exp(z^2)*exp(-z)", FORWARD, False),
+        (HOLOMORPHIC, "exp(z)/3", FORWARD, False),
+        (HOLOMORPHIC, "z", FORWARD, True),
+        (HOLOMORPHIC, "z", REVERSED, True),
+        (HOLOMORPHIC, "i*z", FORWARD, True),
+        (HOLOMORPHIC, "z^2 - 1", FORWARD, True),
+        (HOLOMORPHIC, "exp(z) - 1", FORWARD, True),
+        (HOLOMORPHIC, "z*exp(z)", FORWARD, True),
+    ])
+    def test_may_close_table(self, kind, text, direction, may_close):
+        assert flow_module._may_close(FlowSpec(kind, parse_expr(text), direction)) is may_close
+
+    def test_zero_parts_may_vanish(self):
+        exp_z = Exp(Variable())
+        for tree in (
+            Mul(Constant(0.0), exp_z),
+            Scale(0.0, exp_z),
+            Add(Constant(1.0), Constant(-1.0)),
+            Add(exp_z, exp_z),
+            IntPower(Variable(), 0),
+            Negate(Mul(exp_z, Variable())),
+        ):
+            assert not flow_module._zero_free(tree), tree
+        for tree in (Constant(2.0), Add(Constant(1.0), Constant(1j)), IntPower(exp_z, 0), Scale(1j, Negate(exp_z))):
+            assert flow_module._zero_free(tree), tree
+
+    def test_one_seed_return_only_where_an_orbit_can_close(self, monkeypatch):
+        built = []
+
+        class Counted(flow_module._SeedReturn):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(flow_module, "_SeedReturn", Counted)
+        cfg = IntegratorConfig(t_max=2.0)
+        for spec, z0, watched in (
+            (holo("i*z"), 1.0, 1),
+            (holo("z^2 - 1", REVERSED), 0.5j, 1),
+            (holo("-exp(-z)"), 0.0, 0),
+            (holo("exp(z)/3", REVERSED), 0.2j, 0),
+            (anti("z^2"), 1 + 1j, 0),
+            (anti("exp(-z) + 1", REVERSED), complex(-1.0, 3.0), 0),
+        ):
+            built.clear()
+            integrate(spec, z0, cfg)
+            assert len(built) == watched, spec
+
+    def test_same_run_as_watching_the_return(self):
+        rng = random.Random(20261020)
+        names = set()
+        for spec, z0 in _zero_free_or_antiholo_specs(rng, 40):
+            assert not flow_module._may_close(spec)
+            cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), escape_radius=rng.choice((3.0, 10.0)),
+                                   t_max=rng.uniform(1.0, 5.0))
+            want = _watching_return_outcome(spec, z0, cfg)
+            assert _integrate_outcome(spec, z0, cfg) == want, (spec, z0, cfg)
+            names.add(want[0])
+        assert {"ReachedRadius", "TimeBudgetExhausted"} <= names
+
+    def test_seed_return_is_freed_without_the_cycle_collector(self):
+        rhs = Field(parse_expr("i*z"))
+        event = flow_module._SeedReturn(1 + 0j, rhs(1 + 0j), rhs, flow_module._PERIODIC_RETURN_TOL)
+        ref = weakref.ref(event)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del event
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestClassify:
@@ -773,6 +944,10 @@ def _retired_on_circle():
     return Event(lambda z: -z.imag, terminal=False), Event(lambda z: z.real, terminal=False, start_below=True)
 
 
+def _retired_below_radius():
+    return Event(lambda z: -z.imag, terminal=False), Event.at_radius(2.0)
+
+
 def _stuck_above_one(z):
     # speed 1 towards a wall at Re z = 1 where the field has no value
     if z.real >= 1.0:
@@ -814,6 +989,14 @@ def _drive_cases():
         # non-terminal events retired on a circle that crosses them again,
         # one of them start_below from the side where it is met first
         (Field(parse_expr("i*z")), 1 + 0j, cfg, 10.0, _retired_on_circle()),
+        # a radius met from beyond it without start_below: the circle
+        # |z - 1| = 1.5 dips below it, with steps below every radius, and
+        # must fire on the way out; then the same after a non-radius event
+        # retires inside it
+        (Field(parse_expr("i*z - i")), 2.5 + 0j, cfg, 10.0, (Event.at_radius(2.0),)),
+        (Field(parse_expr("i*z - i")), 2.5 + 0j, cfg, 10.0, _retired_below_radius()),
+        # two non-terminal radii, the outer given first, retired in turn
+        (Field(parse_expr("z")), 1 + 0j, cfg, 2.0, (Event.at_radius(4.0, False), Event.at_radius(2.0, False))),
         # overflow retries: recovered on the way, then ending in overflow,
         # raised by the field or by a non-finite error estimate
         (_stuck_above_one, 0j, cfg, 5.0, ()),
