@@ -1,4 +1,4 @@
-"""Run the twenty-three reference CLI commands and record everything they produce.
+"""Run the twenty-five reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -33,7 +33,7 @@ COMMANDS = (
     ]),
     ("classify-square", ["classify", "--f", "z^2", "--z0", "1", "--radius", "100", "--json"]),
     ("classify-exp", ["classify", "--f", "-exp(-z)", "--z0", "0", "--json"]),
-    # the seed starts beyond the radius: its crossing takes all 60 bisection halvings
+    # the seed starts beyond the radius and its first step stays there: crossed at t = 0
     ("classify-outside", ["classify", "--f", "z^2", "--z0", "20", "--radius", "10", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
@@ -58,6 +58,13 @@ COMMANDS = (
         "--tol", "1e-3", "--svg",
     ]),
     ("rubel", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
+    # f^(m)/f varies along the path and f' is not f; three exponents c
+    ("rubel-mixed", [
+        "rubel", "--f", "exp(z^2)", "--D", "0", "--seed-point", "1.5", "--t-end", "1e30", "--m-max", "4",
+        "--c", "0.25", "--c", "1", "--c", "2",
+    ]),
+    # past t ~ 1.3e154 t*t overflows, and the window's end terms underflow
+    ("rubel-long", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e200"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius
     ("demo", ["demo"]),

@@ -15,10 +15,11 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, Scale, compile_fn, derivative
+from .expr import FuncExpr, Scale, _bind, _emit_body, _function_code, compile_fn, derivative
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -30,7 +31,7 @@ from .flow import (
     drive_field,
     integrate,
 )
-from .jets import _MAX_JET_ORDER, eval_jet
+from .jets import _MAX_JET_ORDER, _jet_body
 from .level import _newton, point_on_level, trace_level
 
 # points placed by one pair of side traces; each stop's result holds a
@@ -257,11 +258,14 @@ def rubel_path(
     approximately real positive, f' nonzero); tracing follows
     dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift.
     Growth log|f^(m)|/log|z| uses the quotient f^(m)/f so only log|f|
-    (exact on the path) is large; one jet and one speed |f'| per node
-    serve the growth ratios and every (m, c).  Tail integrals of
-    |f^(m)|^(-c) |dz| report a partial sum plus a geometric bound from
-    the dyadic-window decay ratio, never a bare claim of convergence;
-    each c must be positive and finite.
+    (exact on the path) is large.  Each node, a curve sample, a refined
+    panel midpoint or a window node, is one call of a function generated
+    per path (:func:`_rubel_node`): one jet and one speed |f'| serve the
+    growth ratios and every (m, c).  Tail integrals of |f^(m)|^(-c) |dz|
+    report a partial sum plus a geometric bound from the dyadic-window
+    decay ratio, never a bare claim of convergence; where a window end
+    term underflows to 0 the ratio is taken from the end nodes'
+    logarithms.  Each c must be positive and finite.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
         raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
@@ -296,20 +300,9 @@ def rubel_path(
         w.real > 0 for w in vs
     )
 
-    factorials = [math.factorial(m) for m in range(m_max + 1)]
     newton = _newton(f, df)
-
-    def node(t, z):
-        # one jet and one speed per node, read by the growth ratios and every
-        # (m, c); log|f^(m)| = log|f^(m)/f| + log|f|, and on the path |f| = |t + iD|
-        coeffs = eval_jet(f, z, m_max)
-        log_f = 0.5 * math.log(t * t + d_shift * d_shift)
-        return [
-            math.log(abs(a * k / coeffs[0])) + log_f if a != 0 else -math.inf
-            for a, k in zip(coeffs, factorials)
-        ], abs(fpe(z))
-
-    at_samples = [node(t, z) for t, z in zip(ts, zs)]
+    node = _rubel_node(f, df, d_shift, m_max, c_values)
+    at_samples = [node(t, z, 1.0) for t, z in zip(ts, zs)]
     last = len(zs) - 1
     marks = []
     next_mark = abs(zs[0])
@@ -328,7 +321,7 @@ def rubel_path(
     # Simpson panels: the sample records at both ends and one record at
     # the corrector-refined midpoint
     at_mids = [
-        node(0.5 * (ta + tb), point_on_level(newton, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)))
+        node(0.5 * (ta + tb), point_on_level(newton, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)), 4.0)
         for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:])
     ]
 
@@ -341,31 +334,81 @@ def rubel_path(
     for k in range(n_sub + 1):
         t = t_lo + (t_hi - t_lo) * k / n_sub
         i = min(bisect.bisect_left(ts, t), last)
-        diag_nodes.append(node(t, point_on_level(newton, t, d_shift, zs[i])))
+        diag_nodes.append(node(t, point_on_level(newton, t, d_shift, zs[i]), 1.0))
 
+    (logs_lo, _, s_lo), (logs_hi, _, s_hi) = diag_nodes[0], diag_nodes[-1]
+    pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
     tails = []
-    for m in range(m_max + 1):
-        for c in c_values:
-            # each node's term once: 1 * term at the samples, 4 * term at the midpoints
-            qs = [math.exp(-c * logs[m]) / speed for logs, speed in at_samples]
-            q4s = [4.0 * math.exp(-c * logs[m]) / speed for logs, speed in at_mids]
-            partial = 0.0
-            for qa, q4, qb, ta, tb in zip(qs, q4s, qs[1:], ts, ts[1:]):
-                partial += (qa + q4 + qb) * (tb - ta) / 6.0
-            vals = [math.exp(-c * logs[m]) / speed for logs, speed in diag_nodes]
-            h = (t_hi - t_lo) / n_sub
-            w_last = (h / 3.0) * (
-                vals[0]
-                + vals[-1]
-                + 4.0 * sum(vals[1:-1:2])
-                + 2.0 * sum(vals[2:-1:2])
+    # one column per (m, c): 1 * term at the samples, 4 * term at the midpoints
+    for (m, c), qs, q4s, vals in zip(
+        pairs, _columns(at_samples, pairs), _columns(at_mids, pairs), _columns(diag_nodes, pairs)
+    ):
+        partial = 0.0
+        for qa, q4, qb, ta, tb in zip(qs, q4s, qs[1:], ts, ts[1:]):
+            partial += (qa + q4 + qb) * (tb - ta) / 6.0
+        h = (t_hi - t_lo) / n_sub
+        w_last = (h / 3.0) * (
+            vals[0]
+            + vals[-1]
+            + 4.0 * sum(vals[1:-1:2])
+            + 2.0 * sum(vals[2:-1:2])
+        )
+        # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p)
+        ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
+        if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
+            # an end term underflowed: the same quotient from the end nodes' logarithms
+            x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
+                -c * logs_lo[m] - math.log(s_lo) + math.log(t_lo)
             )
-            # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p)
-            ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
-            finite = math.isfinite(partial) and ratio < 1.0
-            bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
-            tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
+            ratio = math.exp(x) if x < 709.0 else math.inf
+        finite = math.isfinite(partial) and ratio < 1.0
+        bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
+        tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
 
     return RubelPathReport(
         f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails)
     )
+
+
+def _columns(nodes, pairs) -> list:
+    """The tail terms of every node, one column per (m, c) pair."""
+    return list(zip(*(terms for _, terms, _ in nodes))) or [()] * len(pairs)
+
+
+def _rubel_node(f: FuncExpr, df: FuncExpr, d_shift: float, m_max: int, c_values: Sequence[float]):
+    """The function ``node(t, z, w)`` of one Rubel-path node z, where f(z) = t + iD.
+
+    It returns the tuple of log|f^(m)| for m = 0..m_max; the tuple of the
+    tail terms w * |f^(m)|^(-c) / |f'|, one per (m, c) with c varying
+    fastest; and |f'|.  log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
+    part exact: on the path |f| = |t + iD|, taken as log(hypot(t, D)) only
+    where t*t + D*D overflows.  The statements are those of f's jet to
+    order m_max (as :func:`eval_jet` runs them) and then of f' (as
+    :func:`compile_fn` runs them), so values and exceptions are theirs.
+    Constants and nodes are bound as globals, never written into the source.
+    """
+    env = {
+        "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
+    }
+    jet, coeffs = _jet_body(f, m_max, env)
+    lines = [
+        "def node(t, z0, w):",
+        "    z = complex(z0)",
+        *jet,
+        f"    tt = t * t + {_bind(env, 'c', d_shift * d_shift)}",
+        f"    lf = 0.5 * log(tt) if tt < inf else log(hypot(t, {_bind(env, 'c', d_shift)}))",
+    ]
+    a0 = coeffs[0]
+    lines += [
+        f"    L{m} = log(abs({a} * {math.factorial(m)} / {a0})) + lf if {a} != 0 else -inf"
+        for m, a in enumerate(coeffs)
+    ]
+    body, fp, env = _emit_body(df, env, root="droot", temp="d")
+    cs = [_bind(env, "c", c) for c in c_values]
+    terms = [f"w * exp_real(-{c} * L{m}) / s" for m in range(m_max + 1) for c in cs]
+    lines += [
+        body,
+        f"    s = abs({fp})",
+        f"    return ({', '.join(f'L{m}' for m in range(m_max + 1))},), ({', '.join(terms)},), s",
+    ]
+    return FunctionType(_function_code("\n".join(lines)), env)

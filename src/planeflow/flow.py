@@ -346,7 +346,8 @@ class Event:
     The event fires when g rises from negative to nonnegative across an
     accepted step.  An event whose g is nonnegative at the start
     therefore fires only after g has gone negative, unless
-    ``start_below`` counts g as negative before the first step.  The
+    ``start_below`` counts g as negative before the first step; if g is
+    nonnegative at both ends of that step, the crossing is the start.  The
     crossing is located by bisection on the step's cubic Hermite
     interpolant, which takes g to be deterministic: the same point
     always gives the same value.  A terminal event then ends the run;
@@ -454,6 +455,13 @@ def drive_field(
     While every watched event is a radius event, a step that starts and
     ends below the smallest radius makes no event checks: no radius can
     be reached on it, and each skipped g is already negative.
+
+    A ``start_below`` event whose g is nonnegative at z0 and at the end
+    of the first accepted step (a run that starts on or beyond its radius
+    and stays there) is crossed at the start: its crossing is (event, t0,
+    z0), and a terminal one ends the run on its one sample (t0, z0) with
+    status "event".  A first step that overflows still ends the run in
+    "overflow", and one that ends below g = 0 fires nothing.
     """
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
@@ -536,16 +544,21 @@ def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, 
                 g_new = entry[1] = ev.g(z_new) if r is None else size_new - r
                 if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
                     continue
-                theta = _crossing_theta(ev.g, z, k1, z_new, k7, h)
-                zc = _hermite(z, k1, z_new, k7, h, theta)
+                # a start_below event on or beyond its g = 0 at the start is crossed there
+                at_start = ev.start_below and len(samples) == 1 and ev.g(z) >= 0.0
+                if at_start:
+                    tc, zc = t, z
+                else:
+                    theta = _crossing_theta(ev.g, z, k1, z_new, k7, h)
+                    tc, zc = t + theta * h, _hermite(z, k1, z_new, k7, h, theta)
                 if ev.rejects(zc):
                     continue
-                tc = t + theta * h
                 crossings.append((ev, tc, zc))
                 if ev.terminal:
-                    # sample times stay strictly increasing
-                    add_sample((max(tc, math.nextafter(t, math.inf)), zc))
-                    add_error(err)
+                    if not at_start:
+                        # sample times stay strictly increasing
+                        add_sample((max(tc, math.nextafter(t, math.inf)), zc))
+                        add_error(err)
                     return OdeResult(samples, errors, crossings, "event")
                 # retired; the loop goes on over the list it started with
                 watch = [other for other in watch if other is not entry]
@@ -583,7 +596,7 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     if abs(f0) <= 1e-15 * (1.0 + abs(z0)):
         return Trajectory(spec, z0, ((0.0, z0),), (0.0,), FixedPointApproach(z0))
 
-    # a seed beyond the radius reaches it at the first step that ends there
+    # a seed on or beyond the radius whose first step stays there reaches it at t = 0
     radius = Event.at_radius(cfg.escape_radius, start_below=True)
     events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL)) if _may_close(spec) else (radius,)
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)

@@ -41,9 +41,8 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
     z = complex(z)
     kept = _GENERATED.get((id(expr), order))
     if kept is None:
-        env = dict(_kernels(order + 1), power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
-        lines: list = []
-        out = _emit(expr, order + 1, lines, env)
+        env: dict = {}
+        lines, out = _jet_body(expr, order, env)
         source = "\n".join(["def jet(z):", *lines, f"    return ({', '.join(out)},)"])
         if len(_GENERATED) >= _GENERATED_KEPT:
             del _GENERATED[next(iter(_GENERATED))]  # the oldest
@@ -55,6 +54,15 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
 # Constant(0.0) == Constant(-0.0), yet their bits differ.  An entry holds
 # its tree alive, so no other tree takes that id while the entry lasts.
 _GENERATED: dict = {}
+
+
+def _jet_body(expr: FuncExpr, order: int, env: dict):
+    """The lines computing expr's coefficients a_0..a_order at the complex
+    ``z``, and the names that hold them; the kernels and the constants the
+    lines read are bound into ``env``, so other statements can share it."""
+    env.update(_kernels(order + 1), power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
+    lines: list = []
+    return lines, _emit(expr, order + 1, lines, env)
 
 
 def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:

@@ -79,18 +79,25 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     Each iteration runs the statements :func:`compile_fn` would run for G
     and then for g, inlined, so values and exceptions are those of calling
     the two compiled functions: an overflow in G ends the solve, one in g
-    propagates.  Constants and nodes are bound as globals, never written
+    propagates.  When g is G (``exp(z)``: equal reprs, which tell every
+    constant's bits apart), G's value serves as g and its statements run
+    once an iteration; g then cannot raise, as it could only where G already
+    ended the solve.  Constants and nodes are bound as globals, never written
     into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
     """
     big_body, v, env = _emit_body(big_g)
-    body, g, env = _emit_body(dg, env, root="droot", temp="d")
+    if repr(dg) == repr(big_g):
+        body, g = "", v
+    else:
+        body, g, env = _emit_body(dg, env, root="droot", temp="d")
     return FunctionType(_newton_code(big_body, v, body, g), {**env, "G_MIN": _G_MIN})
 
 
 @lru_cache(maxsize=256)
 def _newton_code(big_body: str, v: str, body: str, g: str) -> CodeType:
     """Code of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
-    for g = g(z), with ``z0`` the point as given and ``z`` as complex."""
+    for g = g(z), with ``z0`` the point as given and ``z`` as complex; an
+    empty ``body`` reads g from ``big_body``."""
     source = "\n".join([
         "def newton(target, z0, tol, max_iter):",
         "    z = complex(z0)",

@@ -80,6 +80,21 @@ class TestSimulate:
         doc = (tmp_path / "trajectory.svg").read_text()
         assert doc.startswith("<svg")
 
+    def test_seed_beyond_the_radius_writes_one_sample(self, tmp_path, capsys):
+        # the run reaches its radius at t = 0 and holds only the seed
+        code, _, _ = run(
+            ["simulate", "--f", "z^2", "--z0", "20", "--radius", "10", "--svg", "--csv", "--json",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "trajectory.json").read_text())
+        validate_report(report, load_schema())
+        assert report["n_samples"] == 1
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 2
+        doc = (tmp_path / "trajectory.svg").read_text()
+        assert doc.startswith("<svg") and "nan" not in doc
+
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run(["simulate", "--z0"], capsys)
         assert code == 2

@@ -362,7 +362,8 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
 
 
 def _rubel_cases():
-    """Seeded (f, D, seed, t_end, m_max, c_values) for exp(z) and exp(2z)."""
+    """Seeded (f, D, seed, t_end, m_max, c_values) for exp(z), exp(2z),
+    exp(z^2) and exp(z) + z."""
     rng = random.Random(20261018)
     exp_z, exp_2z = parse_expr("exp(z)"), parse_expr("exp(2*z)")
     # from z = 2 the last sample is a growth mark at t_end = e^21 but not at e^60
@@ -373,6 +374,11 @@ def _rubel_cases():
     for _ in range(5):
         d_shift, seed = rubel_start(rng, 2.0)
         cases.append((exp_2z, d_shift, seed, math.exp(rng.uniform(8.0, 80.0)), 4, (0.25, 1.0, 2.0)))
+    # f^(m)/f is not constant along these paths, and f' is not f; real seeds, D = 0
+    exp_z2, exp_z_plus_z = parse_expr("exp(z^2)"), parse_expr("exp(z) + z")
+    for _ in range(3):
+        cases.append((exp_z2, 0.0, rng.uniform(1.0, 2.0), math.exp(rng.uniform(8.0, 80.0)), 4, (0.25, 1.0, 2.0)))
+        cases.append((exp_z_plus_z, 0.0, rng.uniform(1.0, 3.0), math.exp(rng.uniform(8.0, 80.0)), 3, (0.5, 1.0)))
     return cases
 
 
@@ -402,6 +408,19 @@ class TestRubelPath:
             assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-3 * want
             assert abs(tail.window_ratio - 2.0 ** (-tail.c)) <= 1e-3
 
+    @pytest.mark.parametrize("t_end", [1e200, 1e300])
+    def test_tails_stay_finite_to_the_double_range(self, t_end):
+        # past t ~ 1.3e154, t*t overflows, and the window's end terms
+        # t^(-c-1) underflow to 0; the tails still match the closed form
+        t0 = math.exp(2.0)
+        rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, t_end, IntegratorConfig(escape_radius=1e9))
+        for tail in rep.tail_integrals:
+            assert tail.finite
+            assert abs(tail.window_ratio - 2.0 ** (-tail.c)) <= 1e-3
+            want = t0 ** (-tail.c) / tail.c
+            assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-3 * want
+        assert all(math.isfinite(q) for points in rep.growth_ratios.values() for _, q in points)
+
     def test_shifted_level_line(self):
         cfg = IntegratorConfig(escape_radius=1e9)
         seed = cmath.log(10 + 5j)
@@ -423,14 +442,19 @@ class TestRubelPath:
         assert last_marked == {True, False}
 
     def test_one_jet_per_node(self, monkeypatch):
-        real = escape_module.eval_jet
+        real = escape_module._rubel_node
         calls = []
 
-        def counted(expr, z, order):
-            calls.append(z)
-            return real(expr, z, order)
+        def counted_node(*args):
+            node = real(*args)
 
-        monkeypatch.setattr(escape_module, "eval_jet", counted)
+            def counted(t, z, w):
+                calls.append(z)
+                return node(t, z, w)
+
+            return counted
+
+        monkeypatch.setattr(escape_module, "_rubel_node", counted_node)
         cfg = IntegratorConfig(escape_radius=1e9)
         for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases()[:6]:
             calls.clear()

@@ -566,6 +566,30 @@ class TestDriver:
         assert abs(z.real - 5.0) <= 1e-9
         assert abs(t - 5.0) <= 1e-9
 
+    def test_start_below_event_beyond_it_fires_at_t0(self):
+        # it crossed at t0 + 2^-60 h, after all sixty bisection halvings
+        ev = Event.at_radius(10.0, start_below=True)
+        res = drive_field(Field(parse_expr("z^2")), 20 + 0j, IntegratorConfig(), t0=0.5, t_stop=1.0, events=(ev,))
+        assert (res.status, res.samples, res.errors) == ("event", [(0.5, 20 + 0j)], [0.0])
+        assert [(e is ev, repr(t), z) for e, t, z in res.crossings] == [(True, "0.5", 20 + 0j)]
+        traj = integrate(FlowSpec(HOLOMORPHIC, parse_expr("z^2")), 20 + 0j, IntegratorConfig(escape_radius=10.0))
+        assert repr(traj.termination) == "ReachedRadius(t_exit=0.0)"
+        assert traj.samples == ((0.0, 20 + 0j),)
+
+    def test_non_terminal_start_below_event_on_it_retires_at_t0(self):
+        on, far = Event.at_radius(1.0, terminal=False, start_below=True), Event.at_radius(2.0)
+        res = drive_field(Field(parse_expr("z")), 1 + 0j, IntegratorConfig(), t_stop=5.0, events=(on, far))
+        assert res.status == "event"
+        assert [ev for ev, _, _ in res.crossings] == [on, far]
+        assert res.crossings[0][1:] == (0.0, 1 + 0j)
+        assert abs(res.crossings[1][1] - math.log(2.0)) <= 1e-8
+
+    def test_start_below_event_on_it_heading_inside_is_not_crossed(self):
+        # a run started on its radius by the refined crossing of a run outward
+        ev = Event.at_radius(1.0, start_below=True)
+        res = drive_field(Field(parse_expr("-z")), 1 + 0j, IntegratorConfig(), t_stop=2.0, events=(ev,))
+        assert (res.status, res.crossings) == ("t_stop", [])
+
     def test_radius_event(self):
         ev = Event.at_radius(3.0, terminal=False, start_below=True)
         assert (ev.radius, ev.terminal, ev.start_below) == (3.0, False, True)
@@ -825,7 +849,9 @@ def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
 
 def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
     """The drive_field loop as it was written with min/max, a step
-    counter, g called for every event and 60 bisection halvings."""
+    counter, g called for every event and 60 bisection halvings; a
+    start_below event whose g is nonnegative at z0 and after the first
+    accepted step is crossed at (t0, z0)."""
     _EPS, _MAX_STEPS, _H_MAX = flow_module._EPS, flow_module._MAX_STEPS, flow_module._H_MAX
     _stepper, _hermite = flow_module._stepper, flow_module._hermite
     OdeResult = flow_module.OdeResult
@@ -838,7 +864,7 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
     watch = [[ev, -math.inf if ev.start_below else ev.g(z)] for ev in events]
     h = min(_H_MAX, max(t_stop - t, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
     h = max(h, 1e-300)
-    steps = 0
+    steps = steps_accepted = 0
     step = _stepper(rhs)
 
     while True:
@@ -874,6 +900,14 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
             g_new = entry[1] = ev.g(z_new)
             if not (g_old < 0.0 <= g_new) or ev.veto(samples, z_new):
                 continue
+            if ev.start_below and steps_accepted == 0 and ev.g(z) >= 0.0:
+                if ev.rejects(z):
+                    continue
+                crossings.append((ev, t, z))
+                if ev.terminal:
+                    return OdeResult(samples, errors, crossings, "event")
+                watch = [other for other in watch if other is not entry]
+                continue
             theta = _bisect_theta(lambda s: ev.g(_hermite(z, k1, z_new, k7, h, s)))
             zc = _hermite(z, k1, z_new, k7, h, theta)
             if ev.rejects(zc):
@@ -891,6 +925,7 @@ def _reference_drive_field(rhs, z0, cfg, *, t0=0.0, t_stop, events=()):
         t, z, k1 = t_new, z_new, k7
         samples.append((t, z))
         errors.append(err)
+        steps_accepted += 1
         h = min(_H_MAX, h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (sc / err) ** 0.2))))
 
 
@@ -981,13 +1016,13 @@ def _drive_cases():
         (Field(parse_expr("z^3"), "{}.conjugate()"), 10 + 0j, cfg, 10.0, _dyadic_marks(10 + 0j)),
         (Field(parse_expr("z^2")), 10 + 0j, cfg, 10.0, _called_marks(10 + 0j)),
         # two radii crossed in one step, the non-terminal given first; a
-        # start_below radius from beyond it (crossed at theta = 2^-60);
+        # start_below radius from beyond it (crossed at t0 after one step);
         # an infinite radius, never reached
         (Field(parse_expr("z")), 1 + 0j, cfg, 5.0, _two_radii_in_one_step()),
         (Field(parse_expr("z^2")), 20 + 0j, cfg, 1.0, (Event.at_radius(10.0, start_below=True),)),
         (Field(parse_expr("z")), 1 + 0j, cfg, 3.0, (Event.at_radius(math.inf, start_below=True),)),
         # non-terminal events retired on a circle that crosses them again,
-        # one of them start_below from the side where it is met first
+        # one of them start_below on its far side, so crossed at t0
         (Field(parse_expr("i*z")), 1 + 0j, cfg, 10.0, _retired_on_circle()),
         # a radius met from beyond it without start_below: the circle
         # |z - 1| = 1.5 dips below it, with steps below every radius, and
@@ -1062,6 +1097,8 @@ class TestDriveFieldLoop:
             stops = [reach * (1.0 - rng.random()) for _ in range(rng.randint(1, 3))]
             stops += [first * (1.0 - rng.random()), stops[0], t_stop]
             rng.shuffle(stops)
+            # a run crossed at its start (reach = t0 = 0) covers no span to stop inside
+            stops = [s for s in stops if s > 0.0]
             res = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events, stops=stops)
             assert _result_outcome(res, events) == _run_outcome(drive_field, rhs, z0, cfg, t_stop, events)
             assert len(res.at_stops) == len(stops)

@@ -8,7 +8,7 @@ from conftest import level_start, random_expr, reference_corrector, reference_po
 
 import planeflow.level as level_module
 from planeflow.errors import CorrectorDivergence, EvaluationOverflow
-from planeflow.expr import Add, Constant, Mul, Scale, Variable, compile_fn, derivative, parse_expr
+from planeflow.expr import Add, Constant, Exp, Mul, Scale, Variable, compile_fn, derivative, parse_expr
 from planeflow.flow import Event, Field, IntegratorConfig, drive_field
 from planeflow.level import (
     LevelCurve,
@@ -171,6 +171,69 @@ class TestCorrector:
         got = [level_module._newton(Add(Variable(), c), Constant(1.0))(0j, complex(1.0, -0.0), 0.0, 1)
                for c in (Constant(0j), Constant(-0j))]
         assert repr(got) == "[(-0j, 1), (0j, 1)]"
+
+
+def _counted_exp(newton):
+    """Count the exp calls the generated corrector makes; returns the list."""
+    calls = []
+    exp = newton.__globals__["exp"]
+
+    def counted(w):
+        calls.append(w)
+        return exp(w)
+
+    newton.__globals__["exp"] = counted
+    return calls
+
+
+class TestNewton:
+    # G' equal to G by repr: one evaluation of G serves as g
+
+    @pytest.mark.parametrize("big_g", [parse_expr("exp(z)"), Scale(2.0, Exp(Variable()))], ids=repr)
+    def test_shared_evaluation_matches_two_body_reference(self, big_g):
+        dg = derivative(big_g)
+        assert repr(dg) == repr(big_g)
+        big_ge, ge = compile_fn(big_g), compile_fn(dg)
+        rng = random.Random(20261018)
+        outcomes = Counter()
+        for _ in range(200):
+            z_true = complex(rng.uniform(-5.0, 800.0), rng.uniform(-4.0, 4.0))
+            try:
+                target = big_ge(z_true)
+            except EvaluationOverflow:
+                target = complex(rng.uniform(0.0, 1.7e308), rng.uniform(-1e300, 1e300))
+            guess = z_true + complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
+            tol = 1e-12 * (1.0 + abs(target))
+            max_iter = rng.choice((8, 12))
+            newton = level_module._newton(big_g, dg)
+            calls = _counted_exp(newton)
+            want = reference_corrector(big_ge, ge, target, guess, tol, max_iter)
+            got = level_module._corrector(newton, target, guess, tol, max_iter)
+            assert repr(got) == repr(want), (big_g, target, guess, tol, max_iter)
+            if want is None:
+                outcomes["overflow" if calls[-1].real > 709.0 else "none"] += 1
+            else:
+                # one exp per iteration, the accepting one included
+                assert len(calls) == want[1] + 1
+                outcomes["solved"] += 1
+        # solves that converge and solves ended by an overflow of G near exp(800)
+        assert outcomes["solved"] >= 20 and outcomes["overflow"] >= 20
+
+    def test_signed_zero_pair_not_shared(self):
+        # Constant(0.0) == Constant(-0.0): trees found equal by == would
+        # share an evaluation whose bits g does not have
+        big_g, dg = Add(Exp(Variable()), Constant(0.0)), Add(Exp(Variable()), Constant(-0.0))
+        big_ge, ge = compile_fn(big_g), compile_fn(dg)
+        rng = random.Random(7)
+        for _ in range(20):
+            z_true = complex(rng.uniform(-5.0, 5.0), rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
+            target, guess = big_ge(z_true), z_true + rng.uniform(-0.5, 0.5)
+            newton = level_module._newton(big_g, dg)
+            calls = _counted_exp(newton)
+            want = reference_corrector(big_ge, ge, target, guess, 1e-12, 8)
+            assert repr(level_module._corrector(newton, target, guess, 1e-12, 8)) == repr(want)
+            # G every iteration, g every iteration but the accepting one
+            assert want is not None and len(calls) == 2 * want[1] + 1
 
 
 class TestTrace:
