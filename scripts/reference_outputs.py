@@ -1,4 +1,4 @@
-"""Run the twenty-five reference CLI commands and record everything they produce.
+"""Run the twenty-seven reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -8,7 +8,9 @@ sits in, with its working directory set to its own empty
 writes no files.  Its stdout, stderr and exit code go to
 ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt`` in ``OUTDIR/<name>``.
 To check that a change keeps the outputs byte-identical, run the script
-in a checkout of each commit and compare with ``diff -r OLD NEW``.
+in a checkout of each commit and compare with ``diff -r OLD NEW``, or with
+``scripts/compare_outputs.py OLD NEW``, which passes when the commands
+whose outputs differ are exactly those listed as intended changes.
 
 Exits 1 when any command exits with another code than it should: 0, or
 the code ``EXPECTED_EXITS`` gives it: 2 for an input rejected at the
@@ -65,6 +67,9 @@ COMMANDS = (
     ]),
     # past t ~ 1.3e154 t*t overflows, and the window's end terms underflow
     ("rubel-long", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e200"]),
+    # near the top of the double range: the window's nodes and the panel
+    # midpoints are computed without overflowing
+    ("rubel-top", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1.7e308"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius
     ("demo", ["demo"]),
@@ -74,8 +79,12 @@ COMMANDS = (
     ("simulate-overflow-constant", ["simulate", "--f", "exp(1000)*z", "--z0", "1"]),
     # a finite point whose first step overflows: reported at the given point
     ("simulate-overflow-step", ["simulate", "--f", "z", "--z0", "1e308,1e308"]),
+    # a plot window so narrow that its pixel scale overflows: rejected at the edge
+    ("simulate-window-narrow", ["simulate", "--f", "z", "--z0", "1", "--tmax", "1", "--svg", "--window", "0,0,1e-320"]),
 )
-EXPECTED_EXITS = {"simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3}
+EXPECTED_EXITS = {
+    "simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3, "simulate-window-narrow": 2,
+}
 
 
 def main(argv) -> int:

@@ -36,7 +36,7 @@ from .flow import (
 from .jets import _MAX_JET_ORDER
 from .level import infinite_time_criterion, trace_level, transit_time
 from .reports import write_report
-from .svg import SvgScene, render_svg
+from .svg import SvgScene, _scale, render_svg
 
 __all__ = ["main", "run_cli"]
 
@@ -107,8 +107,10 @@ def _window(text: str) -> tuple:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"must be 'cx,cy,halfwidth', got {text}")
     cx, cy, hw = (_finite_float(v) for v in parts)
-    if hw <= 0:
-        raise argparse.ArgumentTypeError(f"half-width must be positive, got {text}")
+    try:
+        _scale(hw)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{err}, got {text}") from None
     return complex(cx, cy), hw
 
 

@@ -319,20 +319,22 @@ def rubel_path(
     }
 
     # Simpson panels: the sample records at both ends and one record at
-    # the corrector-refined midpoint
+    # the corrector-refined midpoint, halved before the sum so that it
+    # stays finite where ta + tb overflows
     at_mids = [
-        node(0.5 * (ta + tb), point_on_level(newton, 0.5 * (ta + tb), d_shift, 0.5 * (za + zb)), 4.0)
+        node(0.5 * ta + 0.5 * tb, point_on_level(newton, 0.5 * ta + 0.5 * tb, d_shift, 0.5 * (za + zb)), 4.0)
         for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:])
     ]
 
     # decay diagnostics on the exact last dyadic window [T/2, T]: uniform
-    # composite-Simpson nodes refined onto the path
+    # composite-Simpson nodes refined onto the path; k / n_sub is exact, so
+    # no product passes the double range and the bits are those of * k / n_sub
     t_hi = ts[-1]
     t_lo = 0.5 * t_hi
     n_sub = 16
     diag_nodes = []
     for k in range(n_sub + 1):
-        t = t_lo + (t_hi - t_lo) * k / n_sub
+        t = t_lo + (t_hi - t_lo) * (k / n_sub)
         i = min(bisect.bisect_left(ts, t), last)
         diag_nodes.append(node(t, point_on_level(newton, t, d_shift, zs[i]), 1.0))
 

@@ -202,7 +202,8 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     bit-identical to it.  Constants and nodes are bound as globals of
     the function, never written into its source, so the source depends
     only on the tree's shape and integer powers, and trees of one shape
-    share a cached code object.  Each call returns a fresh function.
+    share one code object from :func:`_function_code`.  Each call
+    returns a fresh function.
 
     The returned function raises EvaluationOverflow when the value, an
     exp or an integer power along the way leaves the double range, or
@@ -285,17 +286,14 @@ def _bind(env: dict, prefix: str, value) -> str:
     return name
 
 
-def _code_of(source: str, filename: str) -> CodeType:
-    """Code object of the one function that ``source`` defines."""
-    module = compile(source, filename, "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
-
-
-# compile() costs far more than building the source, and integrate()
-# compiles its right-hand side on every call.
+# compile() costs far more than building the source.  Sources name their
+# constants rather than spell them, so trees of one shape share an entry.
 @lru_cache(maxsize=256)
 def _function_code(source: str) -> CodeType:
-    return _code_of(source, "<compile_fn>")
+    """Code object of the one function that ``source`` defines: the one
+    compile cache of every generated function in the package."""
+    module = compile(source, "<generated>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 # ---------------------------------------------------------------------------

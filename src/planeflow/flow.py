@@ -31,15 +31,15 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
-from types import CodeType, FunctionType
+from types import FunctionType
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale,
-    _code_of, _emit_body, antiderivative, compile_fn, is_constant, poly_coeffs,
+    _emit_body, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, adaptive_gauss
 
@@ -216,7 +216,7 @@ class Field:
             raise ValueError(f"unknown post-operation {self.post!r}")
         f = compile_fn(self.func)
         if self.post != "{}":
-            f = FunctionType(_point_code(self.post), {"f": f})
+            f = FunctionType(_function_code(f"def point(z):\n    return {self.post.format('f(z)')}"), {"f": f})
         object.__setattr__(self, "_point", f)
 
     def __call__(self, z):
@@ -226,13 +226,7 @@ class Field:
     def step(self):
         """The DP5(4) step ``(y, h, k1) -> (y_new, err, k7)`` with f inlined."""
         body, out, env = _emit_body(self.func)
-        code = _step_code(body, self.post.format(out))
-        return FunctionType(code, {**_TABLEAU, **env})
-
-
-@lru_cache(maxsize=None)
-def _point_code(post: str) -> CodeType:
-    return _code_of(f"def point(z):\n    return {post.format('f(z)')}", "<Field>")
+        return FunctionType(_function_code(_step_source(body, self.post.format(out))), {**_TABLEAU, **env})
 
 
 def _rhs(spec: FlowSpec) -> Field:
@@ -274,9 +268,8 @@ _STAGE_INPUTS = (
 )
 
 
-@lru_cache(maxsize=256)
-def _step_code(body: str, value: str) -> CodeType:
-    """Code of a DP5(4) step whose stage n runs ``body`` and sets kn to
+def _step_source(body: str, value: str) -> str:
+    """Source of a DP5(4) step whose stage n runs ``body`` and sets kn to
     ``value``, both reading the stage input as ``z`` and ``z0``."""
     lines = ["def step(y, h, k1):"]
     for n, stage_input in enumerate(_STAGE_INPUTS, 2):
@@ -285,7 +278,7 @@ def _step_code(body: str, value: str) -> CodeType:
         "    err = abs(h) * abs(k1 * E1 + k3 * E3 + k4 * E4 + k5 * E5 + k6 * E6 + k7 * E7)",
         "    return y_new, err, k7",
     ]
-    return _code_of("\n".join(lines), "<drive_field>")
+    return "\n".join(lines)
 
 
 def _stepper(rhs: Callable[[complex], complex]):
@@ -293,7 +286,7 @@ def _stepper(rhs: Callable[[complex], complex]):
     for any other callable."""
     if isinstance(rhs, Field):
         return rhs.step
-    return FunctionType(_step_code("", "rhs(z)"), {**_TABLEAU, "rhs": rhs})
+    return FunctionType(_function_code(_step_source("", "rhs(z)")), {**_TABLEAU, "rhs": rhs})
 
 
 def _hermite(z0, d0, z1, d1, h, theta):

@@ -8,15 +8,16 @@ scalar multiples are elementwise, products use the Cauchy convolution,
 exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
 and integer powers use binary powering.
 
-:func:`eval_jet` runs a straight-line function generated per (tree, order),
-and kernels for products and exp generated per order; they do a recursive
-walk's operations in its order, so every bit and the overflowing node match.
+:func:`eval_jet` builds a straight-line function from the tree and the
+order, calling kernels for products and exp generated per order; it does
+a recursive walk's operations in its order, so every bit and the
+overflowing node match.  Their code is compiled once per source text by
+``expr._function_code``; constants and nodes are bound as globals.
 """
 
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 from types import FunctionType
 
 from .errors import EvaluationOverflow
@@ -25,7 +26,6 @@ from .expr import Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Va
 __all__ = ["eval_jet"]
 
 _MAX_JET_ORDER = 64  # the generated kernels grow with the order squared
-_GENERATED_KEPT = 64  # generated jet functions kept, one per (tree, order)
 
 
 def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
@@ -34,26 +34,16 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
     a_k equals the k-th derivative divided by k!, so ``a_0`` is the plain
     value.  Overflow in any coefficient, or an exp without a value, raises
     EvaluationOverflow carrying the innermost offending node.  The order
-    must lie in 0..``_MAX_JET_ORDER``.
+    must lie in 0..``_MAX_JET_ORDER``.  Each call builds the function's
+    source again; its code comes from ``expr._function_code``.
     """
     if not 0 <= order <= _MAX_JET_ORDER:
         raise ValueError(f"order must be in 0..{_MAX_JET_ORDER}, got {order!r}")
     z = complex(z)
-    kept = _GENERATED.get((id(expr), order))
-    if kept is None:
-        env: dict = {}
-        lines, out = _jet_body(expr, order, env)
-        source = "\n".join(["def jet(z):", *lines, f"    return ({', '.join(out)},)"])
-        if len(_GENERATED) >= _GENERATED_KEPT:
-            del _GENERATED[next(iter(_GENERATED))]  # the oldest
-        kept = _GENERATED[id(expr), order] = expr, FunctionType(_function_code(source), env)
-    return kept[1](z)
-
-
-# (id(tree), order) -> (tree, its jet function), never found by equality:
-# Constant(0.0) == Constant(-0.0), yet their bits differ.  An entry holds
-# its tree alive, so no other tree takes that id while the entry lasts.
-_GENERATED: dict = {}
+    env: dict = {}
+    lines, out = _jet_body(expr, order, env)
+    source = "\n".join(["def jet(z):", *lines, f"    return ({', '.join(out)},)"])
+    return FunctionType(_function_code(source), env)(z)
 
 
 def _jet_body(expr: FuncExpr, order: int, env: dict):
@@ -102,24 +92,23 @@ def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
     return out
 
 
-@lru_cache(maxsize=None)  # one entry per order: at most _MAX_JET_ORDER + 1
-def _kernels(n: int):
-    """Straight-line Cauchy product and exp recurrence on n coefficients,
-    by name; their sums start from 0, as ``sum()`` starts them."""
+def _kernels(n: int) -> dict:
+    """Straight-line Cauchy product ``mul`` and exp recurrence ``exp_jet``
+    on n coefficients, by name; their sums start from 0, as ``sum()`` starts them."""
     a, b, u, v = ([f"{p}{k}" for k in range(n)] for p in "abuv")
     conv = [" + ".join(["0", *(f"a{j} * b{k - j}" for j in range(k + 1))]) for k in range(n)]
     rec = [" + ".join(["0", *(f"{j} * u{j} * v{k - j}" for j in range(1, k + 1))]) for k in range(1, n)]
-    source = "\n".join([
-        f"def mul({', '.join(a + b)}):",
-        f"    return ({', '.join(conv)},)",
+    mul = "\n".join([f"def mul({', '.join(a + b)}):", f"    return ({', '.join(conv)},)"])
+    exp_jet = "\n".join([
         f"def exp_jet({', '.join(u)}):",
         "    v0 = exp(u0)",
         *(f"    v{k} = ({terms}) / {k}" for k, terms in enumerate(rec, 1)),
         f"    return ({', '.join(v)},)",
     ])
-    env = {"exp": cmath.exp}
-    exec(compile(source, "<eval_jet>", "exec"), env)
-    return {"mul": env["mul"], "exp_jet": env["exp_jet"]}
+    return {
+        "mul": FunctionType(_function_code(mul), {}),
+        "exp_jet": FunctionType(_function_code(exp_jet), {"exp": cmath.exp}),
+    }
 
 
 def _power(mul, a: tuple, k: int) -> tuple:

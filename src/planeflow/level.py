@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from textwrap import indent
-from types import CodeType, FunctionType
+from types import FunctionType
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import FuncExpr, _code_of, _emit_body, compile_fn, derivative
+from .expr import FuncExpr, _emit_body, _function_code, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, adaptive_simpson
 
@@ -90,15 +89,14 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
         body, g = "", v
     else:
         body, g, env = _emit_body(dg, env, root="droot", temp="d")
-    return FunctionType(_newton_code(big_body, v, body, g), {**env, "G_MIN": _G_MIN})
+    return FunctionType(_function_code(_newton_source(big_body, v, body, g)), {**env, "G_MIN": _G_MIN})
 
 
-@lru_cache(maxsize=256)
-def _newton_code(big_body: str, v: str, body: str, g: str) -> CodeType:
-    """Code of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
+def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
+    """Source of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
     for g = g(z), with ``z0`` the point as given and ``z`` as complex; an
     empty ``body`` reads g from ``big_body``."""
-    source = "\n".join([
+    return "\n".join([
         "def newton(target, z0, tol, max_iter):",
         "    z = complex(z0)",
         "    for it in range(max_iter + 1):",
@@ -115,7 +113,6 @@ def _newton_code(big_body: str, v: str, body: str, g: str) -> CodeType:
         "            return None",
         f"        z0 = z = z - ({v} - target) / {g}",
     ])
-    return _code_of(source, "<newton>")
 
 
 def _corrector(newton, target, z_guess, tol, max_iter=8):

@@ -5,11 +5,12 @@ layered polylines with a style class, point markers and legend lines.
 Rendering is byte-stable for identical scenes: fixed 6-significant-
 digit formatting, no timestamps, elements emitted in insertion order.
 Segments are clipped to the window (Liang-Barsky), splitting polylines
-where they leave it.
+where they leave it; no number written is infinite or NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -41,8 +42,7 @@ class SvgScene:
     legend: List[str] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("plot window must be nonempty")
+        _scale(self.half_width)
 
     def add_polyline(self, points, css_class: str = "trajectory"):
         self.polylines.append((tuple(complex(p) for p in points), css_class))
@@ -52,6 +52,19 @@ class SvgScene:
 
     def add_legend(self, text: str):
         self.legend.append(text)
+
+
+def _scale(half_width: float) -> float:
+    """Pixels per plane unit of a window with this half-width; a ValueError
+    unless that is finite and positive."""
+    scale = _SIZE / (2.0 * half_width) if half_width > 0 else 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"plot window half-width {half_width!r} gives no finite positive pixel scale")
+    return scale
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def _fmt(x: float) -> str:
@@ -90,11 +103,25 @@ def render_svg(scene: SvgScene) -> str:
     """Render the scene to a standalone SVG document (a str of bytes-stable text)."""
     cx, cy = scene.center.real, scene.center.imag
     hw = scene.half_width
-    scale = _SIZE / (2.0 * hw)
+    scale = _scale(hw)
+    lo, hi = 0.0, float(_SIZE)
 
     def to_px(x: float, y: float):
         # SVG's y axis points down
         return (x - cx + hw) * scale, (cy + hw - y) * scale
+
+    def clip(a: complex, b: complex):
+        seg = (*to_px(a.real, a.imag), *to_px(b.real, b.imag))
+        if not _finite(seg):
+            # a pixel end overflowed: clip in the plane first
+            ends = _clip_segment(a.real - cx, a.imag - cy, b.real - cx, b.imag - cy, -hw, hw)
+            if ends is None:
+                return None
+            u0, v0, u1, v1 = ends
+            seg = ((u0 + hw) * scale, (hw - v0) * scale, (u1 + hw) * scale, (hw - v1) * scale)
+        clipped = _clip_segment(*seg, lo, hi)
+        # an end left non-finite by an overflowing clip drops the segment
+        return clipped if clipped is None or _finite(clipped) else None
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -115,48 +142,28 @@ def render_svg(scene: SvgScene) -> str:
             f'<polyline class="axis" points="0,{_fmt(py)} {_SIZE},{_fmt(py)}"/>'
         )
 
-    lo, hi = 0.0, float(_SIZE)
     for points, css in scene.polylines:
-        if len(points) < 2:
-            continue
         runs = []
-        run = []
         prev = None
         for a, b in zip(points, points[1:]):
-            pa = to_px(a.real, a.imag)
-            pb = to_px(b.real, b.imag)
-            clipped = _clip_segment(pa[0], pa[1], pb[0], pb[1], lo, hi)
+            clipped = clip(a, b)
             if clipped is None:
-                if run:
-                    runs.append(run)
-                    run = []
                 prev = None
                 continue
             x0, y0, x1, y1 = clipped
-            if prev is None or (x0, y0) != prev:
-                if run:
-                    runs.append(run)
-                run = [(x0, y0)]
-            run.append((x1, y1))
+            if (x0, y0) != prev:
+                runs.append([(x0, y0)])
+            runs[-1].append((x1, y1))
             prev = (x1, y1)
-        if run:
-            runs.append(run)
         for pts in runs:
             coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
             parts.append(f'<polyline class="{css}" points="{coords}"/>')
 
     for z, kind in scene.markers:
-        if abs(z.real - cx) > hw or abs(z.imag - cy) > hw:
-            continue
         px, py = to_px(z.real, z.imag)
-        if kind == "zero":
-            parts.append(
-                f'<circle class="marker-zero" cx="{_fmt(px)}" cy="{_fmt(py)}" r="4"/>'
-            )
-        else:
-            parts.append(
-                f'<circle class="marker-seed" cx="{_fmt(px)}" cy="{_fmt(py)}" r="3"/>'
-            )
+        if abs(z.real - cx) <= hw and abs(z.imag - cy) <= hw and _finite((px, py)):
+            css, r = ("marker-zero", 4) if kind == "zero" else ("marker-seed", 3)
+            parts.append(f'<circle class="{css}" cx="{_fmt(px)}" cy="{_fmt(py)}" r="{r}"/>')
 
     for i, text in enumerate(scene.legend):
         parts.append(f'<text x="8" y="{14 + 14 * i}">{_escape(text)}</text>')

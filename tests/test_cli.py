@@ -296,7 +296,10 @@ class TestSubcommands:
         assert out == ""
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("window", ["nan,0,1", "0,0,inf", "0,0", "0,0,0", "0,0,-1"])
+    # the last four are finite and positive, but give no finite positive pixel scale
+    @pytest.mark.parametrize(
+        "window", ["nan,0,1", "0,0,inf", "0,0", "0,0,0", "0,0,-1", "0,0,1e-320", "0,0,5e-324", "1,1,1e-310", "0,0,1e308"],
+    )
     @pytest.mark.parametrize(
         "argv",
         [

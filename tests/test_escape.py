@@ -408,7 +408,7 @@ class TestRubelPath:
             assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-3 * want
             assert abs(tail.window_ratio - 2.0 ** (-tail.c)) <= 1e-3
 
-    @pytest.mark.parametrize("t_end", [1e200, 1e300])
+    @pytest.mark.parametrize("t_end", [1e200, 1e300, 1e308, 1.7e308])
     def test_tails_stay_finite_to_the_double_range(self, t_end):
         # past t ~ 1.3e154, t*t overflows, and the window's end terms
         # t^(-c-1) underflow to 0; the tails still match the closed form

@@ -15,11 +15,16 @@ from planeflow.expr import (
     Negate,
     Scale,
     Variable,
+    _function_code,
     compile_fn,
+    derivative,
     parse_expr,
 )
 from planeflow import jets
+from planeflow.escape import _rubel_node
+from planeflow.flow import Field
 from planeflow.jets import eval_jet
+from planeflow.level import _newton
 
 from conftest import random_expr, tame_random_expr
 
@@ -254,10 +259,28 @@ class TestGenerated:
         with pytest.raises(ValueError, match="order"):
             eval_jet(Z, 1.0, jets._MAX_JET_ORDER + 1)
 
-    def test_table_bounded(self):
-        for k in range(2 * jets._GENERATED_KEPT):
-            eval_jet(Scale(k, Z), 1.0, 2)
-        assert len(jets._GENERATED) == jets._GENERATED_KEPT
+    def test_function_code_is_the_one_cache(self):
+        # every kind of generated function is compiled through _function_code:
+        # the first tree of a shape adds entries, a second one with other
+        # constants adds hits and no entry
+        builds = {
+            "compile_fn": compile_fn,
+            "Field point and step": lambda f: Field(f, "-{}").step,
+            "newton": lambda f: _newton(f, derivative(f)),
+            "rubel node": lambda f: _rubel_node(f, derivative(f), 0.5, 3, (0.5, 1.0)),
+            "eval_jet": lambda f: eval_jet(f, 0.5, 3),
+        }
+        first, second = (Add(Scale(c, Exp(Z)), IntPower(Z, 3)) for c in (2.0, -3.0))
+        _function_code.cache_clear()
+        for kind, build in builds.items():
+            before = _function_code.cache_info()
+            build(first)
+            between = _function_code.cache_info()
+            build(second)
+            after = _function_code.cache_info()
+            assert between.currsize > before.currsize, kind
+            assert after.currsize == between.currsize and after.misses == between.misses, kind
+            assert after.hits > between.hits, kind
 
 
 class TestJetType:

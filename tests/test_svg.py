@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 
@@ -77,3 +79,46 @@ class TestRender:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             SvgScene(0j, 0.0)
+
+    @pytest.mark.parametrize("half_width", [1e-320, 5e-324, 1e308, math.inf, math.nan])
+    def test_window_without_finite_scale_rejected(self, half_width):
+        with pytest.raises(ValueError):
+            SvgScene(0j, half_width)
+
+    def test_every_number_written_is_finite(self):
+        # windows from subnormal to near-overflow half-widths, points near
+        # them and across the double range: pixel ends overflow, the clip
+        # of a finite segment overflows, and still no inf or nan is written
+        rng = random.Random(20261019)
+
+        def coord():
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.2)
+
+        # pixel ends of opposite sign whose difference overflows
+        wide = SvgScene(0j, 320.0)
+        wide.add_polyline([-1.7e308, 1.7e308, 1.7e308 + 1.7e308j])
+        # a window whose top edge cy + hw overflows, with a marker on it
+        tall = SvgScene(1.7e308j, 8e307)
+        tall.add_polyline([0.5e308j, 1.7e308j])
+        tall.add_marker(1.7e308j, "zero")
+        scenes = [wide, tall]
+        for _ in range(400):
+            center = complex(coord(), coord()) if rng.random() < 0.5 else 0j
+            try:
+                scene = SvgScene(center, 10.0 ** rng.uniform(-323.0, 308.0))
+            except ValueError:
+                continue
+            near = [center + scene.half_width * 10.0 ** rng.uniform(-2.0, 3.0) * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                    for _ in range(6)]
+            far = [complex(coord(), coord()) for _ in range(3)]
+            scene.add_polyline(rng.sample(near + far, 9))
+            for z in near[:2] + far[:1]:
+                scene.add_marker(z, "zero")
+            scenes.append(scene)
+        drawn = 0
+        for scene in scenes:
+            doc = render_svg(scene)
+            drawn += doc.count('class="trajectory"')
+            for value in re.findall(r'(?:points|cx|cy)="([^"]*)"', doc):
+                assert all(math.isfinite(float(v)) for v in re.split("[ ,]", value)), (scene, value)
+        assert drawn >= 100
