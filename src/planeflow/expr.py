@@ -214,7 +214,7 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     return FunctionType(_function_code(source), env)
 
 
-def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", temp: str = "t"):
+def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", temp: str = "t", pad: str = "    "):
     """The statements that compute expr at the complex ``z``, ending with
     the finiteness check of the value; the name that holds the value; and
     the globals the statements read.
@@ -227,7 +227,7 @@ def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", t
     Given the ``env`` of an earlier body, a second tree binds its constants
     and nodes into it; ``root`` and ``temp`` then name its root and prefix
     its temporaries apart from the earlier body's, so that both bodies can
-    run in one function.
+    run in one function.  Every statement starts with ``pad``.
     """
     if env is None:
         env = {
@@ -238,45 +238,45 @@ def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", t
         }
     env[root] = expr
     lines: list = []
-    out = _emit(expr, lines, env, temp)
+    out = _emit(expr, lines, env, temp, pad)
     lines += [
-        f"    if not isfinite({out}):",
-        f"        raise EvaluationOverflow({root}, at=z0)",
+        f"{pad}if not isfinite({out}):",
+        f"{pad}    raise EvaluationOverflow({root}, at=z0)",
     ]
     return "\n".join(lines), out, env
 
 
-def _emit(expr: FuncExpr, lines: list, env: dict, temp: str) -> str:
+def _emit(expr: FuncExpr, lines: list, env: dict, temp: str, pad: str) -> str:
     """Append the lines computing expr; return the name holding its value."""
     if isinstance(expr, Variable):
         return "z"
     if isinstance(expr, Constant):
         return _bind(env, "c", expr.value)
     if isinstance(expr, (Add, Mul)):
-        l, r = _emit(expr.left, lines, env, temp), _emit(expr.right, lines, env, temp)
+        l, r = _emit(expr.left, lines, env, temp, pad), _emit(expr.right, lines, env, temp, pad)
         value = f"{l} + {r}" if isinstance(expr, Add) else f"{l} * {r}"
     elif isinstance(expr, Negate):
-        value = f"-{_emit(expr.arg, lines, env, temp)}"
+        value = f"-{_emit(expr.arg, lines, env, temp, pad)}"
     elif isinstance(expr, Scale):
-        a = _emit(expr.arg, lines, env, temp)
+        a = _emit(expr.arg, lines, env, temp, pad)
         value = f"{_bind(env, 'c', expr.factor)} * {a}"
     elif isinstance(expr, (Exp, IntPower)):
-        a = _emit(expr.arg, lines, env, temp)
+        a = _emit(expr.arg, lines, env, temp, pad)
         value = f"exp({a})" if isinstance(expr, Exp) else f"{a} ** {expr.power}"
         out = f"{temp}{len(lines)}"
         # cmath.exp raises ValueError for a finite real part and an
         # infinite imaginary part
         lines += [
-            "    try:",
-            f"        {out} = {value}",
-            "    except (OverflowError, ValueError):",
-            f"        raise EvaluationOverflow({_bind(env, 'n', expr)}, at=z) from None",
+            f"{pad}try:",
+            f"{pad}    {out} = {value}",
+            f"{pad}except (OverflowError, ValueError):",
+            f"{pad}    raise EvaluationOverflow({_bind(env, 'n', expr)}, at=z) from None",
         ]
         return out
     else:
         raise TypeError(f"not a FuncExpr node: {expr!r}")
     out = f"{temp}{len(lines)}"
-    lines.append(f"    {out} = {value}")
+    lines.append(f"{pad}{out} = {value}")
     return out
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
-    Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale,
+    Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
     _emit_body, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, adaptive_gauss
@@ -244,7 +244,7 @@ def _rhs(spec: FlowSpec) -> Field:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) pair
 
-_TABLEAU = dict(
+_TABLEAU = {k: complex(v) for k, v in dict(
     A21=1 / 5,
     A31=3 / 40, A32=9 / 40,
     A41=44 / 45, A42=-56 / 15, A43=32 / 9,
@@ -253,11 +253,11 @@ _TABLEAU = dict(
     B1=35 / 384, B3=500 / 1113, B4=125 / 192, B5=-2187 / 6784, B6=11 / 84,
     # difference between the 5th and the embedded 4th order weights
     E1=71 / 57600, E3=-71 / 16695, E4=71 / 1920, E5=-17253 / 339200, E6=22 / 525, E7=-1 / 40,
-)
+).items()}
 
-# inputs of stages 2..7; the last is the 5th-order update.  Coefficients
-# multiply from the right: CPython then skips a failed float
-# multiplication, and products commute bit for bit.
+# inputs of stages 2..7; the last is the 5th-order update.  Coefficients are
+# complex, on the right: CPython 3.10-3.13 multiplies a complex by a float c as
+# by (c, 0.0), so the bits stay, without a failed float multiply or a conversion.
 _STAGE_INPUTS = (
     "y + (k1 * A21) * h",
     "y + (k1 * A31 + k2 * A32) * h",
@@ -293,10 +293,10 @@ def _hermite(z0, d0, z1, d1, h, theta):
     t2 = theta * theta
     t3 = t2 * theta
     return (
-        (2 * t3 - 3 * t2 + 1) * z0
-        + (t3 - 2 * t2 + theta) * (h * d0)
-        + (-2 * t3 + 3 * t2) * z1
-        + (t3 - t2) * (h * d1)
+        z0 * (2.0 * t3 - 3.0 * t2 + 1.0)
+        + (d0 * h) * (t3 - 2.0 * t2 + theta)
+        + z1 * (-2.0 * t3 + 3.0 * t2)
+        + (d1 * h) * (t3 - t2)
     )
 
 
@@ -305,14 +305,14 @@ def _crossing_theta(g, z0, d0, z1, d1, h):
     cubic Hermite interpolant, bisected assuming g < 0 at theta = 0.
 
     The cubic is ``_hermite``'s, with the same operations in the same
-    order; its integer literals are written as floats, which gives the
-    same bits without converting them on every multiplication.  The
+    order, complex operands on the left: that skips a failed float
+    multiplication, and IEEE products and sums commute bit for bit.  The
     sixty halvings stop once the midpoint equals an end: a midpoint
     equal to ``hi`` cannot move it, and one equal to ``lo`` (never the
     first 0.0, as ``hi`` stays at least 2^-60) re-tests a point already
     seen negative, so ``hi`` is that of all sixty.
     """
-    hd0, hd1 = h * d0, h * d1
+    hd0, hd1 = d0 * h, d1 * h
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -321,10 +321,10 @@ def _crossing_theta(g, z0, d0, z1, d1, h):
         t2 = mid * mid
         t3 = t2 * mid
         zm = (
-            (2.0 * t3 - 3.0 * t2 + 1.0) * z0
-            + (t3 - 2.0 * t2 + mid) * hd0
-            + (-2.0 * t3 + 3.0 * t2) * z1
-            + (t3 - t2) * hd1
+            z0 * (2.0 * t3 - 3.0 * t2 + 1.0)
+            + hd0 * (t3 - 2.0 * t2 + mid)
+            + z1 * (-2.0 * t3 + 3.0 * t2)
+            + hd1 * (t3 - t2)
         )
         if g(zm) < 0.0:
             lo = mid
@@ -614,30 +614,40 @@ def _may_close(spec: FlowSpec) -> bool:
     """Whether the flow can have a closed orbit.  A closed orbit of a plane
     vector field encloses a zero of it (index theory), so a holomorphic
     flow whose f is zero-free by its tree has none; along an
-    antiholomorphic flow Re G rises at speed |g|^2, so it never returns."""
-    return spec.kind == HOLOMORPHIC and not _zero_free(spec.func)
+    antiholomorphic flow Re G rises at speed |g|^2, so it never returns.
+    Nor does f = a z^n, a != 0, n >= 2: along a closed orbit of period T
+    the integral of dz/f is T != 0, yet 1/(a z^n) has residue 0 at its
+    only pole, so it integrates to 0 around any loop."""
+    return spec.kind == HOLOMORPHIC and not _zero_free(spec.func) and (_leaf_power(spec.func, Variable) or 0) < 2
 
 
 def _zero_free(expr: FuncExpr) -> bool:
-    """True when the tree has no zero: an Exp, a nonzero Constant or sum of
-    two Constants (the parser's ``(a+bi)``), or a Negate, IntPower, Mul or
-    nonzero Scale of such parts.  Any other tree may vanish."""
-    stack = [expr]
+    """True when the tree has no zero: a nonzero constant times Exps."""
+    return _leaf_power(expr, Exp) is not None
+
+
+def _leaf_power(expr: FuncExpr, leaf: type) -> Optional[int]:
+    """n when the tree is a Negate, IntPower, Mul or nonzero Scale of n factors
+    of type ``leaf``, nonzero Constants and sums of two Constants (the
+    parser's ``(a+bi)``): a nonzero constant times n leaves.  Else None."""
+    n, stack = 0, [(expr, 1)]
     while stack:
-        node = stack.pop()
+        node, k = stack.pop()
         if isinstance(node, Mul):
-            stack += (node.left, node.right)
+            stack += ((node.left, k), (node.right, k))
         elif isinstance(node, (Negate, IntPower)) or isinstance(node, Scale) and node.factor != 0:
-            stack.append(node.arg)
+            stack.append((node.arg, k * node.power if isinstance(node, IntPower) else k))
+        elif isinstance(node, leaf):
+            n += k
         elif isinstance(node, Constant):
             if node.value == 0:
-                return False
+                return None
         elif isinstance(node, Add) and isinstance(node.left, Constant) and isinstance(node.right, Constant):
             if node.left.value + node.right.value == 0:
-                return False
-        elif not isinstance(node, Exp):
-            return False
-    return True
+                return None
+        else:
+            return None
+    return n
 
 
 def _fixed_point_from_tail(samples, rhs) -> Optional[FixedPointApproach]:

@@ -9,7 +9,7 @@ exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
 and integer powers use binary powering.
 
 :func:`eval_jet` builds a straight-line function from the tree and the
-order, calling kernels for products and exp generated per order; it does
+order, calling kernels for products and exp built once per order; it does
 a recursive walk's operations in its order, so every bit and the
 overflowing node match.  Their code is compiled once per source text by
 ``expr._function_code``; constants and nodes are bound as globals.
@@ -18,6 +18,7 @@ overflowing node match.  Their code is compiled once per source text by
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 from types import FunctionType
 
 from .errors import EvaluationOverflow
@@ -92,9 +93,11 @@ def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
     return out
 
 
+@lru_cache(maxsize=_MAX_JET_ORDER + 1)
 def _kernels(n: int) -> dict:
     """Straight-line Cauchy product ``mul`` and exp recurrence ``exp_jet``
-    on n coefficients, by name; their sums start from 0, as ``sum()`` starts them."""
+    on n coefficients, by name, built once per n (callers copy the dict, never
+    change it); their sums start from 0, as ``sum()`` starts them."""
     a, b, u, v = ([f"{p}{k}" for k in range(n)] for p in "abuv")
     conv = [" + ".join(["0", *(f"a{j} * b{k - j}" for j in range(k + 1))]) for k in range(n)]
     rec = [" + ".join(["0", *(f"{j} * u{j} * v{k - j}" for j in range(1, k + 1))]) for k in range(1, n)]

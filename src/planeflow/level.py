@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from textwrap import indent
 from types import FunctionType
 from typing import Optional
 
@@ -84,31 +83,32 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     ended the solve.  Constants and nodes are bound as globals, never written
     into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
     """
-    big_body, v, env = _emit_body(big_g)
+    big_body, v, env = _emit_body(big_g, pad=" " * 12)
     if repr(dg) == repr(big_g):
         body, g = "", v
     else:
-        body, g, env = _emit_body(dg, env, root="droot", temp="d")
+        body, g, env = _emit_body(dg, env, root="droot", temp="d", pad=" " * 8)
     return FunctionType(_function_code(_newton_source(big_body, v, body, g)), {**env, "G_MIN": _G_MIN})
 
 
 def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
     """Source of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
     for g = g(z), with ``z0`` the point as given and ``z`` as complex; an
-    empty ``body`` reads g from ``big_body``."""
+    empty ``body`` reads g from ``big_body``.  The bodies come indented for
+    the try block and the loop, 12 and 8 spaces."""
     return "\n".join([
         "def newton(target, z0, tol, max_iter):",
         "    z = complex(z0)",
         "    for it in range(max_iter + 1):",
         "        try:",
-        indent(big_body, " " * 8),
+        big_body,
         "        except EvaluationOverflow:",
         "            return None",
         f"        if abs({v} - target) <= tol:",
         "            return z0, it",
         "        if it == max_iter:",
         "            return None",
-        indent(body, " " * 4),
+        body,
         f"        if abs({g}) < G_MIN:",
         "            return None",
         f"        z0 = z = z - ({v} - target) / {g}",

@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import sys
 import weakref
 
 import pytest
@@ -186,6 +187,34 @@ def _zero_free_or_antiholo_specs(rng, n):
     return specs
 
 
+def _monomial_specs(rng, n):
+    """Seeded flows of a z^k, k >= 2, in the tree forms the parser makes,
+    in either time direction, seeded off the origin."""
+    specs = []
+    for _ in range(n):
+        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        power = IntPower(Variable(), rng.randint(2, 5))
+        tree = rng.choice((power, Mul(Constant(c), power), Scale(c, power), Negate(power)))
+        z0 = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        specs.append((FlowSpec(HOLOMORPHIC, tree, rng.choice((FORWARD, REVERSED))), z0))
+    return specs
+
+
+def _same_runs_as_watching_the_return(rng, specs):
+    """Check that integrate's run of each (spec, z0) with no closed orbit,
+    under a seeded config, is the run that also watches the seed's return;
+    return the terminations' names."""
+    names = set()
+    for spec, z0 in specs:
+        assert not flow_module._may_close(spec)
+        cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), escape_radius=rng.choice((3.0, 10.0)),
+                               t_max=rng.uniform(1.0, 5.0))
+        want = _watching_return_outcome(spec, z0, cfg)
+        assert _integrate_outcome(spec, z0, cfg) == want, (spec, z0, cfg)
+        names.add(want[0])
+    return names
+
+
 def _integrate_outcome(spec, z0, cfg):
     """(termination name, repr of integrate's samples, errors and
     termination), or ("overflow", repr of the node it raised at)."""
@@ -232,6 +261,20 @@ class TestClosedOrbitWatch:
         (HOLOMORPHIC, "z^2 - 1", FORWARD, True),
         (HOLOMORPHIC, "exp(z) - 1", FORWARD, True),
         (HOLOMORPHIC, "z*exp(z)", FORWARD, True),
+        (HOLOMORPHIC, "z^2", FORWARD, False),
+        (HOLOMORPHIC, "z^2", REVERSED, False),
+        (HOLOMORPHIC, "3*z^5", FORWARD, False),
+        (HOLOMORPHIC, "(1+2i)*z^5", REVERSED, False),
+        (HOLOMORPHIC, "z^2/3", FORWARD, False),
+        (HOLOMORPHIC, "z^2/3", REVERSED, False),
+        (HOLOMORPHIC, "-z^3", FORWARD, False),
+        (HOLOMORPHIC, "-z^3", REVERSED, False),
+        (HOLOMORPHIC, "z*z", FORWARD, False),
+        (HOLOMORPHIC, "(2*z)^3 * (-0.25)", REVERSED, False),
+        (HOLOMORPHIC, "(0.5i)*z", FORWARD, True),
+        (HOLOMORPHIC, "z^2 + 1", FORWARD, True),
+        (HOLOMORPHIC, "z^2 + z", FORWARD, True),
+        (HOLOMORPHIC, "(z+1)^2", FORWARD, True),
     ])
     def test_may_close_table(self, kind, text, direction, may_close):
         assert flow_module._may_close(FlowSpec(kind, parse_expr(text), direction)) is may_close
@@ -250,6 +293,22 @@ class TestClosedOrbitWatch:
         for tree in (Constant(2.0), Add(Constant(1.0), Constant(1j)), IntPower(exp_z, 0), Scale(1j, Negate(exp_z))):
             assert flow_module._zero_free(tree), tree
 
+    def test_monomial_degree_by_parts(self):
+        z = Variable()
+        for tree, n in (
+            (Scale(2j, IntPower(z, 3)), 3),
+            (Negate(Mul(z, z)), 2),
+            (Mul(IntPower(Mul(Constant(2.0), z), 2), IntPower(z, 3)), 5),
+            (Mul(IntPower(z, 0), z), 1),
+            (Mul(Add(Constant(1.0), Constant(1j)), z), 1),
+            (Mul(Constant(0.0), IntPower(z, 2)), None),
+            (Scale(0.0, IntPower(z, 3)), None),
+            (Mul(Add(Constant(1.0), Constant(-1.0)), IntPower(z, 2)), None),
+            (Mul(Exp(z), IntPower(z, 2)), None),
+            (IntPower(Add(z, z), 2), None),
+        ):
+            assert flow_module._leaf_power(tree, Variable) == n, tree
+
     def test_one_seed_return_only_where_an_orbit_can_close(self, monkeypatch):
         built = []
 
@@ -263,6 +322,7 @@ class TestClosedOrbitWatch:
         for spec, z0, watched in (
             (holo("i*z"), 1.0, 1),
             (holo("z^2 - 1", REVERSED), 0.5j, 1),
+            (holo("3*z^5", REVERSED), 0.5j, 0),
             (holo("-exp(-z)"), 0.0, 0),
             (holo("exp(z)/3", REVERSED), 0.2j, 0),
             (anti("z^2"), 1 + 1j, 0),
@@ -274,14 +334,12 @@ class TestClosedOrbitWatch:
 
     def test_same_run_as_watching_the_return(self):
         rng = random.Random(20261020)
-        names = set()
-        for spec, z0 in _zero_free_or_antiholo_specs(rng, 40):
-            assert not flow_module._may_close(spec)
-            cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), escape_radius=rng.choice((3.0, 10.0)),
-                                   t_max=rng.uniform(1.0, 5.0))
-            want = _watching_return_outcome(spec, z0, cfg)
-            assert _integrate_outcome(spec, z0, cfg) == want, (spec, z0, cfg)
-            names.add(want[0])
+        names = _same_runs_as_watching_the_return(rng, _zero_free_or_antiholo_specs(rng, 40))
+        assert {"ReachedRadius", "TimeBudgetExhausted"} <= names
+
+    def test_monomial_same_run_as_watching_the_return(self):
+        rng = random.Random(20261019)
+        names = _same_runs_as_watching_the_return(rng, _monomial_specs(rng, 20))
         assert {"ReachedRadius", "TimeBudgetExhausted"} <= names
 
     def test_seed_return_is_freed_without_the_cycle_collector(self):
@@ -685,9 +743,24 @@ def _reference_rhs(tree, post, k):
     }[post]
 
 
+# Python 3.14 multiplies a complex by a float component-wise, not as by
+# (c, 0.0), so there a complex tableau may give zero parts of other signs
+# than the float one.
+_COMPLEX_TABLEAU_KEEPS_BITS = sys.version_info < (3, 14)
+
+
+def _signed_zeros(rng, w):
+    """w with its real part, its imaginary part or both made 0.0 or -0.0."""
+    which = rng.randrange(3)
+    re = w.real if which == 1 else rng.choice((0.0, -0.0))
+    im = w.imag if which == 0 else rng.choice((0.0, -0.0))
+    return complex(re, im)
+
+
 class TestGeneratedStep:
     def test_matches_reference_step_bit_for_bit(self):
         rng = random.Random(20261018)
+        zeros = random.Random(20261019)  # apart, so the uniform draws stay as they were
         for _ in range(300):
             tree = random_expr(rng, depth=rng.randint(1, 4))
             for post in (*flow_module._POSTS, "k * {}"):
@@ -698,9 +771,13 @@ class TestGeneratedStep:
                     z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                     h = rng.choice((1e-3, 0.05, 0.4)) * rng.uniform(0.5, 1.0)
                     k1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                    assert _outcome(rhs, z, root=rhs.func) == _outcome(ref, z), (tree, post, z)
-                    want = _outcome(_reference_dp_step, ref, z, h, k1)
-                    assert _outcome(rhs.step, z, h, k1, root=rhs.func) == want, (tree, post, z, h, k1)
+                    cases = [(z, k1)]
+                    if _COMPLEX_TABLEAU_KEEPS_BITS:
+                        cases.append((_signed_zeros(zeros, z), _signed_zeros(zeros, k1)))
+                    for z, k1 in cases:
+                        assert _outcome(rhs, z, root=rhs.func) == _outcome(ref, z), (tree, post, z)
+                        want = _outcome(_reference_dp_step, ref, z, h, k1)
+                        assert _outcome(rhs.step, z, h, k1, root=rhs.func) == want, (tree, post, z, h, k1)
 
     def test_opaque_callable_matches_reference_step(self):
         rng = random.Random(7)
@@ -1141,11 +1218,46 @@ def _crossing_gs(rng, rhs, step):
     return gs
 
 
+def _reference_hermite(z0, d0, z1, d1, h, theta):
+    """The step's cubic Hermite interpolant as flow._hermite wrote it with
+    the real factor of each product on the left."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (
+        (2 * t3 - 3 * t2 + 1) * z0
+        + (t3 - 2 * t2 + theta) * (h * d0)
+        + (-2 * t3 + 3 * t2) * z1
+        + (t3 - t2) * (h * d1)
+    )
+
+
 class TestCrossingTheta:
     def test_matches_sixty_halvings_through_hermite(self):
         rng = random.Random(20261018)
         points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
         thetas, calls, steps = [], [], 0
+
+        def check(g, step):
+            """The crossing, every point it tests and the interpolant there
+            match sixty halvings along the reference interpolant."""
+            seen, want_seen = [], []
+
+            def counted(q):
+                seen.append(q)
+                return g(q)
+
+            def reference(s):
+                want_seen.append(_reference_hermite(*step, s))
+                return g(want_seen[-1])
+
+            want = _bisect_theta(reference)
+            got = flow_module._crossing_theta(counted, *step)
+            assert repr(got) == repr(want), step
+            assert repr(seen) == repr(want_seen[: len(seen)]), step
+            assert repr(flow_module._hermite(*step, got)) == repr(_reference_hermite(*step, got)), step
+            thetas.append(got)
+            calls.append(len(seen))
+
         while steps < 150:
             rhs = Field(tame_random_expr(rng, points, depth=rng.randint(1, 4)))
             z, h = rng.choice(points), rng.uniform(1e-3, 0.3)
@@ -1157,22 +1269,21 @@ class TestCrossingTheta:
                 continue
             steps += 1
             for g in gs:
-                seen = []
-
-                def counted(q, g=g):
-                    seen.append(q)
-                    return g(q)
-
-                want = _bisect_theta(lambda s: g(flow_module._hermite(z, k1, z_new, k7, h, s)))
-                got = flow_module._crossing_theta(counted, z, k1, z_new, k7, h)
-                assert repr(got) == repr(want), (rhs.func, z, h)
-                thetas.append(got)
-                calls.append(len(seen))
+                check(g, (z, k1, z_new, k7, h))
         # theta near 0 takes all sixty halvings, the rest stop early
         assert 2.0**-60 in thetas and max(calls) == 60
         assert sum(theta > 1.0 - 1e-12 for theta in thetas) >= 100
         assert sum(1e-15 < theta < 1e-9 for theta in thetas) >= 10
         assert min(calls) <= 55
+
+        # ends and slopes with zero parts of either sign
+        zeros = random.Random(20261019)
+        rhs = Field(parse_expr("exp(z)"))
+        for _ in range(100):
+            step = [_signed_zeros(zeros, complex(zeros.uniform(-2, 2), zeros.uniform(-2, 2))) for _ in range(4)]
+            step.append(zeros.uniform(1e-3, 0.3))
+            for g in _crossing_gs(zeros, rhs, step):
+                check(g, tuple(step))
 
 
 class TestQuadratureBudget:

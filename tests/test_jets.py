@@ -259,6 +259,13 @@ class TestGenerated:
         with pytest.raises(ValueError, match="order"):
             eval_jet(Z, 1.0, jets._MAX_JET_ORDER + 1)
 
+    def test_kernels_built_once_per_order(self):
+        # kept for every order eval_jet takes: none is evicted by the others
+        first = jets._kernels(1)["mul"]
+        for n in range(1, jets._MAX_JET_ORDER + 2):
+            assert jets._kernels(n)["exp_jet"] is jets._kernels(n)["exp_jet"]
+        assert jets._kernels(1)["mul"] is first
+
     def test_function_code_is_the_one_cache(self):
         # every kind of generated function is compiled through _function_code:
         # the first tree of a shape adds entries, a second one with other

@@ -2,13 +2,14 @@ import cmath
 import math
 import random
 from collections import Counter
+from textwrap import indent
 
 import pytest
 from conftest import level_start, random_expr, reference_corrector, reference_point_on_level
 
 import planeflow.level as level_module
 from planeflow.errors import CorrectorDivergence, EvaluationOverflow
-from planeflow.expr import Add, Constant, Exp, Mul, Scale, Variable, compile_fn, derivative, parse_expr
+from planeflow.expr import Add, Constant, Exp, Mul, Scale, Variable, _emit_body, compile_fn, derivative, parse_expr
 from planeflow.flow import Event, Field, IntegratorConfig, drive_field
 from planeflow.level import (
     LevelCurve,
@@ -186,7 +187,66 @@ def _counted_exp(newton):
     return calls
 
 
+def _reference_newton_source(big_g, dg):
+    """_newton's source as it was assembled: bodies emitted at four spaces
+    and indented by ``textwrap.indent``."""
+    big_body, v, env = _emit_body(big_g)
+    body, g = ("", v) if repr(dg) == repr(big_g) else _emit_body(dg, env, root="droot", temp="d")[:2]
+    return "\n".join([
+        "def newton(target, z0, tol, max_iter):",
+        "    z = complex(z0)",
+        "    for it in range(max_iter + 1):",
+        "        try:",
+        indent(big_body, " " * 8),
+        "        except EvaluationOverflow:",
+        "            return None",
+        f"        if abs({v} - target) <= tol:",
+        "            return z0, it",
+        "        if it == max_iter:",
+        "            return None",
+        indent(body, " " * 4),
+        f"        if abs({g}) < G_MIN:",
+        "            return None",
+        f"        z0 = z = z - ({v} - target) / {g}",
+    ])
+
+
 class TestNewton:
+    def test_source_as_assembled_before(self, monkeypatch):
+        sources = []
+        function_code = level_module._function_code
+        monkeypatch.setattr(level_module, "_function_code", lambda source: sources.append(source) or function_code(source))
+        rng = random.Random(20261019)
+        trees = [parse_expr(t) for t in ("exp(z)", "0.5*z^2 + 0.3*exp(-z)", "z^2 * (1/2)")]
+        trees += [random_expr(rng, 4) for _ in range(20)]
+        for big_g in trees:
+            level_module._newton(big_g, derivative(big_g))
+            assert sources.pop() == _reference_newton_source(big_g, derivative(big_g)), big_g
+        # exp(z) serves G's value as g: the empty g body leaves a blank line
+        level_module._newton(trees[0], derivative(trees[0]))
+        assert sources.pop() == "\n".join([
+            "def newton(target, z0, tol, max_iter):",
+            "    z = complex(z0)",
+            "    for it in range(max_iter + 1):",
+            "        try:",
+            "            try:",
+            "                t0 = exp(z)",
+            "            except (OverflowError, ValueError):",
+            "                raise EvaluationOverflow(n5, at=z) from None",
+            "            if not isfinite(t0):",
+            "                raise EvaluationOverflow(root, at=z0)",
+            "        except EvaluationOverflow:",
+            "            return None",
+            "        if abs(t0 - target) <= tol:",
+            "            return z0, it",
+            "        if it == max_iter:",
+            "            return None",
+            "",
+            "        if abs(t0) < G_MIN:",
+            "            return None",
+            "        z0 = z = z - (t0 - target) / t0",
+        ])
+
     # G' equal to G by repr: one evaluation of G serves as g
 
     @pytest.mark.parametrize("big_g", [parse_expr("exp(z)"), Scale(2.0, Exp(Variable()))], ids=repr)
