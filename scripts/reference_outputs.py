@@ -1,4 +1,4 @@
-"""Run the twenty-seven reference CLI commands and record everything they produce.
+"""Run the twenty-nine reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -38,6 +38,10 @@ COMMANDS = (
     # the seed starts beyond the radius and its first step stays there: crossed at t = 0
     ("classify-outside", ["classify", "--f", "z^2", "--z0", "20", "--radius", "10", "--json"]),
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
+    # e^z = e^(z0) - t: the singular time e^(i 1e-6) is not real, and the note names its Im
+    ("classify-exp-near-miss", ["classify", "--f", "-exp(-z)", "--z0", "1e-6i"]),
+    # a loose tolerance widens the error bar
+    ("classify-square-tol", ["classify", "--f", "z^2", "--z0", "1", "--tol", "1e-3"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
     # f has no zero, so no orbit can close and no seed return is watched
     ("classify-zero-free", ["classify", "--f", "0.5*exp(z)^2", "--z0", "0", "--json"]),

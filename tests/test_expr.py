@@ -329,6 +329,22 @@ class TestQueries:
         assert poly_coeffs(parse_expr("exp(z)")) is None
         assert poly_coeffs(parse_expr("exp(1) + z")) is not None
 
+    def test_exp_factor(self):
+        e, m = expr_module._exp_factor(parse_expr("-2*z^2*exp(z)^3*exp(-z)"))
+        assert (to_text(e), to_text(m)) == ("3 * z - z", "-2 * z^2")
+        # a sum keeps its exponentials in M
+        assert expr_module._exp_factor(parse_expr("exp(z) + 1")) == (Constant(0.0), parse_expr("exp(z) + 1"))
+
+    def test_exp_factor_random(self):
+        rng = random.Random(2029)
+        pts = (0.37 - 0.21j, -1.2 + 0.8j)
+        for _ in range(60):
+            tree = tame_random_expr(rng, pts)
+            e, m = (compile_fn(t) for t in expr_module._exp_factor(tree))
+            for z in pts:
+                want = compile_fn(tree)(z)
+                assert abs(m(z) * cmath.exp(e(z)) - want) <= 1e-9 * (1 + abs(want))
+
     def test_scale_folding(self):
         assert normalize(Scale(1.0, Z)) == Z
         assert normalize(Scale(-1.0, Exp(Z))) == Negate(Exp(Z))

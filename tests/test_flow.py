@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import re
 import sys
 import weakref
 
@@ -405,6 +406,13 @@ class TestBlowupEstimate:
         est = blowup_time_estimate(integrate(holo("z"), 1.0))
         assert not est.conclusive
         assert math.isnan(est.t_est)
+        assert est.note == "degree < 2: no finite escape"
+
+    def test_slow_transcendental_escape_inconclusive(self):
+        # f ~ z on the negative axis: dz/f diverges logarithmically along the ray
+        est = blowup_time_estimate(integrate(holo("z + 0.001*exp(z)"), -1.0))
+        assert not est.conclusive and est.method == "none"
+        assert est.note.startswith("ray quadrature did not converge")
 
     def test_non_escaping_inconclusive(self):
         est = blowup_time_estimate(integrate(holo("i*z"), 1.0))
@@ -427,6 +435,68 @@ class TestBlowupEstimate:
         assert est.conclusive
         assert abs(est.t_est - 1.0) <= 1e-4
 
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize(
+        "spec, z0, want, method",
+        [
+            # -exp(-z): e^z = e^(z0) - t; 0.5 exp(z)^2: e^(-2z) = e^(-2 z0) - t
+            (holo("-exp(-z)"), -0.8, math.exp(-0.8), "ray"),
+            (holo("-exp(-z)"), 0.0, 1.0, "ray"),
+            (holo("-exp(-z)"), 1.7, math.exp(1.7), "ray"),
+            (holo("exp(-z)", REVERSED), 0.0, 1.0, "ray"),
+            (holo("0.5*exp(z)^2"), 0.0, 1.0, "ray"),
+            (holo("z^2"), 1.0, 1.0, "w_chart"),
+            # seeds inside radius 10 that exit within a few steps; the radius
+            # crossing on the cubic interpolant was off by up to 3.8 bars
+            (holo("z^2"), 8.5, 1.0 / 8.5, "w_chart"),
+            (holo("z^2"), 9.5, 1.0 / 9.5, "w_chart"),
+            (holo("z^2"), 9.9, 1.0 / 9.9, "w_chart"),
+            (holo("-exp(-z)"), -9.9, math.exp(-9.9), "ray"),
+            (holo("0.5*exp(z)^2"), 9.9, math.exp(-19.8), "ray"),
+            # z^2, past the overflow of exp(z) on the ray; the integral of
+            # dz / (z e^z) from 1 is E1(1)
+            (holo("z^2*exp(z)*exp(-z)"), 1.0, 1.0, "ray"),
+            (holo("z*exp(z)"), 1.0, 0.21938393439552029, "ray"),
+        ],
+    )
+    def test_closed_form_within_bar(self, spec, z0, want, method, rel_tol):
+        cfg = IntegratorConfig(rel_tol=rel_tol)
+        est = blowup_time_estimate(integrate(spec, z0, cfg), cfg)
+        assert est.conclusive and est.method == method
+        assert abs(est.t_est - want) <= est.t_err <= 500.0 * rel_tol * (1.0 + want)
+
+    def test_exit_step_that_overflows_keeps_the_crossing(self, monkeypatch):
+        traj = integrate(holo("-exp(-z)"), 0.0)
+
+        def overflowing(rhs):
+            def step(y, h, k1):
+                raise EvaluationOverflow(None, at=y)
+
+            return step
+
+        monkeypatch.setattr(flow_module, "_stepper", overflowing)
+        est = blowup_time_estimate(traj)
+        assert est.conclusive and est.method == "ray" and abs(est.t_est - 1.0) <= est.t_err
+
+    def test_overflow_inside_a_sum_is_inconclusive(self):
+        # where exp(z) overflows, exp(z) + 1 is large, but an overflow inside
+        # a sum bounds no sum: the ray reads no 1/f there
+        est = blowup_time_estimate(integrate(holo("exp(z) + 1"), 1.0))
+        assert not est.conclusive and est.method == "none"
+        assert est.note.startswith("1/f has no value on the ray (evaluation overflow in Exp(arg=Variable())")
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_exponential_near_miss_names_im_t(self, eps):
+        # e^z = e^(z0) - t: from z0 = i eps the singular time e^(i eps) is off
+        # the real axis by sin eps.  Re z bottoms out near log(eps), so the run
+        # from 1e-4i crosses radius 5 but never radius 10
+        cfg = IntegratorConfig(escape_radius=5.0)
+        traj = integrate(holo("-exp(-z)"), complex(0.0, eps), cfg)
+        assert isinstance(traj.termination, ReachedRadius) and classify(traj, cfg) == traj.termination
+        note = blowup_time_estimate(traj, cfg).note
+        im_t = float(re.search(r"Im t\* = (\S+),", note).group(1))
+        assert abs(im_t - math.sin(eps)) <= 0.01 * math.sin(eps)
+
 
 class TestKeptEstimate:
     def _count_runs(self, monkeypatch):
@@ -439,10 +509,12 @@ class TestKeptEstimate:
         "spec, z0, radius, method",
         [
             # both ends of the dyadic continuation, and the w-chart one: z^2 at
-            # radius 1.5 continues to its zero-free radius 2 before the chart
+            # radius 1.5 continues to its zero-free radius 2 before the chart;
+            # the ray is one quadrature and runs no continuation at all
             (anti("z^3"), 1.0, 10.0, "dyadic"),
-            (holo("-exp(-z)"), 0.0, 10.0, "time_resolution"),
+            (anti("exp(z)"), 0.0, 10.0, "time_resolution"),
             (holo("z^2"), 1.0, 1.5, "w_chart"),
+            (holo("-exp(-z)"), 0.0, 10.0, "ray"),
         ],
     )
     def test_classify_after_estimate_runs_nothing(self, monkeypatch, spec, z0, radius, method):
@@ -450,13 +522,14 @@ class TestKeptEstimate:
         traj = integrate(spec, z0, cfg)
         runs = self._count_runs(monkeypatch)
         est = blowup_time_estimate(traj, cfg)
-        assert est.conclusive and est.method == method and len(runs) == 1
+        made = 0 if method == "ray" else 1
+        assert est.conclusive and est.method == method and len(runs) == made
         assert classify(traj, cfg) == FiniteTimeBlowup(est.t_est, est.t_err)
         assert blowup_time_estimate(traj, IntegratorConfig(escape_radius=radius)) is est
-        assert len(runs) == 1
+        assert len(runs) == made
 
     def test_other_config_computes_again(self, monkeypatch):
-        spec, cfg = holo("-exp(-z)"), IntegratorConfig()
+        spec, cfg = anti("exp(z)"), IntegratorConfig()
         traj = integrate(spec, 0.0, cfg)
         blowup_time_estimate(traj, cfg)
         runs = self._count_runs(monkeypatch)
@@ -467,7 +540,7 @@ class TestKeptEstimate:
 
     def test_estimate_that_raises_keeps_nothing(self, monkeypatch):
         cfg = IntegratorConfig()
-        traj = integrate(holo("-exp(-z)"), 0.0, cfg)
+        traj = integrate(anti("exp(z)"), 0.0, cfg)
 
         def failing(*args):
             raise PlaneflowError("continuation failed")
@@ -889,7 +962,11 @@ class TestFieldPerSpec:
         assert calls == [spec.func, spec.func]
         integrate(spec, 0.5, cfg)
         classify(traj, cfg)
-        assert len(calls) == 2
+        # the ray meets exp(-z)'s overflow: once more for each factor of
+        # the kept Field's reciprocal, and never again for this spec
+        assert calls == [spec.func, spec.func, *expr_module._exp_factor(spec.func)]
+        classify(integrate(spec, 0.5, cfg), cfg)
+        assert len(calls) == 4
 
     def test_kept_field_follows_a_rebound_compile_fn(self, monkeypatch):
         # bench/tracing.py wraps flow.compile_fn to count evaluations; a
@@ -1308,6 +1385,13 @@ class TestQuadratureBudget:
         est = blowup_time_estimate(traj, IntegratorConfig(escape_radius=100.0))
         assert not est.conclusive
         assert "did not converge" in est.note
+
+    def test_ray_quadrature_failure_is_inconclusive(self, monkeypatch):
+        traj = integrate(holo("-exp(-z)"), 0.0)
+        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        est = blowup_time_estimate(traj)
+        assert not est.conclusive and est.method == "none"
+        assert est.note == "ray quadrature did not converge (integrand appears divergent near 0.5)"
 
     def test_clock_quadrature_failure_is_infinite_residual(self, monkeypatch):
         traj = integrate(holo("-exp(-z)"), 0.0, IntegratorConfig(t_max=0.5))
