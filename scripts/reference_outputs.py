@@ -1,4 +1,4 @@
-"""Run the twenty-nine reference CLI commands and record everything they produce.
+"""Run the thirty reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -43,6 +43,8 @@ COMMANDS = (
     # a loose tolerance widens the error bar
     ("classify-square-tol", ["classify", "--f", "z^2", "--z0", "1", "--tol", "1e-3"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),
+    # a general polynomial from a seed off the real axis: the level line's chart
+    ("classify-antiholo-complex", ["classify", "--g", "z^2 + 1", "--kind", "antiholo", "--z0", "1,1", "--json"]),
     # f has no zero, so no orbit can close and no seed return is watched
     ("classify-zero-free", ["classify", "--f", "0.5*exp(z)^2", "--z0", "0", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),

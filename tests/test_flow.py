@@ -497,6 +497,81 @@ class TestBlowupEstimate:
         im_t = float(re.search(r"Im t\* = (\S+),", note).group(1))
         assert abs(im_t - math.sin(eps)) <= 0.01 * math.sin(eps)
 
+    @staticmethod
+    def _monomial_level_time(n, z0):
+        """T for z' = conj(z^n) from z0 off the real axis: G = z^m / m, m = n + 1,
+        runs along Im G = beta at speed |z|^2n = (m^2 (X^2 + beta^2))^(n/m), so T
+        is the integral of that speed's reciprocal over X from Re G(z0) on.  With
+        X = |beta| sinh u it is c times the integral of cosh(u)^-p, p = (n-1)/m:
+        Simpson's rule out to u0 + 30, extrapolated from two step sizes, plus
+        the tail, 2^p e^(-p u) / p up to a relative e^(-2 u)."""
+        m = n + 1
+        w0 = z0**m / m
+        beta = abs(w0.imag)
+        p = (n - 1) / m
+        u0 = math.asinh(w0.real / beta)
+        u1 = u0 + 30.0
+
+        def simpson(k):
+            h = (u1 - u0) / k
+            ys = [math.cosh(u0 + j * h) ** -p for j in range(k + 1)]
+            return h / 3.0 * (ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-1:2]))
+
+        coarse, fine = simpson(1024), simpson(2048)
+        body = fine + (fine - coarse) / 15.0
+        return beta ** (1.0 - 2.0 * n / m) * m ** (-2.0 * n / m) * (body + 2.0**p * math.exp(-p * u1) / p)
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("z0", [0.6, 1.7, 1 + 0.5j, -0.6 + 0.9j, 0.8 - 1.3j])
+    def test_antiholo_chart_within_bar(self, monkeypatch, z0, n, direction, rel_tol):
+        # reversed, -z^n drives the same flow as z^n forward
+        spec = anti(f"z^{n}" if direction == FORWARD else f"-(z^{n})", direction)
+        want = z0 ** (1 - n) / (n - 1) if z0.imag == 0 else self._monomial_level_time(n, complex(z0))
+        cfg = IntegratorConfig(rel_tol=rel_tol)
+        traj = integrate(spec, z0, cfg)
+        runs = []
+        drive = flow_module.drive_field
+        monkeypatch.setattr(flow_module, "drive_field", lambda *a, **k: runs.append(a) or drive(*a, **k))
+        est = blowup_time_estimate(traj, cfg)
+        # the exit at radius 10 lies beyond r_safe = 2: no continuation
+        assert est.conclusive and est.method == "w_chart" and not runs
+        assert abs(est.t_est - want) <= est.t_err <= 500.0 * rel_tol * (1.0 + want)
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("z0", [1 + 1j, 2 - 0.5j, -1.5 + 0.2j])
+    def test_antiholo_chart_agrees_with_dyadic(self, z0, direction):
+        spec = anti("z^2 + 1" if direction == FORWARD else "-(z^2 + 1)", direction)
+        cfg = IntegratorConfig()
+        traj = integrate(spec, z0, cfg)
+        chart = blowup_time_estimate(traj, cfg)
+        dyadic = flow_module._dyadic_estimate(flow_module._rhs(spec), traj, cfg)
+        assert chart.method == "w_chart" and dyadic.method == "dyadic"
+        assert abs(chart.t_est - dyadic.t_est) <= chart.t_err + dyadic.t_err
+
+    def test_antiholo_chart_newton_miss_falls_back(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "_chart_root", lambda *args: None)
+        est = blowup_time_estimate(integrate(anti("z^3"), 1.0))
+        assert est.conclusive and est.method == "dyadic" and abs(est.t_est - 0.5) <= est.t_err
+
+    def test_antiholo_linear_inconclusive(self):
+        est = blowup_time_estimate(integrate(anti("2*z + 1"), 1.0))
+        assert not est.conclusive and est.note == "degree < 2: no finite escape"
+
+    @pytest.mark.parametrize(
+        "spec, z0, want",
+        [
+            # x' = e^x: e^-x = e^-x0 - t; the tract's line Im z = pi: x' = 1 - e^-x
+            (anti("exp(z)"), 0.0, 1.0),
+            (anti("exp(-z) + 1"), complex(-1.0, math.pi), -math.log(1.0 - math.exp(-1.0))),
+        ],
+    )
+    def test_dyadic_bar_counts_the_steps(self, spec, z0, want):
+        est = blowup_time_estimate(integrate(spec, z0))
+        assert est.conclusive and est.method == "time_resolution"
+        assert abs(est.t_est - want) <= est.t_err
+
 
 class TestKeptEstimate:
     def _count_runs(self, monkeypatch):
@@ -506,23 +581,24 @@ class TestKeptEstimate:
         return runs
 
     @pytest.mark.parametrize(
-        "spec, z0, radius, method",
+        "spec, z0, radius, method, made",
         [
             # both ends of the dyadic continuation, and the w-chart one: z^2 at
             # radius 1.5 continues to its zero-free radius 2 before the chart;
-            # the ray is one quadrature and runs no continuation at all
-            (anti("z^3"), 1.0, 10.0, "dyadic"),
-            (anti("exp(z)"), 0.0, 10.0, "time_resolution"),
-            (holo("z^2"), 1.0, 1.5, "w_chart"),
-            (holo("-exp(-z)"), 0.0, 10.0, "ray"),
+            # the ray, and the level chart from beyond its r_safe, are one
+            # quadrature each and run no continuation at all
+            (anti("exp(-z) + 1"), complex(-1.0, math.pi), 8.0, "dyadic", 1),
+            (anti("exp(z)"), 0.0, 10.0, "time_resolution", 1),
+            (holo("z^2"), 1.0, 1.5, "w_chart", 1),
+            (anti("z^3"), 1.0, 10.0, "w_chart", 0),
+            (holo("-exp(-z)"), 0.0, 10.0, "ray", 0),
         ],
     )
-    def test_classify_after_estimate_runs_nothing(self, monkeypatch, spec, z0, radius, method):
+    def test_classify_after_estimate_runs_nothing(self, monkeypatch, spec, z0, radius, method, made):
         cfg = IntegratorConfig(escape_radius=radius)
         traj = integrate(spec, z0, cfg)
         runs = self._count_runs(monkeypatch)
         est = blowup_time_estimate(traj, cfg)
-        made = 0 if method == "ray" else 1
         assert est.conclusive and est.method == method and len(runs) == made
         assert classify(traj, cfg) == FiniteTimeBlowup(est.t_est, est.t_err)
         assert blowup_time_estimate(traj, IntegratorConfig(escape_radius=radius)) is est
