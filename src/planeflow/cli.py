@@ -439,7 +439,7 @@ def _demo_quadratic_blowup():
     cfg = IntegratorConfig(escape_radius=100.0)
     spec = FlowSpec(HOLOMORPHIC, parse_expr("z^2"))
     ests = {want: blowup_time_estimate(integrate(spec, z0, cfg), cfg) for z0, want in ((1.0, 1.0), (2.0, 0.5))}
-    ok = all(e.conclusive and e.method == "w_chart" and abs(e.t_est - w) <= 1e-4 for w, e in ests.items())
+    ok = all(e.conclusive and e.method == "ray" and abs(e.t_est - w) <= 1e-4 for w, e in ests.items())
     dev = max(abs(e.t_est - w) for w, e in ests.items())
     return ok, f"dz/dt = z^2: T(1)=1, T(2)=0.5 within {dev:.2e}", dict(estimates=ests)
 
@@ -589,7 +589,7 @@ def _demo_properties():
 
 _DEMOS = (
     ("closed-form-escape", "exp(z(t)) = exp(z0) - t forces escape at T = Re exp(z0)", _demo_closed_form_escape),
-    ("quadratic-blowup", "dz/dt = z^2 escapes at T = 1/z0 (w-chart check)", _demo_quadratic_blowup),
+    ("quadratic-blowup", "dz/dt = z^2 escapes at T = 1/z0 (ray check)", _demo_quadratic_blowup),
     ("conformal-clock", "integral of dz/f along a trajectory equals elapsed time", _demo_conformal_clock),
     ("antiholo-dichotomy", "conj-flow transit: infinite for degree 1, finite for degree >= 2", _demo_antiholo_dichotomy),
     ("transit-quadrature", "transit time integral of |dz/dX|^2 dX matches the flow", _demo_transit_gap),

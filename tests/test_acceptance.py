@@ -28,7 +28,7 @@ def test_criterion_02_polynomial_blowup_chart_switched():
     ok, detail, m = cli._demo_quadratic_blowup()
     assert sorted(m["estimates"]) == [0.5, 1.0]
     for want, est in m["estimates"].items():
-        assert est.conclusive and est.method == "w_chart"
+        assert est.conclusive and est.method == "ray"
         assert abs(est.t_est - want) <= 1e-4
     report(2, ok, detail)
 

@@ -387,7 +387,7 @@ class TestBlowupEstimate:
     def test_quadratic_from_two(self):
         cfg = IntegratorConfig(escape_radius=100.0)
         est = blowup_time_estimate(integrate(holo("z^2"), 2.0, cfg), cfg)
-        assert est.conclusive and est.method == "w_chart"
+        assert est.conclusive and est.method == "ray"
         assert abs(est.t_est - 0.5) <= 1e-4
 
     def test_cubic_quarter_time(self):
@@ -420,7 +420,7 @@ class TestBlowupEstimate:
 
     def test_quadratic_near_miss_not_blowup(self):
         # a seed just off the escape ray exits the radius but re-enters;
-        # the w-chart consistency check must reject it
+        # the estimate must reject it
         cfg = IntegratorConfig(escape_radius=50.0, t_max=400.0)
         traj = integrate(holo("z^2"), 1.0 / (0.015 + 0.012j), cfg)
         assert isinstance(traj.termination, ReachedRadius)
@@ -445,18 +445,21 @@ class TestBlowupEstimate:
             (holo("-exp(-z)"), 1.7, math.exp(1.7), "ray"),
             (holo("exp(-z)", REVERSED), 0.0, 1.0, "ray"),
             (holo("0.5*exp(z)^2"), 0.0, 1.0, "ray"),
-            (holo("z^2"), 1.0, 1.0, "w_chart"),
+            (holo("z^2"), 1.0, 1.0, "ray"),
             # seeds inside radius 10 that exit within a few steps; the radius
             # crossing on the cubic interpolant was off by up to 3.8 bars
-            (holo("z^2"), 8.5, 1.0 / 8.5, "w_chart"),
-            (holo("z^2"), 9.5, 1.0 / 9.5, "w_chart"),
-            (holo("z^2"), 9.9, 1.0 / 9.9, "w_chart"),
+            (holo("z^2"), 8.5, 1.0 / 8.5, "ray"),
+            (holo("z^2"), 9.5, 1.0 / 9.5, "ray"),
+            (holo("z^2"), 9.9, 1.0 / 9.9, "ray"),
             (holo("-exp(-z)"), -9.9, math.exp(-9.9), "ray"),
             (holo("0.5*exp(z)^2"), 9.9, math.exp(-19.8), "ray"),
             # z^2, past the overflow of exp(z) on the ray; the integral of
             # dz / (z e^z) from 1 is E1(1)
             (holo("z^2*exp(z)*exp(-z)"), 1.0, 1.0, "ray"),
             (holo("z*exp(z)"), 1.0, 0.21938393439552029, "ray"),
+            # z' = z^2 - c^2, c^2 = 30: T = ln((z0 + c) / (z0 - c)) / (2 c) = atanh(c / z0) / c;
+            # the exit at radius 10 lies inside r_safe = 62, so the run continues to r_safe first
+            (holo("z^2 - 30"), 6.0, math.atanh(math.sqrt(30.0) / 6.0) / math.sqrt(30.0), "ray"),
         ],
     )
     def test_closed_form_within_bar(self, spec, z0, want, method, rel_tol):
@@ -464,6 +467,15 @@ class TestBlowupEstimate:
         est = blowup_time_estimate(integrate(spec, z0, cfg), cfg)
         assert est.conclusive and est.method == method
         assert abs(est.t_est - want) <= est.t_err <= 500.0 * rel_tol * (1.0 + want)
+
+    @pytest.mark.parametrize("text, z0, want", [("z^2", 1e153, 1e-153), ("z^5", 1e60, 1.0 / (4.0 * 1e60**4))])
+    def test_ray_past_polynomial_overflow(self, text, z0, want):
+        # seeds beyond the radius: z^n overflows on the ray, where 1/f must
+        # be w^n / q(w), not 1 / (q(w) / w^n), which reads 0 there; T is far
+        # below the bar's 1e-14 floor, so its bits are held to 1e-12 too
+        est = blowup_time_estimate(integrate(holo(text), z0))
+        assert est.conclusive and est.method == "ray"
+        assert abs(est.t_est - want) <= min(est.t_err, 1e-12 * want)
 
     def test_exit_step_that_overflows_keeps_the_crossing(self, monkeypatch):
         traj = integrate(holo("-exp(-z)"), 0.0)
@@ -573,6 +585,62 @@ class TestBlowupEstimate:
         assert abs(est.t_est - want) <= est.t_err
 
 
+# The former holomorphic polynomial chart, kept as the reference for the
+# ray's transit on polynomials: from the same start, the integral of
+# dt = -dw / (w^2 f(1/w)) along the chart segment from w = 1/z to 0.
+
+
+def _reference_w_chart(traj, cfg):
+    coeffs = expr_module.poly_coeffs(traj.spec.func)
+    rhs = flow_module._rhs(traj.spec)
+    r_safe = 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1]))
+    t_far, z_far, steps = flow_module._transit_start(rhs, traj, cfg, r_safe)
+    n = len(coeffs) - 1
+    w_far = 1.0 / z_far
+
+    def q(w):  # q(w) = w^2 f(1/w) / w^(2-n) = sum of coeffs[k] w^(n-k); q(0) = a_n
+        acc = 0j
+        for c in coeffs:
+            acc = acc * w + c
+        return acc
+
+    def integrand(s):
+        w = w_far * (1.0 - s)
+        return w_far * w ** (n - 2) / q(w)
+
+    tol = 1e-14 * (1.0 + abs(w_far))
+    t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol)
+    return flow_module._transit_estimate("w_chart", t_far, t_rem, tol, steps, cfg, ())
+
+
+def _verdicts_monomials(rng, count):
+    """(spec, z0) of a z^n blowups, n = 2..5, drawn as the benchmark's
+    verdicts workload draws them: each seed on one of a z^n's escape rays."""
+    cases = []
+    for k in range(count):
+        n = 2 + k % 4
+        a = complex(round(rng.uniform(-2, 2), 6), round(rng.uniform(-2, 2), 6))
+        while abs(a) < 0.5:
+            a = complex(round(rng.uniform(-2, 2), 6), round(rng.uniform(-2, 2), 6))
+        ray = (-cmath.phase(a) + 2.0 * math.pi * rng.randrange(n - 1)) / (n - 1)
+        cases.append((holo(f"({a.real:.6f}{a.imag:+.6f}i)*z^{n}"), cmath.rect(rng.uniform(0.5, 2.0), ray)))
+    return cases
+
+
+class TestRayOnPolynomials:
+    @pytest.mark.parametrize(
+        "spec, z0",
+        _verdicts_monomials(random.Random(25), 200)
+        + [(holo("z^2 - 30"), 6.0), (holo("z^3 + 1000*z"), 40.0), (holo("z^5 - z + 1"), 2.0)],
+    )
+    def test_ray_matches_the_chart(self, spec, z0):
+        cfg = IntegratorConfig()
+        traj = integrate(spec, z0, cfg)
+        est, chart = blowup_time_estimate(traj, cfg), _reference_w_chart(traj, cfg)
+        assert est.method == "ray" and est.conclusive and chart is not None
+        assert abs(est.t_est - chart.t_est) <= 2e-15 * abs(chart.t_est)
+
+
 class TestKeptEstimate:
     def _count_runs(self, monkeypatch):
         runs = []
@@ -583,13 +651,13 @@ class TestKeptEstimate:
     @pytest.mark.parametrize(
         "spec, z0, radius, method, made",
         [
-            # both ends of the dyadic continuation, and the w-chart one: z^2 at
-            # radius 1.5 continues to its zero-free radius 2 before the chart;
-            # the ray, and the level chart from beyond its r_safe, are one
+            # both ends of the dyadic continuation, and the polynomial ray's:
+            # z^2 at radius 1.5 continues to its zero-free radius 2 before the
+            # ray; the ray from beyond r_safe, and the level chart too, are one
             # quadrature each and run no continuation at all
             (anti("exp(-z) + 1"), complex(-1.0, math.pi), 8.0, "dyadic", 1),
             (anti("exp(z)"), 0.0, 10.0, "time_resolution", 1),
-            (holo("z^2"), 1.0, 1.5, "w_chart", 1),
+            (holo("z^2"), 1.0, 1.5, "ray", 1),
             (anti("z^3"), 1.0, 10.0, "w_chart", 0),
             (holo("-exp(-z)"), 0.0, 10.0, "ray", 0),
         ],
@@ -638,6 +706,26 @@ class TestKeptEstimate:
         assert "_estimate" in traj.__dict__
 
 
+def _reference_clock_residual(traj):
+    """The former conformal_clock_residual: f compiled again, and the
+    elapsed time signed by the run's direction."""
+    fe = compile_fn(traj.spec.func)
+    samples = traj.samples
+    sign = -1.0 if traj.spec.time_direction == REVERSED else 1.0
+    t0 = samples[0][0]
+    acc = 0j
+    worst = 0.0
+    for (ta, za), (tb, zb) in zip(samples, samples[1:]):
+        dz = zb - za
+        try:
+            seg = adaptive_gauss(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, tol=flow_module._CLOCK_QUAD_TOL)
+        except (ZeroDivisionError, QuadratureDiverged):
+            return math.inf
+        acc += seg * dz
+        worst = max(worst, abs(acc - sign * (tb - t0)))
+    return worst
+
+
 class TestConformalClock:
     @pytest.mark.parametrize("text,z0", [
         ("z", 1.0),
@@ -648,6 +736,26 @@ class TestConformalClock:
     def test_clock_tracks_time(self, text, z0):
         traj = integrate(holo(text), z0, IntegratorConfig(t_max=3.0))
         assert conformal_clock_residual(traj) <= 1e-6
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("text,z0", [
+        ("z", 1.0),
+        ("z^2 - 1", 0.5j),
+        ("-exp(-z)", 0.0),
+        ("exp(z)", 0.0),
+        ("i*z", 1.0),
+        ("z^2", 0.3 + 0.2j),
+        ("(0.3-2i)*z^3 + z", 0.4),
+        ("exp(z) + z", -1.0 + 0.5j),
+        ("z*exp(-z)", 0.7j),
+        ("z^2 + 1", 0.2 - 0.1j),
+        ("-exp(-z) + 0.1*z", 0.5),
+        ("(1+i)*z^4 - 2", 0.3j),
+    ])
+    def test_clock_keeps_the_former_bits(self, text, z0, direction):
+        # the kept Field's -f for a reversed run: IEEE negation is exact
+        traj = integrate(holo(text, direction), z0, IntegratorConfig(t_max=1.0))
+        assert repr(conformal_clock_residual(traj)) == repr(_reference_clock_residual(traj))
 
     def test_empty_span(self):
         traj = integrate(anti("exp(-z) + 1"), complex(0.0, math.pi))
