@@ -73,8 +73,8 @@ COMMANDS = (
     ]),
     # past t ~ 1.3e154 t*t overflows, and the window's end terms underflow
     ("rubel-long", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e200"]),
-    # near the top of the double range: the window's nodes and the panel
-    # midpoints are computed without overflowing
+    # near the top of the double range: the trace's corrector tolerance and
+    # the window's node at T/2 are computed without overflowing
     ("rubel-top", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1.7e308"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius

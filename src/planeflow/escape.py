@@ -258,11 +258,15 @@ def rubel_path(
     approximately real positive, f' nonzero); tracing follows
     dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift.
     Growth log|f^(m)|/log|z| uses the quotient f^(m)/f so only log|f|
-    (exact on the path) is large.  Each node, a curve sample, a refined
-    panel midpoint or a window node, is one call of a function generated
-    per path (:func:`_rubel_node`): one jet and one speed |f'| serve the
-    growth ratios and every (m, c).  Tail integrals of |f^(m)|^(-c) |dz|
-    report a partial sum plus a geometric bound from the dyadic-window
+    (exact on the path) is large.  The nodes are the curve samples and one
+    window node placed at T/2, T the last sample's t; each is one call of a
+    function generated per path (:func:`_rubel_node`), whose jet and speed
+    |f'| serve the growth ratios, f (the jet's a_0, read by ``im_deviation``
+    and ``monotone``: it can differ from the compiled f in the sign of a
+    zero part, and for an IntPower above 100, which that takes by ``**``,
+    in the last bits) and every (m, c) term with its slope.  Tail integrals
+    of |f^(m)|^(-c) |dz| sum :func:`_log_trapezoid` over the samples and
+    add a geometric bound from the last dyadic window [T/2, T] and its
     decay ratio, never a bare claim of convergence; where a window end
     term underflows to 0 the ratio is taken from the end nodes'
     logarithms.  Each c must be positive and finite.
@@ -294,15 +298,12 @@ def rubel_path(
         raise TractViolation("f' vanished along the path")
 
     ts, zs = curve.xs, curve.zs
-    vs = [fe(z) for z in zs]
-    im_dev = max(abs(w.imag - d_shift) for w in vs)
-    monotone = all(b.real > a.real for a, b in zip(vs, vs[1:])) and all(
-        w.real > 0 for w in vs
-    )
-
-    newton = _newton(f, df)
     node = _rubel_node(f, df, d_shift, m_max, c_values)
-    at_samples = [node(t, z, 1.0) for t, z in zip(ts, zs)]
+    at_samples = [node(t, z) for t, z in zip(ts, zs)]
+    vs = [v for *_, v in at_samples]
+    im_dev = max(abs(w.imag - d_shift) for w in vs)
+    monotone = all(b.real > a.real for a, b in zip(vs, vs[1:])) and all(w.real > 0 for w in vs)
+
     last = len(zs) - 1
     marks = []
     next_mark = abs(zs[0])
@@ -318,43 +319,23 @@ def rubel_path(
         for m in range(m_max + 1)
     }
 
-    # Simpson panels: the sample records at both ends and one record at
-    # the corrector-refined midpoint, halved before the sum so that it
-    # stays finite where ta + tb overflows
-    at_mids = [
-        node(0.5 * ta + 0.5 * tb, point_on_level(newton, 0.5 * ta + 0.5 * tb, d_shift, 0.5 * (za + zb)), 4.0)
-        for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:])
-    ]
-
-    # decay diagnostics on the exact last dyadic window [T/2, T]: uniform
-    # composite-Simpson nodes refined onto the path; k / n_sub is exact, so
-    # no product passes the double range and the bits are those of * k / n_sub
+    # the last dyadic window [T/2, T]: one node placed on the path at T/2,
+    # then the samples past it
     t_hi = ts[-1]
     t_lo = 0.5 * t_hi
-    n_sub = 16
-    diag_nodes = []
-    for k in range(n_sub + 1):
-        t = t_lo + (t_hi - t_lo) * (k / n_sub)
-        i = min(bisect.bisect_left(ts, t), last)
-        diag_nodes.append(node(t, point_on_level(newton, t, d_shift, zs[i]), 1.0))
+    first = bisect.bisect_right(ts, t_lo)
+    window = [node(t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])), *at_samples[first:]]
+    ss = [math.log(t) for t in ts]
+    ts_w, ss_w = (t_lo, *ts[first:]), (math.log(t_lo), *ss[first:])
 
-    (logs_lo, _, s_lo), (logs_hi, _, s_hi) = diag_nodes[0], diag_nodes[-1]
+    (logs_lo, *_, s_lo, _), (logs_hi, *_, s_hi, _) = window[0], window[-1]
     pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
+    # one column per (m, c) of the terms and of their slopes, at the samples and in the window
+    columns = [zip(*(rec[k] for rec in nodes)) for nodes in (at_samples, window) for k in (1, 2)]
     tails = []
-    # one column per (m, c): 1 * term at the samples, 4 * term at the midpoints
-    for (m, c), qs, q4s, vals in zip(
-        pairs, _columns(at_samples, pairs), _columns(at_mids, pairs), _columns(diag_nodes, pairs)
-    ):
-        partial = 0.0
-        for qa, q4, qb, ta, tb in zip(qs, q4s, qs[1:], ts, ts[1:]):
-            partial += (qa + q4 + qb) * (tb - ta) / 6.0
-        h = (t_hi - t_lo) / n_sub
-        w_last = (h / 3.0) * (
-            vals[0]
-            + vals[-1]
-            + 4.0 * sum(vals[1:-1:2])
-            + 2.0 * sum(vals[2:-1:2])
-        )
+    for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
+        partial = _log_trapezoid(ts, ss, qs, ds)
+        w_last = _log_trapezoid(ts_w, ss_w, vals, ds_w)
         # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p)
         ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
         if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
@@ -367,50 +348,66 @@ def rubel_path(
         bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
         tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
 
-    return RubelPathReport(
-        f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails)
-    )
+    return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
 
 
-def _columns(nodes, pairs) -> list:
-    """The tail terms of every node, one column per (m, c) pair."""
-    return list(zip(*(terms for _, terms, _ in nodes))) or [()] * len(pairs)
+def _log_trapezoid(ts, ss, qs, ds) -> float:
+    """The integral of q dt over nodes at t = ts, s = log t = ss: the end-corrected
+    trapezoid rule in s on F = t q, where ds holds the slopes dlog F/ds, the sum of
+    h/2 (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) over the steps h in s.  An
+    infinite term (f^(m) = 0 at a node) makes the sum infinite."""
+    fs = [t * q for t, q in zip(ts, qs)]
+    if math.inf in fs:
+        return math.inf
+    gs = [fv * d for fv, d in zip(fs, ds)]
+    total = 0.0
+    for sa, fa, ga, sb, fb, gb in zip(ss, fs, gs, ss[1:], fs[1:], gs[1:]):
+        h = sb - sa
+        total += h / 2.0 * (fa + fb) + h * h / 12.0 * (ga - gb)
+    return total
 
 
 def _rubel_node(f: FuncExpr, df: FuncExpr, d_shift: float, m_max: int, c_values: Sequence[float]):
-    """The function ``node(t, z, w)`` of one Rubel-path node z, where f(z) = t + iD.
+    """The function ``node(t, z)`` of one Rubel-path node z, where f(z) = t + iD.
 
-    It returns the tuple of log|f^(m)| for m = 0..m_max; the tuple of the
-    tail terms w * |f^(m)|^(-c) / |f'|, one per (m, c) with c varying
-    fastest; and |f'|.  log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
+    It returns the list of log|f^(m)| for m = 0..m_max; the list of the
+    tail terms q = |f^(m)|^(-c) / |f'|, one per (m, c) with c varying
+    fastest; the list of their slopes dlog(t q)/dlog t, which are
+    1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as dz/dt = 1/f'
+    (f^(m+1)/f^(m) read as 0 where f^(m) = 0 and the term is infinite);
+    |f'|; and f.  log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
     part exact: on the path |f| = |t + iD|, taken as log(hypot(t, D)) only
     where t*t + D*D overflows.  The statements are those of f's jet to
-    order m_max (as :func:`eval_jet` runs them) and then of f' (as
-    :func:`compile_fn` runs them), so values and exceptions are theirs.
+    order max(m_max + 1, 2) (as :func:`eval_jet` runs them) and then of f'
+    (as :func:`compile_fn` runs them), so values and exceptions are theirs.
     Constants and nodes are bound as globals, never written into the source.
     """
     env = {
         "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
     }
-    jet, coeffs = _jet_body(f, m_max, env)
+    jet, coeffs = _jet_body(f, max(m_max + 1, 2), env)
+    a0, a1, a2 = coeffs[:3]
     lines = [
-        "def node(t, z0, w):",
+        "def node(t, z0):",
         "    z = complex(z0)",
         *jet,
         f"    tt = t * t + {_bind(env, 'c', d_shift * d_shift)}",
         f"    lf = 0.5 * log(tt) if tt < inf else log(hypot(t, {_bind(env, 'c', d_shift)}))",
+        f"    u = t / {a1}",
+        f"    k = 1.0 - (2 * {a2} / {a1} * u).real",
     ]
-    a0 = coeffs[0]
-    lines += [
-        f"    L{m} = log(abs({a} * {math.factorial(m)} / {a0})) + lf if {a} != 0 else -inf"
-        for m, a in enumerate(coeffs)
-    ]
+    for m, (a, b) in enumerate(zip(coeffs[: m_max + 1], coeffs[1:])):
+        lines += [
+            f"    L{m} = log(abs({a} * {math.factorial(m)} / {a0})) + lf if {a} != 0 else -inf",
+            f"    e{m} = ({m + 1} * {b} / {a} * u).real if {a} != 0 else 0.0",
+        ]
     body, fp, env = _emit_body(df, env, root="droot", temp="d")
-    cs = [_bind(env, "c", c) for c in c_values]
-    terms = [f"w * exp_real(-{c} * L{m}) / s" for m in range(m_max + 1) for c in cs]
+    cs = [(m, _bind(env, "c", c)) for m in range(m_max + 1) for c in c_values]
     lines += [
         body,
         f"    s = abs({fp})",
-        f"    return ({', '.join(f'L{m}' for m in range(m_max + 1))},), ({', '.join(terms)},), s",
+        f"    return [{', '.join(f'L{m}' for m in range(m_max + 1))}], "
+        f"[{', '.join(f'exp_real(-{c} * L{m}) / s' for m, c in cs)}], "
+        f"[{', '.join(f'k - {c} * e{m}' for m, c in cs)}], s, {a0}",
     ]
     return FunctionType(_function_code("\n".join(lines)), env)

@@ -93,7 +93,8 @@ def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
     return out
 
 
-@lru_cache(maxsize=_MAX_JET_ORDER + 1)
+# n runs to the cap + 2: a Rubel-path node takes its jet one order past m_max
+@lru_cache(maxsize=_MAX_JET_ORDER + 2)
 def _kernels(n: int) -> dict:
     """Straight-line Cauchy product ``mul`` and exp recurrence ``exp_jet``
     on n coefficients, by name, built once per n (callers copy the dict, never

@@ -214,8 +214,10 @@ def _pc_step(newton, ge, z, g0, x, dx, beta):
     except EvaluationOverflow:
         return None
     # tolerance scales with the step so points near a critical value of G
-    # (|target| tiny) are still resolved to full relative precision
-    tol = 1e-12 * (abs(target) + dx)
+    # (|target| tiny) are still resolved to full relative precision; past
+    # the double range the sum is halved first, to the same bits where finite
+    span = abs(target) + dx
+    tol = 1e-12 * span if span < math.inf else 2e-12 * (0.5 * abs(target) + 0.5 * dx)
     return _corrector(newton, target, z_pred, tol)
 
 

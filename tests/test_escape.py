@@ -275,12 +275,13 @@ class TestPolySummary:
 
 
 def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
-    """rubel_path's report from a traced curve, computed as it was before
-    each node got one jet: a jet per Simpson node per panel and per growth
-    mark, and log|f^(m)| per (m, c).  Also says whether the last sample
-    was a growth mark."""
+    """rubel_path's report from a traced curve, computed without its generated
+    node: a jet per node from eval_jet, |f'| and the f of the checks from the
+    compiled f' and f, and the tail sums written out once per (m, c).  Also
+    says whether the last sample was a growth mark."""
     fe = compile_fn(f)
     fpe = compile_fn(derivative(f))
+    order = max(m_max + 1, 2)
     ts, zs = curve.xs, curve.zs
     vs = [fe(z) for z in zs]
     im_dev = max(abs(w.imag - d_shift) for w in vs)
@@ -312,44 +313,41 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
         for m in range(m_max + 1):
             growth[m].append((r, log_abs_deriv(ts[-1], jet, m) / math.log(r)))
 
-    panels = []
-    for (ta, za), (tb, zb) in zip(curve.samples, curve.samples[1:]):
-        tm = 0.5 * (ta + tb)
-        zm = reference_point_on_level(fe, fpe, tm, d_shift, 0.5 * (za + zb))
-        nodes = tuple(
-            (t, eval_jet(f, z, m_max), abs(fpe(z)), w)
-            for t, z, w in ((ta, za, 1.0), (tm, zm, 4.0), (tb, zb, 1.0))
-        )
-        panels.append((tb - ta, nodes))
+    def at(t, z):
+        return t, eval_jet(f, z, order), abs(fpe(z))
 
+    def term(node, m, c):
+        t, jet, speed = node
+        return math.exp(-c * log_abs_deriv(t, jet, m)) / speed
+
+    def slope(node, m, c):
+        # d log(t q) / d log t on the path, where dz/dt = 1/f'
+        t, jet, _ = node
+        u = t / jet[1]
+        k = 1.0 - (2 * jet[2] / jet[1] * u).real
+        return k - c * ((m + 1) * jet[m + 1] / jet[m] * u).real
+
+    def log_trapezoid(nodes, m, c):
+        total = 0.0
+        for a, b in zip(nodes, nodes[1:]):
+            h = math.log(b[0]) - math.log(a[0])
+            fa, fb = a[0] * term(a, m, c), b[0] * term(b, m, c)
+            total += h / 2.0 * (fa + fb) + h * h / 12.0 * (fa * slope(a, m, c) - fb * slope(b, m, c))
+        return total
+
+    samples = [at(t, z) for t, z in curve.samples]
     t_hi = ts[-1]
     t_lo = 0.5 * t_hi
-    n_sub = 16
-    diag_nodes = []
-    for k in range(n_sub + 1):
-        t = t_lo + (t_hi - t_lo) * k / n_sub
-        i = min(bisect.bisect_left(ts, t), len(zs) - 1)
-        z = reference_point_on_level(fe, fpe, t, d_shift, zs[i])
-        diag_nodes.append((t, eval_jet(f, z, m_max), abs(fpe(z))))
+    first = bisect.bisect_right(ts, t_lo)
+    window = [at(t_lo, reference_point_on_level(fe, fpe, t_lo, d_shift, zs[first])), *samples[first:]]
 
     tails = []
     for m in range(m_max + 1):
         for c in c_values:
-            partial = 0.0
-            for width, nodes in panels:
-                contrib = 0.0
-                for t, jet, speed, w in nodes:
-                    contrib += w * math.exp(-c * log_abs_deriv(t, jet, m)) / speed
-                partial += contrib * width / 6.0
-            vals = [
-                math.exp(-c * log_abs_deriv(t, jet, m)) / speed
-                for t, jet, speed in diag_nodes
-            ]
-            h = (t_hi - t_lo) / n_sub
-            w_last = (h / 3.0) * (
-                vals[0] + vals[-1] + 4.0 * sum(vals[1:-1:2]) + 2.0 * sum(vals[2:-1:2])
-            )
-            ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
+            partial = log_trapezoid(samples, m, c)
+            w_last = log_trapezoid(window, m, c)
+            lo, hi = term(window[0], m, c), term(window[-1], m, c)
+            ratio = (hi * t_hi) / (lo * t_lo) if lo > 0 else math.inf
             finite = math.isfinite(partial) and ratio < 1.0
             bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
             tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
@@ -359,6 +357,75 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
         f, d_shift, curve.samples, monotone, im_dev, growth_out, tuple(tails)
     )
     return report, marked[-1]
+
+
+def _tail_integrand(f, d_shift, m_max, c_values):
+    """(place, q): place(t, guess) puts a point on the path f = t + iD by
+    Newton's method, and q(z) lists |f^(m)(z)|^(-c) / |f'(z)| per (m, c),
+    c fastest, from the compiled symbolic derivatives of f."""
+    derivs = [f]
+    for _ in range(max(m_max, 1)):
+        derivs.append(derivative(derivs[-1]))
+    fe, fpe = compile_fn(f), compile_fn(derivs[1])
+    compiled = [compile_fn(d) for d in derivs[: m_max + 1]]
+
+    def place(t, guess):
+        return reference_point_on_level(fe, fpe, t, d_shift, guess)
+
+    def q(z):
+        speed = abs(fpe(z))
+        sizes = [abs(fn(z)) for fn in compiled]
+        return [sizes[m] ** -c / speed for m in range(m_max + 1) for c in c_values]
+
+    return place, q
+
+
+def _simpson_partials(samples, place, q):
+    """The partial sums as rubel_path took them before its tails were summed
+    in log t: composite Simpson in t, one panel per pair of samples, with
+    its midpoint placed on the path."""
+    panels = []
+    for (ta, za), (tb, zb) in zip(samples, samples[1:]):
+        tm = 0.5 * ta + 0.5 * tb
+        qs = zip(q(za), q(place(tm, 0.5 * (za + zb))), q(zb))
+        panels.append([(qa + 4.0 * qm + qb) * (tb - ta) / 6.0 for qa, qm, qb in qs])
+    return [math.fsum(col) for col in zip(*panels)]
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / dp
+            x -= step
+            if abs(step) < 1e-16:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return nodes, weights
+
+
+def _dense_partials(samples, place, q):
+    """The partial sums by a 10-point Gauss-Legendre rule in s = log t on
+    two half-panels per pair of samples, every node placed on the path."""
+    xs, ws = _gauss_legendre(10)
+    parts = []
+    for (ta, za), (tb, zb) in zip(samples, samples[1:]):
+        sa, sb = math.log(ta), math.log(tb)
+        sm = 0.5 * (sa + sb)
+        for lo, hi in ((sa, sm), (sm, sb)):
+            half = 0.5 * (hi - lo)
+            for x, w in zip(xs, ws):
+                t = math.exp(lo + half * (x + 1.0))
+                z = place(t, za + (t - ta) / (tb - ta) * (zb - za))
+                parts.append([w * half * t * v for v in q(z)])
+    return [math.fsum(col) for col in zip(*parts)]
 
 
 def _rubel_cases():
@@ -405,7 +472,7 @@ class TestRubelPath:
         for tail in rep.tail_integrals:
             assert tail.finite
             want = t0 ** (-tail.c) / tail.c
-            assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-3 * want
+            assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-4 * want
             assert abs(tail.window_ratio - 2.0 ** (-tail.c)) <= 1e-3
 
     @pytest.mark.parametrize("t_end", [1e200, 1e300, 1e308, 1.7e308])
@@ -430,6 +497,8 @@ class TestRubelPath:
         assert all(t.finite for t in rep.tail_integrals)
 
     def test_matches_reference_bit_for_bit(self):
+        # the reference takes im_deviation and monotone from the compiled f,
+        # where rubel_path reads f from its nodes' jets
         cfg = IntegratorConfig(escape_radius=1e9)
         last_marked = set()
         for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases():
@@ -441,6 +510,47 @@ class TestRubelPath:
         # both ways of ending the growth record are exercised
         assert last_marked == {True, False}
 
+    def test_tails_beat_simpson_against_a_dense_rule(self):
+        # on every tail, the partial sum is nearer a dense Gauss-Legendre value
+        # than the composite Simpson sum it replaced, with its placed midpoints
+        cfg = IntegratorConfig(escape_radius=1e9)
+        n_tails = 0
+        for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases():
+            rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
+            place, q = _tail_integrand(f, d_shift, m_max, c_values)
+            simpson = _simpson_partials(rep.samples, place, q)
+            dense = _dense_partials(rep.samples, place, q)
+            for tail, old, want in zip(rep.tail_integrals, simpson, dense, strict=True):
+                assert abs(tail.partial_sum - want) <= abs(old - want), (f, d_shift, seed, tail)
+                n_tails += 1
+        assert n_tails == 272
+
+    def test_derivatives_up_to_the_order_cap(self):
+        # m_max = 64 takes the jet to order 65; every derivative of exp is exp
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, math.exp(60.0), cfg, m_max=64)
+        assert sorted(rep.growth_ratios) == list(range(65))
+        t0 = math.exp(2.0)
+        assert len(rep.tail_integrals) == 130
+        at_m0 = {tail.c: tail.partial_sum for tail in rep.tail_integrals if tail.m == 0}
+        for tail in rep.tail_integrals:
+            assert tail.finite
+            want = t0 ** (-tail.c) / tail.c
+            assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-4 * want
+            assert abs(tail.partial_sum - at_m0[tail.c]) <= 1e-12 * want
+
+    def test_vanishing_derivative_gives_an_infinite_tail(self):
+        # f''' = 0 for z^2: its term is infinite at every node and its slope
+        # has no value, and the tail is inf, not nan
+        rep = rubel_path(parse_expr("z^2"), 0.0, 2.0, 1e6, IntegratorConfig(escape_radius=1e9))
+        for tail in rep.tail_integrals:
+            assert math.isfinite(tail.partial_sum) == (tail.m < 3)
+            assert tail.m < 3 or (tail.partial_sum == math.inf and not tail.finite)
+
+    def test_no_tail_exponents(self):
+        rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 100.0, c_values=())
+        assert rep.tail_integrals == () and len(rep.growth_ratios) == 4
+
     def test_one_jet_per_node(self, monkeypatch):
         real = escape_module._rubel_node
         calls = []
@@ -448,9 +558,9 @@ class TestRubelPath:
         def counted_node(*args):
             node = real(*args)
 
-            def counted(t, z, w):
+            def counted(t, z):
                 calls.append(z)
-                return node(t, z, w)
+                return node(t, z)
 
             return counted
 
@@ -459,8 +569,8 @@ class TestRubelPath:
         for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases()[:6]:
             calls.clear()
             rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
-            # every sample, every panel midpoint and the 17 window nodes
-            assert len(calls) == 2 * len(rep.samples) - 1 + 17
+            # every sample and the window's node at T/2
+            assert len(calls) == len(rep.samples) + 1
 
     @pytest.mark.parametrize("m_max", [-1, 65])
     def test_m_max_rejected_before_tracing(self, monkeypatch, m_max):

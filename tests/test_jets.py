@@ -260,9 +260,10 @@ class TestGenerated:
             eval_jet(Z, 1.0, jets._MAX_JET_ORDER + 1)
 
     def test_kernels_built_once_per_order(self):
-        # kept for every order eval_jet takes: none is evicted by the others
+        # kept for every order eval_jet and the Rubel-path nodes take: none
+        # is evicted by the others
         first = jets._kernels(1)["mul"]
-        for n in range(1, jets._MAX_JET_ORDER + 2):
+        for n in range(1, jets._MAX_JET_ORDER + 3):
             assert jets._kernels(n)["exp_jet"] is jets._kernels(n)["exp_jet"]
         assert jets._kernels(1)["mul"] is first
 

@@ -323,6 +323,14 @@ class TestTrace:
             # corrector tolerance is 1e-12 of the running target scale
             assert abs(fn(z) - curve.beta) <= 10.0 * 1e-12 * (1.0 + abs(x) + abs(curve.beta))
 
+    def test_level_is_held_at_the_top_of_the_double_range(self):
+        # past 1.8e308 the corrector's tolerance 1e-12 (|target| + dx) would
+        # overflow to inf and accept the predictor unchecked
+        curve = trace_level(parse_expr("exp(z)"), 2.0, 1.7e308, IntegratorConfig(escape_radius=1e9))
+        assert curve.stop_reason == "target" and curve.x_end == 1.7e308
+        for x, z in curve.samples:
+            assert abs(cmath.exp(z) - x) <= 1e-9 * x
+
     def test_x_strictly_increasing(self):
         curve = trace_level(parse_expr("z^3 / 3"), 1.0, 500.0, IntegratorConfig(escape_radius=100.0))
         assert all(b > a for a, b in zip(curve.xs, curve.xs[1:]))
