@@ -336,15 +336,16 @@ def rubel_path(
     for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
         partial = _log_trapezoid(ts, ss, qs, ds)
         w_last = _log_trapezoid(ts_w, ss_w, vals, ds_w)
-        # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p)
-        ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if vals[0] > 0 else math.inf
+        # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p); inf if f^(m) = 0 at an end
+        ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if 0 < vals[0] < math.inf and vals[-1] < math.inf else math.inf
         if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
             # an end term underflowed: the same quotient from the end nodes' logarithms
             x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
                 -c * logs_lo[m] - math.log(s_lo) + math.log(t_lo)
             )
             ratio = math.exp(x) if x < 709.0 else math.inf
-        finite = math.isfinite(partial) and ratio < 1.0
+        # a margin for rounding: a ratio of 1 - 2e-16 is a divergent log tail
+        finite = math.isfinite(partial) and ratio < 1.0 - 1e-12
         bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
         tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
 

@@ -7,12 +7,13 @@ G(z) back to X + i*beta after every step.  The corrector is generated per
 G: one straight-line Newton loop with the statements that compute G and g
 inlined, as the flow integrator inlines f into its step.  Parametrizing by
 X makes the transit time a one-dimensional integral of 1/|g|^2 over
-[X1, X2]: adaptive Simpson on corrector-refined points, each curve sample
-corrected once, cross-checked against direct integration of the flow.
+[X1, X2]: Gauss-Kronrod in the chart X = b sinh(s), s = log|G| + O(1),
+on corrector-placed nodes, cross-checked against direct integration.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from types import FunctionType
@@ -21,7 +22,7 @@ from typing import Optional
 from .errors import CorrectorDivergence, EvaluationOverflow
 from .expr import FuncExpr, _emit_body, _function_code, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
-from .quadrature import QuadratureDiverged, adaptive_simpson
+from .quadrature import QuadratureDiverged, gauss_kronrod
 
 __all__ = [
     "CriterionReport",
@@ -34,7 +35,7 @@ __all__ = [
 
 _G_MIN = 1e-8  # tracing stops here: critical points are infinitely far in time
 _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
-_TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to each panel
+_TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to the whole integral
 _SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
 _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
 _STEP_SCALE = 0.1  # a tracing step moves z at most this times (1 + |z|)
@@ -238,14 +239,17 @@ def transit_time(
 ) -> TransitReport:
     """Compare the level-curve transit integral with direct integration.
 
-    quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range to
-    ``_TRANSIT_REL_TOL`` relative to each panel, Newton-correcting each
-    node onto the curve, each curve sample once.
+    quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range by
+    :func:`gauss_kronrod` to ``_TRANSIT_REL_TOL`` of the whole, in the chart
+    X = b sinh(s), b = |beta| (at least 1e-12 max|X|): |G| = b cosh(s) there,
+    so where 1/|g|^2 is a power of |G| the integrand b cosh(s)/|g|^2 is
+    smooth in s (for G = z^k/k, a constant times cosh(s)^((2-k)/k)).  Each
+    node is corrected onto the curve from the chord of its bracketing samples.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
-    reports +inf with a witness abscissa instead of a number; so does
-    a node where |g| < ``_G_MIN``.
+    reports +inf with a witness abscissa X instead of a number; so does a
+    node where |g| < ``_G_MIN`` or the corrector fails.
     """
     cfg = cfg or IntegratorConfig()
     x1, x2 = curve.xs[0], curve.xs[-1]
@@ -257,39 +261,29 @@ def transit_time(
     newton = _newton(curve.big_g, dg)
     beta = curve.beta
 
-    def speed_inv(x, guess):
+    xs, zs = curve.xs, curve.zs
+    b = max(abs(beta), 1e-12 * max(abs(x1), abs(x2)), 1e-300)  # > 0 for a subnormal X-range too
+
+    def integrand(s):
+        x = b * math.sinh(s)
+        i = min(max(bisect.bisect(xs, x), 1), len(xs) - 1)
+        xa, xb, za, zb = xs[i - 1], xs[i], zs[i - 1], zs[i]
         try:
-            z = point_on_level(newton, x, beta, guess)
+            z = point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))
         except CorrectorDivergence:
-            # the corrector cannot pin the curve here: a critical value
-            # of G sits inside the X-range
-            raise QuadratureDiverged(x) from None
-        g = ge(z)
-        if abs(g) < _G_MIN:
-            raise QuadratureDiverged(x)
-        return 1.0 / (abs(g) * abs(g))
+            # the corrector cannot pin the curve: a critical value of G is in the X-range
+            raise QuadratureDiverged(s) from None
+        g = abs(ge(z))
+        if g < _G_MIN:
+            raise QuadratureDiverged(s)
+        return b * math.cosh(s) / (g * g)
 
     witness = None
-    quad = 0.0
     try:
-        # each sample is corrected once, from itself, for both of its panels
-        fs = [speed_inv(x, z) for x, z in curve.samples]
-        panels = list(zip(curve.xs, curve.zs, fs, curve.xs[1:], curve.zs[1:], fs[1:]))
-        rough = 0.0
-        for xa, _, fa, xb, _, fb in panels:
-            rough += 0.5 * (fa + fb) * (xb - xa)
-        floor = rough / max(len(panels), 1)
-        for xa, za, fa, xb, zb, fb in panels:
-            est = 0.5 * (fa + fb) * (xb - xa)
-            tol = _TRANSIT_REL_TOL * (est + floor + 1e-300)
-            quad += adaptive_simpson(
-                lambda x: fa if x == xa else fb if x == xb
-                else speed_inv(x, za + (x - xa) / (xb - xa) * (zb - za)),
-                xa, xb, tol,
-            )
+        quad = gauss_kronrod(integrand, math.asinh(x1 / b), math.asinh(x2 / b), _TRANSIT_REL_TOL)
     except QuadratureDiverged as exc:
         quad = math.inf
-        witness = exc.witness
+        witness = b * math.sinh(exc.witness)
 
     rhs = Field(dg, "{}.conjugate()")
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)

@@ -417,6 +417,17 @@ class TestSubcommands:
         validate_report(data, load_schema())
         assert data["monotone"] is True
 
+    def test_rubel_cli_prints_an_infinite_window_ratio(self, tmp_path, capsys):
+        # f''' = 0 for z^2: the m = 3 tails are infinite, and so are their ratios
+        code, out, _ = run(
+            ["rubel", "--f", "z^2", "--D", "0", "--seed-point", "2", "--t-end", "1e6", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if "m=3 " in line]
+        assert len(lines) == 2 and all("window ratio inf," in line for line in lines)
+        assert "nan" not in out
+
     def test_classify_output(self, tmp_path, capsys):
         code, out, _ = run(
             ["classify", "--f", "z^2", "--z0", "1", "--radius", "100",

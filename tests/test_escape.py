@@ -547,6 +547,19 @@ class TestRubelPath:
             assert math.isfinite(tail.partial_sum) == (tail.m < 3)
             assert tail.m < 3 or (tail.partial_sum == math.inf and not tail.finite)
 
+    def test_infinite_tail_has_an_infinite_window_ratio(self):
+        # both window end terms of m = 3 are inf for z^2: the ratio is inf, not inf/inf
+        rep = rubel_path(parse_expr("z^2"), 0.0, 2.0, 1e6, IntegratorConfig(escape_radius=1e9))
+        assert [t.window_ratio for t in rep.tail_integrals if t.m == 3] == [math.inf, math.inf]
+
+    def test_ratio_rounded_just_under_one_is_not_finite(self):
+        # m = 0, c = 1 for z is the divergent integral of |z|^(-1) |dz|; its
+        # window ratio is 1 rounded down
+        rep = rubel_path(parse_expr("z"), 0.0, 2.0, 1e6, IntegratorConfig(escape_radius=1e9))
+        (tail,) = [t for t in rep.tail_integrals if (t.m, t.c) == (0, 1.0)]
+        assert 1.0 - 1e-12 <= tail.window_ratio < 1.0
+        assert not tail.finite and tail.tail_bound == math.inf
+
     def test_no_tail_exponents(self):
         rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 100.0, c_values=())
         assert rep.tail_integrals == () and len(rep.growth_ratios) == 4
