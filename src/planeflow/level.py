@@ -259,13 +259,22 @@ def transit_time(
     dg = derivative(curve.big_g)
     ge = compile_fn(dg)
     newton = _newton(curve.big_g, dg)
-    beta = curve.beta
-
-    xs, zs = curve.xs, curve.zs
+    xs, zs, beta = curve.xs, curve.zs, curve.beta
     b = max(abs(beta), 1e-12 * max(abs(x1), abs(x2)), 1e-300)  # > 0 for a subnormal X-range too
+    # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
+    # nearest 0, so that far from X = 0 neither its nodes nor its s-range cancel
+    x0 = min(max(x1, 0.0), x2)
+    w, hw = x0 / b, math.hypot(1.0, x0 / b)
+
+    def chart(s):
+        return x0 * math.cosh(s) + b * hw * math.sinh(s)
+
+    def reach(x):  # the s of chart(s) = x: sinh(s) = u hw - w hu, h. = sqrt(1 + .^2), rationalized
+        u = x / b
+        return math.asinh((x - x0) / b * (u + w) / (u * hw + w * math.hypot(1.0, u) or 1.0))
 
     def integrand(s):
-        x = b * math.sinh(s)
+        x = chart(s)
         i = min(max(bisect.bisect(xs, x), 1), len(xs) - 1)
         xa, xb, za, zb = xs[i - 1], xs[i], zs[i - 1], zs[i]
         try:
@@ -276,29 +285,18 @@ def transit_time(
         g = abs(ge(z))
         if g < _G_MIN:
             raise QuadratureDiverged(s)
-        return b * math.cosh(s) / (g * g)
+        return math.hypot(x, b) / (g * g)  # dX/ds = b cosh(s + asinh(x0/b))
 
-    witness = None
     try:
-        quad = gauss_kronrod(integrand, math.asinh(x1 / b), math.asinh(x2 / b), _TRANSIT_REL_TOL)
+        quad, witness = gauss_kronrod(integrand, reach(x1), reach(x2), _TRANSIT_REL_TOL), None
     except QuadratureDiverged as exc:
-        quad = math.inf
-        witness = b * math.sinh(exc.witness)
+        quad, witness = math.inf, chart(exc.witness)
 
-    rhs = Field(dg, "{}.conjugate()")
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
-    res = drive_field(
-        rhs,
-        curve.zs[0],
-        cfg,
-        t_stop=t_budget,
-        events=(Event(lambda z: big_ge(z).real - x2),),
-    )
+    event = Event(lambda z: big_ge(z).real - x2)
+    res = drive_field(Field(dg, "{}.conjugate()"), curve.zs[0], cfg, t_stop=t_budget, events=(event,))
     ode = res.samples[-1][0] if res.status == "event" else math.inf
-    if math.isfinite(quad) and math.isfinite(ode):
-        gap = abs(quad - ode) / max(abs(ode), 1e-12)
-    else:
-        gap = math.inf
+    gap = abs(quad - ode) / max(abs(ode), 1e-12) if math.isfinite(quad) and math.isfinite(ode) else math.inf
     return TransitReport((x1, x2), quad, ode, gap, witness)
 
 
@@ -337,13 +335,7 @@ def infinite_time_criterion(curve: LevelCurve) -> CriterionReport:
         ratio = math.hypot(curve.xs[idx], curve.beta) / (abs(z) * abs(z))
         witnesses.append((z, ratio))
         radius *= 2.0
-    fires = False
     ratios = [w[1] for w in witnesses]
-    for j in range(len(ratios) - _SLOW_RUN + 1):
-        window = ratios[j : j + _SLOW_RUN]
-        if all(r < _SLOW_RATIO for r in window) and all(
-            a > b for a, b in zip(window, window[1:])
-        ):
-            fires = True
-            break
+    runs = (ratios[j : j + _SLOW_RUN] for j in range(len(ratios) - _SLOW_RUN + 1))
+    fires = any(all(r < _SLOW_RATIO for r in run) and all(a > b for a, b in zip(run, run[1:])) for run in runs)
     return CriterionReport(fires, True, tuple(witnesses))

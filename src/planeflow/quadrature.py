@@ -126,20 +126,27 @@ def _g7k15(fn, a, b):
 def gauss_kronrod(fn: Callable[[float], float], a: float, b: float, rel: float) -> float:
     """Globally adaptive G7K15 on [a, b] to error rel * |integral|.
 
-    The panel of largest error |K15 - G7| is halved until the errors sum to
-    at most rel times the |fsum| of the panel values, which is returned.
-    Raises QuadratureDiverged, witnessed by the middle of the panel it would
-    halve next, rather than exceed ``_GAUSS_MAX_EVALS`` evaluations or halve
-    a panel narrower than 2^-52 of [a, b].
+    The panel of largest error |K15 - G7| is halved until the running sum of
+    errors is at most rel times the running |total|, and fsum confirms it;
+    the fsum of the panel values is returned.  Raises QuadratureDiverged at
+    the middle of the panel it would halve next rather than exceed
+    ``_GAUSS_MAX_EVALS`` evaluations or halve a panel under 2^-52 of [a, b].
     """
     heap = [_g7k15(fn, a, b)]
-    evals = 15
-    while math.fsum(-e for e, *_ in heap) > rel * abs(math.fsum(v for *_, v in heap)):
-        _, lo, hi, _ = heapq.heappop(heap)
+    err, total, evals = -heap[0][0], heap[0][3], 15
+    while True:
+        if err <= rel * abs(total):
+            # the running sums carry rounding: the exact ones decide
+            err, total = math.fsum(-e for e, *_ in heap), math.fsum(v for *_, v in heap)
+            if err <= rel * abs(total):
+                return total
+        e, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         evals += 30
         if evals > _GAUSS_MAX_EVALS or hi - lo < 2.0**-52 * (b - a):
             raise QuadratureDiverged(mid)
-        heapq.heappush(heap, _g7k15(fn, lo, mid))
-        heapq.heappush(heap, _g7k15(fn, mid, hi))
-    return math.fsum(v for *_, v in heap)
+        left, right = _g7k15(fn, lo, mid), _g7k15(fn, mid, hi)
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
+        err += e - left[0] - right[0]
+        total += left[3] + right[3] - v

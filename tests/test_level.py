@@ -21,7 +21,7 @@ from planeflow.quadrature import _GL8_W, _GL8_X
 
 
 def _power_curves():
-    """Seeded level curves of G = z^k/k, k = 1..4, short and long."""
+    """Seeded (k, level curve) pairs of G = z^k/k, k = 1..4, short and long."""
     rng = random.Random(20261018)
     cfg = IntegratorConfig(escape_radius=1e9)
     curves = []
@@ -30,7 +30,7 @@ def _power_curves():
         for i in range(6):
             z0 = level_start(rng, k)
             reach = (20.0, 2000.0)[i % 2]
-            curves.append(trace_level(big_g, z0, (reach * abs(z0)) ** k / k, cfg))
+            curves.append((k, trace_level(big_g, z0, (reach * abs(z0)) ** k / k, cfg)))
     return cfg, curves
 
 
@@ -377,6 +377,13 @@ class TestTransit:
         rep = transit_time(curve)
         assert abs(rep.quadrature_time - (curve.x_end - curve.x_start)) <= 1e-9 * curve.x_end
 
+    @pytest.mark.parametrize("x1", [1e9, -1e9 - 1.0, 1e12, 1e15])
+    def test_unit_range_far_from_zero(self, x1):
+        # the s-range is about 1/|X| wide there: it must not be a difference of two s near 28 or 35
+        curve = trace_level(parse_expr("z"), x1, x1 + 1.0, IntegratorConfig(escape_radius=1e300))
+        assert curve.x_end - curve.x_start == 1.0
+        assert abs(transit_time(curve).quadrature_time - 1.0) <= 1e-9
+
     def test_divergence_flag_near_interior_critical_point(self):
         rep = transit_time(_critical_value_curve())
         assert rep.quadrature_time == math.inf
@@ -391,10 +398,8 @@ class TestTransit:
         starts.append((4, 1.5474667431803577 + 0.29260194830379266j))
         for k, z0 in starts:
             big_g = parse_expr(f"z^{k} * (1/{k})")
-            curves.append(trace_level(big_g, z0, (2000.0 * abs(z0)) ** k / k, cfg))
-        for curve in curves:
-            big_ge = compile_fn(curve.big_g)
-            k = round(math.log2(abs(big_ge(2.0) / big_ge(1.0))))
+            curves.append((k, trace_level(big_g, z0, (2000.0 * abs(z0)) ** k / k, cfg)))
+        for k, curve in curves:
             want = _power_transit(k, curve.beta, curve.x_start, curve.x_end)
             assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-8 * want
 
@@ -409,7 +414,7 @@ class TestTransit:
 
         monkeypatch.setattr(level_module, "point_on_level", counted)
         cfg, curves = _power_curves()
-        for curve in curves[:12]:
+        for _, curve in curves[:12]:
             calls.clear()
             transit_time(curve, cfg)
             assert 15 <= len(calls) <= 45

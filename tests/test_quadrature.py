@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -18,6 +19,17 @@ def _rules(deg):
     return kron, gauss
 
 
+def _exact_sums_kronrod(fn, a, b, rel):
+    """gauss_kronrod with the stopping test on fresh fsums at every halving."""
+    heap = [quadrature._g7k15(fn, a, b)]
+    while math.fsum(-e for e, *_ in heap) > rel * abs(math.fsum(v for *_, v in heap)):
+        _, lo, hi, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(heap, quadrature._g7k15(fn, lo, mid))
+        heapq.heappush(heap, quadrature._g7k15(fn, mid, hi))
+    return math.fsum(v for *_, v in heap)
+
+
 class TestGaussKronrod:
     @pytest.mark.parametrize("deg", range(25))
     def test_tables_exact_to_their_degrees(self, deg):
@@ -30,6 +42,21 @@ class TestGaussKronrod:
     def test_smooth_integral_to_the_relative_tolerance(self):
         got = gauss_kronrod(math.sqrt, 0.0, 1.0, 1e-10)
         assert abs(got - 2.0 / 3.0) <= 1e-10 * 2.0 / 3.0
+
+    @pytest.mark.parametrize(
+        "fn, rel",
+        [(math.sqrt, 1e-10), (lambda x: x**-0.5, 1e-8), (lambda x: math.log(x) ** 2, 1e-12), (math.cos, 1e-7)],
+        ids=["sqrt", "inverse_sqrt", "log_squared", "cos"],
+    )
+    def test_running_sums_stop_where_exact_sums_do(self, fn, rel, monkeypatch):
+        want = _exact_sums_kronrod(fn, 0.0, 1.0, rel)
+        fsums = []
+        fsum = math.fsum
+        monkeypatch.setattr(quadrature.math, "fsum", lambda xs: fsums.append(1) or fsum(xs))
+        got = gauss_kronrod(fn, 0.0, 1.0, rel)
+        # the same halvings and value, with one pair of fsums where the reference makes one per halving
+        assert got == want
+        assert len(fsums) == 2
 
     def test_pole_raises_within_2000_evaluations(self):
         xs = []
