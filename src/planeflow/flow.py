@@ -47,7 +47,7 @@ from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
     _emit_body, _exp_factor, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
 )
-from .quadrature import QuadratureDiverged, adaptive_gauss
+from .quadrature import QuadratureDiverged, gauss_kronrod
 
 __all__ = [
     "ANTIHOLOMORPHIC",
@@ -89,7 +89,7 @@ _H_MAX = 1e6  # largest time step drive_field takes
 _FIXED_POINT_RADIUS = 1e-3  # tail drift below which a stalled run is a fixed point
 _PERIODIC_RETURN_TOL = 1e-6  # how close a return through the seed's section must pass
 _DYADIC_WINDOW = 4  # exit times at r0, 2r0, 4r0, 8r0 feed the extrapolation
-_CLOCK_QUAD_TOL = 1e-12  # absolute tolerance of each conformal-clock panel
+_CLOCK_QUAD_TOL = 1e-12  # relative tolerance of each conformal-clock chord
 _CHART_NEWTON_MAX = 32  # Newton steps for one node's root in the level chart
 
 
@@ -864,7 +864,7 @@ def _ray_estimate(rhs, start, traj, cfg, fall_through=False) -> Optional[BlowupE
     exit_times = ((abs(traj.z_end), traj.t_end),)
     tol = 1e-14 * (1.0 + abs(t_far))
     try:
-        t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol)
+        t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
     except (QuadratureDiverged, ZeroDivisionError) as exc:
         return _inconclusive(f"ray quadrature did not converge ({exc})", exit_times)
     except (EvaluationOverflow, OverflowError) as exc:
@@ -916,7 +916,7 @@ def _level_chart_estimate(coeffs, start, traj, cfg) -> Optional[BlowupEstimate]:
     exit_times = ((abs(traj.z_end), traj.t_end),)
     tol = 1e-14 * (1.0 + abs(t_far))
     try:
-        t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol)
+        t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
     except _ChartMiss:
         return None
     except QuadratureDiverged as exc:
@@ -1052,7 +1052,7 @@ def conformal_clock_residual(traj: Trajectory) -> float:
     for (ta, za), (tb, zb) in zip(samples, samples[1:]):
         dz = zb - za
         try:
-            seg = adaptive_gauss(lambda s: 1.0 / rhs(za + s * dz), 0.0, 1.0, tol=_CLOCK_QUAD_TOL)
+            seg = gauss_kronrod(lambda s: 1.0 / rhs(za + s * dz), 0.0, 1.0, _CLOCK_QUAD_TOL)
         except (ZeroDivisionError, QuadratureDiverged):
             return math.inf
         acc += seg * dz

@@ -288,7 +288,7 @@ def transit_time(
         return math.hypot(x, b) / (g * g)  # dX/ds = b cosh(s + asinh(x0/b))
 
     try:
-        quad, witness = gauss_kronrod(integrand, reach(x1), reach(x2), _TRANSIT_REL_TOL), None
+        quad, witness = gauss_kronrod(integrand, reach(x1), reach(x2), _TRANSIT_REL_TOL).real, None
     except QuadratureDiverged as exc:
         quad, witness = math.inf, chart(exc.witness)
 

@@ -1,9 +1,7 @@
-"""Small adaptive quadrature kernels used across the package.
-
-Two flavors: Gauss-Legendre panels for complex-valued integrands over a
-real parameter (line integrals are parametrized before calling in), and
-globally adaptive Gauss-Kronrod (G7K15) for real integrands where
-divergence must be detected rather than refined forever.
+"""Globally adaptive Gauss-Kronrod (G7K15) quadrature, the package's one
+rule: for real or complex integrands over a real parameter (line integrals
+are parametrized before calling in), where divergence must be detected
+rather than refined forever.
 """
 
 from __future__ import annotations
@@ -12,29 +10,7 @@ import heapq
 import math
 from typing import Callable
 
-__all__ = ["adaptive_gauss", "gauss8", "gauss_kronrod", "QuadratureDiverged"]
-
-# 8-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL8_X = (
-    -0.9602898564975363,
-    -0.7966664774136267,
-    -0.525532409916329,
-    -0.18343464249564978,
-    0.18343464249564978,
-    0.525532409916329,
-    0.7966664774136267,
-    0.9602898564975363,
-)
-_GL8_W = (
-    0.10122853629037626,
-    0.22238103445337448,
-    0.31370664587788727,
-    0.362683783378362,
-    0.362683783378362,
-    0.31370664587788727,
-    0.22238103445337448,
-    0.10122853629037626,
-)
+__all__ = ["gauss_kronrod", "QuadratureDiverged"]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK qk15): the
 # positive abscissae, G7's at odd index; the last weight of each is the node 0's
@@ -54,65 +30,28 @@ _G7_W = (
 )
 
 
-# Integrand evaluations one adaptive_gauss or gauss_kronrod call may make;
-# far above what the package's callers need (24 in every adaptive_gauss
-# call of the tests and the demo, about 15 to 255 in a transit of z^k/k)
+# Integrand evaluations one gauss_kronrod call may make; far above what the
+# package's callers need (15 to 165 in a ray or level-chart transit of the
+# tests and the demo, about 15 to 255 in a level transit of z^k/k)
 _GAUSS_MAX_EVALS = 20_000
-_GAUSS_MAX_DEPTH = 44  # bisections past which a Gauss panel is accepted as is
 
 
 class QuadratureDiverged(Exception):
-    """Adaptive refinement exhausted its depth or its evaluation budget;
-    carries a witness abscissa."""
+    """Adaptive refinement exhausted its evaluation budget or the resolution
+    of the abscissae; carries a witness abscissa."""
 
     def __init__(self, witness: float):
         super().__init__(f"integrand appears divergent near {witness!r}")
         self.witness = witness
 
 
-def gauss8(fn: Callable[[float], complex], a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc = 0j
-    for x, w in zip(_GL8_X, _GL8_W):
-        acc += w * fn(mid + half * x)
-    return acc * half
-
-
-def adaptive_gauss(
-    fn: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float,
-) -> complex:
-    """Adaptive 8-point Gauss on [a, b] to absolute tolerance tol.
-
-    Raises QuadratureDiverged, witnessed by the midpoint of the panel it
-    would refine next, rather than exceed ``_GAUSS_MAX_EVALS`` evaluations.
-    """
-    whole = gauss8(fn, a, b)
-    # gauss8 calls left; each refinement makes two
-    budget = [_GAUSS_MAX_EVALS // len(_GL8_X) - 1]
-    return _ag(fn, a, b, tol, whole, _GAUSS_MAX_DEPTH, budget)
-
-
-def _ag(fn, a, b, tol, whole, depth, budget):
-    mid = 0.5 * (a + b)
-    budget[0] -= 2
-    if budget[0] < 0:
-        raise QuadratureDiverged(mid)
-    left = gauss8(fn, a, mid)
-    right = gauss8(fn, mid, b)
-    if abs(left + right - whole) <= tol or depth <= 0:
-        return left + right
-    return _ag(fn, a, mid, 0.5 * tol, left, depth - 1, budget) + _ag(
-        fn, mid, b, 0.5 * tol, right, depth - 1, budget
-    )
-
-
 def _g7k15(fn, a, b):
-    """The heap entry (-|K15 - G7|, a, b, K15) of fn on [a, b]."""
+    """The heap entry (-|K15 - G7|, a, b, K15) of fn on [a, b].  Raises
+    QuadratureDiverged at the middle, evaluating nothing, when the outermost
+    nodes round onto an end of the panel: too narrow to resolve there."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    if not (a < mid - half * _K15_X[0] and mid + half * _K15_X[0] < b):
+        raise QuadratureDiverged(mid)
     fc = fn(mid)
     kron, gauss = _K15_W[7] * fc, _G7_W[3] * fc
     for j, x in enumerate(_K15_X):
@@ -123,21 +62,24 @@ def _g7k15(fn, a, b):
     return -abs(kron - gauss) * half, a, b, kron * half
 
 
-def gauss_kronrod(fn: Callable[[float], float], a: float, b: float, rel: float) -> float:
-    """Globally adaptive G7K15 on [a, b] to error rel * |integral|.
+def gauss_kronrod(fn: Callable[[float], complex], a: float, b: float, rel: float) -> complex:
+    """Globally adaptive G7K15 on [a, b], a < b, to error rel * |integral|.
 
     The panel of largest error |K15 - G7| is halved until the running sum of
     errors is at most rel times the running |total|, and fsum confirms it;
-    the fsum of the panel values is returned.  Raises QuadratureDiverged at
-    the middle of the panel it would halve next rather than exceed
-    ``_GAUSS_MAX_EVALS`` evaluations or halve a panel under 2^-52 of [a, b].
+    the fsum of the panel values, real and imaginary parts apart, is
+    returned as a complex.  Raises QuadratureDiverged at the middle of the
+    panel it would halve next rather than exceed ``_GAUSS_MAX_EVALS``
+    evaluations or halve a panel under 2^-52 of [a, b], and at the middle of
+    a panel whose outermost nodes round onto its ends.
     """
     heap = [_g7k15(fn, a, b)]
     err, total, evals = -heap[0][0], heap[0][3], 15
     while True:
         if err <= rel * abs(total):
             # the running sums carry rounding: the exact ones decide
-            err, total = math.fsum(-e for e, *_ in heap), math.fsum(v for *_, v in heap)
+            err = math.fsum(-e for e, *_ in heap)
+            total = complex(math.fsum(v.real for *_, v in heap), math.fsum(v.imag for *_, v in heap))
             if err <= rel * abs(total):
                 return total
         e, lo, hi, v = heapq.heappop(heap)

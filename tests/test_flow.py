@@ -11,7 +11,6 @@ import pytest
 
 from planeflow import expr as expr_module
 from planeflow import flow as flow_module
-from planeflow import quadrature
 from planeflow.errors import EvaluationOverflow, PlaneflowError
 from planeflow.expr import (
     Add, Constant, Exp, IntPower, Mul, Negate, Scale, Variable, compile_fn, is_constant, parse_expr,
@@ -37,7 +36,7 @@ from planeflow.flow import (
     drive_field,
     integrate,
 )
-from planeflow.quadrature import QuadratureDiverged, adaptive_gauss
+from planeflow.quadrature import QuadratureDiverged, gauss_kronrod
 
 from conftest import random_expr, tame_random_expr
 
@@ -408,11 +407,18 @@ class TestBlowupEstimate:
         assert math.isnan(est.t_est)
         assert est.note == "degree < 2: no finite escape"
 
-    def test_slow_transcendental_escape_inconclusive(self):
-        # f ~ z on the negative axis: dz/f diverges logarithmically along the ray
-        est = blowup_time_estimate(integrate(holo("z + 0.001*exp(z)"), -1.0))
+    def test_slow_transcendental_escape_inconclusive(self, monkeypatch):
+        # f ~ z on the negative axis: dz/f diverges logarithmically along the
+        # ray, and the quadrature gives up where its nodes round onto x = 1,
+        # before s = x / (1 - x) divides by zero there
+        traj = integrate(holo("z + 0.001*exp(z)"), -1.0)
+        xs = []
+        kronrod = flow_module.gauss_kronrod
+        monkeypatch.setattr(flow_module, "gauss_kronrod", lambda fn, *a: kronrod(lambda x: xs.append(x) or fn(x), *a))
+        est = blowup_time_estimate(traj)
         assert not est.conclusive and est.method == "none"
-        assert est.note.startswith("ray quadrature did not converge")
+        assert est.note.startswith("ray quadrature did not converge (integrand appears divergent near")
+        assert len(xs) < 2000 and max(xs) < 1.0
 
     def test_non_escaping_inconclusive(self):
         est = blowup_time_estimate(integrate(holo("i*z"), 1.0))
@@ -609,7 +615,7 @@ def _reference_w_chart(traj, cfg):
         return w_far * w ** (n - 2) / q(w)
 
     tol = 1e-14 * (1.0 + abs(w_far))
-    t_rem = adaptive_gauss(integrand, 0.0, 1.0, tol)
+    t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
     return flow_module._transit_estimate("w_chart", t_far, t_rem, tol, steps, cfg, ())
 
 
@@ -718,7 +724,7 @@ def _reference_clock_residual(traj):
     for (ta, za), (tb, zb) in zip(samples, samples[1:]):
         dz = zb - za
         try:
-            seg = adaptive_gauss(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, tol=flow_module._CLOCK_QUAD_TOL)
+            seg = gauss_kronrod(lambda s: 1.0 / fe(za + s * dz), 0.0, 1.0, flow_module._CLOCK_QUAD_TOL)
         except (ZeroDivisionError, QuadratureDiverged):
             return math.inf
         acc += seg * dz
@@ -1548,36 +1554,24 @@ class TestCrossingTheta:
 
 
 class TestQuadratureBudget:
-    def test_near_pole_stops_at_budget(self):
-        calls = []
-
-        def near_pole(s):
-            calls.append(s)
-            return 1.0 / (s - 0.5 + 1e-9j)
-
-        with pytest.raises(QuadratureDiverged) as err:
-            adaptive_gauss(near_pole, 0.0, 1.0, 1e-14)
-        assert len(calls) <= quadrature._GAUSS_MAX_EVALS
-        assert abs(err.value.witness - 0.5) < 0.1
-
     def _diverging(self, *args, **kwargs):
         raise QuadratureDiverged(0.5)
 
     def test_chart_quadrature_failure_is_inconclusive(self, monkeypatch):
         traj = integrate(holo("z^2"), 1.0, IntegratorConfig(escape_radius=100.0))
-        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        monkeypatch.setattr(flow_module, "gauss_kronrod", self._diverging)
         est = blowup_time_estimate(traj, IntegratorConfig(escape_radius=100.0))
         assert not est.conclusive
         assert "did not converge" in est.note
 
     def test_ray_quadrature_failure_is_inconclusive(self, monkeypatch):
         traj = integrate(holo("-exp(-z)"), 0.0)
-        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        monkeypatch.setattr(flow_module, "gauss_kronrod", self._diverging)
         est = blowup_time_estimate(traj)
         assert not est.conclusive and est.method == "none"
         assert est.note == "ray quadrature did not converge (integrand appears divergent near 0.5)"
 
     def test_clock_quadrature_failure_is_infinite_residual(self, monkeypatch):
         traj = integrate(holo("-exp(-z)"), 0.0, IntegratorConfig(t_max=0.5))
-        monkeypatch.setattr(flow_module, "adaptive_gauss", self._diverging)
+        monkeypatch.setattr(flow_module, "gauss_kronrod", self._diverging)
         assert conformal_clock_residual(traj) == math.inf

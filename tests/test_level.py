@@ -17,7 +17,29 @@ from planeflow.level import (
     trace_level,
     transit_time,
 )
-from planeflow.quadrature import _GL8_W, _GL8_X
+
+# 8-point Gauss-Legendre nodes and weights on [-1, 1], for a reference rule
+# that shares nothing with the package's quadrature
+_GL8_X = (
+    -0.9602898564975363,
+    -0.7966664774136267,
+    -0.525532409916329,
+    -0.18343464249564978,
+    0.18343464249564978,
+    0.525532409916329,
+    0.7966664774136267,
+    0.9602898564975363,
+)
+_GL8_W = (
+    0.10122853629037626,
+    0.22238103445337448,
+    0.31370664587788727,
+    0.362683783378362,
+    0.362683783378362,
+    0.31370664587788727,
+    0.22238103445337448,
+    0.10122853629037626,
+)
 
 
 def _power_curves():

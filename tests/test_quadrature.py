@@ -1,3 +1,4 @@
+import cmath
 import heapq
 import math
 
@@ -22,12 +23,16 @@ def _rules(deg):
 def _exact_sums_kronrod(fn, a, b, rel):
     """gauss_kronrod with the stopping test on fresh fsums at every halving."""
     heap = [quadrature._g7k15(fn, a, b)]
-    while math.fsum(-e for e, *_ in heap) > rel * abs(math.fsum(v for *_, v in heap)):
+
+    def total():
+        return complex(math.fsum(v.real for *_, v in heap), math.fsum(v.imag for *_, v in heap))
+
+    while math.fsum(-e for e, *_ in heap) > rel * abs(total()):
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         heapq.heappush(heap, quadrature._g7k15(fn, lo, mid))
         heapq.heappush(heap, quadrature._g7k15(fn, mid, hi))
-    return math.fsum(v for *_, v in heap)
+    return total()
 
 
 class TestGaussKronrod:
@@ -45,8 +50,14 @@ class TestGaussKronrod:
 
     @pytest.mark.parametrize(
         "fn, rel",
-        [(math.sqrt, 1e-10), (lambda x: x**-0.5, 1e-8), (lambda x: math.log(x) ** 2, 1e-12), (math.cos, 1e-7)],
-        ids=["sqrt", "inverse_sqrt", "log_squared", "cos"],
+        [
+            (math.sqrt, 1e-10),
+            (lambda x: x**-0.5, 1e-8),
+            (lambda x: math.log(x) ** 2, 1e-12),
+            (math.cos, 1e-7),
+            (lambda x: cmath.exp(30j * x), 1e-10),
+        ],
+        ids=["sqrt", "inverse_sqrt", "log_squared", "cos", "cis"],
     )
     def test_running_sums_stop_where_exact_sums_do(self, fn, rel, monkeypatch):
         want = _exact_sums_kronrod(fn, 0.0, 1.0, rel)
@@ -54,9 +65,10 @@ class TestGaussKronrod:
         fsum = math.fsum
         monkeypatch.setattr(quadrature.math, "fsum", lambda xs: fsums.append(1) or fsum(xs))
         got = gauss_kronrod(fn, 0.0, 1.0, rel)
-        # the same halvings and value, with one pair of fsums where the reference makes one per halving
+        # the same halvings and value, with one set of fsums (the errors, the
+        # real and the imaginary parts) where the reference makes one per halving
         assert got == want
-        assert len(fsums) == 2
+        assert len(fsums) == 3
 
     def test_pole_raises_within_2000_evaluations(self):
         xs = []
@@ -82,3 +94,42 @@ class TestGaussKronrod:
         with pytest.raises(QuadratureDiverged) as info:
             gauss_kronrod(wild, 0.0, 1.0, 1e-12)
         assert len(xs) <= 300 and 0.0 < info.value.witness < 1.0
+
+    def test_nodes_never_reach_the_ends(self):
+        xs = []
+
+        def inv(x):
+            xs.append(x)
+            return 1.0 / (1.0 - x)
+
+        # the panel at 1 is halved until its outermost node rounds onto 1.0,
+        # where the integrand would divide by zero
+        with pytest.raises(QuadratureDiverged) as info:
+            gauss_kronrod(inv, 0.0, 1.0, 1e-7)
+        assert max(xs) < 1.0 and len(xs) <= 2000
+        assert 1.0 - 1e-12 < info.value.witness < 1.0
+
+
+class TestComplexIntegrands:
+    def _near_pole(self, calls):
+        def near_pole(s):
+            calls.append(s)
+            return 1.0 / (s - 0.5 + 1e-9j)
+
+        return near_pole
+
+    def test_near_pole_to_the_relative_tolerance(self):
+        calls = []
+        got = gauss_kronrod(self._near_pole(calls), 0.0, 1.0, 1e-6)
+        # log(s - 0.5 + 1e-9i) from s = 0 to 1, in the upper half plane throughout
+        want = cmath.log(0.5 + 1e-9j) - cmath.log(-0.5 + 1e-9j)
+        assert abs(got - want) <= 1e-6 * abs(want)
+        assert abs(got + math.pi * 1j) <= 1e-6
+        assert len(calls) <= quadrature._GAUSS_MAX_EVALS
+
+    def test_near_pole_past_the_budget_raises(self):
+        calls = []
+        with pytest.raises(QuadratureDiverged) as info:
+            gauss_kronrod(self._near_pole(calls), 0.0, 1.0, 1e-12)
+        assert len(calls) <= quadrature._GAUSS_MAX_EVALS
+        assert abs(info.value.witness - 0.5) <= 1e-8
