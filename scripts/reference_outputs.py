@@ -1,4 +1,4 @@
-"""Run the thirty reference CLI commands and record everything they produce.
+"""Run the thirty-two reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -47,6 +47,10 @@ COMMANDS = (
     ("classify-antiholo-complex", ["classify", "--g", "z^2 + 1", "--kind", "antiholo", "--z0", "1,1", "--json"]),
     # f has no zero, so no orbit can close and no seed return is watched
     ("classify-zero-free", ["classify", "--f", "0.5*exp(z)^2", "--z0", "0", "--json"]),
+    # exp(z) overflows inside a sum on the ray: T = log(1 + e^-1)
+    ("classify-exp-sum", ["classify", "--f", "exp(z) + 1", "--z0", "1"]),
+    # the run exhausts the time resolution of doubles before the radius: T = (sqrt(pi)/2) erfc(0.3)
+    ("classify-underflow", ["classify", "--f", "exp(z^2)", "--z0", "0.3"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6"]),
     ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4"]),

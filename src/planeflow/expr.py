@@ -222,7 +222,8 @@ def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", t
     An overflow names the node and ``z``; a non-finite value names the
     root and ``z0``, which the caller binds to the argument it was given.
     :func:`compile_fn` wraps these statements in a function; the flow
-    integrator inlines them into each stage of its step.
+    integrator inlines them into each stage of its step, and its reciprocal
+    runs them on scaled numbers.
 
     Given the ``env`` of an earlier body, a second tree binds its constants
     and nodes into it; ``root`` and ``temp`` then name its root and prefix
@@ -454,27 +455,6 @@ def _poly(expr: FuncExpr):
             return [cmath.exp(constant_value(expr.arg))]
         return None
     raise TypeError(f"not a FuncExpr node: {expr!r}")
-
-
-def _exp_factor(expr: FuncExpr):
-    """Trees (E, M) with expr = M exp(E): the exponentials that expr's
-    products, integer powers, negations and scalings multiply are gathered
-    into the one exponent E, and M keeps the other factors.  So exp(-E) / M
-    is 1 / expr, with a value where expr's own value overflows in one of
-    those exponentials; an exponential inside a sum stays in M."""
-    if isinstance(expr, Exp):
-        return expr.arg, Constant(1.0)
-    if isinstance(expr, (Negate, Scale)):
-        e, m = _exp_factor(expr.arg)
-        return e, _scale(-1.0 if isinstance(expr, Negate) else expr.factor, m)
-    if isinstance(expr, IntPower):
-        e, m = _exp_factor(expr.arg)
-        m = Constant(m.value ** expr.power) if isinstance(m, Constant) else IntPower(m, expr.power)
-        return _scale(expr.power, e), m
-    if isinstance(expr, Mul):
-        (el, ml), (er, mr) = _exp_factor(expr.left), _exp_factor(expr.right)
-        return _add(el, er), _mul(ml, mr)
-    return _ZERO, expr
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,12 @@ arithmetic is used only inside the right-hand side.
 
 Escape handling is deliberately two-tier.  Reaching the configured
 radius is recorded as ReachedRadius; an actual finite blowup time is
-only claimed by :func:`classify` / :func:`blowup_time_estimate`.  Along
-a holomorphic flow dt = dz/f, so the residual transit time is a
-quadrature of dz/f out to infinity along the tangent ray at the exit,
-for a polynomial of degree >= 2 at the exit continued past its roots
-(one of degree <= 1 has no finite escape).  Along an antiholomorphic
-flow W = G(z), G' = g, runs along the line Im W = const at speed
-|g|^2, so for a polynomial g of degree >= 2 the residual time is a
-quadrature of dX / |g|^2, X = Re W, in the w = 1/z chart of that line;
-for any other g the exit times through dyadic radii are extrapolated
-geometrically.  When no estimate is conclusive, the negative result is
-reported as evidence, never proof.
+only claimed by :func:`classify` / :func:`blowup_time_estimate`, as one
+quadrature of the time left out to infinity: of dz/f along a ray for a
+holomorphic flow, of dX / |g|^2 along a level line for the conjugate
+flow of a polynomial g; for any other g, exit times through dyadic radii
+are extrapolated.  When no estimate is conclusive, the negative result
+is reported as evidence, never proof.
 
 Every stop short of the time budget is an :class:`Event`: a zero
 crossing of a real function g, refined by bisection on the accepted
@@ -45,7 +40,7 @@ from typing import Callable, Optional, Sequence
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
-    _emit_body, _exp_factor, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
+    _emit_body, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -83,6 +78,7 @@ FORWARD = "forward"
 REVERSED = "reversed"
 
 _EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
 _MAX_STEPS = 2_000_000  # accepted or rejected steps one drive_field run may take
 _H_MAX = 1e6  # largest time step drive_field takes
@@ -237,21 +233,62 @@ class Field:
 
     @cached_property
     def reciprocal(self):
-        """The point function of 1 / self as post(exp(-E) / M), from f = M exp(E)
-        (``expr._exp_factor``): it has a value where f's own value overflows
-        in an exponential that f multiplies.  A polynomial M of degree n >= 1
-        is inverted as w^n / q(w), w = 1/z, q(w) = w^n M(1/w), which has a
-        value where M overflows too (1 / (q / w^n) reads 0 there, silently);
-        any other M, and E, raise EvaluationOverflow where they overflow."""
-        e, m = _exp_factor(self.func)
-        c = poly_coeffs(m) or ()
-        env = {"exp": cmath.exp, "e": compile_fn(e), "c": c, "n": len(c) - 1}
-        if len(c) < 2:
-            env["m"], body, value = compile_fn(m), "", "exp(-e(z)) / m(z)"
-        else:  # q(w) by Horner over c, ascending in z, so descending in w
-            body, value = "    w, q = 1.0 / z, 0j\n    for a in c:\n        q = q * w + a\n", "exp(-e(z)) * (w**n / q)"
-        source = f"def reciprocal(z):\n{body}    return {self.post.format(f'({value})')}"
+        """The point function of 1 / self, f's own statements run on :class:`_Scaled`
+        numbers: it raises EvaluationOverflow only where 1/f has no double value."""
+        body, out, env = _emit_body(self.func)
+        env.update(scaled=_Scaled, exp=_Scaled.exp, inverse=_inverse, isfinite=lambda x: cmath.isfinite(_inverse(x)))
+        source = f"def reciprocal(z0):\n    z = scaled(z0)\n{body}\n    return {self.post.format(f'inverse({out})')}"
         return FunctionType(_function_code(source), env)
+
+
+class _Scaled:
+    """The number v e^s, s real, 1e-100 <= |v| <= 1e100 unless v is 0 (s = -inf)
+    or NaN.  Products add the scales, a sum rescales to the larger (terms that
+    cancel leave a small v), exp(u) is (e^(i Im u), Re u), and an integer power
+    multiplies the scale.  None raises: a NaN v meets f's finiteness check."""
+
+    __slots__ = ("v", "s")
+
+    def __init__(self, v, s=0.0):
+        m = abs(v)
+        if m == 0:
+            s = -math.inf
+        elif not 1e-100 <= m <= 1e100 and m < math.inf:
+            v, s = v / m, s + math.log(m)
+        self.v, self.s = v, s
+
+    def __add__(self, other):  # two infinite scales give NaN
+        other = other if type(other) is _Scaled else _Scaled(other)
+        a, b = (self, other) if self.s <= other.s else (other, self)
+        return _Scaled(b.v + a.v * math.exp(a.s - b.s), b.s) if a.v else b
+
+    def __mul__(self, other):
+        other = other if type(other) is _Scaled else _Scaled(other)
+        return _Scaled(self.v * other.v, self.s + other.s)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _Scaled(-self.v, self.s)
+
+    def __pow__(self, n):
+        m = abs(self.v)
+        return _Scaled((self.v / m) ** n, n * (math.log(m) + self.s)) if m else _Scaled(self.v**n)
+
+    @staticmethod
+    def exp(u):
+        if type(u) is _Scaled:  # its parts, +-inf past the double range
+            e = math.exp(u.s) if u.s <= _LOG_MAX else math.inf
+            u = complex(u.v.real * e if u.v.real else 0.0, u.v.imag * e if u.v.imag else 0.0)
+        if u.real == math.inf:  # then 1/exp(u) is 0 whatever its phase
+            return _Scaled(1 + 0j, math.inf)
+        return _Scaled(cmath.exp(complex(0.0, u.imag)) if math.isfinite(u.imag) else complex(math.nan), u.real)
+
+
+def _inverse(x):
+    """1/x, x a _Scaled or complex, with an infinite part past the double range."""
+    v, s = (x.v, x.s) if type(x) is _Scaled else (x, 0.0)
+    return (math.exp(-s) if -s <= _LOG_MAX else math.inf) / v
 
 
 def _rhs(spec: FlowSpec) -> Field:
@@ -722,32 +759,19 @@ def _inconclusive(note, exit_times=()):
 def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = None) -> BlowupEstimate:
     """Estimate the finite escape time of an escaping trajectory.
 
-    Holomorphic flows integrate the remaining transit dt = dz/f out to
-    infinity along the tangent ray z + s u, u = f(z) / |f(z)|, s >= 0
-    (method "ray"), with 1/f = exp(-E) / M, f = M exp(E), where f
-    overflows.  The ray starts at the exit, recomputed on the trajectory
-    by one step from the last accepted sample; for a polynomial of degree
-    >= 2, continued past its zero-free radius, with a transit that is not
-    real falling through to the dyadic rule below.  Degree <= 1:
-    inconclusive, as every solution is entire in t.  Any other f: a
-    transit that is not real names Im t*, and an overflow inside a sum its
-    node, in the note of an inconclusive estimate.  The true remaining
-    time is real, so the imaginary part is a built-in consistency check.
-    The ray and the level chart below share one error bar: the residue,
-    the quadrature tolerance, and rel_tol (1 + T) for each accepted step
-    of the run and of its continuation; a quadrature that does not
-    converge within its budget gives an inconclusive estimate.
-
-    Antiholomorphic flows with a polynomial g of degree >= 2: from the
-    same exit, continued past the same radius, integrate dt = dX / |g|^2
-    along the level line Im G = Im G(z_exit) out to X = inf, in that
-    line's w = 1/z chart (method "w_chart", with the transits' bar); a
-    chart whose root finding fails falls back to the dyadic rule.  Degree
-    <= 1: inconclusive, as the flow is a linear system.  Any other g:
-    continue through dyadic radii R, 2R, 4R, ... and accept a finite
-    limit only when the exit-time increments decay geometrically (ratio
-    <= 0.75); its bar adds the transits' step term, counting the
-    continuation's steps too.
+    Holomorphic flows integrate dt = dz/f out to infinity along the tangent
+    ray z + s u, u = f(z) / |f(z)|, s >= 0 (method "ray", past f's overflow
+    by ``Field.reciprocal``), from the exit re-stepped onto the trajectory,
+    for a polynomial continued past its zero-free radius; a non-polynomial
+    f's run that ends in StepUnderflow while |z| and |f| rise, from its last
+    sample.  Conjugate flows of a polynomial g integrate dX / |g|^2 along
+    the level line to X = inf in its w = 1/z chart (method "w_chart").
+    Degree <= 1 is inconclusive: every solution is global.  Where no
+    transit can be formed (:class:`_NoTransit`), a polynomial falls back on
+    the dyadic rule and any other f is inconclusive.  Any other g: continue
+    through dyadic radii R, 2R, 4R, ... and accept a finite limit only when
+    the exit-time increments decay geometrically (ratio <= 0.75), with the
+    transits' step term in its bar.
 
     The estimate is kept on ``traj`` with ``cfg``: a call with an equal
     config returns it, another config replaces it, a raise keeps nothing.
@@ -761,62 +785,80 @@ def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = Non
 
 
 def _estimate(traj, cfg) -> BlowupEstimate:
-    if not isinstance(traj.termination, ReachedRadius):
-        return _inconclusive("not an escape candidate")
     rhs = _rhs(traj.spec)
+    reached = isinstance(traj.termination, ReachedRadius)
+    if not (reached or _underflow_escape(traj, rhs)):
+        return _inconclusive("not an escape candidate")
+    exit_times = ((abs(traj.z_end), traj.t_end),) if reached else ()
     antiholo = traj.spec.kind == ANTIHOLOMORPHIC
     coeffs = poly_coeffs(traj.spec.func)
     if coeffs is None and antiholo:
         return _dyadic_estimate(rhs, traj, cfg)
-    if coeffs is None:
-        return _ray_estimate(rhs, _transit_start(rhs, traj, cfg), traj, cfg)
-    if len(coeffs) < 3:  # z' = a z + b or its conjugate: a linear system, every solution global
-        return _inconclusive("degree < 2: no finite escape", ((abs(traj.z_end), traj.t_end),))
-    # beyond r_safe, twice the Cauchy bound 1 + max |c_k / c_n| on the roots,
-    # no zero lies between the trajectory's tail and the transit's path
-    start = _transit_start(rhs, traj, cfg, 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])))
-    if start is None:
-        return _dyadic_estimate(rhs, traj, cfg)
-    if antiholo:
-        reverse = traj.spec.time_direction == REVERSED
-        est = _level_chart_estimate([-c for c in coeffs] if reverse else coeffs, start, traj, cfg)
-    else:
-        # a transit that is not real falls through to the dyadic rule, which
-        # keeps the z^2 near-miss verdict that the benchmark's smoke run pins
-        est = _ray_estimate(rhs, start, traj, cfg, fall_through=True)
-    return est or _dyadic_estimate(rhs, traj, cfg)
+    if coeffs is not None and len(coeffs) < 3:  # z' = a z + b or its conjugate: a linear system, every solution global
+        return _inconclusive("degree < 2: no finite escape", exit_times)
+    try:
+        if coeffs is None:
+            return _ray_estimate(rhs, _transit_start(rhs, traj, cfg), exit_times, cfg)
+        # beyond r_safe, twice the Cauchy bound 1 + max |c_k / c_n| on the roots,
+        # no zero lies between the trajectory's tail and the transit's path
+        start = _transit_start(rhs, traj, cfg, 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])))
+        if antiholo:
+            reverse = traj.spec.time_direction == REVERSED
+            return _level_chart_estimate([-c for c in coeffs] if reverse else coeffs, start, exit_times, cfg)
+        return _ray_estimate(rhs, start, exit_times, cfg)
+    except _NoTransit as exc:
+        # the dyadic rule keeps the z^2 near-miss verdict that the benchmark's smoke run pins
+        return _dyadic_estimate(rhs, traj, cfg) if coeffs else _inconclusive(str(exc), exit_times)
 
 
-def _transit_estimate(method, t_far, t_rem, tol, steps, cfg, exit_times) -> Optional[BlowupEstimate]:
-    """The estimate t_far + Re t_rem from the transit t_rem, the integral of
-    dt (dz/f, or dX/|g|^2 along a level line) from the point reached at t_far
-    out to infinity computed to ``tol``; None unless t_rem is positive and
-    real within its threshold (the true remaining time is real; a residue
-    means the path of integration is not homotopic to the trajectory's
-    tail: not a blowup).
+def _underflow_escape(traj, rhs) -> bool:
+    """Whether a StepUnderflow run escapes: f holomorphic, not a polynomial, |z| and |f| rising at the end."""
+    if not isinstance(traj.termination, StepUnderflow) or traj.spec.kind != HOLOMORPHIC or len(traj) < 2:
+        return False
+    (_, za), (_, zb) = traj.samples[-2:]
+    return poly_coeffs(traj.spec.func) is None and abs(za) < abs(zb) and abs(rhs(za)) < abs(rhs(zb))
 
-    The bar is the residue plus ``tol`` plus rel_tol (1 + T) for each of the
-    ``steps`` accepted steps that reached t_far: each step's local error is
-    held to rel_tol, and the errors add up in the singular time (from far
-    seeds, beyond rel_tol (1 + T) alone).  On closed forms (a z^n, n = 2..5,
-    and exponentials, seeds up to just inside the radius, rel_tol 1e-12 to
-    1e-3) the error stayed below 0.017 of the bar, and on the conjugate
-    flows of z^n (n = 2..5, real and complex seeds) below 0.1 of it."""
+
+class _NoTransit(Exception):
+    """No transit time: a continuation short of r_safe, a level-chart node that
+    Newton misses, or a t* that is not a real forward time; the message is a note."""
+
+
+def _transit_estimate(method, integrand, point, start, exit_times, cfg) -> BlowupEstimate:
+    """The estimate t + Re t_rem, ``start`` = (t, z, steps), t_rem the
+    integral over [0, 1) of ``integrand``, dt from z out to infinity.  A
+    quadrature that does not converge (its note names ``point(x)``, the
+    plane point or X) and an integrand without a value are inconclusive; a
+    t_rem that is not positive and real, which means a path not homotopic
+    to the trajectory's tail, raises _NoTransit.  The bar is the residue
+    plus the quadrature tolerance plus rel_tol (1 + T) per accepted step:
+    on closed forms (a z^n, n = 2..5, exponentials, rel_tol 1e-12 to 1e-3)
+    the error stayed below 0.017 of it, on conjugate flows of z^n below 0.1."""
+    t_far, _, steps = start
+    where = "ray" if method == "ray" else "level-chart"
+    try:
+        t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
+    except QuadratureDiverged as exc:
+        why = f"integrand appears divergent near {point(exc.witness)!r}"
+        return _inconclusive(f"{where} quadrature did not converge ({why})", exit_times)
+    except ZeroDivisionError as exc:
+        return _inconclusive(f"{where} quadrature did not converge ({exc})", exit_times)
+    except (EvaluationOverflow, OverflowError) as exc:
+        return _inconclusive(f"1/f has no value on the {where} ({exc})", exit_times)
     t_est = t_far + t_rem.real
     if t_rem.real <= 0 or abs(t_rem.imag) > max(1e-8 * (1.0 + abs(t_est)), 4.0 * _EPS * abs(t_far)):
-        return None
-    t_err = abs(t_rem.imag) + tol + cfg.rel_tol * steps * (1.0 + abs(t_est))
+        im, re = t_rem.imag, t_rem.real
+        raise _NoTransit(f"{where} transit not a real forward time: Im t* = {im:.6g}, Re t* - t_exit = {re:.6g}")
+    t_err = abs(t_rem.imag) + 1e-14 * (1.0 + abs(t_far)) + cfg.rel_tol * steps * (1.0 + abs(t_est))
     return BlowupEstimate(t_est, t_err, True, method, exit_times)
 
 
 def _exit_point(rhs, samples):
-    """The last sample of a run that a radius event ended, as a point on the
-    trajectory: the event places it on the crossing step's cubic Hermite
-    interpolant, off the trajectory by about h^4 where the step itself is
-    off by h^5, so one Dormand-Prince step from the last accepted sample
-    to the crossing time gives its z.  A run that started on its radius
-    ends on its seed, and a step that overflows keeps the crossing: both
-    are returned as they are."""
+    """The last sample of a run as a point on the trajectory: a radius event
+    places it on the crossing step's cubic Hermite interpolant, off by about
+    h^4 where the step is off by h^5, so one Dormand-Prince step from the
+    sample before gives its z.  A lone sample (a run that started on its
+    radius), and one whose step overflows, are returned as they are."""
     if len(samples) < 2:
         return samples[-1]
     (t, z), (t_exit, _) = samples[-2], samples[-1]
@@ -830,26 +872,23 @@ def _transit_start(rhs, traj, cfg, r_safe=0.0):
     """Where a transit starts, as (t, z, steps): the exit re-stepped onto the
     trajectory (``_exit_point``), continued out to ``r_safe`` when it lies
     inside; ``steps`` counts the accepted steps of the run and of that
-    continuation.  None when the continuation ends short of r_safe."""
+    continuation.  Raises _NoTransit when that ends short of r_safe."""
     t_far, z_far = _exit_point(rhs, traj.samples)
     steps = len(traj) - 1
     if abs(z_far) < r_safe:
         res = drive_field(rhs, z_far, cfg, t0=t_far, t_stop=t_far + cfg.t_max, events=(Event.at_radius(r_safe),))
         if res.status != "event":
-            return None
+            raise _NoTransit(f"continuation ended short of radius {r_safe:g}")
         t_far, z_far = _exit_point(rhs, res.samples)
         steps += len(res.samples) - 1
     return t_far, z_far, steps
 
 
-def _ray_estimate(rhs, start, traj, cfg, fall_through=False) -> Optional[BlowupEstimate]:
+def _ray_estimate(rhs, start, exit_times, cfg) -> BlowupEstimate:
     """The transit from ``start`` = (t, z, steps) along the tangent ray z + s u,
     u = rhs(z) / |rhs(z)|, s = |z| x / (1 - x) for x in [0, 1).  Where f
-    overflows on the ray, 1/f is ``rhs.reciprocal``; where that has no value
-    either, the estimate is inconclusive, since an overflow inside f need not
-    mean a large f.  A transit that is not real gives None with
-    ``fall_through``, else an inconclusive estimate that names Im t*."""
-    t_far, z_far, steps = start
+    overflows on the ray, 1/f is ``rhs.reciprocal``."""
+    _, z_far, _ = start
     f_far = rhs(z_far)
     ru = f_far * (abs(z_far) / abs(f_far))
 
@@ -861,24 +900,10 @@ def _ray_estimate(rhs, start, traj, cfg, fall_through=False) -> Optional[BlowupE
         except EvaluationOverflow:
             return ru * rhs.reciprocal(z) / (y * y)
 
-    exit_times = ((abs(traj.z_end), traj.t_end),)
-    tol = 1e-14 * (1.0 + abs(t_far))
-    try:
-        t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
-    except (QuadratureDiverged, ZeroDivisionError) as exc:
-        return _inconclusive(f"ray quadrature did not converge ({exc})", exit_times)
-    except (EvaluationOverflow, OverflowError) as exc:
-        return _inconclusive(f"1/f has no value on the ray ({exc})", exit_times)
-    est = _transit_estimate("ray", t_far, t_rem, tol, steps, cfg, exit_times)
-    note = f"ray transit not a real forward time: Im t* = {t_rem.imag:.6g}, Re t* - t_exit = {t_rem.real:.6g}"
-    return est if est or fall_through else _inconclusive(note, exit_times)
+    return _transit_estimate("ray", integrand, lambda x: z_far + ru * (x / (1.0 - x)), start, exit_times, cfg)
 
 
-class _ChartMiss(Exception):
-    """Newton found no root nu of the level chart at a node."""
-
-
-def _level_chart_estimate(coeffs, start, traj, cfg) -> Optional[BlowupEstimate]:
+def _level_chart_estimate(coeffs, start, exit_times, cfg) -> BlowupEstimate:
     """The transit from ``start`` = (t, z, steps) of an antiholomorphic flow
     z' = conj(g(z)), g the polynomial of ``coeffs`` (degree n >= 2,
     m = n + 1), in the w = 1/z chart of its level line.  W = G(z), G' = g,
@@ -888,9 +913,8 @@ def _level_chart_estimate(coeffs, start, traj, cfg) -> Optional[BlowupEstimate]:
     X = X_exit + L (s^-m - 1) and z = 1 / (nu s), where nu solves
     nu^m (L + C s^m) = Q(nu s), Q(w) = w^m G(1/w); then
     dt/dx = m L |nu|^2n s^(n-2) / |q(nu s)|^2, q(w) = w^n g(1/w), smooth
-    on [0, 1].  None, for the dyadic rule to take over, when Newton misses
-    a node's root."""
-    t_far, z_far, steps = start
+    on [0, 1].  Raises _NoTransit when Newton misses a node's root."""
+    _, z_far, _ = start
     n = len(coeffs) - 1
     m = n + 1
     big_g = [c / (k + 1) for k, c in enumerate(coeffs)]  # big_g[k] multiplies z^(k+1) in G
@@ -906,22 +930,17 @@ def _level_chart_estimate(coeffs, start, traj, cfg) -> Optional[BlowupEstimate]:
         s = 1.0 - x
         nu = _chart_root(big_g, m, l_exit, c_exit, nu_exit, s)
         if nu is None:
-            raise _ChartMiss
+            raise _NoTransit("Newton missed a level-chart node")
         w = nu * s
         q = 0j
         for c in coeffs:
             q = q * w + c
         return m * l_exit * abs(nu) ** (2 * n) * s ** (n - 2) / abs(q) ** 2
 
-    exit_times = ((abs(traj.z_end), traj.t_end),)
-    tol = 1e-14 * (1.0 + abs(t_far))
-    try:
-        t_rem = gauss_kronrod(integrand, 0.0, 1.0, 1e-14)
-    except _ChartMiss:
-        return None
-    except QuadratureDiverged as exc:
-        return _inconclusive(f"level-chart quadrature did not converge ({exc})", exit_times)
-    return _transit_estimate("w_chart", t_far, t_rem, tol, steps, cfg, exit_times)
+    def chart(x):  # the X of x, inf where (1 - x)^m underflows
+        return big_w.real + l_exit * (1.0 / ((1.0 - x) ** m or 5e-324) - 1.0)
+
+    return _transit_estimate("w_chart", integrand, chart, start, exit_times, cfg)
 
 
 def _chart_root(big_g, m, l_exit, c_exit, nu_exit, s) -> Optional[complex]:
@@ -1008,13 +1027,14 @@ def _dyadic_estimate(rhs, traj, cfg) -> BlowupEstimate:
 def classify(traj: Trajectory, cfg: Optional[IntegratorConfig] = None) -> Termination:
     """Refine a trajectory's termination.
 
-    ReachedRadius upgrades to FiniteTimeBlowup exactly when the estimate of
-    :func:`blowup_time_estimate`, the one kept on traj for an equal cfg if
-    any, is conclusive; other terminations pass through unchanged.
+    ReachedRadius and StepUnderflow upgrade to FiniteTimeBlowup exactly
+    when the estimate of :func:`blowup_time_estimate`, the one kept on traj
+    for an equal cfg if any, is conclusive; other terminations pass through
+    unchanged.
     Classification is total: it never raises for a well-formed trajectory.
     """
     term = traj.termination
-    if isinstance(term, ReachedRadius):
+    if isinstance(term, (ReachedRadius, StepUnderflow)):
         try:
             est = blowup_time_estimate(traj, cfg)
         except PlaneflowError:

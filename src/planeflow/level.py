@@ -296,7 +296,7 @@ def transit_time(
     event = Event(lambda z: big_ge(z).real - x2)
     res = drive_field(Field(dg, "{}.conjugate()"), curve.zs[0], cfg, t_stop=t_budget, events=(event,))
     ode = res.samples[-1][0] if res.status == "event" else math.inf
-    gap = abs(quad - ode) / max(abs(ode), 1e-12) if math.isfinite(quad) and math.isfinite(ode) else math.inf
+    gap = abs(quad - ode) / abs(ode) if math.isfinite(quad) and math.isfinite(ode) else math.inf
     return TransitReport((x1, x2), quad, ode, gap, witness)
 
 

@@ -329,21 +329,33 @@ class TestQueries:
         assert poly_coeffs(parse_expr("exp(z)")) is None
         assert poly_coeffs(parse_expr("exp(1) + z")) is not None
 
-    def test_exp_factor(self):
-        e, m = expr_module._exp_factor(parse_expr("-2*z^2*exp(z)^3*exp(-z)"))
-        assert (to_text(e), to_text(m)) == ("3 * z - z", "-2 * z^2")
-        # a sum keeps its exponentials in M
-        assert expr_module._exp_factor(parse_expr("exp(z) + 1")) == (Constant(0.0), parse_expr("exp(z) + 1"))
-
-    def test_exp_factor_random(self):
+    def test_reciprocal_random(self):
+        # Field.reciprocal runs f's own statements on scaled numbers v e^s
         rng = random.Random(2029)
         pts = (0.37 - 0.21j, -1.2 + 0.8j)
         for _ in range(60):
             tree = tame_random_expr(rng, pts)
-            e, m = (compile_fn(t) for t in expr_module._exp_factor(tree))
+            reciprocal = Field(tree).reciprocal
             for z in pts:
-                want = compile_fn(tree)(z)
-                assert abs(m(z) * cmath.exp(e(z)) - want) <= 1e-9 * (1 + abs(want))
+                want = 1.0 / compile_fn(tree)(z)
+                assert abs(reciprocal(z) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "text, z, want",
+        [
+            ("exp(2*z) * exp(-z)", 400.0, cmath.exp(-400.0)),  # a product
+            ("(exp(z) + 1) * exp(-z)", 800.0, 1.0),  # a sum
+            ("(exp(z) + z)^2 * exp(-2*z)", 500.0, 1.0),  # a power
+            ("z^5", 1e62, 1e-310),
+            # a constant subtree feeds a plain complex into the scaled statements
+            ("exp(1) * exp(2*z) * exp(-z)", 400.0, cmath.exp(-401.0)),
+        ],
+    )
+    def test_reciprocal_past_overflow(self, text, z, want):
+        tree = parse_expr(text)
+        with pytest.raises(EvaluationOverflow):
+            compile_fn(tree)(z)
+        assert abs(Field(tree).reciprocal(z) - want) <= 1e-12 * abs(want)
 
     def test_scale_folding(self):
         assert normalize(Scale(1.0, Z)) == Z

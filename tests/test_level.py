@@ -399,6 +399,13 @@ class TestTransit:
         rep = transit_time(curve)
         assert abs(rep.quadrature_time - (curve.x_end - curve.x_start)) <= 1e-9 * curve.x_end
 
+    def test_gap_on_a_tiny_range_is_relative(self):
+        # the flow's first step, h = 0.01, fires the event, and the sixty
+        # halvings of the crossing stop at 0.01 * 2^-60: far from the transit
+        # time 1e-313, which the gap must show rather than hide under a floor
+        rep = transit_time(trace_level(parse_expr("z"), 1e-313, 2e-313))
+        assert rep.ode_time == 0.01 * 2.0**-60 and rep.relative_gap >= 0.5
+
     @pytest.mark.parametrize("x1", [1e9, -1e9 - 1.0, 1e12, 1e15])
     def test_unit_range_far_from_zero(self, x1):
         # the s-range is about 1/|X| wide there: it must not be a difference of two s near 28 or 35
