@@ -1,4 +1,4 @@
-"""Run the thirty-two reference CLI commands and record everything they produce.
+"""Run the thirty-four reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -80,6 +80,10 @@ COMMANDS = (
     # near the top of the double range: the trace's corrector tolerance and
     # the window's node at T/2 are computed without overflowing
     ("rubel-top", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1.7e308"]),
+    # a class-B path beyond exp(z): z e^z grows past every power of |z|
+    ("rubel-times-exp", ["rubel", "--f", "z*exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e48"]),
+    # sin z from 2 meets its critical point pi/2 at t = 1: no path, so no tail verdicts
+    ("rubel-stopped", ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius
     ("demo", ["demo"]),
@@ -94,6 +98,7 @@ COMMANDS = (
 )
 EXPECTED_EXITS = {
     "simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3, "simulate-window-narrow": 2,
+    "rubel-stopped": 3,
 }
 
 

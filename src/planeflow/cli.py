@@ -59,12 +59,10 @@ def parse_complex(text: str) -> complex:
 def _config(args) -> IntegratorConfig:
     cfg = IntegratorConfig()
     overrides = {}
-    if args.tol is not None:
-        overrides["rel_tol"] = args.tol
-    if args.tmax is not None:
-        overrides["t_max"] = args.tmax
-    if args.radius is not None:
-        overrides["escape_radius"] = args.radius
+    # a subcommand that reads only some of these fields registers only their flags
+    for flag, field in (("tol", "rel_tol"), ("tmax", "t_max"), ("radius", "escape_radius")):
+        if getattr(args, flag, None) is not None:
+            overrides[field] = getattr(args, flag)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -637,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = command("level-trace", help="trace a level curve of Im G")
-    _add_flags(p, "G start Xmax tol tmax radius out json svg window")
+    _add_flags(p, "G start Xmax radius out json svg window")
     p.set_defaults(fn=_cmd_level_trace, radius=1e9)
 
     p = command("transit", help="transit time along a level curve")
@@ -661,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=_int_at_least(0, _MAX_JET_ORDER), default=3)
     p.add_argument("--c", type=_positive_float, action="append", default=None,
                    help="exponent for the reciprocal tail integral (repeatable)")
-    _add_flags(p, "tol tmax radius out")
+    _add_flags(p, "radius out")
     p.set_defaults(fn=_cmd_rubel, radius=1e9)
 
     p = command("poly-summary", help="predicted escape structure of a polynomial flow")

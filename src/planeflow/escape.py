@@ -256,7 +256,8 @@ def rubel_path(
 
     The seed must already satisfy the tract conditions (f - i*d_shift
     approximately real positive, f' nonzero); tracing follows
-    dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift.
+    dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift; a trace
+    that stops short of t_end raises TractViolation, so no tail is judged.
     Growth log|f^(m)|/log|z| uses the quotient f^(m)/f so only log|f|
     (exact on the path) is large.  The nodes are the curve samples and one
     window node placed at T/2, T the last sample's t; each is one call of a
@@ -294,8 +295,8 @@ def rubel_path(
         raise ValueError("t_end must exceed Re f at the seed")
 
     curve = trace_level(f, z_seed, t_end, cfg)
-    if curve.stop_reason == "critical_point":
-        raise TractViolation("f' vanished along the path")
+    if curve.stop_reason != "target":
+        raise TractViolation(f"path stopped ({curve.stop_reason}) at t = {curve.x_end!r}, short of t_end = {t_end!r}")
 
     ts, zs = curve.xs, curve.zs
     node = _rubel_node(f, df, d_shift, m_max, c_values)

@@ -140,11 +140,15 @@ def trace_level(
 ) -> LevelCurve:
     """Trace {Im G = Im G(z_start)} from z_start toward larger Re G.
 
-    Stops at x_target, when |z| leaves the configured radius, or when
-    |g| < ``_G_MIN`` (approaching a critical point of G, which the flow
-    cannot reach in finite time anyway).  ``_STEP_SCALE`` bounds the
-    spatial step to _STEP_SCALE*(1+|z|); halving it retraces the same
-    curve with finer sampling.
+    Each step is a midpoint predictor along dz/dX = 1/g, then the corrector.
+    The stop reason is decided here, once: ``target`` when X reaches
+    x_target, ``radius`` when |z| leaves the configured radius, and
+    ``critical_point`` when |g| < ``_G_MIN`` (a critical point of G, which
+    the flow cannot reach in finite time anyway).  A step that cannot
+    advance X and 60 failed halvings are one stall: ``critical_point``
+    where |g| < 1e3 ``_G_MIN``, else it raises CorrectorDivergence.
+    ``_STEP_SCALE`` bounds the spatial step to _STEP_SCALE*(1+|z|);
+    halving it retraces the same curve, finer.
     """
     cfg = cfg or IntegratorConfig()
     big_ge = compile_fn(big_g)
@@ -172,22 +176,37 @@ def trace_level(
         if steps > 200_000:
             raise CorrectorDivergence("level tracing did not finish", z)
         dx = min(dx, x_target - x)
-        if x + dx == x:
-            break  # remaining span below double resolution at this X
-        step = _pc_step(newton, ge, z, g, x, dx, beta)
-        if step is None:
+        # x + (x_target - x) > x for every double x < x_target, so a step that
+        # cannot advance X falls short of the target: a stall
+        stuck = x + dx == x
+        got = None
+        if not stuck:
+            target = complex(x + dx, beta)
+            try:
+                g_half = ge(z + 0.5 * dx / g)
+                z_pred = z + dx / g_half if abs(g_half) >= _G_MIN else None
+            except EvaluationOverflow:
+                z_pred = None
+            if z_pred is not None:
+                # tolerance scales with the step so points near a critical value of G
+                # (|target| tiny) are still resolved to full relative precision; past
+                # the double range the sum is halved first, to the same bits where finite
+                span = abs(target) + dx
+                tol = 1e-12 * span if span < math.inf else 2e-12 * (0.5 * abs(target) + 0.5 * dx)
+                got = _corrector(newton, target, z_pred, tol)
+        if got is None:
             fails += 1
             dx *= 0.5
-            if fails > 60:
-                # a persistent failure with g collapsing is the curve
-                # running into a critical point, not a tracer defect
+            if stuck or fails > 60:
+                # a stall with g collapsing is the curve running into a
+                # critical point, not a tracer defect
                 if abs(g) < 1e3 * _G_MIN:
                     stop = "critical_point"
                     break
                 raise CorrectorDivergence("level tracing stalled", z)
             continue
         fails = 0
-        z, iters = step
+        z, iters = got
         x = x + dx
         xs.append(x)
         zs.append(z)
@@ -201,25 +220,6 @@ def trace_level(
         cap = _STEP_SCALE * (1.0 + abs(z)) * abs(g)
         dx = min(dx * (1.6 if iters <= 3 else 1.0), cap)
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
-
-
-def _pc_step(newton, ge, z, g0, x, dx, beta):
-    """Midpoint predictor from z, where g(z) = g0, then the corrector."""
-    target = complex(x + dx, beta)
-    try:
-        z_half = z + 0.5 * dx / g0
-        g_half = ge(z_half)
-        if abs(g_half) < _G_MIN:
-            return None
-        z_pred = z + dx / g_half
-    except EvaluationOverflow:
-        return None
-    # tolerance scales with the step so points near a critical value of G
-    # (|target| tiny) are still resolved to full relative precision; past
-    # the double range the sum is halved first, to the same bits where finite
-    span = abs(target) + dx
-    tol = 1e-12 * span if span < math.inf else 2e-12 * (0.5 * abs(target) + 0.5 * dx)
-    return _corrector(newton, target, z_pred, tol)
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,9 @@ class TestSubcommands:
         + [("poly-summary", f) for f in ("--tol", "--tmax", "--radius", "--svg", "--csv", "--window")]
         # each command writes its JSON report (level-trace its CSV table) unasked
         + [(c, "--json") for c in ("transit", "measure", "rubel", "poly-summary")]
-        + [("level-trace", "--csv")],
+        + [("level-trace", "--csv")]
+        # the level tracer reads only the radius of the configuration
+        + [(c, f) for c in ("level-trace", "rubel") for f in ("--tol", "--tmax")],
     )
     def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
         out_dir = tmp_path / "out"
@@ -416,6 +418,27 @@ class TestSubcommands:
         data = json.loads((tmp_path / "rubel.json").read_text())
         validate_report(data, load_schema())
         assert data["monotone"] is True
+
+    def test_rubel_cli_stopped_path_exits_3(self, tmp_path, capsys):
+        # sin z from 2 stops at its critical value t = 1, far short of --t-end
+        code, out, err = run(
+            ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2",
+             "--t-end", "1e45", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009999" in err
+        assert not (tmp_path / "rubel.json").exists()
+
+    def test_level_trace_cli_names_the_critical_stop(self, tmp_path, capsys):
+        code, out, _ = run(
+            ["level-trace", "--G", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--start", "2", "--Xmax", "1e45",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "stop: critical_point" in out
 
     def test_rubel_cli_prints_an_infinite_window_ratio(self, tmp_path, capsys):
         # f''' = 0 for z^2: the m = 3 tails are infinite, and so are their ratios

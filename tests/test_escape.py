@@ -608,6 +608,55 @@ class TestRubelPath:
             rubel_path(parse_expr("exp(z)"), 0.0, complex(1.0, math.pi), 100.0, IntegratorConfig())
 
 
+    def test_stopped_path_gives_no_tails(self):
+        # sin z from 2 meets the critical point pi/2 at t = 1: no path reaches t_end
+        sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
+        with pytest.raises(TractViolation, match=r"path stopped \(critical_point\) at t = 1\.0000000000009999"):
+            rubel_path(sine, 0.0, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
+
+
+def _class_b_path(text, seed):
+    """The Rubel path of f from seed, with D = Im f(seed), traced to t = e^110."""
+    f = parse_expr(text)
+    d_shift = compile_fn(f)(complex(seed)).imag
+    return rubel_path(f, d_shift, seed, math.exp(110.0), IntegratorConfig(escape_radius=1e9))
+
+
+def _rises_over_last_decade(points):
+    r_end = points[-1][0]
+    decade = [q for r, q in points if r >= r_end / 10.0]
+    return len(decade) > 1 and all(a < b for a, b in zip(decade, decade[1:]))
+
+
+class TestClassB:
+    """Rubel paths of class-B functions other than exp(z) (Eremenko-Lyubich)."""
+
+    @pytest.mark.parametrize(
+        "text, seed",
+        [("z*exp(z)", 2.0), ("(exp(i*z)-exp(-i*z))*(-0.5i)", complex(math.pi / 2, 1.0))],
+        ids=["z-exp-z", "sine"],
+    )
+    def test_growth_past_every_power(self, text, seed):
+        rep = _class_b_path(text, seed)
+        assert rep.monotone
+        for m in range(4):
+            points = rep.growth_ratios[m]
+            first_past_100 = next(q for r, q in points if r >= 100.0)
+            assert first_past_100 > 20.0
+            assert _rises_over_last_decade(points)
+        assert rep.tail_integrals and all(t.finite for t in rep.tail_integrals)
+
+    def test_gaussian_growth(self):
+        # exp(z^2) reaches t = e^110 at |z| ~ 10.5, short of |z| = 100
+        rep = _class_b_path("exp(z^2)", 2.0)
+        assert rep.monotone
+        for m in range(4):
+            points = rep.growth_ratios[m]
+            assert points[-1][1] > 20.0
+            assert _rises_over_last_decade(points)
+        assert rep.tail_integrals and all(t.finite for t in rep.tail_integrals)
+
+
 class TestExports:
     def test_star_import(self):
         namespace = {}

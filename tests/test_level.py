@@ -8,7 +8,7 @@ import pytest
 from conftest import level_start, random_expr, reference_corrector
 
 import planeflow.level as level_module
-from planeflow.errors import EvaluationOverflow
+from planeflow.errors import CorrectorDivergence, EvaluationOverflow
 from planeflow.expr import Add, Constant, Exp, Mul, Scale, Variable, _emit_body, compile_fn, derivative, parse_expr
 from planeflow.flow import IntegratorConfig
 from planeflow.level import (
@@ -319,6 +319,26 @@ class TestTrace:
         monkeypatch.setattr(level_module, "_STEP_SCALE", 0.05)
         b = trace_level(parse_expr("z^2 / 2"), 1 + 1j, 60.0, cfg)
         assert abs(a.z_end - b.z_end) <= 1e-5 * (1.0 + abs(a.z_end))
+
+    def test_sine_stops_at_its_critical_value(self):
+        # Im sin z = 0 from 2 runs up the real axis into the critical point pi/2,
+        # where sin = 1: the steps stall there, short of the target
+        sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
+        curve = trace_level(sine, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
+        assert curve.stop_reason == "critical_point"
+        assert curve.x_end == 1.0000000000009999 < 1e45
+        assert abs(curve.z_end - math.pi / 2) <= 1e-5
+
+    @pytest.mark.parametrize("stall", ["unresolved step", "failed corrector"])
+    def test_stall_away_from_critical_point_raises(self, monkeypatch, stall):
+        # |g| = 1 on G = z: a step too small to move X, or 60 failed halvings,
+        # is the same stall, and it is not a curve that reached its target
+        if stall == "unresolved step":
+            monkeypatch.setattr(level_module, "_STEP_SCALE", 1e-30)
+        else:
+            monkeypatch.setattr(level_module, "_corrector", lambda *args: None)
+        with pytest.raises(CorrectorDivergence, match="level tracing stalled"):
+            trace_level(parse_expr("z"), 1.0, 2.0)
 
     def test_start_at_critical_point_rejected(self):
         with pytest.raises(ValueError):
