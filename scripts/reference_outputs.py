@@ -1,4 +1,4 @@
-"""Run the thirty-four reference CLI commands and record everything they produce.
+"""Run the thirty-seven reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -82,6 +82,15 @@ COMMANDS = (
     ("rubel-top", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1.7e308"]),
     # a class-B path beyond exp(z): z e^z grows past every power of |z|
     ("rubel-times-exp", ["rubel", "--f", "z*exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e48"]),
+    # class B: exp(z^2) grows past every power of |z| within |z| ~ 10
+    ("rubel-gaussian", ["rubel", "--f", "exp(z^2)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
+    # class B: sin z from pi/2 + i, above its critical point pi/2
+    ("rubel-sine", [
+        "rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "1.5707963267948966+1i",
+        "--t-end", "1e45",
+    ]),
+    # not class B (its critical values -1 + (2k+1) pi i are unbounded): reported, not claimed
+    ("rubel-exp-plus-z", ["rubel", "--f", "exp(z)+z", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     # sin z from 2 meets its critical point pi/2 at t = 1: no path, so no tail verdicts
     ("rubel-stopped", ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),

@@ -15,11 +15,12 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, Scale, _bind, _emit_body, _function_code, compile_fn, derivative
+from .expr import FuncExpr, Scale, _emit_body, _function_code, compile_fn, derivative
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -258,19 +259,14 @@ def rubel_path(
     approximately real positive, f' nonzero); tracing follows
     dz/dt = 1/f'(z) with Newton correction of Im f back to d_shift; a trace
     that stops short of t_end raises TractViolation, so no tail is judged.
-    Growth log|f^(m)|/log|z| uses the quotient f^(m)/f so only log|f|
-    (exact on the path) is large.  The nodes are the curve samples and one
-    window node placed at T/2, T the last sample's t; each is one call of a
-    function generated per path (:func:`_rubel_node`), whose jet and speed
-    |f'| serve the growth ratios, f (the jet's a_0, read by ``im_deviation``
-    and ``monotone``: it can differ from the compiled f in the sign of a
-    zero part, and for an IntPower above 100, which that takes by ``**``,
-    in the last bits) and every (m, c) term with its slope.  Tail integrals
-    of |f^(m)|^(-c) |dz| sum :func:`_log_trapezoid` over the samples and
-    add a geometric bound from the last dyadic window [T/2, T] and its
-    decay ratio, never a bare claim of convergence; where a window end
-    term underflows to 0 the ratio is taken from the end nodes'
-    logarithms.  Each c must be positive and finite.
+    One walk of the samples and a window node at T/2 (:data:`_PASS`, one jet
+    each) gives the growth ratios log|f^(m)|/log|z|, through the quotient
+    f^(m)/f so only log|f| (exact on the path) is large, and the tail
+    integrals of |f^(m)|^(-c) |dz|: a partial sum in log t plus a geometric
+    bound from the last dyadic window [T/2, T] and its decay ratio, never a
+    bare claim of convergence; where a window end term underflows to 0 the
+    ratio is taken from the end nodes' logarithms.  Each c must be positive
+    and finite.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
         raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
@@ -284,9 +280,7 @@ def rubel_path(
     fpe = compile_fn(df)
     v = fe(z_seed)
     if abs(v.imag - d_shift) > 1e-6 * (1.0 + abs(v)):
-        raise TractViolation(
-            f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}"
-        )
+        raise TractViolation(f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}")
     if v.real <= 0:
         raise TractViolation("seed must have Re f > 0 (f - iD real positive)")
     if abs(fpe(z_seed)) < 1e-10 * (1.0 + abs(v)):
@@ -299,51 +293,27 @@ def rubel_path(
         raise TractViolation(f"path stopped ({curve.stop_reason}) at t = {curve.x_end!r}, short of t_end = {t_end!r}")
 
     ts, zs = curve.xs, curve.zs
-    node = _rubel_node(f, df, d_shift, m_max, c_values)
-    at_samples = [node(t, z) for t, z in zip(ts, zs)]
-    vs = [v for *_, v in at_samples]
-    im_dev = max(abs(w.imag - d_shift) for w in vs)
-    monotone = all(b.real > a.real for a, b in zip(vs, vs[1:])) and all(w.real > 0 for w in vs)
-
-    last = len(zs) - 1
-    marks = []
-    next_mark = abs(zs[0])
-    for i, z in enumerate(zs):
-        r = abs(z)
-        if r >= next_mark and r > 1.0:
-            marks.append(i)
-            next_mark = r * 1.3
-    if last not in marks[-1:] and abs(zs[last]) > 1.0:
-        marks.append(last)
-    growth = {
-        m: tuple((abs(zs[i]), at_samples[i][0][m] / math.log(abs(zs[i]))) for i in marks)
-        for m in range(m_max + 1)
-    }
-
-    # the last dyadic window [T/2, T]: one node placed on the path at T/2,
-    # then the samples past it
-    t_hi = ts[-1]
-    t_lo = 0.5 * t_hi
+    t_hi, t_lo = ts[-1], 0.5 * ts[-1]
     first = bisect.bisect_right(ts, t_lo)
-    window = [node(t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])), *at_samples[first:]]
-    ss = [math.log(t) for t in ts]
-    ts_w, ss_w = (t_lo, *ts[first:]), (math.log(t_lo), *ss[first:])
 
-    (logs_lo, *_, s_lo, _), (logs_hi, *_, s_hi, _) = window[0], window[-1]
+    def nodes():
+        yield from zip(ts, zs)
+        # the last dyadic window [T/2, T] starts at one node placed on the path at T/2
+        yield t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])
+
+    path = _rubel_pass(f, df, d_shift, m_max, c_values)
+    im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(nodes(), len(ts), first)
+    growth = {m: tuple((r, ratios[m]) for r, ratios in marks) for m in range(m_max + 1)}
+
     pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
-    # one column per (m, c) of the terms and of their slopes, at the samples and in the window
-    columns = [zip(*(rec[k] for rec in nodes)) for nodes in (at_samples, window) for k in (1, 2)]
     tails = []
-    for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
-        partial = _log_trapezoid(ts, ss, qs, ds)
-        w_last = _log_trapezoid(ts_w, ss_w, vals, ds_w)
+    for (m, c), (partial, w_last, q_lo, q_hi) in zip(pairs, sums):
         # for a tail ~ t^(-p) this equals the dyadic window ratio 2^(1-p); inf if f^(m) = 0 at an end
-        ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if 0 < vals[0] < math.inf and vals[-1] < math.inf else math.inf
-        if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
+        ratio = (q_hi * t_hi) / (q_lo * t_lo) if 0 < q_lo < math.inf and q_hi < math.inf else math.inf
+        if 0.0 in (q_lo, q_hi) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
             # an end term underflowed: the same quotient from the end nodes' logarithms
-            x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
-                -c * logs_lo[m] - math.log(s_lo) + math.log(t_lo)
-            )
+            x = -c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)
+            x -= -c * logs_lo[m] - math.log(s_lo) + math.log(t_lo)
             ratio = math.exp(x) if x < 709.0 else math.inf
         # a margin for rounding: a ratio of 1 - 2e-16 is a divergent log tail
         finite = math.isfinite(partial) and ratio < 1.0 - 1e-12
@@ -353,63 +323,97 @@ def rubel_path(
     return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
 
 
-def _log_trapezoid(ts, ss, qs, ds) -> float:
-    """The integral of q dt over nodes at t = ts, s = log t = ss: the end-corrected
-    trapezoid rule in s on F = t q, where ds holds the slopes dlog F/ds, the sum of
-    h/2 (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) over the steps h in s.  An
-    infinite term (f^(m) = 0 at a node) makes the sum infinite."""
-    fs = [t * q for t, q in zip(ts, qs)]
-    if math.inf in fs:
-        return math.inf
-    gs = [fv * d for fv, d in zip(fs, ds)]
-    total = 0.0
-    for sa, fa, ga, sb, fb, gb in zip(ss, fs, gs, ss[1:], fs[1:], gs[1:]):
-        h = sb - sa
-        total += h / 2.0 * (fa + fb) + h * h / 12.0 * (ga - gb)
-    return total
-
-
-def _rubel_node(f: FuncExpr, df: FuncExpr, d_shift: float, m_max: int, c_values: Sequence[float]):
-    """The function ``node(t, z)`` of one Rubel-path node z, where f(z) = t + iD.
-
-    It returns the list of log|f^(m)| for m = 0..m_max; the list of the
-    tail terms q = |f^(m)|^(-c) / |f'|, one per (m, c) with c varying
-    fastest; the list of their slopes dlog(t q)/dlog t, which are
-    1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as dz/dt = 1/f'
-    (f^(m+1)/f^(m) read as 0 where f^(m) = 0 and the term is infinite);
-    |f'|; and f.  log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
-    part exact: on the path |f| = |t + iD|, taken as log(hypot(t, D)) only
-    where t*t + D*D overflows.  The statements are those of f's jet to
-    order max(m_max + 1, 2) (as :func:`eval_jet` runs them) and then of f'
-    (as :func:`compile_fn` runs them), so values and exceptions are theirs.
-    Constants and nodes are bound as globals, never written into the source.
-    """
+def _rubel_pass(f: FuncExpr, df: FuncExpr, d_shift: float, m_max: int, c_values: Sequence[float]):
+    """``path(nodes, n, first)`` of :data:`_PASS`: f's jet to order max(m_max + 1, 2) at <jet>, as
+    :func:`eval_jet` runs it, and f' at <df>, as :func:`compile_fn` runs it, so values and
+    exceptions are theirs.  Constants and nodes are bound as globals, never written into the source."""
     env = {
         "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
+        "D": d_shift, "DD": d_shift * d_shift, **{f"C{j}": c for j, c in enumerate(c_values)},
     }
     jet, coeffs = _jet_body(f, max(m_max + 1, 2), env)
-    a0, a1, a2 = coeffs[:3]
-    lines = [
-        "def node(t, z0):",
-        "    z = complex(z0)",
-        *jet,
-        f"    tt = t * t + {_bind(env, 'c', d_shift * d_shift)}",
-        f"    lf = 0.5 * log(tt) if tt < inf else log(hypot(t, {_bind(env, 'c', d_shift)}))",
-        f"    u = t / {a1}",
-        f"    k = 1.0 - (2 * {a2} / {a1} * u).real",
-    ]
-    for m, (a, b) in enumerate(zip(coeffs[: m_max + 1], coeffs[1:])):
-        lines += [
-            f"    L{m} = log(abs({a} * {math.factorial(m)} / {a0})) + lf if {a} != 0 else -inf",
-            f"    e{m} = ({m + 1} * {b} / {a} * u).real if {a} != 0 else 0.0",
-        ]
-    body, fp, env = _emit_body(df, env, root="droot", temp="d")
-    cs = [(m, _bind(env, "c", c)) for m in range(m_max + 1) for c in c_values]
-    lines += [
-        body,
-        f"    s = abs({fp})",
-        f"    return [{', '.join(f'L{m}' for m in range(m_max + 1))}], "
-        f"[{', '.join(f'exp_real(-{c} * L{m}) / s' for m, c in cs)}], "
-        f"[{', '.join(f'k - {c} * e{m}' for m, c in cs)}], s, {a0}",
-    ]
-    return FunctionType(_function_code("\n".join(lines)), env)
+    body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
+    source = _pass_source(m_max, len(c_values), tuple(coeffs))
+    source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
+    return FunctionType(_function_code(source.replace("<fp>", fp)), env)
+
+
+# One walk of a Rubel path: ``nodes`` yields the n samples (t, z), f(z) =
+# t + iD, a_k the coefficients of f's jet there, then the window node at T/2,
+# drawn only after every sample's statements have run.  A line with {m} is
+# written for m = 0..m_max: log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
+# part exact, |f| = |t + iD| on the path (hypot only where t*t + D*D
+# overflows).  A line with {j} is written for each (m, c) slot j, c = C{c}
+# varying fastest: the tail term q = |f^(m)|^(-c) / |f'| and its slope
+# dlog(t q)/dlog t, 1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as
+# dz/dt = 1/f' (the quotient read as 0 where f^(m) = 0).  Over the samples
+# it keeps max |Im f - D|; whether Re f is positive and increasing, f being
+# a_0 (which can differ from the compiled f in the sign of a zero part, and
+# for an IntPower above 100 in the last bits); log|f^(m)|/log|z| where |z| > 1
+# first, then has grown by 1.3, and at the last sample; and the steps h/2
+# (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) in s = log t of the end-corrected
+# trapezoid rule on F = t q, d the slopes (S{j}[0] is no step).  A tail sums
+# them from 0.0 over the samples, its window [T/2, T] from the T/2 node to
+# ``first``, the first sample past it, and on; an infinite term makes it inf.
+_PASS = """\
+def path(nodes, n, first):
+    mono, prev, marks, mark, sp, tails = True, -inf, [], 0.0, 0.0, []
+    S{j}, I{j}, P{j}, Q{j} = [], -1, 0.0, 0.0
+    for i, (t, z0) in enumerate(nodes):
+        z = complex(z0)
+<jet>
+        tt = t * t + DD
+        lf = 0.5 * log(tt) if tt < inf else log(hypot(t, D))
+        u = t / {a[1]}
+        k = 1.0 - (2 * {a[2]} / {a[1]} * u).real
+        L{m} = log(abs({am} * {f} / {a[0]})) + lf if {am} != 0 else -inf
+        e{m} = ({m1} * {am1} / {am} * u).real if {am} != 0 else 0.0
+<df>
+        s = abs(<fp>)
+        q{j} = exp_real(-C{c} * L{m}) / s
+        F{j} = t * q{j}
+        G{j} = F{j} * (k - C{c} * e{m})
+        if i == n: break
+        dv = abs({a[0]}.imag - D)
+        if i == 0 or dv > dev: dev = dv
+        mono = mono and {a[0]}.real > prev and {a[0]}.real > 0
+        prev = {a[0]}.real
+        r = abs(z)
+        if r > 1.0 and (r >= mark or i == n - 1):
+            marks.append((r, {ratios}))
+            mark = r * 1.3
+        if i == n - 1: hi = {logs}, s, {qs}
+        sl = log(t)
+        h = sl - sp
+        h2, h12 = h / 2.0, h * h / 12.0
+        S{j}.append(h2 * (P{j} + F{j}) + h12 * (Q{j} - G{j}))
+        if F{j} == inf: I{j} = i
+        if i == first:
+            sw = sl
+            Fw{j}, Gw{j} = F{j}, G{j}
+        sp = sl
+        P{j}, Q{j} = F{j}, G{j}
+    h = sw - log(t)
+    h2, h12 = h / 2.0, h * h / 12.0
+    T{j}, W{j} = 0.0, 0.0 + (h2 * (F{j} + Fw{j}) + h12 * (G{j} - Gw{j}))
+    for x in S{j}[1:]: T{j} += x
+    for x in S{j}[first + 1:]: W{j} += x
+    tails.append((inf if I{j} >= 0 else T{j}, inf if F{j} == inf or I{j} >= first else W{j}, q{j}, hi[2][{j}]))
+    return dev, mono, marks, tails, ({logs}, s), hi[:2]"""
+
+
+@lru_cache(maxsize=64)
+def _pass_source(m_max: int, n_c: int, coeffs: tuple) -> str:
+    """:data:`_PASS` for m_max, n_c exponents and the names of f's jet coefficients."""
+    slots = [dict(j=j, m=j // n_c, c=j % n_c) for j in range((m_max + 1) * n_c)]
+    ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=coeffs[m], am1=coeffs[m + 1]) for m in range(m_max + 1)]
+    fill = {
+        "a": coeffs, "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
+        "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
+        "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
+    }
+    return "\n".join(
+        line.format(**fill, **each)
+        for line in _PASS.split("\n")
+        for each in (slots if "{j}" in line else ms if "{m}" in line else [{}])
+    )

@@ -9,9 +9,10 @@ exp uses the first-order recurrence obtained from (e^u)' = e^u * u',
 and integer powers use binary powering.
 
 :func:`eval_jet` builds a straight-line function from the tree and the
-order, calling kernels for products and exp built once per order; it does
-a recursive walk's operations in its order, so every bit and the
-overflowing node match.  Their code is compiled once per source text by
+order, calling kernels for products and exp built once per order and zero
+pattern (:func:`_kernel`); it does a recursive walk's operations in its
+order, but for terms with a literal zero factor, so every bit and the
+overflowing node match.  The code is compiled once per source text by
 ``expr._function_code``; constants and nodes are bound as globals.
 """
 
@@ -51,7 +52,7 @@ def _jet_body(expr: FuncExpr, order: int, env: dict):
     """The lines computing expr's coefficients a_0..a_order at the complex
     ``z``, and the names that hold them; the kernels and the constants the
     lines read are bound into ``env``, so other statements can share it."""
-    env.update(_kernels(order + 1), power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
+    env.update(power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
     lines: list = []
     return lines, _emit(expr, order + 1, lines, env)
 
@@ -62,16 +63,22 @@ def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
         return ["z", "(1 + 0j)", *["0j"] * (n - 2)][:n]
     if isinstance(expr, Constant):
         return [_bind(env, "c", expr.value), *["0j"] * (n - 1)]
-    if isinstance(expr, (Add, Mul)):
-        a, b = _emit(expr.left, n, lines, env), _emit(expr.right, n, lines, env)
-        value = [f"{x} + {y}" for x, y in zip(a, b)] if isinstance(expr, Add) else f"mul({', '.join(a + b)})"
+    if isinstance(expr, Add):
+        value = [f"{x} + {y}" for x, y in zip(_emit(expr.left, n, lines, env), _emit(expr.right, n, lines, env))]
     elif isinstance(expr, (Negate, Scale)):
         a = _emit(expr.arg, n, lines, env)
         prefix = "-" if isinstance(expr, Negate) else f"{_bind(env, 'c', expr.factor)} * "
         value = [prefix + x for x in a]
-    elif isinstance(expr, (Exp, IntPower)):
-        a = ", ".join(_emit(expr.arg, n, lines, env))
-        value = f"exp_jet({a})" if isinstance(expr, Exp) else f"power(mul, ({a},), {expr.power})"
+    elif isinstance(expr, (Mul, Exp)):
+        # an operand's literal zeros, a suffix of it, are not passed
+        operands = (expr.left, expr.right) if isinstance(expr, Mul) else (expr.arg,)
+        args = [[x for x in _emit(a, n, lines, env) if x != "0j"] for a in operands]
+        kernel = _bind(env, "k", _kernel(isinstance(expr, Mul), n, tuple(map(len, args))))
+        value = f"{kernel}({', '.join(x for a in args for x in a)})"
+    elif isinstance(expr, IntPower):
+        # the powers of a are not sparse: each product takes all their coefficients
+        kernel = _bind(env, "k", _kernel(True, n, (n, n)))
+        value = f"power({kernel}, ({', '.join(_emit(expr.arg, n, lines, env))},), {expr.power})"
     else:
         raise TypeError(f"not a FuncExpr node: {expr!r}")
     node = _bind(env, "n", expr)
@@ -93,26 +100,30 @@ def _emit(expr: FuncExpr, n: int, lines: list, env: dict) -> list:
     return out
 
 
-# n runs to the cap + 2: a Rubel-path node takes its jet one order past m_max
-@lru_cache(maxsize=_MAX_JET_ORDER + 2)
-def _kernels(n: int) -> dict:
-    """Straight-line Cauchy product ``mul`` and exp recurrence ``exp_jet``
-    on n coefficients, by name, built once per n (callers copy the dict, never
-    change it); their sums start from 0, as ``sum()`` starts them."""
-    a, b, u, v = ([f"{p}{k}" for k in range(n)] for p in "abuv")
-    conv = [" + ".join(["0", *(f"a{j} * b{k - j}" for j in range(k + 1))]) for k in range(n)]
-    rec = [" + ".join(["0", *(f"{j} * u{j} * v{k - j}" for j in range(1, k + 1))]) for k in range(1, n)]
-    mul = "\n".join([f"def mul({', '.join(a + b)}):", f"    return ({', '.join(conv)},)"])
-    exp_jet = "\n".join([
-        f"def exp_jet({', '.join(u)}):",
-        "    v0 = exp(u0)",
-        *(f"    v{k} = ({terms}) / {k}" for k, terms in enumerate(rec, 1)),
-        f"    return ({', '.join(v)},)",
-    ])
-    return {
-        "mul": FunctionType(_function_code(mul), {}),
-        "exp_jet": FunctionType(_function_code(exp_jet), {"exp": cmath.exp}),
-    }
+# n runs to the cap + 2 (a Rubel path takes its jet one order past m_max),
+# and an operand is dense, z's or a constant's: the cache stays small
+@lru_cache(maxsize=None)
+def _kernel(mul: bool, n: int, live: tuple):
+    """The straight-line Cauchy product of a and b, or exp recurrence of u, on
+    n coefficients, taking each operand's first ``live`` ones: the rest, z's
+    past a_1 or a constant's past a_0, are literal zeros.  Their terms, signed
+    zeros of finite factors (a non-finite z or constant fails the check on a_0
+    of the first product or exp it enters), are left out: each sum starts from
+    0, as ``sum()`` starts it, so never holds -0.0; with no term left it is 0j."""
+    if mul:
+        terms = [[f"a{j} * b{k - j}" for j in range(k + 1) if j < live[0] and k - j < live[1]] for k in range(n)]
+        params = [f"{p}{k}" for p, count in zip("ab", live) for k in range(count)]
+        body = [f"    return ({', '.join(' + '.join(['0', *t]) if t else '0j' for t in terms)},)"]
+    else:
+        terms = [[f"{j} * u{j} * v{k - j}" for j in range(1, min(k + 1, live[0]))] for k in range(1, n)]
+        params = [f"u{k}" for k in range(live[0])]
+        body = [
+            "    v0 = exp(u0)",
+            *(f"    v{k} = ({' + '.join(['0', *t])}) / {k}" if t else f"    v{k} = 0j" for k, t in enumerate(terms, 1)),
+            f"    return ({', '.join(f'v{k}' for k in range(n))},)",
+        ]
+    source = "\n".join([f"def {'mul' if mul else 'exp_jet'}({', '.join(params)}):", *body])
+    return FunctionType(_function_code(source), {"exp": cmath.exp})
 
 
 def _power(mul, a: tuple, k: int) -> tuple:

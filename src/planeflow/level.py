@@ -241,10 +241,11 @@ def transit_time(
 
     quadrature_time integrates 1/|g(z(X))|^2 over the curve's X-range by
     :func:`gauss_kronrod` to ``_TRANSIT_REL_TOL`` of the whole, in the chart
-    X = b sinh(s), b = |beta| (at least 1e-12 max|X|): |G| = b cosh(s) there,
-    so where 1/|g|^2 is a power of |G| the integrand b cosh(s)/|g|^2 is
-    smooth in s (for G = z^k/k, a constant times cosh(s)^((2-k)/k)).  Each
-    node is corrected onto the curve from the chord of its bracketing samples.
+    X = b sinh(s), b = |beta| (at least 1e-12 max|X|, capped at |x0| for a
+    range nearest 0 at x0 != 0): |G| = b cosh(s) there, so where 1/|g|^2 is
+    a power of |G| the integrand b cosh(s)/|g|^2 is smooth in s (for G = z^k/k,
+    a constant times cosh(s)^((2-k)/k)).  Each node is corrected onto the
+    curve from the chord of its bracketing samples.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
@@ -260,10 +261,11 @@ def transit_time(
     ge = compile_fn(dg)
     newton = _newton(curve.big_g, dg)
     xs, zs, beta = curve.xs, curve.zs, curve.beta
-    b = max(abs(beta), 1e-12 * max(abs(x1), abs(x2)), 1e-300)  # > 0 for a subnormal X-range too
     # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
     # nearest 0, so that far from X = 0 neither its nodes nor its s-range cancel
     x0 = min(max(x1, 0.0), x2)
+    # > 0 for a subnormal X-range too; a floor above |x0| > 0 would hide the range's start from the quadrature
+    b = max(abs(beta), min(1e-12 * max(abs(x1), abs(x2)), abs(x0) or math.inf), 1e-300)
     w, hw = x0 / b, math.hypot(1.0, x0 / b)
 
     def chart(s):

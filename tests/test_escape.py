@@ -3,12 +3,14 @@ import cmath
 import dataclasses
 import math
 import random
+from types import FunctionType
 
 import pytest
 from conftest import reference_point_on_level, rubel_start
 
 from planeflow.errors import PlaneflowError, SegmentTruncated, TractViolation
 import planeflow.escape as escape_module
+import planeflow.jets as jets_module
 from planeflow import cli
 from planeflow.escape import (
     RubelPathReport,
@@ -18,7 +20,7 @@ from planeflow.escape import (
     rubel_path,
     transverse_segment,
 )
-from planeflow.expr import Scale, compile_fn, derivative, parse_expr
+from planeflow.expr import Scale, _bind, _emit_body, _function_code, compile_fn, derivative, parse_expr
 from planeflow.flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -30,8 +32,8 @@ from planeflow.flow import (
     drive_field,
     integrate,
 )
-from planeflow.jets import eval_jet
-from planeflow.level import trace_level
+from planeflow.jets import _jet_body, eval_jet
+from planeflow.level import _newton, point_on_level, trace_level
 from planeflow.quadrature import gauss_kronrod
 
 
@@ -359,6 +361,136 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     return report, marked[-1]
 
 
+# rubel_path's node and tail sums as they were before one generated pass
+# walked the path: a function generated per node, whose lists are then
+# transposed into one column per (m, c) and summed by _column_trapezoid,
+# kept as the reference the pass must match repr for repr.
+
+def _column_node(f, df, d_shift, m_max, c_values):
+    env = {
+        "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
+    }
+    jet, coeffs = _jet_body(f, max(m_max + 1, 2), env)
+    a0, a1, a2 = coeffs[:3]
+    lines = [
+        "def node(t, z0):",
+        "    z = complex(z0)",
+        *jet,
+        f"    tt = t * t + {_bind(env, 'c', d_shift * d_shift)}",
+        f"    lf = 0.5 * log(tt) if tt < inf else log(hypot(t, {_bind(env, 'c', d_shift)}))",
+        f"    u = t / {a1}",
+        f"    k = 1.0 - (2 * {a2} / {a1} * u).real",
+    ]
+    for m, (a, b) in enumerate(zip(coeffs[: m_max + 1], coeffs[1:])):
+        lines += [
+            f"    L{m} = log(abs({a} * {math.factorial(m)} / {a0})) + lf if {a} != 0 else -inf",
+            f"    e{m} = ({m + 1} * {b} / {a} * u).real if {a} != 0 else 0.0",
+        ]
+    body, fp, env = _emit_body(df, env, root="droot", temp="d")
+    cs = [(m, _bind(env, "c", c)) for m in range(m_max + 1) for c in c_values]
+    lines += [
+        body,
+        f"    s = abs({fp})",
+        f"    return [{', '.join(f'L{m}' for m in range(m_max + 1))}], "
+        f"[{', '.join(f'exp_real(-{c} * L{m}) / s' for m, c in cs)}], "
+        f"[{', '.join(f'k - {c} * e{m}' for m, c in cs)}], s, {a0}",
+    ]
+    return FunctionType(_function_code("\n".join(lines)), env)
+
+
+def _column_trapezoid(ts, ss, qs, ds):
+    fs = [t * q for t, q in zip(ts, qs)]
+    if math.inf in fs:
+        return math.inf
+    gs = [fv * d for fv, d in zip(fs, ds)]
+    total = 0.0
+    for sa, fa, ga, sb, fb, gb in zip(ss, fs, gs, ss[1:], fs[1:], gs[1:]):
+        h = sb - sa
+        total += h / 2.0 * (fa + fb) + h * h / 12.0 * (ga - gb)
+    return total
+
+
+def _column_report(f, d_shift, curve, m_max, c_values):
+    """rubel_path's report from a traced curve, by the per-node function
+    and the per-column sums."""
+    df = derivative(f)
+    ts, zs = curve.xs, curve.zs
+    node = _column_node(f, df, d_shift, m_max, c_values)
+    at_samples = [node(t, z) for t, z in zip(ts, zs)]
+    vs = [v for *_, v in at_samples]
+    im_dev = max(abs(w.imag - d_shift) for w in vs)
+    monotone = all(b.real > a.real for a, b in zip(vs, vs[1:])) and all(w.real > 0 for w in vs)
+
+    last = len(zs) - 1
+    marks = []
+    next_mark = abs(zs[0])
+    for i, z in enumerate(zs):
+        r = abs(z)
+        if r >= next_mark and r > 1.0:
+            marks.append(i)
+            next_mark = r * 1.3
+    if last not in marks[-1:] and abs(zs[last]) > 1.0:
+        marks.append(last)
+    growth = {
+        m: tuple((abs(zs[i]), at_samples[i][0][m] / math.log(abs(zs[i]))) for i in marks)
+        for m in range(m_max + 1)
+    }
+
+    t_hi = ts[-1]
+    t_lo = 0.5 * t_hi
+    first = bisect.bisect_right(ts, t_lo)
+    window = [node(t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])), *at_samples[first:]]
+    ss = [math.log(t) for t in ts]
+    ts_w, ss_w = (t_lo, *ts[first:]), (math.log(t_lo), *ss[first:])
+
+    (logs_lo, *_, s_lo, _), (logs_hi, *_, s_hi, _) = window[0], window[-1]
+    pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
+    columns = [zip(*(rec[k] for rec in nodes)) for nodes in (at_samples, window) for k in (1, 2)]
+    tails = []
+    for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
+        partial = _column_trapezoid(ts, ss, qs, ds)
+        w_last = _column_trapezoid(ts_w, ss_w, vals, ds_w)
+        ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if 0 < vals[0] < math.inf and vals[-1] < math.inf else math.inf
+        if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
+            x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
+                -c * logs_lo[m] - math.log(s_lo) + math.log(t_lo)
+            )
+            ratio = math.exp(x) if x < 709.0 else math.inf
+        finite = math.isfinite(partial) and ratio < 1.0 - 1e-12
+        bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
+        tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
+
+    return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
+
+
+def _pass_outcome(fn):
+    """repr of the report, or the exception's class and message."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _column_cases():
+    """(f, D, seed, t_end) of class-B paths, D in {0, 3.7}, and of the edges:
+    the infinite tail of z^2, the window ratio of z just under 1, t_end near
+    the top of the double range, and f'' so small that a term overflows."""
+    cases = []
+    for text, seed in [
+        ("exp(z)", 2.0), ("z*exp(z)", 2.0), ("exp(z^2)", 2.0), ("exp(2*z)", 1.0),
+        ("(exp(i*z)-exp(-i*z))*(-0.5i)", complex(math.pi / 2, 1.0)),
+    ]:
+        f = parse_expr(text)
+        fe, fpe = compile_fn(f), compile_fn(derivative(f))
+        w = fe(complex(seed))
+        cases.append((f, w.imag, seed, math.exp(40.0)))
+        # the same t on the level Im f = 3.7, by Newton's method from the seed
+        cases.append((f, 3.7, reference_point_on_level(fe, fpe, w.real, 3.7, seed), math.exp(40.0)))
+    for text, t_end in [("z^2", 1e6), ("z", 1e6), ("exp(z)", 1.7e308), ("z + 1e-300*z^2", 1e6)]:
+        cases.append((parse_expr(text), 0.0, 2.0, t_end))
+    return cases
+
+
 def _tail_integrand(f, d_shift, m_max, c_values):
     """(place, q): place(t, guess) puts a point on the path f = t + iD by
     Newton's method, and q(z) lists |f^(m)(z)|^(-c) / |f'(z)| per (m, c),
@@ -565,25 +697,39 @@ class TestRubelPath:
         assert rep.tail_integrals == () and len(rep.growth_ratios) == 4
 
     def test_one_jet_per_node(self, monkeypatch):
-        real = escape_module._rubel_node
+        # each of these f has one exp, so each jet evaluation makes one exp recurrence
+        real = jets_module._kernel
         calls = []
 
-        def counted_node(*args):
-            node = real(*args)
+        def counted_kernel(mul, n, live):
+            fn = real(mul, n, live)
+            return fn if mul else (lambda *u: calls.append(1) or fn(*u))
 
-            def counted(t, z):
-                calls.append(z)
-                return node(t, z)
-
-            return counted
-
-        monkeypatch.setattr(escape_module, "_rubel_node", counted_node)
+        monkeypatch.setattr(jets_module, "_kernel", counted_kernel)
         cfg = IntegratorConfig(escape_radius=1e9)
         for f, d_shift, seed, t_end, m_max, c_values in _rubel_cases()[:6]:
             calls.clear()
             rep = rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values)
             # every sample and the window's node at T/2
             assert len(calls) == len(rep.samples) + 1
+
+    def test_matches_column_pass_repr_for_repr(self):
+        # the one generated pass against the per-node function and per-column
+        # sums it replaced: reports, and exceptions in their order
+        cfg = IntegratorConfig(escape_radius=1e9)
+        outcomes = []
+        for f, d_shift, seed, t_end in _column_cases():
+            curve = trace_level(f, seed, t_end, cfg)
+            for m_max in range(5):
+                for c_values in [(0.25, 0.5, 1.0, 2.0), ()] if m_max == 3 else [(0.25, 0.5, 1.0, 2.0)]:
+                    got = _pass_outcome(lambda: rubel_path(f, d_shift, seed, t_end, cfg, m_max=m_max, c_values=c_values))
+                    want = _pass_outcome(lambda: _column_report(f, d_shift, curve, m_max, c_values))
+                    assert got == want, (f, d_shift, seed, t_end, m_max, c_values)
+                    outcomes.append(want)
+        # the edges are reached: an infinite tail, a ratio just under 1, and a term that overflows
+        assert any("partial_sum=inf" in o for o in outcomes if isinstance(o, str))
+        assert any("window_ratio=0.99999999999" in o for o in outcomes if isinstance(o, str))
+        assert (OverflowError, "math range error") in outcomes
 
     @pytest.mark.parametrize("m_max", [-1, 65])
     def test_m_max_rejected_before_tracing(self, monkeypatch, m_max):

@@ -21,7 +21,7 @@ from planeflow.expr import (
     parse_expr,
 )
 from planeflow import jets
-from planeflow.escape import _rubel_node
+from planeflow.escape import _rubel_pass
 from planeflow.flow import Field
 from planeflow.jets import eval_jet
 from planeflow.level import _newton
@@ -85,7 +85,7 @@ def _jet_walk(expr: FuncExpr, z: complex, order: int):
     elif isinstance(expr, Exp):
         try:
             out = _c_exp(_jet_walk(expr.arg, z, order))
-        except OverflowError:
+        except (OverflowError, ValueError):  # ValueError: exp of a finite real, infinite imaginary part
             raise EvaluationOverflow(expr, at=z) from None
     elif isinstance(expr, IntPower):
         out = _c_pow(_jet_walk(expr.arg, z, order), expr.power)
@@ -171,14 +171,14 @@ class TestOverflow:
 @pytest.fixture
 def mul_calls(monkeypatch):
     """Record every jet convolution of the jet functions generated from here on."""
-    real = jets._kernels
+    real = jets._kernel
     calls = []
 
-    def kernels(n):
-        mul = real(n)["mul"]
-        return dict(real(n), mul=lambda *ab: calls.append(1) or mul(*ab))
+    def kernel(mul, n, live):
+        fn = real(mul, n, live)
+        return (lambda *ab: calls.append(1) or fn(*ab)) if mul else fn
 
-    monkeypatch.setattr(jets, "_kernels", kernels)
+    monkeypatch.setattr(jets, "_kernel", kernel)
     return calls
 
 
@@ -209,7 +209,7 @@ class TestIntPower:
     )
     def test_matches_repeated_product(self, text, z):
         a = eval_jet(parse_expr(text), z, 6)
-        mul = jets._kernels(7)["mul"]
+        mul = jets._kernel(True, 7, (7, 7))
         for k in range(13):
             ref = (1 + 0j,) + (0j,) * 6
             for _ in range(k):
@@ -240,6 +240,29 @@ class TestGenerated:
             assert _outcome(lambda: eval_jet(expr, z, order)) == want, (expr, order, z)
             raised += isinstance(want, tuple)
         assert raised >= 20  # the overflowing node is compared too
+        # a non-finite z: the jets leave out the terms of z's literal zeros,
+        # which the walk's 0 * inf would make nan; the same node still raises
+        inf, nan = math.inf, math.nan
+        points = [complex(inf, 0.0), complex(0.0, -inf), complex(-inf, inf), complex(nan, 1.0), complex(1.0, nan),
+                  complex(nan, nan), complex(inf, nan)]
+        for _ in range(300):
+            expr = random_expr(rng, rng.randint(1, 4))
+            order = rng.randint(0, 8)
+            for z in points:
+                want = _outcome(lambda: _jet_walk(expr, z, order))
+                assert _outcome(lambda: eval_jet(expr, z, order)) == want, (expr, order, z)
+
+    @pytest.mark.parametrize("text", ["exp(z)", "z*exp(z)"])
+    def test_no_product_with_a_literal_zero(self, monkeypatch, text):
+        # every source the jet compiles, its kernels' included: 0j only in
+        # z's a_1, 1 + 0j, never a factor or an argument
+        sources = []
+        monkeypatch.setattr(jets, "_function_code", lambda source: sources.append(source) or _function_code(source))
+        jets._kernel.cache_clear()
+        eval_jet(parse_expr(text), 0.5, 5)
+        assert any("def exp_jet(u0, u1):" in src for src in sources)
+        assert ("def mul(a0, a1, b0, b1, b2, b3, b4, b5):" in "".join(sources)) == (text == "z*exp(z)")
+        assert not [src for src in sources if "0j" in src.replace("(1 + 0j)", "")]
 
     def test_signed_zero_constants_kept_apart(self):
         # Constant(0j) == Constant(-0j), so a table keyed by equality would
@@ -260,12 +283,15 @@ class TestGenerated:
             eval_jet(Z, 1.0, jets._MAX_JET_ORDER + 1)
 
     def test_kernels_built_once_per_order(self):
-        # kept for every order eval_jet and the Rubel-path nodes take: none
-        # is evicted by the others
-        first = jets._kernels(1)["mul"]
+        # kept for every order eval_jet and the Rubel-path passes take, and
+        # for each zero pattern (dense, z's, a constant's): none is evicted
+        # by the others
+        first = jets._kernel(True, 1, (1, 1))
         for n in range(1, jets._MAX_JET_ORDER + 3):
-            assert jets._kernels(n)["exp_jet"] is jets._kernels(n)["exp_jet"]
-        assert jets._kernels(1)["mul"] is first
+            for live in {n, min(n, 2), 1}:
+                assert jets._kernel(False, n, (live,)) is jets._kernel(False, n, (live,))
+                assert jets._kernel(True, n, (live, n)) is jets._kernel(True, n, (live, n))
+        assert jets._kernel(True, 1, (1, 1)) is first
 
     def test_function_code_is_the_one_cache(self):
         # every kind of generated function is compiled through _function_code:
@@ -275,7 +301,7 @@ class TestGenerated:
             "compile_fn": compile_fn,
             "Field point and step": lambda f: Field(f, "-{}").step,
             "newton": lambda f: _newton(f, derivative(f)),
-            "rubel node": lambda f: _rubel_node(f, derivative(f), 0.5, 3, (0.5, 1.0)),
+            "rubel pass": lambda f: _rubel_pass(f, derivative(f), 0.5, 3, (0.5, 1.0)),
             "eval_jet": lambda f: eval_jet(f, 0.5, 3),
         }
         first, second = (Add(Scale(c, Exp(Z)), IntPower(Z, 3)) for c in (2.0, -3.0))

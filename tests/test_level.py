@@ -433,6 +433,25 @@ class TestTransit:
         assert curve.x_end - curve.x_start == 1.0
         assert abs(transit_time(curve).quadrature_time - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "text, start, x_max",
+        [("z^3 * (1/3)", 1.0, 1e27), ("z - exp(-z)", complex(-1.0, math.pi), 1e100)],
+        ids=["cubic", "tract"],
+    )
+    def test_wide_range_keeps_its_start(self, text, start, x_max):
+        # a chart floor of 1e-12 max|X| far above the start X would squeeze
+        # [X1, a few] into an s-width below the quadrature's resolution, and
+        # read as a divergence near X = 0.904 on the cubic
+        cfg = IntegratorConfig(escape_radius=1e9)
+        curve = trace_level(parse_expr(text), start, x_max, cfg)
+        if text == "z^3 * (1/3)":
+            want = 1.0 - 1.0 / (3.0 * curve.x_end) ** (1.0 / 3.0)
+        else:
+            # the line is Im z = pi, where G = x + e^-x + i pi and g = 1 - e^-x, run
+            # from x = -1 down: with y = -x, the integral of dy/(e^y - 1) from 1
+            want = -math.log(1.0 - math.exp(-1.0))
+        assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-12 * want
+
     def test_divergence_flag_near_interior_critical_point(self):
         rep = transit_time(_critical_value_curve())
         assert rep.quadrature_time == math.inf
