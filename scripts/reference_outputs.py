@@ -12,6 +12,10 @@ in a checkout of each commit and compare with ``diff -r OLD NEW``, or with
 ``scripts/compare_outputs.py OLD NEW``, which passes when the commands
 whose outputs differ are exactly those listed as intended changes.
 
+The script's own stdout gets one line per command: its exit code and its
+wall time.  The times never go into OUTDIR, so two runs' trees compare
+byte for byte.
+
 Exits 1 when any command exits with another code than it should: 0, or
 the code ``EXPECTED_EXITS`` gives it: 2 for an input rejected at the
 edge, 3 for a numerical failure.  So a documented command that stops
@@ -23,6 +27,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 COMMANDS = (
@@ -126,6 +131,7 @@ def main(argv) -> int:
         run_dir = root / name
         files = run_dir / "files"
         files.mkdir(parents=True)
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "planeflow.cli", *args, *(["--out", "."] if args != ["demo"] else [])],
             cwd=files, env=env, capture_output=True,
@@ -135,7 +141,7 @@ def main(argv) -> int:
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
         if proc.returncode != EXPECTED_EXITS.get(name, 0):
             failed.append(name)
-        print(f"{name}: exit {proc.returncode}")
+        print(f"{name}: exit {proc.returncode} in {time.perf_counter() - start:.2f} s")
     if failed:
         print(f"unexpected exit code: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from .errors import ParseError, PlaneflowError
@@ -35,7 +35,7 @@ from .flow import (
 )
 from .jets import _MAX_JET_ORDER
 from .level import infinite_time_criterion, trace_level, transit_time
-from .reports import write_report
+from .reports import dumps_report
 from .svg import SvgScene, _scale, render_svg
 
 __all__ = ["main", "run_cli"]
@@ -112,30 +112,47 @@ def _window(text: str) -> tuple:
     return complex(cx, cy), hw
 
 
-# flags shared by several subcommands; each subcommand registers the ones it reads
+def _out_dir(text: str) -> Path:
+    """argparse type for --out: a directory, or a path that can become one."""
+    path = Path(text)
+    # the nearest path that exists, --out itself or an ancestor, must be a directory
+    found = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if found is not None and not os.path.isdir(found):
+        raise argparse.ArgumentTypeError(f"must name a directory, but {found} exists and is not one")
+    return path
+
+
+# every flag of every subcommand, defined once; a subcommand's row in
+# _COMMANDS names the flags it reads and marks a required one with '!'
 _FLAGS = {
     "f": dict(help="holomorphic flow expression"),
     "g": dict(help="antiholomorphic flow expression"),
-    "z0": dict(required=True, help="start point 're,im' or 'a+bi'"),
+    "z0": dict(help="start point 're,im' or 'a+bi'"),
     "kind": dict(choices=("holo", "antiholo"), default="holo"),
     "reversed": dict(action="store_true", help="reverse time"),
-    "G": dict(required=True, help="potential whose level curve is traced"),
-    "start": dict(required=True, help="start point"),
-    "Xmax": dict(type=_finite_float, required=True, help="target Re G"),
+    "G": dict(help="potential whose level curve is traced"),
+    "start": dict(help="start point"),
+    "Xmax": dict(type=_finite_float, help="target Re G"),
     "tol": dict(type=_finite_float, default=None, help="relative tolerance override"),
     "tmax": dict(type=float, default=None, help="integration time budget"),
     "radius": dict(type=float, default=None, help="escape radius"),
-    "out": dict(type=Path, default=Path("."), help="output directory"),
+    "out": dict(type=_out_dir, default=Path("."), help="output directory, created when absent"),
     "json": dict(action="store_true", help="write a JSON report"),
     "svg": dict(action="store_true", help="write an SVG scene"),
     "csv": dict(action="store_true", help="write a CSV table"),
     "window": dict(type=_window, default=None, help="plot window as 'cx,cy,halfwidth' (default: fit to data)"),
+    "delta": dict(type=_finite_float, default=1.0),
+    "N": dict(type=_int_at_least(1), default=1000, help="number of samples"),
+    "keep": dict(type=_int_at_least(0), default=40, help="trajectories kept for the SVG"),
+    "seed": dict(type=int, default=0, help="RNG seed"),
+    "D": dict(type=_finite_float, default=0.0),
+    "seed-point": dict(help="seed inside the large-|f| tract"),
+    "t-end": dict(type=_finite_float),
+    "m-max": dict(type=_int_at_least(0, _MAX_JET_ORDER), default=3),
+    "c": dict(type=_positive_float, action="append", default=None,
+              help="exponent for the reciprocal tail integral (repeatable)"),
+    "coeffs": dict(help="ascending coefficients 'a0,a1,...'"),
 }
-
-
-def _add_flags(p: argparse.ArgumentParser, names: str) -> None:
-    for name in names.split():
-        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _spec_from_args(args) -> FlowSpec:
@@ -151,32 +168,50 @@ def _spec_from_args(args) -> FlowSpec:
     return FlowSpec(HOLOMORPHIC if holo else ANTIHOLOMORPHIC, parse_expr(text), direction)
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    lines = ["t,re_z,im_z,abs_z,step_error"]
-    for (t, z), err in zip(traj.samples, traj.errors):
-        lines.append(f"{t!r},{z.real!r},{z.imag!r},{abs(z)!r},{err!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(args, name: str, text: str) -> None:
+    """The one writer of output files: text to --out/name as UTF-8 with
+    '\\n' line ends, creating --out; an OSError is a usage error."""
+    path = args.out / name
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _scene_window(args, points):
-    if args.window:
-        return args.window
-    if not points:
-        return 0j, 5.0
-    re_lo = min(p.real for p in points)
-    re_hi = max(p.real for p in points)
-    im_lo = min(p.imag for p in points)
-    im_hi = max(p.imag for p in points)
-    center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-    hw = 0.55 * max(re_hi - re_lo, im_hi - im_lo, 1e-6)
-    return center, hw
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
-def _poly_roots(coeffs, iters=200):
-    """Durand-Kerner roots of an ascending-coefficient polynomial whose
-    last coefficient is nonzero, as ``poly_coeffs`` returns them."""
-    c = [complex(v) for v in coeffs]
+def _trajectory_csv(traj: Trajectory) -> str:
+    rows = ((t, z.real, z.imag, abs(z), err) for (t, z), err in zip(traj.samples, traj.errors))
+    return _csv("t,re_z,im_z,abs_z,step_error", rows)
+
+
+def _svg(args, polylines, seed, legend, zeros=()) -> str:
+    """The scene of (points, css class) polylines, drawn in order, the seed and
+    zero markers and the legend lines, in --window or fit to the polylines."""
+    points = [z for line, _ in polylines for z in line]
+    window = args.window or (0j, 5.0)
+    if not args.window and points:
+        res, ims = [p.real for p in points], [p.imag for p in points]
+        center = complex(0.5 * (min(res) + max(res)), 0.5 * (min(ims) + max(ims)))
+        window = center, 0.55 * max(max(res) - min(res), max(ims) - min(ims), 1e-6)
+    scene = SvgScene(*window)
+    for line, css in polylines:
+        scene.add_polyline(line, css)
+    scene.add_marker(seed, "seed")
+    for root in zeros:
+        scene.add_marker(root, "zero")
+    for text in legend:
+        scene.add_legend(text)
+    return render_svg(scene)
+
+
+def _poly_roots(spec: FlowSpec, iters=200):
+    """Durand-Kerner roots of the flow's function when ``poly_coeffs`` reads
+    it as a polynomial (ascending, last coefficient nonzero); else none."""
+    c = [complex(v) for v in poly_coeffs(spec.func) or ()]
     n = len(c) - 1
     if n < 1:
         return []
@@ -229,27 +264,19 @@ def _cmd_simulate(args) -> int:
     term = classify(traj, cfg)
     traj = replace(traj, termination=term)
     print(_termination_line(term))
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.csv or not (args.json or args.svg):
-        write_trajectory_csv(traj, args.out / "trajectory.csv")
+        _write(args, "trajectory.csv", _trajectory_csv(traj))
     if args.json:
-        write_report(traj, args.out / "trajectory.json")
+        _write(args, "trajectory.json", dumps_report(traj))
     if args.svg:
-        scene = SvgScene(*_scene_window(args, [z for _, z in traj.samples]))
-        css = "blowup" if term.name == "FiniteTimeBlowup" else "trajectory"
-        scene.add_polyline([z for _, z in traj.samples], css)
-        scene.add_marker(z0, "seed")
-        for root in _poly_roots_of(spec):
-            scene.add_marker(root, "zero")
-        scene.add_legend(f"dz/dt = {_rhs_text(spec)}")
-        scene.add_legend(_termination_line(term))
-        (args.out / "trajectory.svg").write_text(render_svg(scene))
+        line = ([z for _, z in traj.samples], _css(term.name))
+        legend = (f"dz/dt = {_rhs_text(spec)}", _termination_line(term))
+        _write(args, "trajectory.svg", _svg(args, [line], z0, legend, _poly_roots(spec)))
     return 0
 
 
-def _poly_roots_of(spec: FlowSpec):
-    coeffs = poly_coeffs(spec.func)
-    return _poly_roots(coeffs) if coeffs else []
+def _css(termination: str) -> str:
+    return "blowup" if termination == "FiniteTimeBlowup" else "trajectory"
 
 
 def _rhs_text(spec: FlowSpec) -> str:
@@ -271,11 +298,10 @@ def _cmd_classify(args) -> int:
         print(f"  no finite escape time concluded: {est.note}")
     for r, t in est.exit_times:
         print(f"  radius {r:g} crossed at t={t!r}")
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.json:
-        write_report(est, args.out / "classify.json")
+        _write(args, "classify.json", dumps_report(est))
     if args.csv:
-        write_trajectory_csv(traj, args.out / "trajectory.csv")
+        _write(args, "trajectory.csv", _trajectory_csv(traj))
     return 0
 
 
@@ -288,19 +314,12 @@ def _cmd_level_trace(args) -> int:
         f"level curve: {len(curve)} samples, Im G = {curve.beta!r}, "
         f"X in [{curve.x_start!r}, {curve.x_end!r}], stop: {curve.stop_reason}"
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    lines = ["x,re_z,im_z"]
-    for x, z in curve.samples:
-        lines.append(f"{x!r},{z.real!r},{z.imag!r}")
-    (args.out / "level.csv").write_text("\n".join(lines) + "\n")
+    _write(args, "level.csv", _csv("x,re_z,im_z", ((x, z.real, z.imag) for x, z in curve.samples)))
     if args.json:
-        write_report(curve, args.out / "level.json")
+        _write(args, "level.json", dumps_report(curve))
     if args.svg:
-        scene = SvgScene(*_scene_window(args, list(curve.zs)))
-        scene.add_polyline(curve.zs, "level")
-        scene.add_marker(z0, "seed")
-        scene.add_legend(f"Im G = {curve.beta:.6g}, G = {to_text(big_g)}")
-        (args.out / "level.svg").write_text(render_svg(scene))
+        legend = (f"Im G = {curve.beta:.6g}, G = {to_text(big_g)}",)
+        _write(args, "level.svg", _svg(args, [(curve.zs, "level")], z0, legend))
     return 0
 
 
@@ -311,18 +330,17 @@ def _cmd_transit(args) -> int:
     curve = trace_level(big_g, z0, args.Xmax, cfg)
     report = transit_time(curve, cfg)
     crit = infinite_time_criterion(curve)
-    if math.isfinite(report.quadrature_time):
-        print(
-            f"transit over X in [{report.x_range[0]:.6g}, {report.x_range[1]:.6g}]: "
-            f"quadrature {report.quadrature_time!r}, flow {report.ode_time!r}, "
-            f"relative gap {report.relative_gap:.3g}"
-        )
-    else:
+    if not math.isfinite(report.quadrature_time):
         print(f"transit integrand diverges near X={report.divergence_witness!r}")
+    else:
+        lo, hi = report.x_range
+        check = f"flow {report.ode_time!r}, relative gap {report.relative_gap:.3g}"
+        if not math.isfinite(report.ode_time):  # the cross-check could not be run to the far end
+            check = f"the direct run did not reach Re G = {hi:.6g}"
+        print(f"transit over X in [{lo:.6g}, {hi:.6g}]: quadrature {report.quadrature_time!r}, {check}")
     if crit.fires:
         print("slow-growth criterion fires: transit to infinity is infinite")
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report(report, args.out / "transit.json")
+    _write(args, "transit.json", dumps_report(report))
     return 0
 
 
@@ -330,31 +348,19 @@ def _cmd_measure(args) -> int:
     cfg = _config(args)
     f = parse_expr(args.f)
     z0 = parse_complex(args.z0)
-    collect = args.keep if args.svg else 0
-    report = escape_measure(
-        f, z0, args.delta, args.N, cfg, seed=args.seed, collect=collect
-    )
+    report = escape_measure(f, z0, args.delta, args.N, cfg, seed=args.seed, collect=args.keep if args.svg else 0)
     print(
         f"{args.N} samples on the transverse segment (delta={args.delta:g}, seed={args.seed}): "
         f"finite-time fraction {report.finite_time_fraction!r}"
     )
     for name in sorted(report.counts):
         print(f"  {name}: {report.counts[name]}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report(report, args.out / "measure.json")
+    _write(args, "measure.json", dumps_report(report))
     if args.svg:
-        seg = transverse_segment(f, z0, args.delta, 64, cfg)
-        points = [z for _, z in seg]
-        for _, traj, _ in report.trajectories:
-            points.extend(z for _, z in traj.samples)
-        scene = SvgScene(*_scene_window(args, points))
-        for _, traj, name in report.trajectories:
-            css = "blowup" if name == "FiniteTimeBlowup" else "trajectory"
-            scene.add_polyline([z for _, z in traj.samples], css)
-        scene.add_polyline([z for _, z in seg], "segment")
-        scene.add_marker(z0, "seed")
-        scene.add_legend(f"finite-time fraction {report.finite_time_fraction:.4g}")
-        (args.out / "measure.svg").write_text(render_svg(scene))
+        lines = [([z for _, z in traj.samples], _css(name)) for _, traj, name in report.trajectories]
+        lines.append(([z for _, z in transverse_segment(f, z0, args.delta, 64, cfg)], "segment"))
+        legend = (f"finite-time fraction {report.finite_time_fraction:.4g}",)
+        _write(args, "measure.svg", _svg(args, lines, z0, legend))
     return 0
 
 
@@ -362,15 +368,7 @@ def _cmd_rubel(args) -> int:
     cfg = _config(args)
     f = parse_expr(args.f)
     seed_pt = parse_complex(args.seed_point)
-    report = rubel_path(
-        f,
-        args.D,
-        seed_pt,
-        args.t_end,
-        cfg,
-        m_max=args.m_max,
-        c_values=tuple(args.c or (0.5, 1.0)),
-    )
+    report = rubel_path(f, args.D, seed_pt, args.t_end, cfg, m_max=args.m_max, c_values=tuple(args.c or (0.5, 1.0)))
     print(
         f"path traced to t={report.samples[-1][0]:.6g} "
         f"(|z| up to {abs(report.samples[-1][1]):.6g}); "
@@ -381,12 +379,9 @@ def _cmd_rubel(args) -> int:
             r, q = points[-1]
             print(f"  m={m}: log|f^({m})|/log|z| = {q:.3f} at |z|={r:.4g}")
     for t in report.tail_integrals:
-        print(
-            f"  m={t.m} c={t.c:g}: partial {t.partial_sum:.6g}, "
-            f"window ratio {t.window_ratio:.4f}, finite: {t.finite}"
-        )
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report(report, args.out / "rubel.json")
+        print(f"  m={t.m} c={t.c:g}: partial {t.partial_sum:.6g}, "
+              f"window ratio {t.window_ratio:.4f}, finite: {t.finite}")
+    _write(args, "rubel.json", dumps_report(report))
     return 0
 
 
@@ -397,17 +392,13 @@ def _cmd_poly_summary(args) -> int:
     if kind == HOLOMORPHIC:
         if summary.degree >= 2:
             dirs = ", ".join(f"{a:.6g}" for a in summary.finite_time_directions)
-            print(
-                f"degree {summary.degree}: {summary.degree - 1} finite-time escape "
-                f"direction(s) at arg z = {dirs}"
-            )
+            print(f"degree {summary.degree}: {summary.degree - 1} finite-time escape direction(s) at arg z = {dirs}")
         else:
             print("degree 1: no finite-time escape directions")
     else:
         verdict = "finite" if summary.finite_transit else "infinite"
         print(f"degree {summary.degree}: transit time to infinity is {verdict}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report(summary, args.out / "poly_summary.json")
+    _write(args, "poly_summary.json", dumps_report(summary))
     return 0
 
 
@@ -617,59 +608,39 @@ def run_demo_suite():
 # argument parsing
 
 
+# one row per subcommand: name, help, the _FLAGS it reads ('!' marks a
+# required one), the function that runs it, and its defaults
+_COMMANDS = (
+    ("simulate", "integrate one trajectory and classify it",
+     "f g z0! kind reversed tol tmax radius out json svg csv window", _cmd_simulate, {}),
+    ("classify", "integrate and report escape-time analysis",
+     "f g z0! kind reversed tol tmax radius out json csv", _cmd_classify, {}),
+    ("level-trace", "trace a level curve of Im G",
+     "G! start! Xmax! radius out json svg window", _cmd_level_trace, dict(radius=1e9)),
+    ("transit", "transit time along a level curve",
+     "G! start! Xmax! tol tmax radius out", _cmd_transit, dict(radius=1e9)),
+    ("measure", "Monte Carlo escape measure on a transverse segment",
+     "f! delta N keep seed z0! tol tmax radius out svg window", _cmd_measure, {}),
+    ("rubel", "trace a growth path where f - iD is real increasing",
+     "f! D seed-point! t-end! m-max c radius out", _cmd_rubel, dict(radius=1e9)),
+    ("poly-summary", "predicted escape structure of a polynomial flow", "coeffs! kind out", _cmd_poly_summary, {}),
+    ("demo", "run the built-in example suite and print pass/fail", "", _cmd_demo, {}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planeflow",
         description="simulate plane flows of entire functions and their escape behavior",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # flags match by full name only: as a prefix, `rubel --seed` would set --seed-point
-    command = partial(sub.add_parser, allow_abbrev=False)
-
-    p = command("simulate", help="integrate one trajectory and classify it")
-    _add_flags(p, "f g z0 kind reversed tol tmax radius out json svg csv window")
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = command("classify", help="integrate and report escape-time analysis")
-    _add_flags(p, "f g z0 kind reversed tol tmax radius out json csv")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = command("level-trace", help="trace a level curve of Im G")
-    _add_flags(p, "G start Xmax radius out json svg window")
-    p.set_defaults(fn=_cmd_level_trace, radius=1e9)
-
-    p = command("transit", help="transit time along a level curve")
-    _add_flags(p, "G start Xmax tol tmax radius out")
-    p.set_defaults(fn=_cmd_transit, radius=1e9)
-
-    p = command("measure", help="Monte Carlo escape measure on a transverse segment")
-    p.add_argument("--f", required=True)
-    p.add_argument("--delta", type=_finite_float, default=1.0)
-    p.add_argument("--N", type=_int_at_least(1), default=1000, help="number of samples")
-    p.add_argument("--keep", type=_int_at_least(0), default=40, help="trajectories kept for the SVG")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    _add_flags(p, "z0 tol tmax radius out svg window")
-    p.set_defaults(fn=_cmd_measure)
-
-    p = command("rubel", help="trace a growth path where f - iD is real increasing")
-    p.add_argument("--f", required=True)
-    p.add_argument("--D", type=_finite_float, default=0.0)
-    p.add_argument("--seed-point", required=True, help="seed inside the large-|f| tract")
-    p.add_argument("--t-end", type=_finite_float, required=True)
-    p.add_argument("--m-max", type=_int_at_least(0, _MAX_JET_ORDER), default=3)
-    p.add_argument("--c", type=_positive_float, action="append", default=None,
-                   help="exponent for the reciprocal tail integral (repeatable)")
-    _add_flags(p, "radius out")
-    p.set_defaults(fn=_cmd_rubel, radius=1e9)
-
-    p = command("poly-summary", help="predicted escape structure of a polynomial flow")
-    p.add_argument("--coeffs", required=True, help="ascending coefficients 'a0,a1,...'")
-    _add_flags(p, "kind out")
-    p.set_defaults(fn=_cmd_poly_summary)
-
-    p = command("demo", help="run the built-in example suite and print pass/fail")
-    p.set_defaults(fn=_cmd_demo)
-
+    for name, help_text, flags, fn, defaults in _COMMANDS:
+        # flags match by full name only: as a prefix, `rubel --seed` would set --seed-point
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            key = flag.rstrip("!")
+            p.add_argument(f"--{key}", required=key != flag, **_FLAGS[key])
+        p.set_defaults(fn=fn, **defaults)
     return parser
 
 
@@ -709,6 +680,9 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    # the same bytes on stdout and stderr in every locale
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(run_cli())
 
 

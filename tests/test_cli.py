@@ -461,3 +461,78 @@ class TestSubcommands:
         assert "escape time" in out
         data = json.loads((tmp_path / "classify.json").read_text())
         assert data["conclusive"] is True
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", sorted(TestSubcommands._BASE))
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys, command, below):
+        # rejected at the edge: nothing is computed, printed or written
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out_dir = blocker / "sub" if below else blocker
+        code, out, err = run(TestSubcommands._BASE[command] + ["--out", str(out_dir)], capsys)
+        assert code == 2
+        assert f"argument --out: must name a directory, but {blocker} exists and is not one" in err
+        assert out == ""
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["poly-summary", "--coeffs", "0,0,1"], "poly_summary.json"),
+        (["classify", "--f", "z^2", "--z0", "1", "--json"], "classify.json"),
+        (["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50"], "level.csv"),
+    ], ids=["json", "classify-json", "csv"])
+    def test_write_failure_exit_2(self, tmp_path, capsys, argv, name):
+        # the file's own name is taken by a directory: an OSError from the writer
+        (tmp_path / name).mkdir()
+        code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path / name}: Is a directory\n"
+
+    def test_same_bytes_in_the_c_locale(self, tmp_path):
+        src = str(Path(planeflow.__file__).resolve().parents[1])
+        env = {
+            k: v for k, v in os.environ.items()
+            if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE"))
+        }
+        env["PYTHONPATH"] = src
+        runs = {
+            "c": (["-X", "utf8=0"], dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0")),
+            "utf8": (["-X", "utf8"], env),
+        }
+        seen = {}
+        for name, (mode, run_env) in runs.items():
+            out_dir = tmp_path / name
+            outputs = []
+            for argv in (
+                ["simulate", "--f", "-exp(-z)", "--z0", "0", "--svg", "--json", "--csv", "--out", str(out_dir)],
+                ["classify", "--f", "z^2", "--z0", "1"],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, *mode, "-m", "planeflow.cli", *argv],
+                    capture_output=True, env=run_env, timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append((proc.stdout, proc.stderr))
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            seen[name] = outputs, files
+        assert seen["c"] == seen["utf8"]
+        outputs, files = seen["c"]
+        assert all(stdout.startswith("FiniteTimeBlowup T≈1.0000\n".encode()) for stdout, _ in outputs)
+        assert sorted(files) == ["trajectory.csv", "trajectory.json", "trajectory.svg"]
+        assert "T≈1.0000".encode() in files["trajectory.svg"]
+
+    def test_transit_names_an_unreached_cross_check(self, tmp_path, capsys):
+        # the time left near X = 1e100 is below the resolution of t: the direct run stops short
+        code, out, _ = run(
+            ["transit", "--G", "z - exp(-z)", "--start", "-1+3.141592653589793i", "--Xmax", "1e100",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert out == (
+            "transit over X in [1.71828, 1e+100]: quadrature 0.45867514538707393, "
+            "the direct run did not reach Re G = 1e+100\n"
+        )
+        data = json.loads((tmp_path / "transit.json").read_text())
+        assert data["ode_time"] is None and data["relative_gap"] is None
