@@ -76,6 +76,6 @@ from .escape import (
     transverse_segment,
 )
 from .svg import SvgScene, render_svg
-from .reports import report_to_dict, validate_report, write_report
+from .reports import report_to_dict, validate_report
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ __all__ = [
     "load_schema",
     "report_to_dict",
     "validate_report",
-    "write_report",
 ]
 
 
@@ -146,13 +145,6 @@ def report_to_dict(report) -> dict:
 
 def dumps_report(report) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-
-
-def write_report(report, path) -> None:
-    """Write a report as JSON; numbers round-trip losslessly through json."""
-    data = dumps_report(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -329,8 +330,10 @@ class TestSubcommands:
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--m-max", "-1"]),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--c", "-400"]),
             (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--c", "0"]),
+            (["rubel", "--f", "exp(z)", "--seed-point", "2", "--t-end", "1e18"], ["--c", "-1e-3"]),
         ],
-        ids=["Xmax", "N", "delta", "window", "keep", "m-max-above-cap", "m-max-negative", "c-negative", "c-zero"],
+        ids=["Xmax", "N", "delta", "window", "keep", "m-max-above-cap", "m-max-negative", "c-negative", "c-zero",
+             "c-negative-exponent"],
     )
     def test_bad_option_value_plain_message(self, tmp_path, capsys, argv, bad):
         out_dir = tmp_path / "out"
@@ -341,6 +344,17 @@ class TestSubcommands:
         assert re.search(r"(?<![\w-])_\w", err) is None
         assert out == ""
         assert not out_dir.exists()
+
+    def test_negative_value_in_exponent_form(self, tmp_path, capsys):
+        # -1e-3 is a value of --Xmax, not an option, as -0.001 is
+        seen = []
+        for value in ("-1e-3", "-0.001"):
+            out_dir = tmp_path / value
+            code, out, _ = run(["transit", "--G", "z", "--start", "-5", "--Xmax", value, "--out", str(out_dir)], capsys)
+            assert code == 0
+            seen.append((out, (out_dir / "transit.json").read_bytes()))
+        assert seen[0] == seen[1]
+        assert "quadrature 4.998999999999997," in seen[0][0]
 
     _BASE = {
         "simulate": ["simulate", "--f", "i*z", "--z0", "1"],
@@ -488,6 +502,36 @@ class TestOutputFiles:
         code, _, err = run(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
         assert err == f"error: cannot write {tmp_path / name}: Is a directory\n"
+
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, capsys):
+        # the last of three files cannot be written: none of them is
+        (tmp_path / "trajectory.svg").mkdir()
+        argv = ["simulate", "--f", "-exp(-z)", "--z0", "0", "--csv", "--json", "--svg", "--out", str(tmp_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path / 'trajectory.svg'}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.svg"]
+        assert not any((tmp_path / "trajectory.svg").iterdir())
+
+    def test_failed_write_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the second file's write fails: --out and its parent, absent before, stay absent
+        real, written = Path.write_text, []
+
+        def write_once(path, *args, **kwargs):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_once)
+        out_dir = tmp_path / "new" / "sub"
+        argv = ["simulate", "--f", "-exp(-z)", "--z0", "0", "--csv", "--json", "--out", str(out_dir)]
+        code, _, err = run(argv, capsys)
+        monkeypatch.undo()
+        assert code == 2
+        assert err == f"error: cannot write {out_dir / 'trajectory.json'}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(written) == 2
+        assert not any(tmp_path.iterdir())
 
     def test_same_bytes_in_the_c_locale(self, tmp_path):
         src = str(Path(planeflow.__file__).resolve().parents[1])

@@ -24,7 +24,6 @@ from planeflow.reports import (
     load_schema,
     report_to_dict,
     validate_report,
-    write_report,
 )
 
 
@@ -95,13 +94,6 @@ class TestSerialization:
         validate_report(roundtrip(est), schema)
         curve = trace_level(parse_expr("z"), 1.0, 700.0, IntegratorConfig(escape_radius=1e4))
         validate_report(roundtrip(curve), schema)
-
-    def test_write_report(self, tmp_path, schema):
-        rep = poly_flow_summary([0, 1], "antiholomorphic")
-        path = tmp_path / "out.json"
-        write_report(rep, path)
-        data = json.loads(path.read_text())
-        validate_report(data, schema)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
