@@ -1,4 +1,4 @@
-"""Run the thirty-seven reference CLI commands and record everything they produce.
+"""Run the forty-two reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -59,6 +59,14 @@ COMMANDS = (
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6"]),
     ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4"]),
+    # G = z grows too slowly for a finite transit: the slow-growth criterion fires
+    ("transit-criterion", ["transit", "--G", "z", "--start", "1", "--Xmax", "700"]),
+    # the range holds the critical point 0 of z^3/3: the integrand diverges there
+    ("transit-divergent", ["transit", "--G", "z^3*(1/3)", "--start", "-1", "--Xmax", "1"]),
+    # |z| grows only twofold: the slow-growth criterion cannot decide
+    ("transit-short", ["transit", "--G", "z^2*(1/2)", "--start", "1", "--Xmax", "2"]),
+    # the direct run's first step crosses X_max at a step fraction near 1e-311
+    ("transit-tiny-range", ["transit", "--G", "z", "--start", "1e-313", "--Xmax", "2e-313"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),
@@ -99,6 +107,8 @@ COMMANDS = (
     # sin z from 2 meets its critical point pi/2 at t = 1: no path, so no tail verdicts
     ("rubel-stopped", ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
+    # a holomorphic cubic: its escape directions
+    ("poly-summary-holo", ["poly-summary", "--coeffs", "0,0,0,1", "--kind", "holo"]),
     # the ten acceptance criteria, one of them a run that starts on its radius
     ("demo", ["demo"]),
     # a finite point whose modulus overflows

@@ -75,7 +75,7 @@ from .escape import (
     rubel_path,
     transverse_segment,
 )
-from .svg import SvgScene, render_svg
+from .svg import render_svg
 from .reports import report_to_dict, validate_report
 
 __version__ = "0.1.0"

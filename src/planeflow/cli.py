@@ -39,7 +39,7 @@ from .flow import (
 from .jets import _MAX_JET_ORDER
 from .level import infinite_time_criterion, trace_level, transit_time
 from .reports import dumps_report
-from .svg import SvgScene, _scale, render_svg
+from .svg import _scale, render_svg
 
 __all__ = ["main", "run_cli"]
 
@@ -212,15 +212,8 @@ def _svg(args, polylines, seed, legend, zeros=()) -> str:
         res, ims = [p.real for p in points], [p.imag for p in points]
         center = complex(0.5 * (min(res) + max(res)), 0.5 * (min(ims) + max(ims)))
         window = center, 0.55 * max(max(res) - min(res), max(ims) - min(ims), 1e-6)
-    scene = SvgScene(*window)
-    for line, css in polylines:
-        scene.add_polyline(line, css)
-    scene.add_marker(seed, "seed")
-    for root in zeros:
-        scene.add_marker(root, "zero")
-    for text in legend:
-        scene.add_legend(text)
-    return render_svg(scene)
+    markers = [(seed, "seed"), *((root, "zero") for root in zeros)]
+    return render_svg(*window, polylines, markers, legend)
 
 
 def _poly_roots(spec: FlowSpec, iters=200):
@@ -355,6 +348,8 @@ def _cmd_transit(args) -> int:
         print(f"transit over X in [{lo:.6g}, {hi:.6g}]: quadrature {report.quadrature_time!r}, {check}")
     if crit.fires:
         print("slow-growth criterion fires: transit to infinity is infinite")
+    elif not crit.conclusive:
+        print(f"slow-growth criterion inconclusive: {crit.note}")
     args.files["transit.json"] = dumps_report(report)
     return 0
 

@@ -34,7 +34,6 @@ __all__ = [
     "constant_value",
     "derivative",
     "is_constant",
-    "normalize",
     "parse_expr",
     "poly_coeffs",
     "to_text",
@@ -158,35 +157,6 @@ def _mul(l: FuncExpr, r: FuncExpr) -> FuncExpr:
     if isinstance(r, Constant):
         return _scale(r.value, l)
     return Mul(l, r)
-
-
-def normalize(expr: FuncExpr) -> FuncExpr:
-    """Canonical form used for round-trip comparisons.
-
-    Folds constant factors into Scale, negated constants into the
-    constant, and constant subtrees reached by those rewrites.  The
-    function value is unchanged.
-    """
-    if isinstance(expr, (Constant, Variable)):
-        return expr
-    if isinstance(expr, Add):
-        return _add(normalize(expr.left), normalize(expr.right))
-    if isinstance(expr, Mul):
-        return _mul(normalize(expr.left), normalize(expr.right))
-    if isinstance(expr, Negate):
-        a = normalize(expr.arg)
-        if isinstance(a, Constant):
-            return Constant(-a.value)
-        if isinstance(a, Negate):
-            return a.arg
-        return Negate(a)
-    if isinstance(expr, Exp):
-        return Exp(normalize(expr.arg))
-    if isinstance(expr, IntPower):
-        return IntPower(normalize(expr.arg), expr.power)
-    if isinstance(expr, Scale):
-        return _scale(expr.factor, normalize(expr.arg))
-    raise TypeError(f"not a FuncExpr node: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +394,7 @@ def _poly(expr: FuncExpr):
             l, r = r, l
         return [a + (r[i] if i < len(r) else 0) for i, a in enumerate(l)]
     if isinstance(expr, Mul):
-        l, r = _poly(expr.left), _poly(expr.right)
-        if l is None or r is None or len(l) + len(r) - 1 > _POLY_DEGREE_CAP:
-            return None
-        out = [0j] * (len(l) + len(r) - 1)
-        for i, a in enumerate(l):
-            for j, b in enumerate(r):
-                out[i + j] += a * b
-        return out
+        return _convolve(_poly(expr.left), _poly(expr.right))
     if isinstance(expr, Negate):
         l = _poly(expr.arg)
         return None if l is None else [-a for a in l]
@@ -444,17 +407,25 @@ def _poly(expr: FuncExpr):
             return None
         out = [1 + 0j]
         for _ in range(expr.power):
-            nxt = [0j] * (len(out) + len(base) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(base):
-                    nxt[i + j] += a * b
-            out = nxt
+            out = _convolve(out, base)
         return out
     if isinstance(expr, Exp):
         if is_constant(expr.arg):
             return [cmath.exp(constant_value(expr.arg))]
         return None
     raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+def _convolve(l, r):
+    """Coefficients of the product of two polynomials; None when either is
+    None or the product's degree passes ``_POLY_DEGREE_CAP``."""
+    if l is None or r is None or len(l) + len(r) - 2 > _POLY_DEGREE_CAP:
+        return None
+    out = [0j] * (len(l) + len(r) - 1)
+    for i, a in enumerate(l):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return out
 
 
 # ---------------------------------------------------------------------------

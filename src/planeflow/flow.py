@@ -369,14 +369,13 @@ def _crossing_theta(g, z0, d0, z1, d1, h):
     The cubic is ``_hermite``'s, with the same operations in the same
     order, complex operands on the left: that skips a failed float
     multiplication, and IEEE products and sums commute bit for bit.  The
-    sixty halvings stop once the midpoint equals an end: a midpoint
-    equal to ``hi`` cannot move it, and one equal to ``lo`` (never the
-    first 0.0, as ``hi`` stays at least 2^-60) re-tests a point already
-    seen negative, so ``hi`` is that of all sixty.
+    halvings go on until the midpoint equals an end, so ``lo`` and ``hi``
+    are adjacent doubles and theta is exact for every step fraction: at
+    most 1074 tests of g, the last where ``hi`` is the least subnormal.
     """
     hd0, hd1 = d0 * h, d1 * h
     lo, hi = 0.0, 1.0
-    for _ in range(60):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -3,7 +3,7 @@
 The scene model is deliberately dumb: a square window in the plane,
 layered polylines with a style class, point markers and legend lines.
 Rendering is byte-stable for identical scenes: fixed 6-significant-
-digit formatting, no timestamps, elements emitted in insertion order.
+digit formatting, no timestamps, elements emitted in the order given.
 Segments are clipped to the window (Liang-Barsky), splitting polylines
 where they leave it; no number written is infinite or NaN.
 """
@@ -11,10 +11,8 @@ where they leave it; no number written is infinite or NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
 
-__all__ = ["SvgScene", "render_svg"]
+__all__ = ["render_svg"]
 
 _SIZE = 640  # pixel width/height of the square viewport
 
@@ -29,29 +27,6 @@ _STYLES = """\
   .marker-seed { fill: #111111; }
   text { font-family: monospace; font-size: 11px; fill: #333333; }
 """
-
-
-@dataclass
-class SvgScene:
-    """Plot window plus layered content; populate then render."""
-
-    center: complex
-    half_width: float
-    polylines: List[Tuple[tuple, str]] = field(default_factory=list, init=False)
-    markers: List[Tuple[complex, str]] = field(default_factory=list, init=False)
-    legend: List[str] = field(default_factory=list, init=False)
-
-    def __post_init__(self):
-        _scale(self.half_width)
-
-    def add_polyline(self, points, css_class: str = "trajectory"):
-        self.polylines.append((tuple(complex(p) for p in points), css_class))
-
-    def add_marker(self, z: complex, kind: str = "seed"):
-        self.markers.append((complex(z), kind))
-
-    def add_legend(self, text: str):
-        self.legend.append(text)
 
 
 def _scale(half_width: float) -> float:
@@ -99,10 +74,16 @@ def _clip_segment(x0, y0, x1, y1, lo, hi):
     return (x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)
 
 
-def render_svg(scene: SvgScene) -> str:
-    """Render the scene to a standalone SVG document (a str of bytes-stable text)."""
-    cx, cy = scene.center.real, scene.center.imag
-    hw = scene.half_width
+def render_svg(center: complex, half_width: float, polylines, markers, legend) -> str:
+    """Render the scene to a standalone SVG document (a str of bytes-stable text).
+
+    The window is the square of this center and half-width; ``polylines``
+    are (points, css class) pairs, ``markers`` (z, kind) pairs with kind
+    "zero" or "seed", and ``legend`` lines of text, each drawn in order.
+    A ValueError when the window has no finite positive pixel scale.
+    """
+    cx, cy = center.real, center.imag
+    hw = half_width
     scale = _scale(hw)
     lo, hi = 0.0, float(_SIZE)
 
@@ -142,7 +123,7 @@ def render_svg(scene: SvgScene) -> str:
             f'<polyline class="axis" points="0,{_fmt(py)} {_SIZE},{_fmt(py)}"/>'
         )
 
-    for points, css in scene.polylines:
+    for points, css in polylines:
         runs = []
         prev = None
         for a, b in zip(points, points[1:]):
@@ -159,13 +140,13 @@ def render_svg(scene: SvgScene) -> str:
             coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
             parts.append(f'<polyline class="{css}" points="{coords}"/>')
 
-    for z, kind in scene.markers:
+    for z, kind in markers:
         px, py = to_px(z.real, z.imag)
         if abs(z.real - cx) <= hw and abs(z.imag - cy) <= hw and _finite((px, py)):
             css, r = ("marker-zero", 4) if kind == "zero" else ("marker-seed", 3)
             parts.append(f'<circle class="{css}" cx="{_fmt(px)}" cy="{_fmt(py)}" r="{r}"/>')
 
-    for i, text in enumerate(scene.legend):
+    for i, text in enumerate(legend):
         parts.append(f'<text x="8" y="{14 + 14 * i}">{_escape(text)}</text>')
 
     parts.append("</svg>")

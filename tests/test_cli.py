@@ -566,6 +566,12 @@ class TestOutputFiles:
         assert sorted(files) == ["trajectory.csv", "trajectory.json", "trajectory.svg"]
         assert "T≈1.0000".encode() in files["trajectory.svg"]
 
+    def test_transit_names_an_undecided_criterion(self, tmp_path, capsys):
+        # |z| grows from 1 to 2: too little for the slow-growth criterion
+        code, out, _ = run(["transit", "--G", "z^2*(1/2)", "--start", "1", "--Xmax", "2", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["slow-growth criterion inconclusive: curve too short: |z| must grow tenfold"]
+
     def test_transit_names_an_unreached_cross_check(self, tmp_path, capsys):
         # the time left near X = 1e100 is below the resolution of t: the direct run stops short
         code, out, _ = run(

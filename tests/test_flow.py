@@ -922,7 +922,7 @@ class TestDriver:
         assert abs(t - 5.0) <= 1e-9
 
     def test_start_below_event_beyond_it_fires_at_t0(self):
-        # it crossed at t0 + 2^-60 h, after all sixty bisection halvings
+        # bisection would cross at t0 + 5e-324 h, not at t0
         ev = Event.at_radius(10.0, start_below=True)
         res = drive_field(Field(parse_expr("z^2")), 20 + 0j, IntegratorConfig(), t0=0.5, t_stop=1.0, events=(ev,))
         assert (res.status, res.samples, res.errors) == ("event", [(0.5, 20 + 0j)], [0.0])
@@ -1214,9 +1214,10 @@ class TestFieldPerSpec:
 # for drive_field's crossing refinement, clamps and budget.
 
 
-def _bisect_theta(fn, lo=0.0, hi=1.0, iters=60):
-    """Bisect fn over [lo, hi] assuming fn(lo) < 0 <= fn(hi)."""
-    for _ in range(iters):
+def _bisect_theta(fn, lo=0.0, hi=1.0):
+    """Bisect fn over [lo, hi] assuming fn(lo) < 0 <= fn(hi), until lo and
+    hi are adjacent doubles."""
+    while 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
         if fn(mid) < 0.0:
             lo = mid
@@ -1533,14 +1534,15 @@ def _reference_hermite(z0, d0, z1, d1, h, theta):
 
 
 class TestCrossingTheta:
-    def test_matches_sixty_halvings_through_hermite(self):
+    def test_matches_bisection_through_hermite(self):
         rng = random.Random(20261018)
         points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
         thetas, calls, steps = [], [], 0
 
         def check(g, step):
             """The crossing, every point it tests and the interpolant there
-            match sixty halvings along the reference interpolant."""
+            match a bisection to adjacent doubles along the reference
+            interpolant."""
             seen, want_seen = [], []
 
             def counted(q):
@@ -1571,8 +1573,8 @@ class TestCrossingTheta:
             steps += 1
             for g in gs:
                 check(g, (z, k1, z_new, k7, h))
-        # theta near 0 takes all sixty halvings, the rest stop early
-        assert 2.0**-60 in thetas and max(calls) == 60
+        # theta near 0 halves down to the least subnormal, the rest stop early
+        assert 5e-324 in thetas and max(calls) == 1074
         assert sum(theta > 1.0 - 1e-12 for theta in thetas) >= 100
         assert sum(1e-15 < theta < 1e-9 for theta in thetas) >= 10
         assert min(calls) <= 55
