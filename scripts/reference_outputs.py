@@ -1,4 +1,4 @@
-"""Run the forty-two reference CLI commands and record everything they produce.
+"""Run the forty-four reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -57,6 +57,10 @@ COMMANDS = (
     # the run exhausts the time resolution of doubles before the radius: T = (sqrt(pi)/2) erfc(0.3)
     ("classify-underflow", ["classify", "--f", "exp(z^2)", "--z0", "0.3"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
+    # the tracer's dz/dX predictor: a start on G = 0 ...
+    ("level-trace-from-zero", ["level-trace", "--G", "z", "--start", "0", "--Xmax", "10"]),
+    # ... and a step across X = 0 on the level Im G = 0
+    ("level-trace-across-zero", ["level-trace", "--G", "z + 0.5*z^2", "--start", "-0.5", "--Xmax", "5"]),
     ("transit", ["transit", "--G", "z^3 * (1/3)", "--start", "1", "--Xmax", "1e6"]),
     ("transit-mixed", ["transit", "--G", "0.5*z^2 + 0.3*exp(-z)", "--start", "1+0.5i", "--Xmax", "1e4"]),
     # G = z grows too slowly for a finite transit: the slow-growth criterion fires

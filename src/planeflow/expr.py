@@ -12,6 +12,7 @@ rejected.
 from __future__ import annotations
 
 import cmath
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType, FunctionType
@@ -407,13 +408,21 @@ def _poly(expr: FuncExpr):
             return None
         out = [1 + 0j]
         for _ in range(expr.power):
-            out = _convolve(out, base)
+            last, out = out, _convolve(out, base)
+            # only a constant base keeps the degree; once its product repeats bit for bit it stays fixed
+            if len(base) == 1 and _bits(out) == _bits(last):
+                break
         return out
     if isinstance(expr, Exp):
         if is_constant(expr.arg):
             return [cmath.exp(constant_value(expr.arg))]
         return None
     raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+def _bits(coeffs) -> bytes:
+    """The bits of a coefficient list, so that -0.0 and 0.0, or two NaNs, compare as they are stored."""
+    return struct.pack(f"{2 * len(coeffs)}d", *(part for c in coeffs for part in (c.real, c.imag)))
 
 
 def _convolve(l, r):

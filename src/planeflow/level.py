@@ -1,9 +1,14 @@
 """Level curves of Im G and transit times along them.
 
 An antiholomorphic trajectory is a level curve of Im G traversed with
-X = Re G increasing, so X itself is the natural curve parameter: the
-predictor follows dz/dX = 1/g(z) (g = G') and a Newton corrector pins
-G(z) back to X + i*beta after every step.  The corrector is generated per
+X = Re G increasing, so X itself is the natural curve parameter.  A step
+from X to X + dx is predicted in the chart w = log G, where the curve is
+nearly straight on a tract of G (the logarithmic change of variable of
+Eremenko and Lyubich): the midpoint rule for dz/dw = G/g (g = G'), with
+G = e^w on the curve, exact on the levels of G = c e^(az).  A step that
+starts on G = 0 or crosses X = 0 at beta = 0 has no such chart and
+follows dz/dX = 1/g instead.  A Newton corrector then pins G(z) to
+X + i*beta, with at least one step.  The corrector is generated per
 G: one straight-line Newton loop with the statements that compute G and g
 inlined, as the flow integrator inlines f into its step.  Parametrizing by
 X makes the transit time a one-dimensional integral of 1/|g|^2 over
@@ -14,6 +19,7 @@ on corrector-placed nodes, cross-checked against direct integration.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from types import FunctionType
@@ -38,7 +44,7 @@ _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
 _TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to the whole integral
 _SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
 _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
-_STEP_SCALE = 0.1  # a tracing step moves z at most this times (1 + |z|)
+_STEP_SCALE = 0.1  # a tracing step dx/|g| is at most this times (1 + |z|)
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,9 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     """The Newton corrector ``(target, z_guess, tol, max_iter)`` of G = big_g
     with g = dg = G', generated as one function; see :func:`_corrector`.
 
+    It accepts a point only after its first step, so a guess that already
+    meets ``tol`` is still refined: on a level t + iD with t far above D,
+    ``tol`` exceeds D, and only the step gives Im G its relative precision.
     Each iteration runs the statements :func:`compile_fn` would run for G
     and then for g, inlined, so values and exceptions are those of calling
     the two compiled functions: an overflow in G ends the solve, one in g
@@ -105,7 +114,7 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
         big_body,
         "        except EvaluationOverflow:",
         "            return None",
-        f"        if abs({v} - target) <= tol:",
+        f"        if it and abs({v} - target) <= tol:",
         "            return z0, it",
         "        if it == max_iter:",
         "            return None",
@@ -118,7 +127,8 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
 
 def _corrector(newton, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess with the corrector ``newton``
-    of G (see :func:`_newton`); returns (z, iterations) or None."""
+    of G (see :func:`_newton`), at least one step; returns (z, iterations)
+    or None."""
     return newton(target, z_guess, tol, max_iter)
 
 
@@ -140,15 +150,21 @@ def trace_level(
 ) -> LevelCurve:
     """Trace {Im G = Im G(z_start)} from z_start toward larger Re G.
 
-    Each step is a midpoint predictor along dz/dX = 1/g, then the corrector.
+    Each step from X to X + dx is a midpoint predictor, then the corrector.
+    The predictor follows dz/dw = G/g in w = log G, from log(X + i*beta)
+    to log(X + dx + i*beta), with G = e^w on the curve; where the ratio
+    (X + dx + i*beta)/(X + i*beta) is 0 or has real part <= 0 (a start on
+    G = 0, or a step across X = 0 at beta = 0) it follows dz/dX = 1/g.
     The stop reason is decided here, once: ``target`` when X reaches
     x_target, ``radius`` when |z| leaves the configured radius, and
     ``critical_point`` when |g| < ``_G_MIN`` (a critical point of G, which
     the flow cannot reach in finite time anyway).  A step that cannot
     advance X and 60 failed halvings are one stall: ``critical_point``
     where |g| < 1e3 ``_G_MIN``, else it raises CorrectorDivergence.
-    ``_STEP_SCALE`` bounds the spatial step to _STEP_SCALE*(1+|z|);
-    halving it retraces the same curve, finer.
+    The step is kept as the spatial step h = dx/|g|: it starts at a
+    quarter of the cap _STEP_SCALE*(1+|z|), grows by 1.5 after a point
+    that took at most 3 Newton steps, up to the cap, and halves on a
+    failed step.  Halving ``_STEP_SCALE`` retraces the same curve, finer.
     """
     cfg = cfg or IntegratorConfig()
     big_ge = compile_fn(big_g)
@@ -168,23 +184,32 @@ def trace_level(
     xs = [x]
     zs = [z]
     stop = "target"
-    dx = _STEP_SCALE * (1.0 + abs(z)) * abs(g)
+    h = 0.25 * _STEP_SCALE * (1.0 + abs(z))
     fails = 0
     steps = 0
     while x < x_target:
         steps += 1
         if steps > 200_000:
             raise CorrectorDivergence("level tracing did not finish", z)
-        dx = min(dx, x_target - x)
+        dx = min(h * abs(g), x_target - x)
         # x + (x_target - x) > x for every double x < x_target, so a step that
         # cannot advance X falls short of the target: a stall
         stuck = x + dx == x
         got = None
         if not stuck:
-            target = complex(x + dx, beta)
+            here, target = complex(x, beta), complex(x + dx, beta)
+            ratio = target / here if here else 0j
             try:
-                g_half = ge(z + 0.5 * dx / g)
-                z_pred = z + dx / g_half if abs(g_half) >= _G_MIN else None
+                if ratio.real > 0:
+                    # midpoint rule for dz/dw = G/g in w = log G, where G = e^w on the curve
+                    dw = cmath.log(ratio)
+                    g_half = ge(z + 0.5 * dw * (here / g))
+                    step = dw * (here * cmath.sqrt(ratio) / g_half)
+                else:
+                    # from G = 0, or across X = 0 at beta = 0: midpoint rule for dz/dX = 1/g
+                    g_half = ge(z + 0.5 * dx / g)
+                    step = dx / g_half
+                z_pred = z + step if abs(g_half) >= _G_MIN else None
             except EvaluationOverflow:
                 z_pred = None
             if z_pred is not None:
@@ -194,9 +219,10 @@ def trace_level(
                 span = abs(target) + dx
                 tol = 1e-12 * span if span < math.inf else 2e-12 * (0.5 * abs(target) + 0.5 * dx)
                 got = _corrector(newton, target, z_pred, tol)
+        h = dx / abs(g)  # the spatial step just tried, dx clamped to the target
         if got is None:
             fails += 1
-            dx *= 0.5
+            h *= 0.5
             if stuck or fails > 60:
                 # a stall with g collapsing is the curve running into a
                 # critical point, not a tracer defect
@@ -217,8 +243,7 @@ def trace_level(
         if abs(z) > cfg.escape_radius:
             stop = "radius"
             break
-        cap = _STEP_SCALE * (1.0 + abs(z)) * abs(g)
-        dx = min(dx * (1.6 if iters <= 3 else 1.0), cap)
+        h = min(h * (1.5 if iters <= 3 else 1.0), _STEP_SCALE * (1.0 + abs(z)))
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 
 

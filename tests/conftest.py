@@ -67,14 +67,15 @@ def level_start(rng: random.Random, k: int) -> complex:
 # as the reference the generated corrector must match bit for bit.
 
 def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
-    """Newton solve G(z) = target from z_guess; returns (z, iterations) or None."""
+    """Newton solve G(z) = target from z_guess, at least one step; returns
+    (z, iterations) or None."""
     z = z_guess
     for it in range(max_iter + 1):
         try:
             v = big_ge(z)
         except EvaluationOverflow:
             return None
-        if abs(v - target) <= tol:
+        if it and abs(v - target) <= tol:
             return z, it
         if it == max_iter:
             return None

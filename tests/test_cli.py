@@ -442,7 +442,7 @@ class TestSubcommands:
         )
         assert code == 3
         assert out == ""
-        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009999" in err
+        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009535" in err
         assert not (tmp_path / "rubel.json").exists()
 
     def test_level_trace_cli_names_the_critical_stop(self, tmp_path, capsys):
@@ -581,7 +581,7 @@ class TestOutputFiles:
         )
         assert code == 0
         assert out == (
-            "transit over X in [1.71828, 1e+100]: quadrature 0.45867514538707393, "
+            "transit over X in [1.71828, 1e+100]: quadrature 0.45867514538693094, "
             "the direct run did not reach Re G = 1e+100\n"
         )
         data = json.loads((tmp_path / "transit.json").read_text())

@@ -586,7 +586,7 @@ class TestRubelPath:
         cfg = IntegratorConfig(escape_radius=1e9)
         rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, math.exp(110.0), cfg)
         assert rep.monotone
-        assert rep.im_deviation <= 1e-9
+        assert rep.im_deviation <= 1e-12
         for m in range(4):
             points = rep.growth_ratios[m]
             at_100 = [q for r, q in points if r >= 100.0]
@@ -625,7 +625,7 @@ class TestRubelPath:
         seed = cmath.log(10 + 5j)
         rep = rubel_path(parse_expr("exp(z)"), 5.0, seed, math.exp(110.0), cfg)
         assert rep.monotone
-        assert rep.im_deviation <= 1e-8
+        assert rep.im_deviation <= 1e-12
         assert all(t.finite for t in rep.tail_integrals)
 
     def test_matches_reference_bit_for_bit(self):
@@ -757,7 +757,7 @@ class TestRubelPath:
     def test_stopped_path_gives_no_tails(self):
         # sin z from 2 meets the critical point pi/2 at t = 1: no path reaches t_end
         sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
-        with pytest.raises(TractViolation, match=r"path stopped \(critical_point\) at t = 1\.0000000000009999"):
+        with pytest.raises(TractViolation, match=r"path stopped \(critical_point\) at t = 1\.0000000000009535"):
             rubel_path(sine, 0.0, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
 
 

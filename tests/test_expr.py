@@ -338,6 +338,22 @@ class TestQueries:
         for text in ("z^65", "(z^5)^13", "z^64*z", "z^32*z^33"):
             assert poly_coeffs(parse_expr(text)) is None, text
 
+    def test_constant_base_stops_once_its_power_repeats(self, monkeypatch):
+        # a degree-0 base keeps the product at degree 0, under every cap: the
+        # loop stops once the running product repeats bit for bit
+        convolve = expr_module._convolve
+        calls = []
+        monkeypatch.setattr(expr_module, "_convolve", lambda l, r: calls.append(1) or convolve(l, r))
+        assert poly_coeffs(parse_expr("(z^0)^1000000000")) == [1]
+        assert len(calls) <= 2
+        # 0.5^k underflows to 0 within 1076 products; the bits are those of all 3000
+        calls.clear()
+        full = [1 + 0j]
+        for _ in range(3000):
+            full = convolve(full, [0.5 + 0j])
+        assert repr(poly_coeffs(parse_expr("0.5^3000"))) == repr(full)
+        assert len(calls) <= 1076
+
     def test_reciprocal_random(self):
         # Field.reciprocal runs f's own statements on scaled numbers v e^s
         rng = random.Random(2029)

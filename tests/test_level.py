@@ -178,7 +178,7 @@ def _reference_newton_source(big_g, dg):
         indent(big_body, " " * 8),
         "        except EvaluationOverflow:",
         "            return None",
-        f"        if abs({v} - target) <= tol:",
+        f"        if it and abs({v} - target) <= tol:",
         "            return z0, it",
         "        if it == max_iter:",
         "            return None",
@@ -215,7 +215,7 @@ class TestNewton:
             "                raise EvaluationOverflow(root, at=z0)",
             "        except EvaluationOverflow:",
             "            return None",
-            "        if abs(t0 - target) <= tol:",
+            "        if it and abs(t0 - target) <= tol:",
             "            return z0, it",
             "        if it == max_iter:",
             "            return None",
@@ -309,6 +309,24 @@ class TestTrace:
         for x, z in curve.samples:
             assert abs(cmath.exp(z) - x) <= 1e-9 * x
 
+    @pytest.mark.parametrize(
+        "text, start, x_target",
+        [("z", 0.0, 10.0), ("z + 0.5*z^2", -0.5, 5.0)],
+        ids=["from G = 0", "across X = 0"],
+    )
+    def test_steps_the_log_chart_cannot_take(self, text, start, x_target):
+        # log G has no value at G = 0, and a step from X < 0 to X > 0 at beta = 0
+        # passes through it: those steps are predicted along dz/dX = 1/g
+        big_g = parse_expr(text)
+        curve = trace_level(big_g, start, x_target)
+        assert curve.stop_reason == "target" and curve.x_end == x_target
+        assert curve.beta == 0.0 and curve.xs[0] <= 0.0
+        big_ge = compile_fn(big_g)
+        for i, (x, z) in enumerate(curve.samples[1:], 1):
+            # the corrector's tolerance at this point: 1e-12 (|target| + dx)
+            tol = 1e-12 * (abs(complex(x, curve.beta)) + x - curve.xs[i - 1])
+            assert abs(big_ge(z) - complex(x, curve.beta)) <= tol, (i, x, z)
+
     def test_x_strictly_increasing(self):
         curve = trace_level(parse_expr("z^3 / 3"), 1.0, 500.0, IntegratorConfig(escape_radius=100.0))
         assert all(b > a for a, b in zip(curve.xs, curve.xs[1:]))
@@ -326,7 +344,7 @@ class TestTrace:
         sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
         curve = trace_level(sine, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
         assert curve.stop_reason == "critical_point"
-        assert curve.x_end == 1.0000000000009999 < 1e45
+        assert curve.x_end == 1.0000000000009535 < 1e45
         assert abs(curve.z_end - math.pi / 2) <= 1e-5
 
     @pytest.mark.parametrize("stall", ["unresolved step", "failed corrector"])
