@@ -20,7 +20,7 @@ from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, Scale, _emit_body, _function_code, compile_fn, derivative
+from .expr import FuncExpr, Scale, _emit_body, _function_code, compile_fn
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -33,7 +33,7 @@ from .flow import (
     integrate,
 )
 from .jets import _MAX_JET_ORDER, _jet_body
-from .level import _newton, point_on_level, trace_level
+from .level import _kernels, point_on_level, trace_level
 
 # points placed by one pair of side traces; each stop's result holds a
 # copy of its trace, so more points trace the sides again
@@ -266,7 +266,9 @@ def rubel_path(
     bound from the last dyadic window [T/2, T] and its decay ratio, never a
     bare claim of convergence; where a window end term underflows to 0 the
     ratio is taken from the end nodes' logarithms.  Each c must be positive
-    and finite.
+    and finite.  The seed checks, the trace and the T/2 node use the level
+    kernels kept on f (``level._kernels``); the pass is generated once per
+    (m_max, number of c), kept on f, and bound to each call's D and c.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
         raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
@@ -275,9 +277,7 @@ def rubel_path(
         raise ValueError(f"each tail exponent c must be positive and finite, got {tuple(c_values)!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
-    fe = compile_fn(f)
-    df = derivative(f)
-    fpe = compile_fn(df)
+    fe, fpe, df, newton, _, _ = _kernels(f)
     v = fe(z_seed)
     if abs(v.imag - d_shift) > 1e-6 * (1.0 + abs(v)):
         raise TractViolation(f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}")
@@ -285,7 +285,7 @@ def rubel_path(
         raise TractViolation("seed must have Re f > 0 (f - iD real positive)")
     if abs(fpe(z_seed)) < 1e-10 * (1.0 + abs(v)):
         raise TractViolation("f' vanishes at the seed")
-    if t_end <= v.real:
+    if not t_end > v.real:
         raise ValueError("t_end must exceed Re f at the seed")
 
     curve = trace_level(f, z_seed, t_end, cfg)
@@ -299,9 +299,12 @@ def rubel_path(
     def nodes():
         yield from zip(ts, zs)
         # the last dyadic window [T/2, T] starts at one node placed on the path at T/2
-        yield t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])
+        yield t_lo, point_on_level(newton, t_lo, d_shift, zs[first])[0]
 
-    path = _rubel_pass(f, df, d_shift, m_max, c_values)
+    passes, n_c = f.__dict__.setdefault("_rubel", {}), len(c_values)
+    kept = passes.get((m_max, n_c)) or passes.setdefault((m_max, n_c), _rubel_pass(f, df, d_shift, m_max, c_values))
+    bound = {"D": d_shift, "DD": d_shift * d_shift, **{f"C{j}": c for j, c in enumerate(c_values)}}
+    path = FunctionType(kept.__code__, {**kept.__globals__, **bound})
     im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(nodes(), len(ts), first)
     growth = {m: tuple((r, ratios[m]) for r, ratios in marks) for m in range(m_max + 1)}
 

@@ -41,8 +41,15 @@ __all__ = [
 ]
 
 
+class _Node:
+    """Base of the tree nodes: functions kept on a tree under private names stay out of a pickle."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Node):
     value: complex
 
     def __post_init__(self):
@@ -50,34 +57,34 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "FuncExpr"
     right: "FuncExpr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "FuncExpr"
     right: "FuncExpr"
 
 
 @dataclass(frozen=True)
-class Negate:
+class Negate(_Node):
     arg: "FuncExpr"
 
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Node):
     arg: "FuncExpr"
 
 
 @dataclass(frozen=True)
-class IntPower:
+class IntPower(_Node):
     arg: "FuncExpr"
     power: int
 
@@ -87,7 +94,7 @@ class IntPower:
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_Node):
     factor: complex
     arg: "FuncExpr"
 

@@ -115,7 +115,7 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
         "        except EvaluationOverflow:",
         "            return None",
         f"        if it and abs({v} - target) <= tol:",
-        "            return z0, it",
+        f"            return z0, it, {v}",
         "        if it == max_iter:",
         "            return None",
         body,
@@ -127,19 +127,32 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
 
 def _corrector(newton, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess with the corrector ``newton``
-    of G (see :func:`_newton`), at least one step; returns (z, iterations)
-    or None."""
+    of G (see :func:`_newton`), at least one step; returns (z, iterations,
+    G(z)) or None."""
     return newton(target, z_guess, tol, max_iter)
 
 
 def point_on_level(newton, x, beta, z_guess):
-    """Corrector-refined curve point at Re G = x (shared by the quadratures)."""
+    """Corrector-refined curve point z at Re G = x, and G(z) (shared by the quadratures)."""
     target = complex(x, beta)
     tol = _POINT_TOL * (1.0 + abs(target))
     got = _corrector(newton, target, z_guess, tol, max_iter=12)
     if got is None:
         raise CorrectorDivergence("level-curve corrector diverged", z_guess)
-    return got[0]
+    return got[0], got[2]
+
+
+def _kernels(big_g: FuncExpr):
+    """G's and g = G''s point functions, g's tree, the corrector, the Field of conj(g) and
+    whether g is G (equal reprs, :func:`_newton`'s rule), kept on the tree object as
+    :func:`flow._rhs` keeps a Field, and built again once ``compile_fn`` is rebound."""
+    kept = big_g.__dict__.get("_level")
+    if kept is None or kept[0] is not compile_fn:
+        dg = derivative(big_g)
+        kept = compile_fn, (compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()"),
+                            repr(dg) == repr(big_g))
+        object.__setattr__(big_g, "_level", kept)
+    return kept[1]
 
 
 def trace_level(
@@ -165,17 +178,16 @@ def trace_level(
     quarter of the cap _STEP_SCALE*(1+|z|), grows by 1.5 after a point
     that took at most 3 Newton steps, up to the cap, and halves on a
     failed step.  Halving ``_STEP_SCALE`` retraces the same curve, finer.
+    G's kernels (:func:`_kernels`) are built at the first call on a tree object and
+    kept on it until ``compile_fn`` is rebound; where g is G, the corrector's G is g.
     """
     cfg = cfg or IntegratorConfig()
-    big_ge = compile_fn(big_g)
-    dg = derivative(big_g)
-    ge = compile_fn(dg)
-    newton = _newton(big_g, dg)
+    big_ge, ge, _, newton, _, shared = _kernels(big_g)
     z = complex(z_start)
     v0 = big_ge(z)
     beta = v0.imag
     x = v0.real
-    if x_target <= x:
+    if not x_target > x:
         raise ValueError("x_target must exceed Re G at the start point")
     g = ge(z)
     if abs(g) < _G_MIN:
@@ -232,11 +244,11 @@ def trace_level(
                 raise CorrectorDivergence("level tracing stalled", z)
             continue
         fails = 0
-        z, iters = got
+        z, iters, v = got
         x = x + dx
         xs.append(x)
         zs.append(z)
-        g = ge(z)
+        g = v if shared else ge(z)
         if abs(g) < _G_MIN:
             stop = "critical_point"
             break
@@ -275,16 +287,14 @@ def transit_time(
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
     reports +inf with a witness abscissa X instead of a number; so does a
-    node where |g| < ``_G_MIN`` or the corrector fails.
+    node where |g| < ``_G_MIN`` or the corrector fails.  Both take G's
+    kernels from :func:`_kernels`, kept on ``curve.big_g``.
     """
     cfg = cfg or IntegratorConfig()
     x1, x2 = curve.xs[0], curve.xs[-1]
     if x2 <= x1:
         return TransitReport((x1, x2), 0.0, 0.0, 0.0)
-    big_ge = compile_fn(curve.big_g)
-    dg = derivative(curve.big_g)
-    ge = compile_fn(dg)
-    newton = _newton(curve.big_g, dg)
+    big_ge, ge, _, newton, field, shared = _kernels(curve.big_g)
     xs, zs, beta = curve.xs, curve.zs, curve.beta
     # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
     # nearest 0, so that far from X = 0 neither its nodes nor its s-range cancel
@@ -305,11 +315,11 @@ def transit_time(
         i = min(max(bisect.bisect(xs, x), 1), len(xs) - 1)
         xa, xb, za, zb = xs[i - 1], xs[i], zs[i - 1], zs[i]
         try:
-            z = point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))
+            z, v = point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))
         except CorrectorDivergence:
             # the corrector cannot pin the curve: a critical value of G is in the X-range
             raise QuadratureDiverged(s) from None
-        g = abs(ge(z))
+        g = abs(v if shared else ge(z))
         if g < _G_MIN:
             raise QuadratureDiverged(s)
         return math.hypot(x, b) / (g * g)  # dX/ds = b cosh(s + asinh(x0/b))
@@ -321,7 +331,7 @@ def transit_time(
 
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
     event = Event(lambda z: big_ge(z).real - x2)
-    res = drive_field(Field(dg, "{}.conjugate()"), curve.zs[0], cfg, t_stop=t_budget, events=(event,))
+    res = drive_field(field, curve.zs[0], cfg, t_stop=t_budget, events=(event,))
     ode = res.samples[-1][0] if res.status == "event" else math.inf
     gap = abs(quad - ode) / abs(ode) if math.isfinite(quad) and math.isfinite(ode) else math.inf
     return TransitReport((x1, x2), quad, ode, gap, witness)

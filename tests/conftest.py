@@ -68,7 +68,7 @@ def level_start(rng: random.Random, k: int) -> complex:
 
 def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess, at least one step; returns
-    (z, iterations) or None."""
+    (z, iterations, G(z)) or None."""
     z = z_guess
     for it in range(max_iter + 1):
         try:
@@ -76,7 +76,7 @@ def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
         except EvaluationOverflow:
             return None
         if it and abs(v - target) <= tol:
-            return z, it
+            return z, it, v
         if it == max_iter:
             return None
         g = ge(z)

@@ -439,7 +439,7 @@ def _column_report(f, d_shift, curve, m_max, c_values):
     t_hi = ts[-1]
     t_lo = 0.5 * t_hi
     first = bisect.bisect_right(ts, t_lo)
-    window = [node(t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])), *at_samples[first:]]
+    window = [node(t_lo, point_on_level(_newton(f, df), t_lo, d_shift, zs[first])[0]), *at_samples[first:]]
     ss = [math.log(t) for t in ts]
     ts_w, ss_w = (t_lo, *ts[first:]), (math.log(t_lo), *ss[first:])
 
@@ -744,6 +744,11 @@ class TestRubelPath:
         monkeypatch.setattr(escape_module, "trace_level", None)
         with pytest.raises(ValueError, match="tail exponent"):
             rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 1e18, c_values=c_values)
+
+    def test_nan_t_end_rejected(self):
+        # NaN compares false: a guard written as t_end <= Re f lets it through
+        with pytest.raises(ValueError, match="t_end must exceed"):
+            rubel_path(parse_expr("exp(z)"), 1.0, cmath.log(5 + 1j), math.nan)
 
     def test_off_level_seed_rejected(self):
         with pytest.raises(TractViolation):

@@ -1,7 +1,9 @@
 import cmath
 import math
+import pickle
 import random
 from collections import Counter
+from dataclasses import replace
 from textwrap import indent
 
 import pytest
@@ -9,7 +11,20 @@ from conftest import level_start, random_expr, reference_corrector
 
 import planeflow.level as level_module
 from planeflow.errors import CorrectorDivergence, EvaluationOverflow
-from planeflow.expr import Add, Constant, Exp, Mul, Scale, Variable, _emit_body, compile_fn, derivative, parse_expr
+from planeflow.escape import rubel_path
+from planeflow.expr import (
+    Add,
+    Constant,
+    Exp,
+    Mul,
+    Scale,
+    Variable,
+    _emit_body,
+    _function_code,
+    compile_fn,
+    derivative,
+    parse_expr,
+)
 from planeflow.flow import IntegratorConfig
 from planeflow.level import (
     LevelCurve,
@@ -149,7 +164,7 @@ class TestCorrector:
         # other's bits
         got = [level_module._newton(Add(Variable(), c), Constant(1.0))(0j, complex(1.0, -0.0), 0.0, 1)
                for c in (Constant(0j), Constant(-0j))]
-        assert repr(got) == "[(-0j, 1), (0j, 1)]"
+        assert repr(got) == "[(-0j, 1, 0j), (0j, 1, 0j)]"
 
 
 def _counted_exp(newton):
@@ -179,7 +194,7 @@ def _reference_newton_source(big_g, dg):
         "        except EvaluationOverflow:",
         "            return None",
         f"        if it and abs({v} - target) <= tol:",
-        "            return z0, it",
+        f"            return z0, it, {v}",
         "        if it == max_iter:",
         "            return None",
         indent(body, " " * 4),
@@ -216,7 +231,7 @@ class TestNewton:
             "        except EvaluationOverflow:",
             "            return None",
             "        if it and abs(t0 - target) <= tol:",
-            "            return z0, it",
+            "            return z0, it, t0",
             "        if it == max_iter:",
             "            return None",
             "",
@@ -365,6 +380,33 @@ class TestTrace:
     def test_backward_target_rejected(self):
         with pytest.raises(ValueError):
             trace_level(parse_expr("z^2 / 2"), 1.0, 0.2)
+
+    def test_nan_target_rejected(self):
+        # NaN compares false: a guard written as x_target <= x lets it through
+        with pytest.raises(ValueError, match="x_target must exceed"):
+            trace_level(parse_expr("z^2 / 2"), 1.0, math.nan)
+
+    def test_exp_trace_takes_g_from_the_corrector(self, monkeypatch):
+        # g = G for exp(z): at each point the corrector's value of G serves as
+        # g, so a point costs the predictor's midpoint and one exp per corrector
+        # iteration, the accepting one included (3 exps where 4 were taken)
+        exps, solves = [], []
+        monkeypatch.setattr(cmath, "exp", lambda w, exp=cmath.exp: exps.append(w) or exp(w))
+        corrector = level_module._corrector
+        monkeypatch.setattr(level_module, "_corrector", lambda *a, **k: solves.append(corrector(*a, **k)) or solves[-1])
+        f, start, cfg = parse_expr("exp(z)"), cmath.log(5 + 1j), IntegratorConfig(escape_radius=1e9)
+        curve = trace_level(f, start, 1e6, cfg)
+        assert curve.stop_reason == "target" and None not in solves and len(solves) == len(curve) - 1
+        # the start's G and g, then per point the midpoint and each iteration
+        assert len(exps) == 2 + sum(1 + it + 1 for _, it, _ in solves)
+        assert sum(it == 1 for _, it, _ in solves) > len(solves) // 2
+        # the same points, bit for bit, as with g evaluated again at each point
+        big_ge, ge, dg, newton, field, shared = level_module._kernels(f)
+        assert shared
+        apart = parse_expr("exp(z)")
+        object.__setattr__(apart, "_level", (compile_fn, (big_ge, ge, dg, newton, field, False)))
+        assert repr(trace_level(apart, start, 1e6, cfg)) == repr(curve)
+        assert repr(transit_time(curve, cfg)) == repr(transit_time(replace(curve, big_g=apart), cfg))
 
     def test_derivative_evaluated_once_per_point(self, monkeypatch):
         real = level_module.compile_fn
@@ -551,3 +593,71 @@ class TestCriterion:
         assert all(b > a for a, b in zip(times, times[1:]))
         deltas = [b - a for a, b in zip(times, times[1:])]
         assert all(b / a > 0.75 for a, b in zip(deltas, deltas[1:]))
+
+
+def _kept_runs(big_g, f):
+    """A trace and transit on each tree's levels, and a Rubel path of f."""
+    cfg = IntegratorConfig(escape_radius=1e9)
+    start = cmath.log(5 + 1j)
+    curves = [trace_level(tree, start, 1e4, cfg) for tree in (big_g, f)]
+    return curves, [transit_time(c, cfg) for c in curves], rubel_path(f, 1.0, start, 1e20, cfg)
+
+
+class TestKeptKernels:
+    """Each tree object keeps its level kernels and Rubel passes."""
+
+    def test_second_call_builds_nothing(self):
+        # levels of z^2/2 and of e^z (whose g is G), and e^z's Rubel path
+        big_g, f = parse_expr("z^2 * (1/2)"), parse_expr("exp(z)")
+        first = _kept_runs(big_g, f)
+        before = _function_code.cache_info()
+        second = _kept_runs(big_g, f)
+        after = _function_code.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        fresh = _kept_runs(parse_expr("z^2 * (1/2)"), parse_expr("exp(z)"))
+        assert repr(second) == repr(first) == repr(fresh)
+
+    def test_rubel_pass_bound_per_call(self):
+        # one kept pass serves every D and every c of one count
+        f, cfg = parse_expr("exp(z)"), IntegratorConfig(escape_radius=1e9)
+        runs = [(d, cs) for d in (1.0, 2.5, -0.0) for cs in ((0.5, 1.0), (0.25, 2.0))]
+        got = [rubel_path(f, d, cmath.log(complex(5, d)), 1e20, cfg, c_values=cs) for d, cs in runs]
+        assert list(f.__dict__["_rubel"]) == [(3, 2)]
+        for (d, cs), rep in zip(runs, got):
+            assert repr(rep) == repr(rubel_path(parse_expr("exp(z)"), d, cmath.log(complex(5, d)), 1e20, cfg, c_values=cs))
+
+    def test_kept_kernels_follow_a_rebound_compile_fn(self, monkeypatch):
+        # bench/tracing.py wraps level.compile_fn to count evaluations; a tree
+        # whose kernels were built before must not bypass the wrapper
+        big_g, cfg = parse_expr("z^2 * (1/2)"), IntegratorConfig(escape_radius=1e9)
+        curve = trace_level(big_g, 1 + 0.5j, 1e4, cfg)
+        transit = transit_time(curve, cfg)
+        kept = level_module._kernels(big_g)
+        points = []
+
+        def counting(tree):
+            f = compile_fn(tree)
+            return lambda z: points.append(z) or f(z)
+
+        monkeypatch.setattr(level_module, "compile_fn", counting)
+        assert repr(trace_level(big_g, 1 + 0.5j, 1e4, cfg)) == repr(curve)
+        assert repr(transit_time(curve, cfg)) == repr(transit)
+        assert points and level_module._kernels(big_g) is not kept
+        assert level_module._kernels(big_g) is level_module._kernels(big_g)
+
+    def test_tree_pickles_without_its_kernels(self):
+        f = parse_expr("exp(z)")
+        runs = _kept_runs(f, f)
+        assert {"_level", "_rubel"} <= f.__dict__.keys()
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and repr(back) == repr(f)
+        assert list(back.__dict__) == ["arg"]
+        assert repr(_kept_runs(back, back)) == repr(runs)
+
+    def test_equal_trees_keep_their_own_kernels(self):
+        # equal trees, different bits: kernels found by equality would hand
+        # one of them the other's
+        pos, neg = Add(Variable(), Constant(0.0)), Add(Variable(), Constant(-0.0))
+        assert pos == neg
+        assert level_module._kernels(pos) is not level_module._kernels(neg)
+        assert repr(level_module._kernels(pos)[0](-0.0)) != repr(level_module._kernels(neg)[0](-0.0))
