@@ -308,8 +308,6 @@ def _cmd_classify(args) -> int:
         print(f"  radius {r:g} crossed at t={t!r}")
     if args.json:
         args.files["classify.json"] = dumps_report(est)
-    if args.csv:
-        args.files["trajectory.csv"] = _trajectory_csv(traj)
     return 0
 
 
@@ -592,7 +590,7 @@ _COMMANDS = (
     ("simulate", "integrate one trajectory and classify it",
      "f g z0! kind reversed tol tmax radius out json svg csv window", _cmd_simulate, {}),
     ("classify", "integrate and report escape-time analysis",
-     "f g z0! kind reversed tol tmax radius out json csv", _cmd_classify, {}),
+     "f g z0! kind reversed tol tmax radius out json", _cmd_classify, {}),
     ("level-trace", "trace a level curve of Im G",
      "G! start! Xmax! radius out json svg window", _cmd_level_trace, dict(radius=1e9)),
     ("transit", "transit time along a level curve",

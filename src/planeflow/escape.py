@@ -15,12 +15,11 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, Scale, _emit_body, _function_code, compile_fn
+from .expr import FuncExpr, Scale, _emit_body, _function_code, _kept, compile_fn
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -79,11 +78,11 @@ def _segment_points(f, z0, delta, ys, cfg):
     if not 0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
     z0 = complex(z0)
-    fe = compile_fn(f)
+    # f's point function and the Fields of i f and -i f, kept on f
+    fe, fields = _kept(f, "_segment", compile_fn, lambda: (compile_fn(f), (Field(Scale(1j, f)), Field(Scale(-1j, f)))))
     if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
         raise ValueError("f vanishes at z0; the segment is undefined")
     near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
-    fields = tuple(Field(Scale(sgn * 1j, f)) for sgn in (1.0, -1.0))
 
     def chunks():
         # no y at all still checks the segment
@@ -266,15 +265,17 @@ def rubel_path(
     bound from the last dyadic window [T/2, T] and its decay ratio, never a
     bare claim of convergence; where a window end term underflows to 0 the
     ratio is taken from the end nodes' logarithms.  Each c must be positive
-    and finite.  The seed checks, the trace and the T/2 node use the level
-    kernels kept on f (``level._kernels``); the pass is generated once per
-    (m_max, number of c), kept on f, and bound to each call's D and c.
+    and finite, and D finite.  The seed checks, the trace and the T/2 node use
+    the level kernels kept on f (``level._kernels``); the pass, kept on f per
+    (m_max, number of c), takes each call's D and c as arguments.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
         raise ValueError(f"m_max must be in 0..{_MAX_JET_ORDER}, got {m_max!r}")
     # for c <= 0, |f^(m)|^(-c) |dz| does not decay along the path
     if not all(0 < c < math.inf for c in c_values):
         raise ValueError(f"each tail exponent c must be positive and finite, got {tuple(c_values)!r}")
+    if not math.isfinite(d_shift):
+        raise ValueError(f"d_shift must be finite, got {d_shift!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
     fe, fpe, df, newton, _, _ = _kernels(f)
@@ -301,11 +302,9 @@ def rubel_path(
         # the last dyadic window [T/2, T] starts at one node placed on the path at T/2
         yield t_lo, point_on_level(newton, t_lo, d_shift, zs[first])[0]
 
-    passes, n_c = f.__dict__.setdefault("_rubel", {}), len(c_values)
-    kept = passes.get((m_max, n_c)) or passes.setdefault((m_max, n_c), _rubel_pass(f, df, d_shift, m_max, c_values))
-    bound = {"D": d_shift, "DD": d_shift * d_shift, **{f"C{j}": c for j, c in enumerate(c_values)}}
-    path = FunctionType(kept.__code__, {**kept.__globals__, **bound})
-    im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(nodes(), len(ts), first)
+    path = _kept(f, f"_rubel_{m_max}_{len(c_values)}", compile_fn, lambda: _rubel_pass(f, df, m_max, len(c_values)))
+    args = d_shift, d_shift * d_shift, *c_values
+    im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(nodes(), len(ts), first, *args)
     growth = {m: tuple((r, ratios[m]) for r, ratios in marks) for m in range(m_max + 1)}
 
     pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
@@ -326,40 +325,26 @@ def rubel_path(
     return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
 
 
-def _rubel_pass(f: FuncExpr, df: FuncExpr, d_shift: float, m_max: int, c_values: Sequence[float]):
-    """``path(nodes, n, first)`` of :data:`_PASS`: f's jet to order max(m_max + 1, 2) at <jet>, as
-    :func:`eval_jet` runs it, and f' at <df>, as :func:`compile_fn` runs it, so values and
-    exceptions are theirs.  Constants and nodes are bound as globals, never written into the source."""
-    env = {
-        "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
-        "D": d_shift, "DD": d_shift * d_shift, **{f"C{j}": c for j, c in enumerate(c_values)},
-    }
-    jet, coeffs = _jet_body(f, max(m_max + 1, 2), env)
-    body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
-    source = _pass_source(m_max, len(c_values), tuple(coeffs))
-    source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
-    return FunctionType(_function_code(source.replace("<fp>", fp)), env)
-
-
 # One walk of a Rubel path: ``nodes`` yields the n samples (t, z), f(z) =
 # t + iD, a_k the coefficients of f's jet there, then the window node at T/2,
-# drawn only after every sample's statements have run.  A line with {m} is
-# written for m = 0..m_max: log|f^(m)| = log|f^(m)/f| + log|f| keeps the large
-# part exact, |f| = |t + iD| on the path (hypot only where t*t + D*D
-# overflows).  A line with {j} is written for each (m, c) slot j, c = C{c}
-# varying fastest: the tail term q = |f^(m)|^(-c) / |f'| and its slope
-# dlog(t q)/dlog t, 1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as
-# dz/dt = 1/f' (the quotient read as 0 where f^(m) = 0).  Over the samples
-# it keeps max |Im f - D|; whether Re f is positive and increasing, f being
-# a_0 (which can differ from the compiled f in the sign of a zero part, and
-# for an IntPower above 100 in the last bits); log|f^(m)|/log|z| where |z| > 1
+# drawn only after every sample's statements have run; D, DD = D*D and each
+# C{c} are arguments.  A line with {m} is written for m = 0..m_max:
+# log|f^(m)| = log|f^(m)/f| + log|f| keeps the large part exact, |f| =
+# |t + iD| on the path (hypot only where t*t + D*D overflows).  A line with
+# {j} is written for each (m, c) slot j, c = C{c} varying fastest: the tail
+# term q = |f^(m)|^(-c) / |f'| and its slope dlog(t q)/dlog t,
+# 1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as dz/dt = 1/f' (the
+# quotient read as 0 where f^(m) = 0).  Over the samples it keeps
+# max |Im f - D|; whether Re f is positive and increasing, f being a_0 (which
+# can differ from the compiled f in the sign of a zero part, and for an
+# IntPower above 100 in the last bits); log|f^(m)|/log|z| where |z| > 1
 # first, then has grown by 1.3, and at the last sample; and the steps h/2
 # (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) in s = log t of the end-corrected
 # trapezoid rule on F = t q, d the slopes (S{j}[0] is no step).  A tail sums
 # them from 0.0 over the samples, its window [T/2, T] from the T/2 node to
 # ``first``, the first sample past it, and on; an infinite term makes it inf.
 _PASS = """\
-def path(nodes, n, first):
+def path(nodes, n, first, D, DD{cs}):
     mono, prev, marks, mark, sp, tails = True, -inf, [], 0.0, 0.0, []
     S{j}, I{j}, P{j}, Q{j} = [], -1, 0.0, 0.0
     for i, (t, z0) in enumerate(nodes):
@@ -405,18 +390,28 @@ def path(nodes, n, first):
     return dev, mono, marks, tails, ({logs}, s), hi[:2]"""
 
 
-@lru_cache(maxsize=64)
-def _pass_source(m_max: int, n_c: int, coeffs: tuple) -> str:
-    """:data:`_PASS` for m_max, n_c exponents and the names of f's jet coefficients."""
+def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
+    """``path(nodes, n, first, D, DD, C0, ..)`` of :data:`_PASS` for m_max and n_c exponents: f's
+    jet to order max(m_max + 1, 2) at <jet>, as :func:`eval_jet` runs it, and f' at <df>, as
+    :func:`compile_fn` runs it, so values and exceptions are theirs.  Constants and nodes are
+    bound as globals."""
+    env = {
+        "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
+    }
+    jet, a = _jet_body(f, max(m_max + 1, 2), env)
+    body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
     slots = [dict(j=j, m=j // n_c, c=j % n_c) for j in range((m_max + 1) * n_c)]
-    ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=coeffs[m], am1=coeffs[m + 1]) for m in range(m_max + 1)]
+    ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=a[m], am1=a[m + 1]) for m in range(m_max + 1)]
     fill = {
-        "a": coeffs, "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
+        "a": a, "cs": "".join(f", C{c}" for c in range(n_c)),
+        "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
         "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
         "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
     }
-    return "\n".join(
+    source = "\n".join(
         line.format(**fill, **each)
         for line in _PASS.split("\n")
         for each in (slots if "{j}" in line else ms if "{m}" in line else [{}])
     )
+    source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
+    return FunctionType(_function_code(source.replace("<fp>", fp)), env)

@@ -42,10 +42,23 @@ __all__ = [
 
 
 class _Node:
-    """Base of the tree nodes: functions kept on a tree under private names stay out of a pickle."""
+    """Base of the tree nodes (and of ``flow.Trajectory``): values kept by
+    :func:`_kept` under private names stay out of a pickle."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
+def _kept(obj, name: str, key, build):
+    """The one keep rule: ``build()`` kept on ``obj`` under the private ``name`` with ``key`` (the
+    ``compile_fn`` that bench/tracing.py rebinds, or a config), built again once ``key`` changes.
+    Never found by equality (Constant(0.0) == Constant(-0.0), yet their bits differ); a ``build``
+    that raises keeps nothing."""
+    kept = obj.__dict__.get(name)
+    if kept is None or kept[0] != key:
+        kept = key, build()
+        object.__setattr__(obj, name, kept)
+    return kept[1]
 
 
 @dataclass(frozen=True)

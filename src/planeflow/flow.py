@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
-    _emit_body, _function_code, antiderivative, compile_fn, is_constant, poly_coeffs,
+    _emit_body, _function_code, _kept, _Node, antiderivative, compile_fn, is_constant, poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -105,9 +105,6 @@ class FlowSpec:
         if is_constant(self.func):
             raise ValueError("flow function must be nonconstant")
 
-    def __getstate__(self):  # the kept Field holds generated functions
-        return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -171,17 +168,15 @@ class StepUnderflow(Termination):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Time-stamped samples of one flow line, immutable once built."""
+class Trajectory(_Node):
+    """Time-stamped samples of one flow line, immutable once built; its kept
+    estimate stays out of a pickle, as a tree's kept values do."""
 
     spec: FlowSpec
     z0: complex
     samples: tuple
     errors: tuple
     termination: Termination
-
-    def __getstate__(self):  # the kept estimate belongs to this object only
-        return {k: v for k, v in self.__dict__.items() if k != "_estimate"}
 
     @property
     def t_end(self) -> float:
@@ -292,15 +287,11 @@ def _inverse(x):
 
 
 def _rhs(spec: FlowSpec) -> Field:
-    """The Field of ``spec``'s flow, kept on the spec object, never found by
-    equality (Constant(0.0) == Constant(-0.0), yet their bits differ), and
-    built again once ``compile_fn`` is rebound, as bench/tracing.py does."""
-    kept = spec.__dict__.get("_rhs")
-    if kept is None or kept[0] is not compile_fn:
-        post = "{}" if spec.kind == HOLOMORPHIC else "{}.conjugate()"
-        kept = compile_fn, Field(spec.func, post if spec.time_direction == FORWARD else "-" + post)
-        object.__setattr__(spec, "_rhs", kept)
-    return kept[1]
+    """The Field of ``spec``'s flow, kept on its tree by :func:`expr._kept`,
+    one per post-operation, under ``_field0`` .. ``_field3`` (``_POSTS``' order)."""
+    post = "{}" if spec.kind == HOLOMORPHIC else "{}.conjugate()"
+    post = post if spec.time_direction == FORWARD else "-" + post
+    return _kept(spec.func, f"_field{_POSTS.index(post)}", compile_fn, lambda: Field(spec.func, post))
 
 
 # ---------------------------------------------------------------------------
@@ -776,11 +767,7 @@ def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = Non
     config returns it, another config replaces it, a raise keeps nothing.
     """
     cfg = cfg or IntegratorConfig()
-    kept = traj.__dict__.get("_estimate")
-    if kept is None or kept[0] != cfg:
-        kept = cfg, _estimate(traj, cfg)
-        object.__setattr__(traj, "_estimate", kept)
-    return kept[1]
+    return _kept(traj, "_estimate", cfg, lambda: _estimate(traj, cfg))
 
 
 def _estimate(traj, cfg) -> BlowupEstimate:

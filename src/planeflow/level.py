@@ -26,7 +26,7 @@ from types import FunctionType
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import FuncExpr, _emit_body, _function_code, compile_fn, derivative
+from .expr import FuncExpr, _emit_body, _function_code, _kept, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -143,16 +143,15 @@ def point_on_level(newton, x, beta, z_guess):
 
 
 def _kernels(big_g: FuncExpr):
-    """G's and g = G''s point functions, g's tree, the corrector, the Field of conj(g) and
-    whether g is G (equal reprs, :func:`_newton`'s rule), kept on the tree object as
-    :func:`flow._rhs` keeps a Field, and built again once ``compile_fn`` is rebound."""
-    kept = big_g.__dict__.get("_level")
-    if kept is None or kept[0] is not compile_fn:
+    """G's and g = G''s point functions, g's tree, the corrector, the Field of conj(g) and whether
+    g is G (equal reprs, :func:`_newton`'s rule), kept on the tree under ``_level`` (:func:`expr._kept`)."""
+
+    def build():
         dg = derivative(big_g)
-        kept = compile_fn, (compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()"),
-                            repr(dg) == repr(big_g))
-        object.__setattr__(big_g, "_level", kept)
-    return kept[1]
+        return (compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()"),
+                repr(dg) == repr(big_g))
+
+    return _kept(big_g, "_level", compile_fn, build)
 
 
 def trace_level(

@@ -371,7 +371,7 @@ class TestSubcommands:
         "command, flag",
         [(c, "--seed") for c in ("simulate", "classify", "level-trace", "transit", "rubel", "poly-summary")]
         + [(c, f) for c in ("classify", "transit", "rubel") for f in ("--svg", "--window")]
-        + [(c, "--csv") for c in ("transit", "measure", "rubel")]
+        + [(c, "--csv") for c in ("classify", "transit", "measure", "rubel")]
         + [("poly-summary", f) for f in ("--tol", "--tmax", "--radius", "--svg", "--csv", "--window")]
         # each command writes its JSON report (level-trace its CSV table) unasked
         + [(c, "--json") for c in ("transit", "measure", "rubel", "poly-summary")]

@@ -219,12 +219,16 @@ class TestEscapeMeasure:
             monkeypatch.setattr(
                 escape_module, name, lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
             )
-        f, cfg = parse_expr("-exp(-z)"), IntegratorConfig(t_max=5.0)
-        for run in (lambda: escape_measure(f, 0.0, 1.0, 3, cfg), lambda: transverse_segment(f, 0.0, 1.0, 64, cfg)):
-            calls.clear()
-            run()
-            # dz/dy = i f for y increasing and for y decreasing, one trace per side
-            assert sorted(calls) == ["Field", "Field", "drive_field", "drive_field"]
+        cfg = IntegratorConfig(t_max=5.0)
+        runs = (lambda f: escape_measure(f, 0.0, 1.0, 3, cfg), lambda f: transverse_segment(f, 0.0, 1.0, 64, cfg))
+        for first, second in (runs, runs[::-1]):
+            f = parse_expr("-exp(-z)")
+            for run, built in ((first, ["Field", "Field"]), (second, []), (first, [])):
+                calls.clear()
+                run(f)
+                # dz/dy = i f for y increasing and for y decreasing, one trace per side;
+                # their Fields are built at the first call on a tree and kept on it
+                assert sorted(calls) == [*built, "drive_field", "drive_field"]
 
     def test_collect_trajectories(self):
         cfg = IntegratorConfig(escape_radius=10.0, t_max=20.0)
@@ -744,6 +748,14 @@ class TestRubelPath:
         monkeypatch.setattr(escape_module, "trace_level", None)
         with pytest.raises(ValueError, match="tail exponent"):
             rubel_path(parse_expr("exp(z)"), 0.0, 2.0, 1e18, c_values=c_values)
+
+    @pytest.mark.parametrize("d_shift", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_d_shift_rejected_before_tracing(self, monkeypatch, d_shift):
+        # NaN passed the seed's level check (|Im f - D| > tol is false) and the
+        # whole path was traced before the T/2 node's corrector diverged
+        monkeypatch.setattr(escape_module, "trace_level", None)
+        with pytest.raises(ValueError, match="d_shift must be finite"):
+            rubel_path(parse_expr("exp(z)"), d_shift, 2.0, 1e10, IntegratorConfig(escape_radius=1e9))
 
     def test_nan_t_end_rejected(self):
         # NaN compares false: a guard written as t_end <= Re f lets it through

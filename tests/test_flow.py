@@ -1163,11 +1163,22 @@ class TestFieldPerSpec:
         assert flow_module._rhs(pos) is not flow_module._rhs(neg)
         assert repr(flow_module._rhs(pos)(-0.0)) != repr(flow_module._rhs(neg)(-0.0))
 
+    def test_one_tree_keeps_a_field_per_post(self):
+        # the four (kind, direction) pairs of one tree: four Fields, one per post-operation
+        tree, cfg = parse_expr("z^2"), IntegratorConfig(t_max=1.0)
+        specs = [FlowSpec(kind, tree, d) for kind in (HOLOMORPHIC, ANTIHOLOMORPHIC) for d in (FORWARD, REVERSED)]
+        for spec in specs:
+            integrate(spec, 0.5, cfg)
+        kept = [pair[1] for name, pair in tree.__dict__.items() if name.startswith("_")]
+        assert sorted(field.post for field in kept) == sorted(flow_module._POSTS)
+        assert sorted(map(id, kept)) == sorted(id(flow_module._rhs(spec)) for spec in specs)
+
     def test_spec_pickles_without_its_field(self):
         spec = holo("z^2")
         traj = integrate(spec, 1.0)
         back = pickle.loads(pickle.dumps(traj))
-        assert back == traj and "_rhs" not in back.spec.__dict__
+        assert "_field0" in spec.func.__dict__
+        assert back == traj and list(back.spec.func.__dict__) == ["arg", "power"]
         assert integrate(back.spec, 1.0) == traj
 
     def test_tree_emitted_per_spec_not_per_call(self, monkeypatch):

@@ -622,7 +622,7 @@ class TestKeptKernels:
         f, cfg = parse_expr("exp(z)"), IntegratorConfig(escape_radius=1e9)
         runs = [(d, cs) for d in (1.0, 2.5, -0.0) for cs in ((0.5, 1.0), (0.25, 2.0))]
         got = [rubel_path(f, d, cmath.log(complex(5, d)), 1e20, cfg, c_values=cs) for d, cs in runs]
-        assert list(f.__dict__["_rubel"]) == [(3, 2)]
+        assert [name for name in f.__dict__ if name.startswith("_rubel")] == ["_rubel_3_2"]
         for (d, cs), rep in zip(runs, got):
             assert repr(rep) == repr(rubel_path(parse_expr("exp(z)"), d, cmath.log(complex(5, d)), 1e20, cfg, c_values=cs))
 
@@ -648,7 +648,7 @@ class TestKeptKernels:
     def test_tree_pickles_without_its_kernels(self):
         f = parse_expr("exp(z)")
         runs = _kept_runs(f, f)
-        assert {"_level", "_rubel"} <= f.__dict__.keys()
+        assert {"_level", "_rubel_3_2"} <= f.__dict__.keys()
         back = pickle.loads(pickle.dumps(f))
         assert back == f and repr(back) == repr(f)
         assert list(back.__dict__) == ["arg"]
