@@ -1,4 +1,4 @@
-"""Run the forty-four reference CLI commands and record everything they produce.
+"""Run the forty-seven reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -56,6 +56,10 @@ COMMANDS = (
     ("classify-exp-sum", ["classify", "--f", "exp(z) + 1", "--z0", "1"]),
     # the run exhausts the time resolution of doubles before the radius: T = (sqrt(pi)/2) erfc(0.3)
     ("classify-underflow", ["classify", "--f", "exp(z^2)", "--z0", "0.3"]),
+    # a steep polynomial underflows short of the radius too: T = 1.5^-19 / 19 by the ray ...
+    ("classify-steep-poly", ["classify", "--f", "z^20", "--z0", "1.5", "--json"]),
+    # ... and by the level chart of the conjugate flow
+    ("classify-steep-poly-antiholo", ["classify", "--g", "z^20", "--kind", "antiholo", "--z0", "1.5", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
     # the tracer's dz/dX predictor: a start on G = 0 ...
     ("level-trace-from-zero", ["level-trace", "--G", "z", "--start", "0", "--Xmax", "10"]),
@@ -71,6 +75,8 @@ COMMANDS = (
     ("transit-short", ["transit", "--G", "z^2*(1/2)", "--start", "1", "--Xmax", "2"]),
     # the direct run's first step crosses X_max at a step fraction near 1e-311
     ("transit-tiny-range", ["transit", "--G", "z", "--start", "1e-313", "--Xmax", "2e-313"]),
+    # past X ~ 1e154 the chart's s is computed without overflowing: 1 - 1e-200
+    ("transit-exp-far", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1e200"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),

@@ -278,7 +278,7 @@ def rubel_path(
         raise ValueError(f"d_shift must be finite, got {d_shift!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
-    fe, fpe, df, newton, _, _ = _kernels(f)
+    fe, fpe, df, newton, _ = _kernels(f)
     v = fe(z_seed)
     if abs(v.imag - d_shift) > 1e-6 * (1.0 + abs(v)):
         raise TractViolation(f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}")

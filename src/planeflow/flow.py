@@ -752,16 +752,18 @@ def blowup_time_estimate(traj: Trajectory, cfg: Optional[IntegratorConfig] = Non
     Holomorphic flows integrate dt = dz/f out to infinity along the tangent
     ray z + s u, u = f(z) / |f(z)|, s >= 0 (method "ray", past f's overflow
     by ``Field.reciprocal``), from the exit re-stepped onto the trajectory,
-    for a polynomial continued past its zero-free radius; a non-polynomial
-    f's run that ends in StepUnderflow while |z| and |f| rise, from its last
-    sample.  Conjugate flows of a polynomial g integrate dX / |g|^2 along
-    the level line to X = inf in its w = 1/z chart (method "w_chart").
+    for a polynomial continued past its zero-free radius.  Conjugate flows
+    of a polynomial g integrate dX / |g|^2 along the level line to X = inf
+    in its w = 1/z chart (method "w_chart").  A run that ends in
+    StepUnderflow while |z| and |f| rise is timed as one that reached its
+    radius, from its last sample, when its flow has one of these transits.
     Degree <= 1 is inconclusive: every solution is global.  Where no
-    transit can be formed (:class:`_NoTransit`), a polynomial falls back on
-    the dyadic rule and any other f is inconclusive.  Any other g: continue
-    through dyadic radii R, 2R, 4R, ... and accept a finite limit only when
-    the exit-time increments decay geometrically (ratio <= 0.75), with the
-    transits' step term in its bar.
+    transit can be formed (:class:`_NoTransit`), a polynomial's run that
+    reached its radius falls back on the dyadic rule and any other run is
+    inconclusive.  Any other g: continue from the radius R through dyadic
+    radii 2R, 4R, ... and accept a finite limit only when the exit-time
+    increments decay geometrically (ratio <= 0.75), with the transits'
+    step term in its bar.
 
     The estimate is kept on ``traj`` with ``cfg``: a call with an equal
     config returns it, another config replaces it, a raise keeps nothing.
@@ -779,30 +781,30 @@ def _estimate(traj, cfg) -> BlowupEstimate:
     antiholo = traj.spec.kind == ANTIHOLOMORPHIC
     coeffs = poly_coeffs(traj.spec.func)
     if coeffs is None and antiholo:
-        return _dyadic_estimate(rhs, traj, cfg)
+        # no level chart: only the dyadic rule, which starts from a radius crossing
+        return _dyadic_estimate(rhs, traj, cfg) if reached else _inconclusive("not an escape candidate")
     if coeffs is not None and len(coeffs) < 3:  # z' = a z + b or its conjugate: a linear system, every solution global
         return _inconclusive("degree < 2: no finite escape", exit_times)
+    # beyond r_safe, twice the Cauchy bound 1 + max |c_k / c_n| on the roots,
+    # no zero lies between the trajectory's tail and the transit's path
+    r_safe = 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])) if coeffs else 0.0
     try:
-        if coeffs is None:
-            return _ray_estimate(rhs, _transit_start(rhs, traj, cfg), exit_times, cfg)
-        # beyond r_safe, twice the Cauchy bound 1 + max |c_k / c_n| on the roots,
-        # no zero lies between the trajectory's tail and the transit's path
-        start = _transit_start(rhs, traj, cfg, 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])))
+        start = _transit_start(rhs, traj, cfg, r_safe)
         if antiholo:
             reverse = traj.spec.time_direction == REVERSED
             return _level_chart_estimate([-c for c in coeffs] if reverse else coeffs, start, exit_times, cfg)
         return _ray_estimate(rhs, start, exit_times, cfg)
     except _NoTransit as exc:
         # the dyadic rule keeps the z^2 near-miss verdict that the benchmark's smoke run pins
-        return _dyadic_estimate(rhs, traj, cfg) if coeffs else _inconclusive(str(exc), exit_times)
+        return _dyadic_estimate(rhs, traj, cfg) if coeffs and reached else _inconclusive(str(exc), exit_times)
 
 
 def _underflow_escape(traj, rhs) -> bool:
-    """Whether a StepUnderflow run escapes: f holomorphic, not a polynomial, |z| and |f| rising at the end."""
-    if not isinstance(traj.termination, StepUnderflow) or traj.spec.kind != HOLOMORPHIC or len(traj) < 2:
+    """Whether a run ended in StepUnderflow with |z| and |f| rising over its last two samples."""
+    if not isinstance(traj.termination, StepUnderflow) or len(traj) < 2:
         return False
     (_, za), (_, zb) = traj.samples[-2:]
-    return poly_coeffs(traj.spec.func) is None and abs(za) < abs(zb) and abs(rhs(za)) < abs(rhs(zb))
+    return abs(za) < abs(zb) and abs(rhs(za)) < abs(rhs(zb))
 
 
 class _NoTransit(Exception):

@@ -87,11 +87,13 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     Each iteration runs the statements :func:`compile_fn` would run for G
     and then for g, inlined, so values and exceptions are those of calling
     the two compiled functions: an overflow in G ends the solve, one in g
-    propagates.  When g is G (``exp(z)``: equal reprs, which tell every
-    constant's bits apart), G's value serves as g and its statements run
-    once an iteration; g then cannot raise, as it could only where G already
-    ended the solve.  Constants and nodes are bound as globals, never written
-    into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
+    propagates.  g runs at the accepted point too and is returned with it;
+    a solve that runs out of iterations returns None before g runs there.
+    When g is G (``exp(z)``: equal reprs, which tell every constant's bits
+    apart), G's value serves as g and its statements run once an iteration;
+    g then cannot raise, as it could only where G already ended the solve.
+    Constants and nodes are bound as globals, never written into the source
+    (Constant(0.0) == Constant(-0.0), yet their bits differ).
     """
     big_body, v, env = _emit_body(big_g, pad=" " * 12)
     if repr(dg) == repr(big_g):
@@ -114,11 +116,12 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
         big_body,
         "        except EvaluationOverflow:",
         "            return None",
-        f"        if it and abs({v} - target) <= tol:",
-        f"            return z0, it, {v}",
-        "        if it == max_iter:",
+        f"        done = it and abs({v} - target) <= tol",
+        "        if not done and it == max_iter:",
         "            return None",
         body,
+        "        if done:",
+        f"            return z0, it, {g}",
         f"        if abs({g}) < G_MIN:",
         "            return None",
         f"        z0 = z = z - ({v} - target) / {g}",
@@ -128,12 +131,12 @@ def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
 def _corrector(newton, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess with the corrector ``newton``
     of G (see :func:`_newton`), at least one step; returns (z, iterations,
-    G(z)) or None."""
+    g(z)) or None."""
     return newton(target, z_guess, tol, max_iter)
 
 
 def point_on_level(newton, x, beta, z_guess):
-    """Corrector-refined curve point z at Re G = x, and G(z) (shared by the quadratures)."""
+    """Corrector-refined curve point z at Re G = x, and g(z) there (shared by the quadratures)."""
     target = complex(x, beta)
     tol = _POINT_TOL * (1.0 + abs(target))
     got = _corrector(newton, target, z_guess, tol, max_iter=12)
@@ -143,13 +146,12 @@ def point_on_level(newton, x, beta, z_guess):
 
 
 def _kernels(big_g: FuncExpr):
-    """G's and g = G''s point functions, g's tree, the corrector, the Field of conj(g) and whether
-    g is G (equal reprs, :func:`_newton`'s rule), kept on the tree under ``_level`` (:func:`expr._kept`)."""
+    """G's and g = G''s point functions, g's tree, the corrector and the Field of conj(g),
+    kept on the tree under ``_level`` (:func:`expr._kept`)."""
 
     def build():
         dg = derivative(big_g)
-        return (compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()"),
-                repr(dg) == repr(big_g))
+        return compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()")
 
     return _kept(big_g, "_level", compile_fn, build)
 
@@ -178,10 +180,10 @@ def trace_level(
     that took at most 3 Newton steps, up to the cap, and halves on a
     failed step.  Halving ``_STEP_SCALE`` retraces the same curve, finer.
     G's kernels (:func:`_kernels`) are built at the first call on a tree object and
-    kept on it until ``compile_fn`` is rebound; where g is G, the corrector's G is g.
+    kept on it until ``compile_fn`` is rebound; g at each point comes from the corrector.
     """
     cfg = cfg or IntegratorConfig()
-    big_ge, ge, _, newton, _, shared = _kernels(big_g)
+    big_ge, ge, _, newton, _ = _kernels(big_g)
     z = complex(z_start)
     v0 = big_ge(z)
     beta = v0.imag
@@ -243,11 +245,10 @@ def trace_level(
                 raise CorrectorDivergence("level tracing stalled", z)
             continue
         fails = 0
-        z, iters, v = got
+        z, iters, g = got
         x = x + dx
         xs.append(x)
         zs.append(z)
-        g = v if shared else ge(z)
         if abs(g) < _G_MIN:
             stop = "critical_point"
             break
@@ -293,7 +294,7 @@ def transit_time(
     x1, x2 = curve.xs[0], curve.xs[-1]
     if x2 <= x1:
         return TransitReport((x1, x2), 0.0, 0.0, 0.0)
-    big_ge, ge, _, newton, field, shared = _kernels(curve.big_g)
+    big_ge, _, _, newton, field = _kernels(curve.big_g)
     xs, zs, beta = curve.xs, curve.zs, curve.beta
     # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
     # nearest 0, so that far from X = 0 neither its nodes nor its s-range cancel
@@ -307,18 +308,19 @@ def transit_time(
 
     def reach(x):  # the s of chart(s) = x: sinh(s) = u hw - w hu, h. = sqrt(1 + .^2), rationalized
         u = x / b
-        return math.asinh((x - x0) / b * (u + w) / (u * hw + w * math.hypot(1.0, u) or 1.0))
+        r = (x - x0) / b * (u + w) / (u * hw + w * math.hypot(1.0, u) or 1.0)
+        # past u ~ 1e154 the products overflow: the same quotient with u divided out
+        return math.asinh(r if math.isfinite(r) else (x - x0) / b * (1.0 + w / u) / (hw + w * math.hypot(1.0 / u, 1.0)))
 
     def integrand(s):
         x = chart(s)
         i = min(max(bisect.bisect(xs, x), 1), len(xs) - 1)
         xa, xb, za, zb = xs[i - 1], xs[i], zs[i - 1], zs[i]
         try:
-            z, v = point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))
+            g = abs(point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))[1])
         except CorrectorDivergence:
             # the corrector cannot pin the curve: a critical value of G is in the X-range
             raise QuadratureDiverged(s) from None
-        g = abs(v if shared else ge(z))
         if g < _G_MIN:
             raise QuadratureDiverged(s)
         return math.hypot(x, b) / (g * g)  # dX/ds = b cosh(s + asinh(x0/b))

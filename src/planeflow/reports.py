@@ -9,10 +9,8 @@ floats use repr round-tripping (15+ significant digits survive).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -152,20 +150,12 @@ def dumps_report(report) -> str:
 
 
 def load_schema() -> dict:
-    """The shipped report schema, as a fresh dict the caller may change."""
-    return copy.deepcopy(_shipped_schema())
+    """The shipped report schema, parsed afresh: the caller may change it."""
+    return json.loads(resources.files("planeflow").joinpath("schemas/report.schema.json").read_text())
 
 
-@lru_cache(maxsize=1)
-def _shipped_schema() -> dict:
-    # read once; validate_report only reads it, so sharing it is safe
-    text = resources.files("planeflow").joinpath("schemas/report.schema.json").read_text()
-    return json.loads(text)
-
-
-def validate_report(instance: dict, schema: Optional[dict] = None) -> None:
-    """Check a report dict against the shipped schema; raises ValueError."""
-    schema = schema or _shipped_schema()
+def validate_report(instance: dict, schema: dict) -> None:
+    """Check a report dict against ``schema`` (:func:`load_schema`); raises ValueError."""
     defs = schema.get("$defs", {})
     _check(instance, schema, defs, "$")
 

@@ -63,12 +63,13 @@ def level_start(rng: random.Random, k: int) -> complex:
 
 
 # The level-curve corrector as it was before it was generated per G: two
-# compiled functions, G and g = G', called once per Newton iteration.  Kept
-# as the reference the generated corrector must match bit for bit.
+# compiled functions, G and g = G', called once per Newton iteration and g
+# once more at the accepted point.  Kept as the reference the generated
+# corrector must match bit for bit.
 
 def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
     """Newton solve G(z) = target from z_guess, at least one step; returns
-    (z, iterations, G(z)) or None."""
+    (z, iterations, g(z)) or None."""
     z = z_guess
     for it in range(max_iter + 1):
         try:
@@ -76,7 +77,7 @@ def reference_corrector(big_ge, ge, target, z_guess, tol, max_iter=8):
         except EvaluationOverflow:
             return None
         if it and abs(v - target) <= tol:
-            return z, it, v
+            return z, it, ge(z)
         if it == max_iter:
             return None
         g = ge(z)

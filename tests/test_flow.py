@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -522,6 +523,8 @@ class TestBlowupEstimate:
             ("exp(z^2)", 0.3, 0.5 * math.sqrt(math.pi) * math.erfc(0.3)),
             ("exp(z^2)", 0.8, 0.5 * math.sqrt(math.pi) * math.erfc(0.8)),
             ("exp(exp(z))", 0.0, 0.21938393439552029),
+            # a steep polynomial, continued from its last sample past r_safe = 2
+            ("z^20", 1.5, 1.5**-19 / 19),
         ],
     )
     def test_step_underflow_escape_takes_the_ray(self, text, z0, want):
@@ -538,6 +541,49 @@ class TestBlowupEstimate:
         traj = flow_module.Trajectory(spec, 2.0, ((0.0, 2.0), (1e-3, 1.9)), (0.0, 0.0), flow_module.StepUnderflow())
         assert blowup_time_estimate(traj).note == "not an escape candidate"
         assert classify(traj) == traj.termination
+
+    def test_conjugate_step_underflow_takes_the_chart(self):
+        # conj(z^20) from 1.5 exhausts the time resolution of doubles short of the
+        # radius: its level chart starts at the last sample, continued past r_safe = 2
+        traj = integrate(anti("z^20"), 1.5)
+        est = blowup_time_estimate(traj)
+        assert traj.termination.name == "StepUnderflow" and est.conclusive and est.method == "w_chart"
+        assert abs(est.t_est - 1.5**-19 / 19) <= est.t_err and est.exit_times == ()
+        assert classify(traj) == FiniteTimeBlowup(est.t_est, est.t_err)
+
+    def test_steep_polynomial_sweep_never_misses(self):
+        # z' = z^n or conj(z^n) from real z0 > 0: T = z0^(1-n) / (n-1)
+        timed = Counter()
+        for spec in (holo, anti):
+            for n in range(20, 65):
+                for z0 in (1.02, 1.1, 1.5, 2.0, 3.0):
+                    traj = integrate(spec(f"z^{n}"), z0)
+                    est = blowup_time_estimate(traj)
+                    if est.conclusive:
+                        assert abs(est.t_est - z0 ** (1 - n) / (n - 1)) <= est.t_err, (spec, n, z0)
+                        timed[traj.termination.name] += 1
+        assert timed["StepUnderflow"] >= 300 and sum(timed.values()) >= 400
+        # an underflow short of r_safe = 2 whose continuation underflows again stays
+        # inconclusive: the dyadic rule needs a radius the run crossed
+        traj = integrate(holo("z^64"), 1.1)
+        est = blowup_time_estimate(traj)
+        assert traj.termination.name == "StepUnderflow" and abs(traj.z_end) < 2.0
+        assert not est.conclusive and est.note == "continuation ended short of radius 2" and est.exit_times == ()
+
+    def test_poly_coeffs_read_once_per_estimate(self, monkeypatch):
+        calls = []
+        read = flow_module.poly_coeffs
+        monkeypatch.setattr(flow_module, "poly_coeffs", lambda f: calls.append(f) or read(f))
+        cases = [(holo("z^20"), 1.5), (anti("z^20"), 1.5), (holo("z^2"), 1.0), (anti("z^3"), 1.0)]
+        for spec, z0 in cases + [(holo("exp(z^2)"), 0.3)]:
+            traj = integrate(spec, z0)
+            calls.clear()
+            assert blowup_time_estimate(traj).conclusive and len(calls) == 1, spec
+        # none for a run that is no escape candidate
+        samples = ((0.0, 2.0), (1e-3, 1.9))
+        traj = flow_module.Trajectory(holo("z^20"), 2.0, samples, (0.0, 0.0), flow_module.StepUnderflow())
+        calls.clear()
+        assert blowup_time_estimate(traj).note == "not an escape candidate" and not calls
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6])
     def test_exponential_near_miss_names_im_t(self, eps):

@@ -145,7 +145,7 @@ class TestCorrector:
             if 1 <= a and 4 * a < b:
                 cases.append((Scale(1e308 / a, tree), 0j, z, 0.0, 8))
                 scaled += 1
-        raised = nones = 0
+        raised = nones = solved = 0
         for big_g, target, guess, tol, max_iter in cases:
             dg = derivative(big_g)
             newton = level_module._newton(big_g, dg)
@@ -155,16 +155,19 @@ class TestCorrector:
             assert got == want, (big_g, target, guess, tol, max_iter)
             raised += isinstance(want, tuple)
             nones += want == "None"
-        # both ways out of a failed solve are exercised
-        assert raised >= 20 and nones >= 20
+            solved += isinstance(want, str) and want != "None"
+        # both ways out of a failed solve are exercised, and solves that return g at their point
+        assert raised >= 20 and nones >= 20 and solved >= 100
 
     def test_signed_zero_constants_kept_apart(self):
         # Constant(0j) == Constant(-0j): code found by tree equality, or with
         # the constants written into its source, would give one of these the
-        # other's bits
-        got = [level_module._newton(Add(Variable(), c), Constant(1.0))(0j, complex(1.0, -0.0), 0.0, 1)
-               for c in (Constant(0j), Constant(-0j))]
-        assert repr(got) == "[(-0j, 1, 0j), (0j, 1, 0j)]"
+        # other's bits, in G's z or in the g returned with it
+        got = []
+        for c in (Constant(0j), Constant(-0j)):
+            newton = level_module._newton(Add(Variable(), c), Add(Constant(complex(1.0, -0.0)), c))
+            got.append(newton(0j, complex(1.0, -0.0), 0.0, 1))
+        assert repr(got) == "[(-0j, 1, (1+0j)), (-0j, 1, (1-0j))]"
 
 
 def _counted_exp(newton):
@@ -193,11 +196,12 @@ def _reference_newton_source(big_g, dg):
         indent(big_body, " " * 8),
         "        except EvaluationOverflow:",
         "            return None",
-        f"        if it and abs({v} - target) <= tol:",
-        f"            return z0, it, {v}",
-        "        if it == max_iter:",
+        f"        done = it and abs({v} - target) <= tol",
+        "        if not done and it == max_iter:",
         "            return None",
         indent(body, " " * 4),
+        "        if done:",
+        f"            return z0, it, {g}",
         f"        if abs({g}) < G_MIN:",
         "            return None",
         f"        z0 = z = z - ({v} - target) / {g}",
@@ -230,11 +234,12 @@ class TestNewton:
             "                raise EvaluationOverflow(root, at=z0)",
             "        except EvaluationOverflow:",
             "            return None",
-            "        if it and abs(t0 - target) <= tol:",
-            "            return z0, it, t0",
-            "        if it == max_iter:",
+            "        done = it and abs(t0 - target) <= tol",
+            "        if not done and it == max_iter:",
             "            return None",
             "",
+            "        if done:",
+            "            return z0, it, t0",
             "        if abs(t0) < G_MIN:",
             "            return None",
             "        z0 = z = z - (t0 - target) / t0",
@@ -285,8 +290,8 @@ class TestNewton:
             calls = _counted_exp(newton)
             want = reference_corrector(big_ge, ge, target, guess, 1e-12, 8)
             assert repr(level_module._corrector(newton, target, guess, 1e-12, 8)) == repr(want)
-            # G every iteration, g every iteration but the accepting one
-            assert want is not None and len(calls) == 2 * want[1] + 1
+            # G and g every iteration, the accepting one included
+            assert want is not None and len(calls) == 2 * want[1] + 2
 
 
 class TestTrace:
@@ -400,11 +405,11 @@ class TestTrace:
         # the start's G and g, then per point the midpoint and each iteration
         assert len(exps) == 2 + sum(1 + it + 1 for _, it, _ in solves)
         assert sum(it == 1 for _, it, _ in solves) > len(solves) // 2
-        # the same points, bit for bit, as with g evaluated again at each point
-        big_ge, ge, dg, newton, field, shared = level_module._kernels(f)
-        assert shared
+        # the same points and transit, bit for bit, as with g evaluated apart at each accepted point
+        big_ge, ge, dg, _, field = level_module._kernels(f)
         apart = parse_expr("exp(z)")
-        object.__setattr__(apart, "_level", (compile_fn, (big_ge, ge, dg, newton, field, False)))
+        newton = lambda *args: reference_corrector(big_ge, ge, *args)
+        object.__setattr__(apart, "_level", (compile_fn, (big_ge, ge, dg, newton, field)))
         assert repr(trace_level(apart, start, 1e6, cfg)) == repr(curve)
         assert repr(transit_time(curve, cfg)) == repr(transit_time(replace(curve, big_g=apart), cfg))
 
@@ -512,6 +517,14 @@ class TestTransit:
             # from x = -1 down: with y = -x, the integral of dy/(e^y - 1) from 1
             want = -math.log(1.0 - math.exp(-1.0))
         assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("x_max", [1e200, 1e300])
+    def test_exp_transit_past_the_square_root_of_the_double_range(self, x_max):
+        # the chart's s of X past about 1e154 overflowed into a divergence at
+        # X = inf; from G(0) = 1 the transit of exp(z) is 1 - 1/X_max
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = transit_time(trace_level(parse_expr("exp(z)"), 0.0, x_max, cfg), cfg)
+        assert rep.divergence_witness is None and abs(rep.quadrature_time - 1.0) <= 1e-12
 
     def test_divergence_flag_near_interior_critical_point(self):
         rep = transit_time(_critical_value_curve())
