@@ -1,4 +1,4 @@
-"""Run the forty-seven reference CLI commands and record everything they produce.
+"""Run the fifty reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -38,6 +38,8 @@ COMMANDS = (
     ("simulate-antiholo-reversed", [
         "simulate", "--g", "exp(-z) + 1", "--z0", "-1,3.14159", "--kind", "antiholo", "--reversed", "--csv", "--json",
     ]),
+    # the run settles on the zero of f: a FixedPointApproach
+    ("simulate-fixed-point", ["simulate", "--f", "-z", "--z0", "1", "--json"]),
     ("classify-square", ["classify", "--f", "z^2", "--z0", "1", "--radius", "100", "--json"]),
     ("classify-exp", ["classify", "--f", "-exp(-z)", "--z0", "0", "--json"]),
     # the seed starts beyond the radius and its first step stays there: crossed at t = 0
@@ -77,6 +79,8 @@ COMMANDS = (
     ("transit-tiny-range", ["transit", "--G", "z", "--start", "1e-313", "--Xmax", "2e-313"]),
     # past X ~ 1e154 the chart's s is computed without overflowing: 1 - 1e-200
     ("transit-exp-far", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1e200"]),
+    # near the top of the double range a node retries from the chord in s ~ log X: 1 - 1/1.7e308
+    ("transit-exp-top", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1.7e308"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),
@@ -116,6 +120,8 @@ COMMANDS = (
     ("rubel-exp-plus-z", ["rubel", "--f", "exp(z)+z", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     # sin z from 2 meets its critical point pi/2 at t = 1: no path, so no tail verdicts
     ("rubel-stopped", ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
+    # f' = 4e-9 at the seed, below the level tracer's threshold: no path
+    ("rubel-critical-seed", ["rubel", "--f", "z^2 + 1", "--seed-point", "2e-9", "--t-end", "10"]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # a holomorphic cubic: its escape directions
     ("poly-summary-holo", ["poly-summary", "--coeffs", "0,0,0,1", "--kind", "holo"]),
@@ -132,7 +138,7 @@ COMMANDS = (
 )
 EXPECTED_EXITS = {
     "simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3, "simulate-window-narrow": 2,
-    "rubel-stopped": 3,
+    "rubel-stopped": 3, "rubel-critical-seed": 3,
 }
 
 

@@ -32,11 +32,7 @@ from .flow import (
     integrate,
 )
 from .jets import _MAX_JET_ORDER, _jet_body
-from .level import _kernels, point_on_level, trace_level
-
-# points placed by one pair of side traces; each stop's result holds a
-# copy of its trace, so more points trace the sides again
-_SIDE_STOPS = 1024
+from .level import _G_MIN, _kernels, point_on_level, trace_level
 
 __all__ = [
     "EscapeMeasureReport",
@@ -54,27 +50,20 @@ __all__ = [
 # transverse segment
 
 
-def _segment_end(res):
-    """The last point of a segment trace from z0, or the error that stopped it."""
-    if res.status == "event":
-        return SegmentTruncated(*res.samples[-1])
-    if res.status == "t_stop":
-        return res.samples[-1][1]
-    return PlaneflowError(f"segment tracing stopped early ({res.status})")
-
-
-def _checked(z) -> complex:
-    """A segment point; the error that stopped its trace is raised."""
-    if isinstance(z, PlaneflowError):
-        raise z
-    return z
+def _segment_end(status, sample) -> complex:
+    """The last point of a segment trace from z0; the error that stopped it is raised."""
+    if status == "event":
+        raise SegmentTruncated(*sample)
+    if status != "t_stop":
+        raise PlaneflowError(f"segment tracing stopped early ({status})")
+    return sample[1]
 
 
 def _segment_points(f, z0, delta, ys, cfg):
-    """Yield (y, point) for each y in ys, |y| <= delta: the segment's point at y,
-    or the PlaneflowError that stopped its trace.  dz/dy = i f is traced once per
-    side to delta and read at the stops |y|; delta and f(z0) are checked at the
-    call, and each side trace raises before any of its points is yielded."""
+    """The (y, end) pairs for the ys, |y| <= delta, in order: the (status, last
+    sample) of the segment traced to y, which :func:`_segment_end` reads.  dz/dy =
+    i f is traced once per side to delta and read at the stops |y|; delta and f(z0)
+    are checked first, and a side trace that stops short of delta raises."""
     if not 0 < delta < math.inf:
         raise ValueError("delta must be a positive finite number")
     z0 = complex(z0)
@@ -83,20 +72,14 @@ def _segment_points(f, z0, delta, ys, cfg):
     if abs(fe(z0)) <= 1e-15 * (1.0 + abs(z0)):
         raise ValueError("f vanishes at z0; the segment is undefined")
     near_zero = Event(lambda z: 1e-9 * (1.0 + abs(z)) - abs(fe(z)))
-
-    def chunks():
-        # no y at all still checks the segment
-        for first in range(0, max(len(ys), 1), _SIDE_STOPS):
-            chunk = ys[first : first + _SIDE_STOPS]
-            ends = {}  # y -> the side trace's result at |y|
-            for sgn in (1.0, -1.0):
-                side = [y for y in chunk if y * sgn > 0.0]
-                res = drive_field(fields[sgn < 0], z0, cfg, t_stop=delta, events=(near_zero,), stops=[abs(y) for y in side])
-                _checked(_segment_end(res))
-                ends.update(zip(side, res.at_stops))
-            yield from ((y, _segment_end(ends[y]) if y else z0) for y in chunk)
-
-    return chunks()
+    ends = {0.0: ("t_stop", (0.0, z0))}  # y -> (status, last sample) of its side's trace run to |y|
+    # no y at all still checks the segment
+    for sgn in (1.0, -1.0):
+        side = [y for y in ys if y * sgn > 0.0]
+        res = drive_field(fields[sgn < 0], z0, cfg, t_stop=delta, events=(near_zero,), stops=[abs(y) for y in side])
+        _segment_end(res.status, res.samples[-1])
+        ends.update(zip(side, res.at_stops))
+    return [(y, ends[y]) for y in ys]
 
 
 def transverse_segment(
@@ -119,7 +102,7 @@ def transverse_segment(
     half = n // 2
     ys = [k * (delta / half) for k in range(-half, half + 1)]
     # traced to the grid's own end, which can pass delta by an ulp; no stop may pass t_stop
-    return tuple((y, _checked(z)) for y, z in _segment_points(f, z0, ys[-1], ys, cfg or IntegratorConfig()))
+    return tuple((y, _segment_end(*end)) for y, end in _segment_points(f, z0, ys[-1], ys, cfg or IntegratorConfig()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +146,9 @@ def escape_measure(
     points = _segment_points(f, z0, delta, ys, cfg)
     spec = FlowSpec(HOLOMORPHIC, f)
     counts, kept = {}, []
-    for y, zy in points:
+    for y, end in points:
         try:
-            traj = integrate(spec, _checked(zy), cfg)
+            traj = integrate(spec, _segment_end(*end), cfg)
             name = classify(traj, cfg).name
         except PlaneflowError:
             name, traj = "error", None
@@ -284,7 +267,7 @@ def rubel_path(
         raise TractViolation(f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}")
     if v.real <= 0:
         raise TractViolation("seed must have Re f > 0 (f - iD real positive)")
-    if abs(fpe(z_seed)) < 1e-10 * (1.0 + abs(v)):
+    if abs(fpe(z_seed)) < _G_MIN:  # the tracer's own threshold
         raise TractViolation("f' vanishes at the seed")
     if not t_end > v.real:
         raise ValueError("t_end must exceed Re f at the seed")

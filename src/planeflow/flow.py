@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from types import FunctionType
@@ -464,7 +464,7 @@ class OdeResult:
     crossings: list  # (event, t, z) in the order the events fired
     status: str  # t_stop | event | underflow | overflow
     exception: Optional[BaseException] = None
-    at_stops: tuple = field(default=(), init=False)  # one OdeResult per stop given to drive_field
+    at_stops: tuple = field(default=(), init=False)  # (status, last sample) per stop given to drive_field
 
 
 def drive_field(
@@ -490,12 +490,12 @@ def drive_field(
     infinite.
 
     Each of ``stops`` must lie in (t0, t_stop].  The result's
-    ``at_stops`` holds, in the given order, one result per stop, equal
-    field for field to that of ``drive_field(..., t_stop=s)``: up to its
-    first clamped step, a run to s makes the same attempts as this one,
-    so at the first attempt whose step reaches past s a copy of the state
-    goes on to s.  A stop the run never reaches gets a copy of the run's
-    own result, sharing its lists.
+    ``at_stops`` holds, in the given order, the ``(status, last sample)``
+    of ``drive_field(..., t_stop=s)`` per stop: up to its first clamped
+    step, a run to s makes the same attempts as this one, so at the first
+    attempt whose step reaches past s the state goes on to s, and the
+    samples it adds are dropped again.  A stop the run never reaches gets
+    the run's own.
 
     While every watched event is a radius event, a step that starts and
     ends below the smallest radius makes no event checks: no radius can
@@ -524,8 +524,7 @@ def drive_field(
         _stepper(rhs), cfg, t0, z, k1, max(h, 1e-300), watch, [(t0, z)], [0.0], [], t_stop, _MAX_STEPS,
         sorted(set(stops), reverse=True), done,
     )
-    if stops:
-        res.at_stops = tuple(done.get(s) or replace(res) for s in stops)
+    res.at_stops = tuple(done.get(s) or (res.status, res.samples[-1]) for s in stops)
     return res
 
 
@@ -540,7 +539,8 @@ def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, 
     """The loop of :func:`drive_field` from the state t, z, k1, h and watch,
     extending the lists accepted so far, for at most ``budget`` attempts.
     Each stop s of ``pending``, smallest last, that the attempt's step
-    reaches past gets ``done[s]``: this loop run to s from a copy of the state.
+    reaches past gets ``done[s]``: the status and last sample of this loop
+    run to s from the state.
     Stops lie at or before t_stop, so an attempt whose step reaches past
     neither the nearest stop nor t_stop skips both checks."""
     h_max, abs_tol, rel_tol, inf, size = _H_MAX, cfg.abs_tol, cfg.rel_tol, math.inf, abs(z)
@@ -555,10 +555,11 @@ def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, 
         if edge - t < h:
             while pending and pending[-1] - t < h:
                 s = pending.pop()
-                done[s] = _advance(
-                    step, cfg, t, z, k1, h, [list(entry) for entry in watch], samples[:], errors[:], crossings[:],
-                    s, budget - n, [], done,
-                )
+                # the continuation extends this run's samples, which vetoes read, and is cut off again
+                k = len(samples)
+                end = _advance(step, cfg, t, z, k1, h, [list(e) for e in watch], samples, [], [], s, budget - n, [], done)
+                done[s] = end.status, samples[-1]
+                del samples[k:]
             edge = pending[-1] if pending else t_stop
             h = t_stop - t if t_stop - t < h else h
         try:

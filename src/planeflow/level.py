@@ -282,7 +282,8 @@ def transit_time(
     range nearest 0 at x0 != 0): |G| = b cosh(s) there, so where 1/|g|^2 is
     a power of |G| the integrand b cosh(s)/|g|^2 is smooth in s (for G = z^k/k,
     a constant times cosh(s)^((2-k)/k)).  Each node is corrected onto the
-    curve from the chord of its bracketing samples.
+    curve from the chord of its bracketing samples in X, and once more from
+    their chord in w = log(X + i*beta) if that fails on a step traced in w.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
     Re G reaches the far end.  When the integrand grows like c/X near an
     interior point (a zero of g on or next to the curve) the quadrature
@@ -319,8 +320,16 @@ def transit_time(
         try:
             g = abs(point_on_level(newton, x, beta, za + (x - xa) / (xb - xa) * (zb - za))[1])
         except CorrectorDivergence:
-            # the corrector cannot pin the curve: a critical value of G is in the X-range
-            raise QuadratureDiverged(s) from None
+            try:
+                # once more from the chord in w = log(X + i beta) on a step the tracer took in w
+                # (the ratio of its ends' X + i beta has Re > 0), where the step is straight
+                if not xa * xb + beta * beta > 0:
+                    raise  # the first failure stands
+                u = cmath.log(complex(x, beta) / (here := complex(xa, beta))) / (cmath.log(complex(xb, beta) / here) or 1.0)
+                g = abs(point_on_level(newton, x, beta, za + u * (zb - za))[1])
+            except CorrectorDivergence:
+                # the corrector cannot pin the curve: a critical value of G is in the X-range
+                raise QuadratureDiverged(s) from None
         if g < _G_MIN:
             raise QuadratureDiverged(s)
         return math.hypot(x, b) / (g * g)  # dX/ds = b cosh(s + asinh(x0/b))

@@ -445,6 +445,16 @@ class TestSubcommands:
         assert "TractViolation" in err and "critical_point" in err and "1.0000000000009535" in err
         assert not (tmp_path / "rubel.json").exists()
 
+    def test_rubel_cli_near_critical_seed_exits_3(self, tmp_path, capsys):
+        # f' = 4e-9 at the seed: below the tracer's threshold, so no path (it exited 2)
+        code, out, err = run(
+            ["rubel", "--f", "z^2 + 1", "--seed-point", "2e-9", "--t-end", "10", "--out", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "TractViolation" in err and "f' vanishes at the seed" in err
+        assert not (tmp_path / "rubel.json").exists()
+
     def test_level_trace_cli_names_the_critical_stop(self, tmp_path, capsys):
         code, out, _ = run(
             ["level-trace", "--G", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--start", "2", "--Xmax", "1e45",

@@ -169,14 +169,23 @@ class TestEscapeMeasure:
             kept = [(y, traj.samples, traj.termination, name) for y, traj, name in rep.trajectories]
             assert repr((rep.counts, kept)) == repr(want)
 
-    def test_sweep_in_chunks_matches_per_sample_reference(self, monkeypatch):
-        # eleven samples placed three at a time: four pairs of side traces
-        monkeypatch.setattr(escape_module, "_SIDE_STOPS", 3)
+    def test_sweep_traces_each_side_once(self, monkeypatch):
+        # 2049 points, more than any fixed batch of stops, from one trace per side
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(kwargs["stops"]))
+            return drive_field(*args, **kwargs)
+
+        monkeypatch.setattr(escape_module, "drive_field", counted)
         f, cfg = parse_expr("z^2"), IntegratorConfig(t_max=20.0)
-        want = _reference_escape_measure(f, 1 + 0j, 0.1, 11, cfg, 5)
-        rep = escape_measure(f, 1 + 0j, 0.1, 11, cfg, seed=5, collect=11)
-        kept = [(y, traj.samples, traj.termination, name) for y, traj, name in rep.trajectories]
-        assert repr((rep.counts, kept)) == repr(want)
+        rng = random.Random(5)
+        ys = [rng.uniform(-0.1, 0.1) for _ in range(2049)]
+        points = escape_module._segment_points(f, 1 + 0j, 0.1, ys, cfg)
+        assert len(calls) == 2 and sum(calls) == len(ys)
+        assert [y for y, _ in points] == ys
+        got = [escape_module._segment_end(*end) for _, end in points]
+        assert repr(got) == repr([_reference_segment_point(f, 1 + 0j, y, cfg) for y in ys])
 
     def test_empty_run(self):
         rep = escape_measure(parse_expr("-exp(-z)"), 0.0, 1.0, 0, IntegratorConfig())
@@ -769,6 +778,12 @@ class TestRubelPath:
     def test_negative_re_f_rejected(self):
         with pytest.raises(TractViolation):
             rubel_path(parse_expr("exp(z)"), 0.0, complex(1.0, math.pi), 100.0, IntegratorConfig())
+
+    def test_near_critical_seed_rejected_at_the_tracer_threshold(self):
+        # f' = 4e-9 at the seed passed a check relative to |f| and failed the
+        # tracer's start check, a ValueError
+        with pytest.raises(TractViolation, match="f' vanishes at the seed"):
+            rubel_path(parse_expr("z^2 + 1"), 0.0, 2e-9, 10.0, IntegratorConfig())
 
 
     def test_stopped_path_gives_no_tails(self):

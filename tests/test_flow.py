@@ -1529,19 +1529,23 @@ class TestDriveFieldLoop:
             first = min(h_max, t_stop, 0.01 * (1.0 + abs(z0)) / max(abs(rhs(z0)), 1e-12))
             # inside the span the run covers, then below the first step,
             # repeated, and t_stop itself
-            reach = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events).samples[-1][0]
+            samples = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events).samples
+            reach = samples[-1][0]
             stops = [reach * (1.0 - rng.random()) for _ in range(rng.randint(1, 3))]
             stops += [first * (1.0 - rng.random()), stops[0], t_stop]
+            if len(samples) > 1 and reach < t_stop:
+                # just past where the run ended, inside its last attempted step
+                stops.append(min(t_stop, reach + 1e-3 * rng.random() * (reach - samples[-2][0])))
             rng.shuffle(stops)
             # a run crossed at its start (reach = t0 = 0) covers no span to stop inside
             stops = [s for s in stops if s > 0.0]
             res = drive_field(rhs, z0, cfg, t_stop=t_stop, events=events, stops=stops)
             assert _result_outcome(res, events) == _run_outcome(drive_field, rhs, z0, cfg, t_stop, events)
             assert len(res.at_stops) == len(stops)
-            for s, got in zip(stops, res.at_stops):
-                want = _run_outcome(drive_field, rhs, z0, cfg, s, events)
-                assert _result_outcome(got, events) == want, (rhs, z0, cfg, t_stop, s)
-                statuses.add(got.status)
+            for s, (status, sample) in zip(stops, res.at_stops):
+                want = drive_field(rhs, z0, cfg, t_stop=s, events=events)
+                assert (status, repr(sample)) == (want.status, repr(want.samples[-1])), (rhs, z0, cfg, t_stop, s)
+                statuses.add(status)
         assert statuses == {"t_stop", "event", "overflow", "underflow"}
 
     @pytest.mark.parametrize("stop", [math.nan, 0.0, -1.0, 2.0])

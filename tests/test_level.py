@@ -518,10 +518,11 @@ class TestTransit:
             want = -math.log(1.0 - math.exp(-1.0))
         assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("x_max", [1e200, 1e300])
+    @pytest.mark.parametrize("x_max", [1e200, 1e300, 1.7e308])
     def test_exp_transit_past_the_square_root_of_the_double_range(self, x_max):
         # the chart's s of X past about 1e154 overflowed into a divergence at
-        # X = inf; from G(0) = 1 the transit of exp(z) is 1 - 1/X_max
+        # X = inf, and at 1.7e308 a node's guess on the chord in X overshot
+        # past exp's range; from G(0) = 1 the transit of exp(z) is 1 - 1/X_max
         cfg = IntegratorConfig(escape_radius=1e9)
         rep = transit_time(trace_level(parse_expr("exp(z)"), 0.0, x_max, cfg), cfg)
         assert rep.divergence_witness is None and abs(rep.quadrature_time - 1.0) <= 1e-12
