@@ -1,4 +1,4 @@
-"""Run the fifty reference CLI commands and record everything they produce.
+"""Run the fifty-one reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -81,6 +81,8 @@ COMMANDS = (
     ("transit-exp-far", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1e200"]),
     # near the top of the double range a node retries from the chord in s ~ log X: 1 - 1/1.7e308
     ("transit-exp-top", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1.7e308"]),
+    # off the real axis: X_max / |beta| overflows, and the chart's s is a sum of logarithms: 0.5 / sin 0.5
+    ("transit-exp-top-offset", ["transit", "--G", "exp(z)", "--start", "0.5i", "--Xmax", "1.7e308"]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),

@@ -387,7 +387,7 @@ def _cmd_rubel(args) -> int:
             r, q = points[-1]
             print(f"  m={m}: log|f^({m})|/log|z| = {q:.3f} at |z|={r:.4g}")
     for t in report.tail_integrals:
-        print(f"  m={t.m} c={t.c:g}: partial {t.partial_sum:.6g}, "
+        print(f"  m={t.m} c={t.c:g}: partial {t.partial_sum:.6g} ± {t.partial_err:.2g}, "
               f"window ratio {t.window_ratio:.4f}, finite: {t.finite}")
     args.files["rubel.json"] = dumps_report(report)
     return 0

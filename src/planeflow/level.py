@@ -44,7 +44,9 @@ _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
 _TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to the whole integral
 _SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
 _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
-_STEP_SCALE = 0.1  # a tracing step dx/|g| is at most this times (1 + |z|)
+# a tracing step dx/|g| is at most this times (1 + |z|); the Rubel pass's
+# extrapolated sum and its bar, not this cap, carry its tails' accuracy
+_STEP_SCALE = 0.2
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,9 @@ def trace_level(
     quarter of the cap _STEP_SCALE*(1+|z|), grows by 1.5 after a point
     that took at most 3 Newton steps, up to the cap, and halves on a
     failed step.  Halving ``_STEP_SCALE`` retraces the same curve, finer.
+    The cap is 0.2: the transit quadrature places its own nodes, and
+    :func:`escape.rubel_path` extrapolates its tails from the samples and
+    bars them with the rule over every other sample.
     G's kernels (:func:`_kernels`) are built at the first call on a tree object and
     kept on it until ``compile_fn`` is rebound; g at each point comes from the corrector.
     """
@@ -310,8 +315,14 @@ def transit_time(
     def reach(x):  # the s of chart(s) = x: sinh(s) = u hw - w hu, h. = sqrt(1 + .^2), rationalized
         u = x / b
         r = (x - x0) / b * (u + w) / (u * hw + w * math.hypot(1.0, u) or 1.0)
-        # past u ~ 1e154 the products overflow: the same quotient with u divided out
-        return math.asinh(r if math.isfinite(r) else (x - x0) / b * (1.0 + w / u) / (hw + w * math.hypot(1.0 / u, 1.0)))
+        if not math.isfinite(r):
+            # past u ~ 1e154 the products overflow: the same quotient with u divided out
+            q = (1.0 + w / u) / (hw + w * math.hypot(1.0 / u, 1.0))
+            r = (x - x0) / b * q
+            if not math.isfinite(r):
+                # past the double range asinh(r) = log 2r to double precision: a sum of logarithms
+                return math.copysign(math.log(2.0 * q) + math.log(abs(x - x0)) - math.log(b), x - x0)
+        return math.asinh(r)
 
     def integrand(s):
         x = chart(s)

@@ -113,6 +113,7 @@ def report_to_dict(report) -> dict:
                     "m": int(t.m),
                     "c": _num(t.c),
                     "partial_sum": _num(t.partial_sum),
+                    "partial_err": _num(t.partial_err),
                     "window_ratio": _num(t.window_ratio),
                     "tail_bound": _num(t.tail_bound),
                     "finite": bool(t.finite),

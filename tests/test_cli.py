@@ -432,6 +432,10 @@ class TestSubcommands:
         data = json.loads((tmp_path / "rubel.json").read_text())
         validate_report(data, load_schema())
         assert data["monotone"] is True
+        # each tail prints its partial sum with its bar, which the report carries
+        tails = [line for line in out.splitlines() if " c=" in line]
+        assert len(tails) == 8 and all(" ± " in line for line in tails)
+        assert all(0 < t["partial_err"] < 1e-2 * t["partial_sum"] for t in data["tail_integrals"])
 
     def test_rubel_cli_stopped_path_exits_3(self, tmp_path, capsys):
         # sin z from 2 stops at its critical value t = 1, far short of --t-end
@@ -442,7 +446,7 @@ class TestSubcommands:
         )
         assert code == 3
         assert out == ""
-        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009535" in err
+        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009854" in err
         assert not (tmp_path / "rubel.json").exists()
 
     def test_rubel_cli_near_critical_seed_exits_3(self, tmp_path, capsys):
@@ -473,7 +477,10 @@ class TestSubcommands:
         assert code == 0
         lines = [line for line in out.splitlines() if "m=3 " in line]
         assert len(lines) == 2 and all("window ratio inf," in line for line in lines)
+        assert all("partial inf ± inf," in line for line in lines)
         assert "nan" not in out
+        data = json.loads((tmp_path / "rubel.json").read_text())
+        assert [t["partial_err"] for t in data["tail_integrals"] if t["m"] == 3] == [None, None]
 
     def test_classify_output(self, tmp_path, capsys):
         code, out, _ = run(
@@ -591,7 +598,7 @@ class TestOutputFiles:
         )
         assert code == 0
         assert out == (
-            "transit over X in [1.71828, 1e+100]: quadrature 0.45867514538693094, "
+            "transit over X in [1.71828, 1e+100]: quadrature 0.4586751453870502, "
             "the direct run did not reach Re G = 1e+100\n"
         )
         data = json.loads((tmp_path / "transit.json").read_text())

@@ -289,6 +289,21 @@ class TestPolySummary:
             assert off_ray.name != "FiniteTimeBlowup"
 
 
+def _richardson(full, diffs, n):
+    """The reported partial sum and its bar from the rule over n samples and
+    the differences, pair of steps by pair, between it and the rule over every
+    other sample: full + sum/15 and the sum of their absolute values, or full
+    and inf where fewer than 3 samples or an infinite sum leave one rule."""
+    diff = spread = 0.0
+    for d in diffs:
+        diff += d
+    for d in diffs:
+        spread += abs(d)
+    if n < 3 or not (math.isfinite(full) and math.isfinite(spread)):
+        return full, math.inf
+    return full + diff / 15.0, spread
+
+
 def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     """rubel_path's report from a traced curve, computed without its generated
     node: a jet per node from eval_jet, |f'| and the f of the checks from the
@@ -359,13 +374,16 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
     tails = []
     for m in range(m_max + 1):
         for c in c_values:
-            partial = log_trapezoid(samples, m, c)
+            full = log_trapezoid(samples, m, c)
+            pairs = [samples[k - 2 : k + 1] for k in range(2, len(samples), 2)]
+            diffs = [log_trapezoid(p, m, c) - log_trapezoid(p[::2], m, c) for p in pairs]
+            partial, err = _richardson(full, diffs, len(samples))
             w_last = log_trapezoid(window, m, c)
             lo, hi = term(window[0], m, c), term(window[-1], m, c)
             ratio = (hi * t_hi) / (lo * t_lo) if lo > 0 else math.inf
             finite = math.isfinite(partial) and ratio < 1.0
             bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
-            tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
+            tails.append(TailIntegral(m, c, partial, ratio, bound, finite, err))
 
     growth_out = {m: tuple(points) for m, points in growth.items()}
     report = RubelPathReport(
@@ -412,15 +430,22 @@ def _column_node(f, df, d_shift, m_max, c_values):
 
 
 def _column_trapezoid(ts, ss, qs, ds):
+    """The rule over the nodes, and its differences from the rule over every
+    other node, pair of steps by pair."""
     fs = [t * q for t, q in zip(ts, qs)]
     if math.inf in fs:
-        return math.inf
-    gs = [fv * d for fv, d in zip(fs, ds)]
-    total = 0.0
-    for sa, fa, ga, sb, fb, gb in zip(ss, fs, gs, ss[1:], fs[1:], gs[1:]):
-        h = sb - sa
-        total += h / 2.0 * (fa + fb) + h * h / 12.0 * (ga - gb)
-    return total
+        return math.inf, []
+    nodes = [(sv, fv, fv * d) for sv, fv, d in zip(ss, fs, ds)]
+
+    def rule(nodes):
+        total = 0.0
+        for (sa, fa, ga), (sb, fb, gb) in zip(nodes, nodes[1:]):
+            h = sb - sa
+            total += h / 2.0 * (fa + fb) + h * h / 12.0 * (ga - gb)
+        return total
+
+    pairs = [nodes[k - 2 : k + 1] for k in range(2, len(nodes), 2)]
+    return rule(nodes), [rule(p) - rule(p[::2]) for p in pairs]
 
 
 def _column_report(f, d_shift, curve, m_max, c_values):
@@ -461,8 +486,8 @@ def _column_report(f, d_shift, curve, m_max, c_values):
     columns = [zip(*(rec[k] for rec in nodes)) for nodes in (at_samples, window) for k in (1, 2)]
     tails = []
     for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
-        partial = _column_trapezoid(ts, ss, qs, ds)
-        w_last = _column_trapezoid(ts_w, ss_w, vals, ds_w)
+        partial, err = _richardson(*_column_trapezoid(ts, ss, qs, ds), len(ts))
+        w_last = _column_trapezoid(ts_w, ss_w, vals, ds_w)[0]
         ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if 0 < vals[0] < math.inf and vals[-1] < math.inf else math.inf
         if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
             x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
@@ -471,7 +496,7 @@ def _column_report(f, d_shift, curve, m_max, c_values):
             ratio = math.exp(x) if x < 709.0 else math.inf
         finite = math.isfinite(partial) and ratio < 1.0 - 1e-12
         bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
-        tails.append(TailIntegral(m, c, partial, ratio, bound, finite))
+        tails.append(TailIntegral(m, c, partial, ratio, bound, finite, err))
 
     return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
 
@@ -686,11 +711,12 @@ class TestRubelPath:
 
     def test_vanishing_derivative_gives_an_infinite_tail(self):
         # f''' = 0 for z^2: its term is infinite at every node and its slope
-        # has no value, and the tail is inf, not nan
+        # has no value, and the tail and its bar are inf, not nan
         rep = rubel_path(parse_expr("z^2"), 0.0, 2.0, 1e6, IntegratorConfig(escape_radius=1e9))
+        assert len(rep.samples) > 2
         for tail in rep.tail_integrals:
-            assert math.isfinite(tail.partial_sum) == (tail.m < 3)
-            assert tail.m < 3 or (tail.partial_sum == math.inf and not tail.finite)
+            assert math.isfinite(tail.partial_sum) == (tail.m < 3) == math.isfinite(tail.partial_err)
+            assert tail.m < 3 or (tail.partial_sum == tail.partial_err == math.inf and not tail.finite)
 
     def test_infinite_tail_has_an_infinite_window_ratio(self):
         # both window end terms of m = 3 are inf for z^2: the ratio is inf, not inf/inf
@@ -789,8 +815,113 @@ class TestRubelPath:
     def test_stopped_path_gives_no_tails(self):
         # sin z from 2 meets the critical point pi/2 at t = 1: no path reaches t_end
         sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
-        with pytest.raises(TractViolation, match=r"path stopped \(critical_point\) at t = 1\.0000000000009535"):
+        with pytest.raises(TractViolation, match=r"path stopped \(critical_point\) at t = 1\.0000000000009854"):
             rubel_path(sine, 0.0, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
+
+
+def _gl_integral(fn, a, b, width):
+    """fn over [a, b] by the 10-point Gauss-Legendre rule on equal panels no wider than width."""
+    xs, ws = _gauss_legendre(10)
+    n = max(1, math.ceil((b - a) / width))
+    h = (b - a) / n
+    return math.fsum(w * 0.5 * h * fn(a + k * h + 0.5 * h * (x + 1.0)) for k in range(n) for x, w in zip(xs, ws))
+
+
+def _exp_tail(c, d_shift, t1, t2):
+    """The tail of exp(z) on exp(z) = t + iD over [t1, t2], for every m: the
+    integral of |t + iD|^(-c-1) dt, in s = log t."""
+    return _gl_integral(
+        lambda s: math.exp(s) * (math.exp(2.0 * s) + d_shift * d_shift) ** (-0.5 * (c + 1.0)),
+        math.log(t1),
+        math.log(t2),
+        1.0,
+    )
+
+
+def _gaussian_tail(m, c, x1, x2):
+    """The tail of exp(z^2) on the real axis over [x1, x2]: the integral of
+    |p_m(x)|^(-c) exp(-c x^2) dx, where f^(m) = p_m e^(x^2), p_(m+1) = p_m' + 2x p_m."""
+    p = [1.0]
+    for _ in range(m):
+        p = [2.0 * a + (k + 1) * b for k, (a, b) in enumerate(zip([0.0, *p], [*p[1:], 0.0, 0.0]))]
+
+    def integrand(x):
+        return abs(sum(a * x**k for k, a in enumerate(p))) ** -c * math.exp(-c * x * x)
+
+    return _gl_integral(integrand, x1, x2, 0.05)
+
+
+def _full_rule(f, d_shift, curve, m, c):
+    """The end-corrected trapezoid rule of the (m, c) tail over the samples, unextrapolated."""
+    node = _column_node(f, derivative(f), d_shift, m, (c,))
+    qs, ds = zip(*((q[-1], d[-1]) for _, q, d, *_ in (node(t, z) for t, z in curve.samples)))
+    return _column_trapezoid(curve.xs, [math.log(t) for t in curve.xs], qs, ds)[0]
+
+
+class TestPartialSumBar:
+    # item 14's six m = 0 tails (f, seed, t_end, c), each with the relative error of
+    # the unextrapolated rule on the samples of the tracer's former cap 0.1
+    @pytest.mark.parametrize(
+        "text, seed, t_end, c, old_err",
+        [
+            ("exp(z)", 2.0, 1e45, 0.5, 3.35e-6),
+            ("exp(z)", 2.0, 1e45, 1.0, 1.73e-5),
+            ("exp(z^2)", 2.0, 1e45, 0.5, 1.01e-4),
+            ("exp(z^2)", 2.0, 1e45, 1.0, 4.33e-4),
+            ("exp(z^2)", 1.5, 1e30, 0.5, 8.2e-5),
+            ("exp(z^2)", 1.5, 1e30, 1.0, 3.0e-4),
+        ],
+    )
+    def test_closed_forms_within_the_bar(self, text, seed, t_end, c, old_err):
+        f, cfg = parse_expr(text), IntegratorConfig(escape_radius=1e9)
+        rep = rubel_path(f, 0.0, seed, t_end, cfg, c_values=(c,))
+        (t1, z1), (t2, z2) = rep.samples[0], rep.samples[-1]
+        if text == "exp(z)":
+            want = (t1**-c - t2**-c) / c
+        else:
+            rc = math.sqrt(c)
+            want = 0.5 * math.sqrt(math.pi / c) * (math.erfc(rc * z1.real) - math.erfc(rc * z2.real))
+        tail = rep.tail_integrals[0]
+        err = abs(tail.partial_sum - want)
+        assert err <= tail.partial_err and 8.0 * err <= old_err * want
+        # |full - half| is about 2^4 - 1 times the full rule's own error
+        full_err = abs(_full_rule(f, 0.0, trace_level(f, seed, t_end, cfg), 0, c) - want)
+        assert 10.0 * full_err <= tail.partial_err <= 20.0 * full_err
+
+    def test_random_exp_paths_within_the_bar(self):
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rng = random.Random(20261020)
+        f = parse_expr("exp(z)")
+        for k in range(201):
+            d_shift, seed = rubel_start(rng)
+            t_end = math.exp((30.0, 60.0, 200.0)[k % 3])
+            rep = rubel_path(f, d_shift, seed, t_end, cfg)
+            t1, t2 = rep.samples[0][0], rep.samples[-1][0]
+            wants = {c: _exp_tail(c, d_shift, t1, t2) for c in (0.5, 1.0)}
+            for tail in rep.tail_integrals:
+                assert abs(tail.partial_sum - wants[tail.c]) <= tail.partial_err, (d_shift, seed, t_end, tail)
+
+    @pytest.mark.parametrize(
+        "seed, t_end, m_max, c_values",
+        [(2.0, 1e45, 3, (0.5, 1.0)), (1.5, 1e30, 4, (0.25, 1.0, 2.0))],
+        ids=["rubel-gaussian", "rubel-mixed"],
+    )
+    def test_gaussian_paths_within_the_bar(self, seed, t_end, m_max, c_values):
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = rubel_path(parse_expr("exp(z^2)"), 0.0, seed, t_end, cfg, m_max=m_max, c_values=c_values)
+        x1, x2 = rep.samples[0][1].real, rep.samples[-1][1].real
+        for tail in rep.tail_integrals:
+            assert abs(tail.partial_sum - _gaussian_tail(tail.m, tail.c, x1, x2)) <= tail.partial_err, tail
+
+    def test_two_samples_have_no_bar(self):
+        # over two samples the rule on every other sample is the full rule: |full - half| = 0
+        f, cfg = parse_expr("exp(z)"), IntegratorConfig(escape_radius=1e9)
+        rep = rubel_path(f, 0.0, 2.0, 7.5, cfg)
+        assert len(rep.samples) == 2
+        curve = trace_level(f, 2.0, 7.5, cfg)
+        for tail in rep.tail_integrals:
+            assert tail.partial_err == math.inf
+            assert tail.partial_sum == _full_rule(f, 0.0, curve, tail.m, tail.c)
 
 
 def _class_b_path(text, seed):

@@ -79,6 +79,7 @@ class TestSerialization:
         data = roundtrip(rep)
         validate_report(data, schema)
         assert set(data["growth_ratios"]) == {"0", "1", "2", "3"}
+        assert [t["partial_err"] for t in data["tail_integrals"]] == [t.partial_err for t in rep.tail_integrals]
 
     def test_poly_summary_report(self, schema):
         data = roundtrip(poly_flow_summary([0, 0, 1], HOLOMORPHIC))
