@@ -518,18 +518,21 @@ class TestTransit:
             want = -math.log(1.0 - math.exp(-1.0))
         assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize(
-        "start, x_max, want",
-        [(0.0, 1e200, 1.0), (0.0, 1e300, 1.0), (0.0, 1.7e308, 1.0), (0.5j, 1.7e308, 0.5 / math.sin(0.5))],
-    )
-    def test_exp_transit_past_the_square_root_of_the_double_range(self, start, x_max, want):
+    @pytest.mark.parametrize("x_max", [1e200, 1e300, 1.7e308])
+    def test_exp_transit_past_the_square_root_of_the_double_range(self, x_max):
         # the chart's s of X past about 1e154 overflowed into a divergence at
         # X = inf, and at 1.7e308 a node's guess on the chord in X overshot
-        # past exp's range; from G(0) = 1 the transit of exp(z) is 1 - 1/X_max.
-        # From 0.5i, X_max / b overflowed for b = |x0| < 1: 1/|G|^2 = 1/(X^2 +
+        # past exp's range; from G(0) = 1 the transit of exp(z) is 1 - 1/X_max
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = transit_time(trace_level(parse_expr("exp(z)"), 0.0, x_max, cfg), cfg)
+        assert rep.divergence_witness is None and abs(rep.quadrature_time - 1.0) <= 1e-12
+
+    def test_exp_transit_to_the_top_of_the_double_range_off_the_real_axis(self):
+        # from 0.5i, X_max / b overflowed for b = |x0| < 1: 1/|G|^2 = 1/(X^2 +
         # beta^2), beta = sin 0.5, integrates from cos 0.5 to about 0.5 / sin 0.5
         cfg = IntegratorConfig(escape_radius=1e9)
-        rep = transit_time(trace_level(parse_expr("exp(z)"), start, x_max, cfg), cfg)
+        rep = transit_time(trace_level(parse_expr("exp(z)"), 0.5j, 1.7e308, cfg), cfg)
+        want = 0.5 / math.sin(0.5)
         assert rep.divergence_witness is None and abs(rep.quadrature_time - want) <= 1e-12 * want
 
     def test_divergence_witness_at_the_critical_value(self):
