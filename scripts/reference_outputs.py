@@ -1,4 +1,4 @@
-"""Run the fifty-one reference CLI commands and record everything they produce.
+"""Run the fifty-two reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -83,6 +83,11 @@ COMMANDS = (
     ("transit-exp-top", ["transit", "--G", "exp(z)", "--start", "0", "--Xmax", "1.7e308"]),
     # off the real axis: X_max / |beta| overflows, and the chart's s is a sum of logarithms: 0.5 / sin 0.5
     ("transit-exp-top-offset", ["transit", "--G", "exp(z)", "--start", "0.5i", "--Xmax", "1.7e308"]),
+    # one step of a quarter of the cap spans the Gaussian's tract: a corrected point far from
+    # its prediction lies on the branch where G ~ z and is refused
+    ("transit-branch", [
+        "transit", "--G", "exp(-z^2) + z", "--start", "(1.472387408715436-3.2575546477714203i)", "--Xmax", "1e4",
+    ]),
     ("measure", [
         "measure", "--f", "-exp(-z)", "--z0", "0", "--delta", "1", "--N", "300", "--seed", "7", "--svg",
     ]),

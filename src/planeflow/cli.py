@@ -340,9 +340,15 @@ def _cmd_transit(args) -> int:
         print(f"transit integrand diverges near X={report.divergence_witness!r}")
     else:
         lo, hi = report.x_range
-        check = f"flow {report.ode_time!r}, relative gap {report.relative_gap:.3g}"
-        if not math.isfinite(report.ode_time):  # the cross-check could not be run to the far end
+        if not math.isfinite(report.ode_time):  # the cross-check could not be run to the far end: no decision
             check = f"the direct run did not reach Re G = {hi:.6g}"
+        else:
+            gap = abs(report.quadrature_time - report.ode_time)
+            check = (
+                f"flow {report.ode_time!r}, relative gap {report.relative_gap:.3g}; "
+                f"{'agree' if report.agree else 'disagree'}: |quadrature - flow| {gap:.3g} "
+                f"{'<=' if report.agree else '>'} bar {report.gap_bar:.3g}"
+            )
         print(f"transit over X in [{lo:.6g}, {hi:.6g}]: quadrature {report.quadrature_time!r}, {check}")
     if crit.fires:
         print("slow-growth criterion fires: transit to infinity is infinite")
@@ -472,15 +478,17 @@ def _demo_antiholo_dichotomy():
 
 
 def _demo_transit_gap():
-    gaps = [
-        transit_time(trace_level(parse_expr(text), 1.0, x_max, cfg), cfg).relative_gap
+    reps = [
+        transit_time(trace_level(parse_expr(text), 1.0, x_max, cfg), cfg)
         for text, x_max, cfg in (
             ("z^2 / 2", 50.0, IntegratorConfig(escape_radius=100.0)),
             ("z^3 / 3", 1e18 / 3.0, IntegratorConfig(escape_radius=1e7, t_max=10.0)),
         )
     ]
-    ok = all(g <= 1e-3 for g in gaps)
-    return ok, f"transit quadrature vs flow time: gaps {', '.join(f'{g:.2e}' for g in gaps)}"
+    agree = all(r.agree for r in reps)
+    ok = agree and all(r.relative_gap <= 1e-3 for r in reps)
+    gaps = ", ".join(f"{r.relative_gap:.2e}" for r in reps)
+    return ok, f"transit quadrature vs flow time: gaps {gaps}; within their bars: {agree}"
 
 
 def _demo_tract():
@@ -594,7 +602,7 @@ _COMMANDS = (
     ("level-trace", "trace a level curve of Im G",
      "G! start! Xmax! radius out json svg window", _cmd_level_trace, dict(radius=1e9)),
     ("transit", "transit time along a level curve",
-     "G! start! Xmax! tol tmax radius out", _cmd_transit, dict(radius=1e9)),
+     "G! start! Xmax! tmax radius out", _cmd_transit, dict(radius=1e9)),
     ("measure", "Monte Carlo escape measure on a transverse segment",
      "f! delta N keep seed z0! tol tmax radius out svg window", _cmd_measure, {}),
     ("rubel", "trace a growth path where f - iD is real increasing",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import FunctionType
 from typing import Optional
 
@@ -42,6 +42,9 @@ __all__ = [
 _G_MIN = 1e-8  # tracing stops here: critical points are infinitely far in time
 _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
 _TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to the whole integral
+# the direct-flow cross-check's rel_tol: a hundredth of the quadrature's, the ratio
+# IntegratorConfig.abs_tol takes to rel_tol, so its per-step error stays inside the quadrature's
+_FLOW_REL_TOL = _TRANSIT_REL_TOL * 1e-2
 _SLOW_RATIO = 0.01  # the slow-growth criterion's threshold on |G(z)|/|z|^2 ...
 _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
 # a tracing step dx/|g| is at most this times (1 + |z|); the Rubel pass's
@@ -181,6 +184,14 @@ def trace_level(
     quarter of the cap _STEP_SCALE*(1+|z|), grows by 1.5 after a point
     that took at most 3 Newton steps, up to the cap, and halves on a
     failed step.  Halving ``_STEP_SCALE`` retraces the same curve, finer.
+    A corrected point z with |z - z_pred| > |step|/2 + 1e-12(1 + |z|) is
+    refused and halves the step as a failed solve does (steplength control
+    by the corrector's distance from the predictor, Allgower and Georg
+    1990): the predictor's error on the curve is O(|step|^3), so a point
+    that far off lies on another branch of the level set, as where one
+    step of ``exp(-z^2) + z`` spans the Gaussian's tract and Newton lands
+    on the branch where G ~ z.  The floor is the rounding of z, for a step
+    clamped to the target whose predicted step is below it.
     The cap is 0.2: the transit quadrature places its own nodes, and
     :func:`escape.rubel_path` extrapolates its tails from the samples and
     bars them with the rule over every other sample.
@@ -237,6 +248,10 @@ def trace_level(
                 span = abs(target) + dx
                 tol = 1e-12 * span if span < math.inf else 2e-12 * (0.5 * abs(target) + 0.5 * dx)
                 got = _corrector(newton, target, z_pred, tol)
+                if got is not None:
+                    r = abs(got[0])  # |z| at the new point, read again below
+                    if abs(got[0] - z_pred) > 0.5 * abs(step) + 1e-12 * (1.0 + r):
+                        got = None  # a point on another branch of the level set
         h = dx / abs(g)  # the spatial step just tried, dx clamped to the target
         if got is None:
             fails += 1
@@ -257,21 +272,25 @@ def trace_level(
         if abs(g) < _G_MIN:
             stop = "critical_point"
             break
-        if abs(z) > cfg.escape_radius:
+        if r > cfg.escape_radius:
             stop = "radius"
             break
-        h = min(h * (1.5 if iters <= 3 else 1.0), _STEP_SCALE * (1.0 + abs(z)))
+        h = min(h * (1.5 if iters <= 3 else 1.0), _STEP_SCALE * (1.0 + r))
     return LevelCurve(big_g, beta, tuple(xs), tuple(zs), stop)
 
 
 @dataclass(frozen=True)
 class TransitReport:
-    """Transit time over an X-range, by quadrature and by direct flow."""
+    """Transit time over an X-range, by quadrature and by direct flow, and
+    whether the two agree within ``gap_bar``; ``agree`` is None, and the gap
+    and its bar infinite, when either time is (no decision)."""
 
     x_range: tuple
     quadrature_time: float  # math.inf when the integrand diverges
-    ode_time: float
+    ode_time: float  # math.inf when the direct run stops short of the far end
     relative_gap: float
+    gap_bar: float  # |quad - ode| within which the two agree
+    agree: Optional[bool]
     divergence_witness: Optional[float] = None
 
 
@@ -290,16 +309,23 @@ def transit_time(
     curve from the chord of its bracketing samples in X, and once more from
     their chord in w = log(X + i*beta) if that fails on a step traced in w.
     ode_time integrates dz/dt = conj(g(z)) from the curve start until
-    Re G reaches the far end.  When the integrand grows like c/X near an
-    interior point (a zero of g on or next to the curve) the quadrature
-    reports +inf with a witness abscissa X instead of a number; so does a
-    node where |g| < ``_G_MIN`` or the corrector fails.  Both take G's
+    Re G reaches the far end, at rel_tol ``_FLOW_REL_TOL``, whatever
+    ``cfg.rel_tol`` is: derived from ``_TRANSIT_REL_TOL`` by the ratio that
+    :attr:`IntegratorConfig.abs_tol` uses, so it adds no setting.  Of ``cfg``
+    only ``t_max`` is read, as the run's time budget where the integrand
+    diverges.  The two agree when |quad - ode| <= gap_bar =
+    ``_TRANSIT_REL_TOL``*quad + ``_FLOW_REL_TOL``*steps*(1 + ode), the
+    quadrature's tolerance plus the flow's per accepted step, as
+    :func:`flow.blowup_time_estimate` bars its runs.  When the integrand grows
+    like c/X near an interior point (a zero of g on or next to the curve) the
+    quadrature reports +inf with a witness abscissa X instead of a number; so
+    does a node where |g| < ``_G_MIN`` or the corrector fails.  Both take G's
     kernels from :func:`_kernels`, kept on ``curve.big_g``.
     """
     cfg = cfg or IntegratorConfig()
     x1, x2 = curve.xs[0], curve.xs[-1]
     if x2 <= x1:
-        return TransitReport((x1, x2), 0.0, 0.0, 0.0)
+        return TransitReport((x1, x2), 0.0, 0.0, 0.0, 0.0, True)
     big_ge, _, _, newton, field = _kernels(curve.big_g)
     xs, zs, beta = curve.xs, curve.zs, curve.beta
     # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
@@ -352,10 +378,13 @@ def transit_time(
 
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
     event = Event(lambda z: big_ge(z).real - x2)
-    res = drive_field(field, curve.zs[0], cfg, t_stop=t_budget, events=(event,))
+    res = drive_field(field, curve.zs[0], replace(cfg, rel_tol=_FLOW_REL_TOL), t_stop=t_budget, events=(event,))
     ode = res.samples[-1][0] if res.status == "event" else math.inf
-    gap = abs(quad - ode) / abs(ode) if math.isfinite(quad) and math.isfinite(ode) else math.inf
-    return TransitReport((x1, x2), quad, ode, gap, witness)
+    if not (math.isfinite(quad) and math.isfinite(ode)):
+        return TransitReport((x1, x2), quad, ode, math.inf, math.inf, None, witness)
+    bar = _TRANSIT_REL_TOL * quad + _FLOW_REL_TOL * (len(res.samples) - 1) * (1.0 + ode)
+    gap = abs(quad - ode)
+    return TransitReport((x1, x2), quad, ode, gap / abs(ode), bar, gap <= bar, witness)
 
 
 @dataclass(frozen=True)

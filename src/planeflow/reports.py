@@ -85,6 +85,8 @@ def report_to_dict(report) -> dict:
             else None,
             "ode_time": _num(report.ode_time),
             "relative_gap": _num(report.relative_gap),
+            "gap_bar": _num(report.gap_bar),
+            "agree": report.agree,
         }
     if isinstance(report, EscapeMeasureReport):
         return {

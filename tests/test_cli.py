@@ -232,6 +232,24 @@ class TestSubcommands:
         validate_report(data, load_schema())
         assert abs(data["quadrature_time"] - 0.9930663) <= 1e-4
         assert data["relative_gap"] <= 1e-3
+        assert data["agree"] is True and abs(data["quadrature_time"] - data["ode_time"]) <= data["gap_bar"]
+        assert "; agree: |quadrature - flow| " in out
+
+    def test_transit_keeps_to_its_branch(self, tmp_path, capsys):
+        # the tracer's first step once jumped to the branch where G ~ z, and the
+        # transit read a divergence near X = 310 and an infinite transit
+        code, out, _ = run(
+            ["transit", "--G", "exp(-z^2) + z", "--start", "(1.472387408715436-3.2575546477714203i)",
+             "--Xmax", "1e4", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("transit over X in [-4579.02, 10000]: quadrature 7.101643595657153e-05, flow ")
+        assert "; agree: |quadrature - flow| " in lines[0]
+        assert lines[1:] == ["slow-growth criterion inconclusive: curve too short: |z| must grow tenfold"]
+        data = json.loads((tmp_path / "transit.json").read_text())
+        assert data["agree"] is True and data["divergence_witness"] is None
 
     def test_level_trace_csv(self, tmp_path, capsys):
         code, out, _ = run(
@@ -377,7 +395,9 @@ class TestSubcommands:
         + [(c, "--json") for c in ("transit", "measure", "rubel", "poly-summary")]
         + [("level-trace", "--csv")]
         # the level tracer reads only the radius of the configuration
-        + [(c, f) for c in ("level-trace", "rubel") for f in ("--tol", "--tmax")],
+        + [(c, f) for c in ("level-trace", "rubel") for f in ("--tol", "--tmax")]
+        # the transit's cross-check runs at the tolerance its bar needs, whatever --tol says
+        + [("transit", "--tol")],
     )
     def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
         out_dir = tmp_path / "out"
@@ -446,7 +466,7 @@ class TestSubcommands:
         )
         assert code == 3
         assert out == ""
-        assert "TractViolation" in err and "critical_point" in err and "1.0000000000009854" in err
+        assert "TractViolation" in err and "critical_point" in err and "1.0000000000001017" in err
         assert not (tmp_path / "rubel.json").exists()
 
     def test_rubel_cli_near_critical_seed_exits_3(self, tmp_path, capsys):
@@ -603,3 +623,4 @@ class TestOutputFiles:
         )
         data = json.loads((tmp_path / "transit.json").read_text())
         assert data["ode_time"] is None and data["relative_gap"] is None
+        assert data["gap_bar"] is None and data["agree"] is None

@@ -364,7 +364,7 @@ class TestTrace:
         sine = parse_expr("(exp(i*z)-exp(-i*z))*(-0.5i)")
         curve = trace_level(sine, 2.0, 1e45, IntegratorConfig(escape_radius=1e9))
         assert curve.stop_reason == "critical_point"
-        assert curve.x_end == 1.0000000000009854 < 1e45
+        assert curve.x_end == 1.0000000000001017 < 1e45
         assert abs(curve.z_end - math.pi / 2) <= 1e-5
 
     @pytest.mark.parametrize("stall", ["unresolved step", "failed corrector"])
@@ -451,6 +451,62 @@ class TestTrace:
         curve = trace_level(parse_expr("z^2 / 2"), 1.0, 1e9, IntegratorConfig(escape_radius=50.0))
         assert curve.stop_reason == "radius"
         assert abs(curve.z_end) > 50.0
+
+    def test_keeps_to_its_branch_across_the_gaussian_tract(self, monkeypatch):
+        # |g| = 33 217 at the start: one step of a quarter of the cap spans X from
+        # -4579 to 3019, and Newton landed at 3019 - 780i, on the branch where G ~ z,
+        # whose transit diverged near X = 310; the curve stays near its start
+        big_g, z0 = parse_expr("exp(-z^2) + z"), complex(1.472387408715436, -3.2575546477714203)
+        cfg = IntegratorConfig(escape_radius=1e9)
+        curve = trace_level(big_g, z0, 1e4, cfg)
+        rep = transit_time(curve, cfg)
+        monkeypatch.setattr(level_module, "_STEP_SCALE", 0.002)
+        fine = trace_level(big_g, z0, 1e4, cfg)
+        assert curve.stop_reason == "target" and all(abs(z - z0) < 1.0 for z in curve.zs)
+        assert abs(curve.z_end - fine.z_end) <= 1e-12 * abs(fine.z_end)
+        assert rep.quadrature_time == 7.101643595657153e-05 and rep.agree
+        assert abs(rep.quadrature_time - transit_time(fine, cfg).quadrature_time) <= 1e-12 * rep.quadrature_time
+
+    @pytest.mark.parametrize("ulps", [1, 2, 4])
+    def test_step_below_rounding_is_kept(self, ulps):
+        # a target a few ulps past the start: the predicted step is below the
+        # rounding of z, and a corrected point an ulp of z from the prediction is
+        # the curve's next point, not a jump (without the floor, 1 ulp stalls)
+        big_g, z0 = parse_expr("z^2 * (1/2)"), 1.3 + 0.2j
+        x0 = compile_fn(big_g)(z0).real
+        curve = trace_level(big_g, z0, x0 + ulps * math.ulp(x0))
+        assert curve.stop_reason == "target" and len(curve) == 2
+
+    def test_seeded_search_keeps_each_point_near_its_prediction(self, monkeypatch):
+        # nine potentials, forty starts each in [-4, 4]^2, X up by 1e4: every
+        # accepted point lies within half its predicted step of the prediction
+        # (plus the rounding floor), and no trace stalls on that rule
+        potentials = (
+            "z^2 * (1/2)", "z^3 * (1/3)", "exp(z)", "exp(-z) + z", "exp(-z^2) + z",
+            "(exp(i*z)-exp(-i*z))*(-0.5i)", "z*exp(z)", "0.5*z^2 + 0.3*exp(-z)", "exp(z^2)",
+        )
+        solves = []
+        corrector = level_module._corrector
+        monkeypatch.setattr(
+            level_module, "_corrector", lambda n, t, z, *a: solves.append((z, corrector(n, t, z, *a))) or solves[-1][1]
+        )
+        rng, cfg = random.Random(20261020), IntegratorConfig(escape_radius=1e9)
+        traced = 0
+        for text in potentials:
+            big_g = parse_expr(text)
+            for _ in range(40):
+                z0 = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
+                solves.clear()
+                curve = trace_level(big_g, z0, compile_fn(big_g)(z0).real + 1e4, cfg)
+                points = iter(curve.zs[1:])
+                prev, want = z0, next(points, None)
+                for z_pred, got in solves:
+                    if got is not None and got[0] == want:
+                        assert abs(want - z_pred) <= 0.5 * abs(z_pred - prev) + 1e-12 * (1.0 + abs(want)), (text, z0)
+                        prev, want = want, next(points, None)
+                assert want is None, (text, z0)  # every point came from a solve
+                traced += 1
+        assert traced == 360
 
 
 class TestTransit:
@@ -560,6 +616,64 @@ class TestTransit:
         for k, curve in curves:
             want = _power_transit(k, curve.beta, curve.x_start, curve.x_end)
             assert abs(transit_time(curve, cfg).quadrature_time - want) <= 1e-8 * want
+
+    def test_short_transit_reads_log_2(self):
+        # transit-short: |g|^2 = 2|G| on the level 0 of z^2/2, from X = 1/2 to 2
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = transit_time(trace_level(parse_expr("z^2*(1/2)"), 1.0, 2.0, cfg), cfg)
+        assert abs(rep.quadrature_time - math.log(2.0)) <= 1e-12
+        assert rep.agree and abs(rep.quadrature_time - rep.ode_time) <= rep.gap_bar
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bench_transits_agree_within_their_bar(self, k):
+        # the level-paths curves of G = z^k/k, out to |z| ~ 2000 |z0|: the two
+        # times agree within the bar, and the bar covers the flow's own error
+        rng, cfg = random.Random(20261020 + k), IntegratorConfig(escape_radius=1e9)
+        big_g = parse_expr("z" if k == 1 else f"z^{k} * (1/{k})")
+        for _ in range(20):
+            z0 = level_start(rng, k)
+            curve = trace_level(big_g, z0, (2000.0 * abs(z0)) ** k / k, cfg)
+            rep = transit_time(curve, cfg)
+            want = _power_transit(k, curve.beta, curve.x_start, curve.x_end)
+            assert rep.agree is True and abs(rep.quadrature_time - rep.ode_time) <= rep.gap_bar, z0
+            assert abs(rep.ode_time - want) <= rep.gap_bar <= 1e-6 * want, z0
+
+    def test_curve_on_another_branch_disagrees(self):
+        # the level of z^3/3 + z through 1 + 0.5i has another branch through a
+        # point of the same G; a curve that starts at 1 + 0.5i and then runs on
+        # that branch integrates the wrong |g|, while the flow keeps to the true one
+        big_g, z0, cfg = parse_expr("z^3 * (1/3) + z"), 1 + 0.5j, IntegratorConfig(escape_radius=1e9)
+        v0 = compile_fn(big_g)(z0)
+        z_other = level_module.point_on_level(level_module._kernels(big_g)[3], v0.real, v0.imag, -1 + 1j)[0]
+        assert abs(z_other - z0) > 1.0
+        assert transit_time(trace_level(big_g, z0, 1e4, cfg), cfg).agree is True
+        other = trace_level(big_g, z_other, 1e4, cfg)
+        rep = transit_time(replace(other, zs=(z0,) + other.zs[1:]), cfg)
+        assert rep.agree is False and abs(rep.quadrature_time - rep.ode_time) > 1e5 * rep.gap_bar
+
+    def test_no_decision_without_both_times(self):
+        # a divergent integrand, or a direct run stopped short: no bar, no decision
+        rep = transit_time(_critical_value_curve())
+        assert rep.agree is None and rep.gap_bar == math.inf
+        cfg = IntegratorConfig(escape_radius=1e9)
+        rep = transit_time(trace_level(parse_expr("z - exp(-z)"), complex(-1.0, math.pi), 1e100, cfg), cfg)
+        assert rep.ode_time == math.inf and rep.agree is None and rep.gap_bar == math.inf
+
+    def test_cross_check_runs_at_a_hundredth_of_the_quadrature_tolerance(self, monkeypatch):
+        # z^2/2 from 1: whatever rel_tol the caller passes, the direct run takes
+        # rel_tol 1e-9, and fewer steps than at the default 1e-10
+        runs = []
+        drive = level_module.drive_field
+        monkeypatch.setattr(level_module, "drive_field", lambda *a, **k: runs.append((a, k, drive(*a, **k))) or runs[-1][2])
+        curve = trace_level(parse_expr("z^2 / 2"), 1.0, 2e6, IntegratorConfig(escape_radius=1e9))
+        reps = [transit_time(curve, IntegratorConfig(rel_tol=tol, escape_radius=1e9)) for tol in (1e-10, 1e-4)]
+        assert repr(reps[0]) == repr(reps[1]) and reps[0].agree
+        (rhs, z0, cfg), kw, res = runs[0]
+        steps = len(res.samples) - 1
+        assert cfg.rel_tol == level_module._TRANSIT_REL_TOL * 1e-2
+        rep = reps[0]
+        assert rep.gap_bar == level_module._TRANSIT_REL_TOL * rep.quadrature_time + cfg.rel_tol * steps * (1.0 + rep.ode_time)
+        assert steps < 0.7 * (len(drive(rhs, z0, replace(cfg, rel_tol=1e-10), **kw).samples) - 1)
 
     def test_few_nodes_for_linear_and_quadratic_potentials(self, monkeypatch):
         # 1/|g|^2 in the chart is b cosh(s) for G = z and the constant 1/2 for z^2/2

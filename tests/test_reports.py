@@ -60,11 +60,12 @@ class TestSerialization:
 
         curve = trace_level(parse_expr("z^2 / 2"), 1j, 0.0)
         # synthetic divergent report: quadrature_time = inf must become null
-        rep = level_mod.TransitReport((0.0, 1.0), math.inf, 2.0, math.inf, 0.5)
+        rep = level_mod.TransitReport((0.0, 1.0), math.inf, 2.0, math.inf, math.inf, None, 0.5)
         data = roundtrip(rep)
         validate_report(data, schema)
         assert data["quadrature_time"] is None
         assert data["divergent"] is True
+        assert data["gap_bar"] is None and data["agree"] is None
 
     def test_escape_measure_report(self, schema):
         cfg = IntegratorConfig(escape_radius=10.0, t_max=20.0)

@@ -1,7 +1,9 @@
 """scripts/compare_outputs.py, the same-bytes gate between two reference-output
-trees, and scripts/unreached_statements.py, the report of unexecuted statements."""
+trees, scripts/unreached_statements.py, the report of unexecuted statements,
+and scripts/reference_costs.py, the report of call counts."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ def _load(name):
 
 
 compare_outputs = _load("compare_outputs")
+reference_costs = _load("reference_costs")
 unreached_statements = _load("unreached_statements")
 
 
@@ -84,3 +87,30 @@ def f(x):
 )
 def test_unreached_statements(ran, missed):
     assert unreached_statements.unreached(_SOURCE, ran) == missed
+
+
+def test_reference_costs_count_named_and_generated_calls(tmp_path, capsys):
+    # transit-short, twice in fresh interpreters: the same counts, one transit,
+    # the DP5 step attempts of its cross-check, and no comprehension or lambda
+    short = ["transit", "--G", "z^2*(1/2)", "--start", "1", "--Xmax", "2"]
+    for root in ("a", "b"):
+        reference_costs.record(tmp_path / root, [("transit-short", short)])
+    a, b = (json.loads((tmp_path / r / "transit-short.json").read_text()) for r in "ab")
+    assert a == b and a["exit_code"] == 0
+    calls = a["calls"]
+    assert calls["level:transit_time"] == 1 and calls["level:trace_level"] == 1
+    assert calls["<generated>:step"] > 0 and calls["<generated>:newton"] > 0
+    assert all(name.split(":")[1][0] != "<" for name in calls)
+    assert capsys.readouterr().out.startswith("transit-short: ")
+
+
+def test_reference_costs_diff(tmp_path):
+    for root, counts in (("base", {"x": {"<generated>:step": 9, "flow:drive_field": 1}, "y": {}}),
+                         ("new", {"x": {"<generated>:step": 6, "flow:drive_field": 1, "level:f": 2}, "z": {}})):
+        (tmp_path / root).mkdir()
+        for name, calls in counts.items():
+            (tmp_path / root / f"{name}.json").write_text(json.dumps({"exit_code": 0, "calls": calls}))
+    assert reference_costs.diff(tmp_path / "base", tmp_path / "new") == [
+        "x: <generated>:step 9 -> 6", "x: level:f 0 -> 2", "y: only in BASE", "z: only in NEW",
+    ]
+    assert reference_costs.main(["--diff", str(tmp_path / "base")]) == 2
