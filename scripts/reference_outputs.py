@@ -1,4 +1,4 @@
-"""Run the fifty-two reference CLI commands and record everything they produce.
+"""Run the fifty-three reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -56,6 +56,9 @@ COMMANDS = (
     ("classify-zero-free", ["classify", "--f", "0.5*exp(z)^2", "--z0", "0", "--json"]),
     # exp(z) overflows inside a sum on the ray: T = log(1 + e^-1)
     ("classify-exp-sum", ["classify", "--f", "exp(z) + 1", "--z0", "1"]),
+    # radius 10 lies inside r_safe = 62, so the run continues out to r_safe before the ray:
+    # T = atanh(sqrt(30)/6)/sqrt(30)
+    ("classify-continued", ["classify", "--f", "z^2 - 30", "--z0", "6", "--json"]),
     # the run exhausts the time resolution of doubles before the radius: T = (sqrt(pi)/2) erfc(0.3)
     ("classify-underflow", ["classify", "--f", "exp(z^2)", "--z0", "0.3"]),
     # a steep polynomial underflows short of the radius too: T = 1.5^-19 / 19 by the ray ...

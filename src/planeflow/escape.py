@@ -14,12 +14,13 @@ import bisect
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import FuncExpr, Scale, _emit_body, _function_code, _kept, compile_fn
+from .expr import _POINT_GLOBALS, FuncExpr, Scale, _emit_body, _function_code, _kept, _tree_args, compile_fn
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -31,7 +32,7 @@ from .flow import (
     drive_field,
     integrate,
 )
-from .jets import _MAX_JET_ORDER, _jet_body
+from .jets import _JET_GLOBALS, _MAX_JET_ORDER, _jet_body
 from .level import _G_MIN, _kernels, point_on_level, trace_level
 
 __all__ = [
@@ -136,10 +137,13 @@ def escape_measure(
     integrated; each equals the sample's own trace from z0.  Per-sample
     failures land in an ``error`` bucket instead of aborting the sweep;
     the reported fraction counts only conclusive finite-time escapes.  An
-    empty sweep reports fraction 0; a negative ``n_samples`` raises ValueError.
+    empty sweep reports fraction 0; a negative ``n_samples``, or a delta
+    whose segment is wider than the largest double, raises ValueError.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
+    if math.inf > delta > sys.float_info.max / 2:  # rng.uniform(-delta, delta) would overflow
+        raise ValueError(f"delta must be at most half the largest double, {sys.float_info.max / 2!r}, got {delta!r}")
     cfg = cfg or IntegratorConfig()
     rng = random.Random(seed)
     ys = [rng.uniform(-delta, delta) for _ in range(n_samples)]
@@ -343,7 +347,7 @@ def rubel_path(
 # are full - half, where half is the rule over samples 0, 2, 4, .. closed by
 # the last full step, and summed in absolute value they are the bar.
 _PASS = """\
-def path(nodes, n, first, D, DD{cs}):
+def path(nodes, n, first, D, DD{cs}{names}):
     mono, prev, marks, mark, sp, sq, tails = True, -inf, [], 0.0, 0.0, 0.0, []
     S{j}, H{j}, I{j}, P{j}, Q{j}, R{j}, U{j} = [], [], -1, 0.0, 0.0, 0.0, 0.0
     for i, (t, z0) in enumerate(nodes):
@@ -397,20 +401,25 @@ def path(nodes, n, first, D, DD{cs}):
     return dev, mono, marks, tails, ({logs}, s), hi[:2]"""
 
 
+# The globals of every Rubel pass: f's jet and f' run in it, as eval_jet and compile_fn run them.
+_RUBEL_GLOBALS = {
+    **_POINT_GLOBALS, **_JET_GLOBALS, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
+}
+
+
 def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
     """``path(nodes, n, first, D, DD, C0, ..)`` of :data:`_PASS` for m_max and n_c exponents: f's
     jet to order max(m_max + 1, 2) at <jet>, as :func:`eval_jet` runs it, and f' at <df>, as
-    :func:`compile_fn` runs it, so values and exceptions are theirs.  Constants and nodes are
-    bound as globals."""
-    env = {
-        "complex": complex, "exp": cmath.exp, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
-    }
+    :func:`compile_fn` runs it, so values and exceptions are theirs.  Constants, nodes and jet
+    kernels are the defaults of trailing parameters; the globals are ``_RUBEL_GLOBALS``."""
+    env = dict(_RUBEL_GLOBALS)
     jet, a = _jet_body(f, max(m_max + 1, 2), env)
     body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
+    names, values = _tree_args(env, _RUBEL_GLOBALS)
     slots = [dict(j=j, m=j // n_c, c=j % n_c) for j in range((m_max + 1) * n_c)]
     ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=a[m], am1=a[m + 1]) for m in range(m_max + 1)]
     fill = {
-        "a": a, "cs": "".join(f", C{c}" for c in range(n_c)),
+        "a": a, "cs": "".join(f", C{c}" for c in range(n_c)), "names": names,
         "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
         "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
         "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
@@ -421,4 +430,4 @@ def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
         for each in (slots if "{j}" in line else ms if "{m}" in line else [{}])
     )
     source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
-    return FunctionType(_function_code(source.replace("<fp>", fp)), env)
+    return FunctionType(_function_code(source.replace("<fp>", fp)), _RUBEL_GLOBALS, None, values)

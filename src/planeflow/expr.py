@@ -184,31 +184,66 @@ def _mul(l: FuncExpr, r: FuncExpr) -> FuncExpr:
 # compiled point evaluation
 
 
+# The globals of every generated point function: one dict, built here and
+# never written, so that all of them read their shared names from one place.
+_POINT_GLOBALS = {
+    "complex": complex,
+    "exp": cmath.exp,
+    "isfinite": cmath.isfinite,
+    "EvaluationOverflow": EvaluationOverflow,
+}
+
+
 def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     """Build a fast function computing expr(z).
 
     The tree becomes one straight-line Python function with one
     temporary per node, in post-order, left operand first: the same
     operations in the same order as a recursive walk, so every value is
-    bit-identical to it.  Constants and nodes are bound as globals of
-    the function, never written into its source, so the source depends
-    only on the tree's shape and integer powers, and trees of one shape
-    share one code object from :func:`_function_code`.  Each call
-    returns a fresh function.
+    bit-identical to it.  Constants and nodes are never written into its
+    source, so the source depends only on the tree's shape and integer
+    powers, and trees of one shape share one code object from
+    :func:`_function_code`.  Each call returns a fresh function.
+
+    The binding rule of every generated function in the package: its
+    globals are the one dict of its kind (here ``_POINT_GLOBALS``), and
+    what it takes from a tree arrives as trailing parameters whose
+    defaults hold the tree's values (:func:`_tree_args`).  CPython 3.11+
+    keys its inline caches on the globals dict (PEP 659), so a dict per
+    tree made every switch of tree re-specialize the shared code.
 
     The returned function raises EvaluationOverflow when the value, an
     exp or an integer power along the way leaves the double range, or
     when exp has no value (a finite real and an infinite imaginary part).
     """
     body, out, env = _emit_body(expr)
-    source = "\n".join(["def f(z0):", "    z = complex(z0)", body, f"    return {out}"])
-    return FunctionType(_function_code(source), env)
+    names, values = _tree_args(env, _POINT_GLOBALS)
+    source = "\n".join([f"def f(z0{names}):", "    z = complex(z0)", body, f"    return {out}"])
+    return FunctionType(_function_code(source), _POINT_GLOBALS, None, values)
+
+
+def _tree_args(env: dict, shared: dict) -> tuple:
+    """Split ``env`` into the names ``shared`` supplies and the tree's own:
+    returns the tree's names as trailing parameters (``", root, c4, n5"``,
+    or ``""``) and their values, in ``env``'s order, for the defaults of
+    ``FunctionType(code, shared, None, values)``.
+
+    ``shared`` is the one globals dict of a kind of generated function;
+    a name it holds is read from it, whatever ``env`` binds to the name.
+    Trees of one shape give the same names, so their functions share code
+    and globals and differ only in their defaults: CPython 3.11+ keys its
+    inline caches on the globals dict (PEP 659), and a dict per tree made
+    every switch of tree re-specialize the shared code.
+    """
+    names = [name for name in env if name not in shared]
+    return "".join(f", {name}" for name in names), tuple(env[name] for name in names)
 
 
 def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", temp: str = "t", pad: str = "    "):
     """The statements that compute expr at the complex ``z``, ending with
     the finiteness check of the value; the name that holds the value; and
-    the globals the statements read.
+    ``env``, the names the statements read, shared and the tree's own
+    alike, which the caller splits with :func:`_tree_args`.
 
     An overflow names the node and ``z``; a non-finite value names the
     root and ``z0``, which the caller binds to the argument it was given.
@@ -222,12 +257,7 @@ def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", t
     run in one function.  Every statement starts with ``pad``.
     """
     if env is None:
-        env = {
-            "complex": complex,
-            "exp": cmath.exp,
-            "isfinite": cmath.isfinite,
-            "EvaluationOverflow": EvaluationOverflow,
-        }
+        env = dict(_POINT_GLOBALS)
     env[root] = expr
     lines: list = []
     out = _emit(expr, lines, env, temp, pad)

@@ -40,7 +40,8 @@ from typing import Callable, Optional, Sequence
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
-    _emit_body, _function_code, _kept, _Node, antiderivative, compile_fn, is_constant, poly_coeffs,
+    _POINT_GLOBALS, _emit_body, _function_code, _kept, _Node, _tree_args, antiderivative, compile_fn, is_constant,
+    poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -214,7 +215,9 @@ class Field:
             raise ValueError(f"unknown post-operation {self.post!r}")
         f = compile_fn(self.func)
         if self.post != "{}":
-            f = FunctionType(_function_code(f"def point(z):\n    return {self.post.format('f(z)')}"), {"f": f})
+            names, values = _tree_args({"f": f}, _POINT_GLOBALS)
+            source = f"def point(z{names}):\n    return {self.post.format('f(z)')}"
+            f = FunctionType(_function_code(source), _POINT_GLOBALS, None, values)
         object.__setattr__(self, "_point", f)
 
     def __call__(self, z):
@@ -224,16 +227,17 @@ class Field:
     def step(self):
         """The DP5(4) step ``(y, h, k1) -> (y_new, err, k7)`` with f inlined."""
         body, out, env = _emit_body(self.func)
-        return FunctionType(_function_code(_step_source(body, self.post.format(out))), {**_TABLEAU, **env})
+        names, values = _tree_args(env, _STEP_GLOBALS)
+        return FunctionType(_function_code(_step_source(body, self.post.format(out), names)), _STEP_GLOBALS, None, values)
 
     @cached_property
     def reciprocal(self):
         """The point function of 1 / self, f's own statements run on :class:`_Scaled`
         numbers: it raises EvaluationOverflow only where 1/f has no double value."""
         body, out, env = _emit_body(self.func)
-        env.update(scaled=_Scaled, exp=_Scaled.exp, inverse=_inverse, isfinite=lambda x: cmath.isfinite(_inverse(x)))
-        source = f"def reciprocal(z0):\n    z = scaled(z0)\n{body}\n    return {self.post.format(f'inverse({out})')}"
-        return FunctionType(_function_code(source), env)
+        names, values = _tree_args(env, _RECIPROCAL_GLOBALS)
+        source = f"def reciprocal(z0{names}):\n    z = scaled(z0)\n{body}\n    return {self.post.format(f'inverse({out})')}"
+        return FunctionType(_function_code(source), _RECIPROCAL_GLOBALS, None, values)
 
 
 class _Scaled:
@@ -286,6 +290,13 @@ def _inverse(x):
     return (math.exp(-s) if -s <= _LOG_MAX else math.inf) / v
 
 
+# The globals of every Field's reciprocal: f's statements run on _Scaled numbers.
+_RECIPROCAL_GLOBALS = {
+    **_POINT_GLOBALS, "scaled": _Scaled, "exp": _Scaled.exp, "inverse": _inverse,
+    "isfinite": lambda x: cmath.isfinite(_inverse(x)),
+}
+
+
 def _rhs(spec: FlowSpec) -> Field:
     """The Field of ``spec``'s flow, kept on its tree by :func:`expr._kept`,
     one per post-operation, under ``_field0`` .. ``_field3`` (``_POSTS``' order)."""
@@ -320,11 +331,15 @@ _STAGE_INPUTS = (
     "y_new = y + (k1 * B1 + k3 * B3 + k4 * B4 + k5 * B5 + k6 * B6) * h",
 )
 
+# The globals of every generated DP5(4) step, f inlined or called.
+_STEP_GLOBALS = {**_POINT_GLOBALS, **_TABLEAU}
 
-def _step_source(body: str, value: str) -> str:
+
+def _step_source(body: str, value: str, names: str) -> str:
     """Source of a DP5(4) step whose stage n runs ``body`` and sets kn to
-    ``value``, both reading the stage input as ``z`` and ``z0``."""
-    lines = ["def step(y, h, k1):"]
+    ``value``, both reading the stage input as ``z`` and ``z0``, and whose
+    trailing parameters are the tree's ``names`` (:func:`expr._tree_args`)."""
+    lines = [f"def step(y, h, k1{names}):"]
     for n, stage_input in enumerate(_STAGE_INPUTS, 2):
         lines += [f"    z0 = z = {stage_input}", body, f"    k{n} = {value}"]
     lines += [
@@ -339,7 +354,8 @@ def _stepper(rhs: Callable[[complex], complex]):
     for any other callable."""
     if isinstance(rhs, Field):
         return rhs.step
-    return FunctionType(_function_code(_step_source("", "rhs(z)")), {**_TABLEAU, "rhs": rhs})
+    names, values = _tree_args({"rhs": rhs}, _STEP_GLOBALS)
+    return FunctionType(_function_code(_step_source("", "rhs(z)", names)), _STEP_GLOBALS, None, values)
 
 
 def _hermite(z0, d0, z1, d1, h, theta):

@@ -13,7 +13,8 @@ order, calling kernels for products and exp built once per order and zero
 pattern (:func:`_kernel`); it does a recursive walk's operations in its
 order, but for terms with a literal zero factor, so every bit and the
 overflowing node match.  The code is compiled once per source text by
-``expr._function_code``; constants and nodes are bound as globals.
+``expr._function_code``; constants, nodes and kernels are the defaults of
+its trailing parameters, and its globals are the one dict ``_JET_GLOBALS``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from functools import lru_cache
 from types import FunctionType
 
 from .errors import EvaluationOverflow
-from .expr import Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _function_code
+from .expr import (
+    _POINT_GLOBALS, Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _function_code,
+    _tree_args,
+)
 
 __all__ = ["eval_jet"]
 
@@ -44,15 +48,16 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
     z = complex(z)
     env: dict = {}
     lines, out = _jet_body(expr, order, env)
-    source = "\n".join(["def jet(z):", *lines, f"    return ({', '.join(out)},)"])
-    return FunctionType(_function_code(source), env)(z)
+    names, values = _tree_args(env, _JET_GLOBALS)
+    source = "\n".join([f"def jet(z{names}):", *lines, f"    return ({', '.join(out)},)"])
+    return FunctionType(_function_code(source), _JET_GLOBALS, None, values)(z)
 
 
 def _jet_body(expr: FuncExpr, order: int, env: dict):
     """The lines computing expr's coefficients a_0..a_order at the complex
     ``z``, and the names that hold them; the kernels and the constants the
     lines read are bound into ``env``, so other statements can share it."""
-    env.update(power=_power, isfinite=cmath.isfinite, EvaluationOverflow=EvaluationOverflow)
+    env.update(_JET_GLOBALS)
     lines: list = []
     return lines, _emit(expr, order + 1, lines, env)
 
@@ -123,7 +128,7 @@ def _kernel(mul: bool, n: int, live: tuple):
             f"    return ({', '.join(f'v{k}' for k in range(n))},)",
         ]
     source = "\n".join([f"def {'mul' if mul else 'exp_jet'}({', '.join(params)}):", *body])
-    return FunctionType(_function_code(source), {"exp": cmath.exp})
+    return FunctionType(_function_code(source), _POINT_GLOBALS)  # a kernel takes nothing from a tree
 
 
 def _power(mul, a: tuple, k: int) -> tuple:
@@ -136,3 +141,7 @@ def _power(mul, a: tuple, k: int) -> tuple:
         if k:
             a = mul(*a, *a)
     return out if out is not None else (1 + 0j,) + (0j,) * (len(a) - 1)
+
+
+# The globals of every generated jet function.
+_JET_GLOBALS = {"power": _power, "isfinite": cmath.isfinite, "EvaluationOverflow": EvaluationOverflow}

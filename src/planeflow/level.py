@@ -26,7 +26,7 @@ from types import FunctionType
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import FuncExpr, _emit_body, _function_code, _kept, compile_fn, derivative
+from .expr import _POINT_GLOBALS, FuncExpr, _emit_body, _function_code, _kept, _tree_args, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _G_MIN = 1e-8  # tracing stops here: critical points are infinitely far in time
+_NEWTON_GLOBALS = {**_POINT_GLOBALS, "G_MIN": _G_MIN}  # the globals of every corrector
 _POINT_TOL = 1e-12  # relative tolerance of point_on_level's corrector
 _TRANSIT_REL_TOL = 1e-7  # transit quadrature tolerance, relative to the whole integral
 # the direct-flow cross-check's rel_tol: a hundredth of the quadrature's, the ratio
@@ -97,24 +98,26 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     When g is G (``exp(z)``: equal reprs, which tell every constant's bits
     apart), G's value serves as g and its statements run once an iteration;
     g then cannot raise, as it could only where G already ended the solve.
-    Constants and nodes are bound as globals, never written into the source
-    (Constant(0.0) == Constant(-0.0), yet their bits differ).
+    Constants and nodes are the defaults of trailing parameters, never written
+    into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
     """
     big_body, v, env = _emit_body(big_g, pad=" " * 12)
     if repr(dg) == repr(big_g):
         body, g = "", v
     else:
         body, g, env = _emit_body(dg, env, root="droot", temp="d", pad=" " * 8)
-    return FunctionType(_function_code(_newton_source(big_body, v, body, g)), {**env, "G_MIN": _G_MIN})
+    names, values = _tree_args(env, _NEWTON_GLOBALS)
+    return FunctionType(_function_code(_newton_source(big_body, v, body, g, names)), _NEWTON_GLOBALS, None, values)
 
 
-def _newton_source(big_body: str, v: str, body: str, g: str) -> str:
+def _newton_source(big_body: str, v: str, body: str, g: str, names: str) -> str:
     """Source of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
     for g = g(z), with ``z0`` the point as given and ``z`` as complex; an
     empty ``body`` reads g from ``big_body``.  The bodies come indented for
-    the try block and the loop, 12 and 8 spaces."""
+    the try block and the loop, 12 and 8 spaces; the trees' ``names`` are
+    the trailing parameters (:func:`expr._tree_args`)."""
     return "\n".join([
-        "def newton(target, z0, tol, max_iter):",
+        f"def newton(target, z0, tol, max_iter{names}):",
         "    z = complex(z0)",
         "    for it in range(max_iter + 1):",
         "        try:",

@@ -94,3 +94,17 @@ def reference_point_on_level(big_ge, ge, x, beta, z_guess):
     if got is None:
         raise CorrectorDivergence("level-curve corrector diverged", z_guess)
     return got[0]
+
+
+def shared_code_own_values(first, second, run):
+    """Check that two functions generated for trees of one shape share their
+    code and their kind's one globals dict, keep their values apart in their
+    defaults (by repr: 0.0 == -0.0), and that running each, ``run(fn)``,
+    leaves the shared dict equal to a copy taken before; returns the runs' reprs."""
+    assert first.__code__ is second.__code__
+    assert first.__globals__ is second.__globals__
+    assert repr(first.__defaults__) != repr(second.__defaults__)
+    before = dict(first.__globals__)
+    runs = [repr(run(fn)) for fn in (first, second)]
+    assert first.__globals__ == before
+    return runs

@@ -293,6 +293,17 @@ class TestSubcommands:
         assert out == ""
         assert not (tmp_path / "measure.json").exists()
 
+    def test_measure_delta_too_wide_to_sample_exit_2(self, tmp_path, capsys):
+        # the samples' width 2 delta overflowed, and the error named a stop of inf
+        code, out, err = run(
+            ["measure", "--f", "z^2", "--z0", "1", "--N", "3", "--delta", "1e308", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: delta must be at most half the largest double, 8.988465674311579e+307, got 1e+308\n"
+        assert out == ""
+        assert not (tmp_path / "measure.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "argv, option",

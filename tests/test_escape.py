@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 from types import FunctionType
 
 import pytest
@@ -91,6 +92,17 @@ class TestTransverseSegment:
             transverse_segment(parse_expr("-exp(-z)"), 0.0, delta, 8)
         with pytest.raises(ValueError, match="positive finite"):
             escape_measure(parse_expr("-exp(-z)"), 0.0, delta, 2)
+
+    def test_delta_too_wide_to_sample_rejected(self):
+        # rng.uniform(-delta, delta) takes the width 2 delta, a double only up to half the largest
+        half = sys.float_info.max / 2
+        with pytest.raises(ValueError, match=r"delta must be at most half the largest double, .*got 1e\+308"):
+            escape_measure(parse_expr("z^2"), 1.0, 1e308, 3)
+        with pytest.raises(ValueError, match="delta must be at most"):
+            escape_measure(parse_expr("z^2"), 1.0, math.nextafter(half, math.inf), 3)
+        # half the largest double is sampled, and its segment meets z^2's zero
+        with pytest.raises(SegmentTruncated):
+            escape_measure(parse_expr("z^2"), 1.0, half, 3)
 
 
 def _segment_fields(f):

@@ -26,8 +26,9 @@ from planeflow.expr import (
 )
 from planeflow.flow import Field, _stepper
 from planeflow.jets import eval_jet
+from planeflow.level import _newton
 
-from conftest import random_expr, tame_random_expr
+from conftest import random_expr, shared_code_own_values, tame_random_expr
 
 Z = Variable()
 
@@ -457,6 +458,12 @@ class TestCompile:
         z = complex(-0.0, -0.0)
         assert repr(fn_neg(z)) != repr(fn_pos(z))
         assert repr(fn_neg(z)) == repr(z + complex(-0.0))
+        # one code and one globals dict; the values are the defaults, and no run writes the dict
+        assert shared_code_own_values(fn_neg, fn_pos, lambda fn: fn(z)) == ["(-0+0j)", "0j"]
+        # the corrector of G = z + c, g = (1-0j) + c: each returns its own bits
+        neg, pos = (_newton(Add(Z, c), Add(Constant(complex(1.0, -0.0)), c)) for c in (Constant(-0j), Constant(0j)))
+        runs = shared_code_own_values(neg, pos, lambda newton: newton(0j, complex(1.0, -0.0), 0.0, 1))
+        assert runs == ["(-0j, 1, (1-0j))", "(-0j, 1, (1+0j))"]
 
     def test_fresh_function_per_call(self):
         tree = parse_expr("z + 1")

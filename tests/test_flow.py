@@ -39,7 +39,7 @@ from planeflow.flow import (
 )
 from planeflow.quadrature import QuadratureDiverged, gauss_kronrod
 
-from conftest import random_expr, tame_random_expr
+from conftest import random_expr, shared_code_own_values, tame_random_expr
 
 
 def holo(text, direction="forward"):
@@ -1164,6 +1164,16 @@ class TestGeneratedStep:
         for rhs in (pos, neg):
             args = (z, 0.25, rhs(z))
             assert repr(rhs.step(*args)) == repr(_reference_dp_step(rhs, *args))
+        # one code and one globals dict per kind; the values are the defaults, and no run writes the dict
+        shared_code_own_values(pos.step, neg.step, lambda step: step(z, 0.25, 1 + 0j))
+        shared_code_own_values(pos.reciprocal, neg.reciprocal, lambda reciprocal: reciprocal(2 + 0j))
+        # f = (-1 +- 0j) z: the step's k7 and the post-operation's value carry the sign
+        pos, neg = (Field(Scale(complex(-1.0, c), Variable()), "-{}") for c in (0.0, -0.0))
+        z = complex(1.0, -0.0)
+        steps = shared_code_own_values(pos.step, neg.step, lambda step: step(z, 0.25, -1 + 0j)[2])
+        assert steps == ["(1.225503246166088-0j)", "(1.225503246166088+0j)"]
+        points = shared_code_own_values(pos._point, neg._point, lambda point: point(1 + 0j))
+        assert points == ["(1-0j)", "(1+0j)"]
 
     def test_exp_without_value_is_overflow(self):
         tree = parse_expr("exp(1 + i*z^2*z^2)")

@@ -5,10 +5,12 @@ import random
 from collections import Counter
 from dataclasses import replace
 from textwrap import indent
+from types import FunctionType
 
 import pytest
 from conftest import level_start, random_expr, reference_corrector
 
+import planeflow.expr as expr_module
 import planeflow.level as level_module
 from planeflow.errors import CorrectorDivergence, EvaluationOverflow
 from planeflow.escape import rubel_path
@@ -171,7 +173,9 @@ class TestCorrector:
 
 
 def _counted_exp(newton):
-    """Count the exp calls the generated corrector makes; returns the list."""
+    """A copy of the generated corrector that counts its exp calls, and the
+    list they go to.  The copy reads a copy of the globals: every corrector
+    shares one dict, which a write would change for the rest of the session."""
     calls = []
     exp = newton.__globals__["exp"]
 
@@ -179,17 +183,19 @@ def _counted_exp(newton):
         calls.append(w)
         return exp(w)
 
-    newton.__globals__["exp"] = counted
-    return calls
+    counting = FunctionType(newton.__code__, {**newton.__globals__, "exp": counted}, newton.__name__, newton.__defaults__)
+    return counting, calls
 
 
 def _reference_newton_source(big_g, dg):
     """_newton's source as it was assembled: bodies emitted at four spaces
-    and indented by ``textwrap.indent``."""
+    and indented by ``textwrap.indent``; the trees' constants and nodes are
+    the trailing parameters."""
     big_body, v, env = _emit_body(big_g)
     body, g = ("", v) if repr(dg) == repr(big_g) else _emit_body(dg, env, root="droot", temp="d")[:2]
+    names = "".join(f", {name}" for name in env if name not in expr_module._POINT_GLOBALS)
     return "\n".join([
-        "def newton(target, z0, tol, max_iter):",
+        f"def newton(target, z0, tol, max_iter{names}):",
         "    z = complex(z0)",
         "    for it in range(max_iter + 1):",
         "        try:",
@@ -222,7 +228,7 @@ class TestNewton:
         # exp(z) serves G's value as g: the empty g body leaves a blank line
         level_module._newton(trees[0], derivative(trees[0]))
         assert sources.pop() == "\n".join([
-            "def newton(target, z0, tol, max_iter):",
+            "def newton(target, z0, tol, max_iter, root, n5):",
             "    z = complex(z0)",
             "    for it in range(max_iter + 1):",
             "        try:",
@@ -263,8 +269,7 @@ class TestNewton:
             guess = z_true + complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
             tol = 1e-12 * (1.0 + abs(target))
             max_iter = rng.choice((8, 12))
-            newton = level_module._newton(big_g, dg)
-            calls = _counted_exp(newton)
+            newton, calls = _counted_exp(level_module._newton(big_g, dg))
             want = reference_corrector(big_ge, ge, target, guess, tol, max_iter)
             got = level_module._corrector(newton, target, guess, tol, max_iter)
             assert repr(got) == repr(want), (big_g, target, guess, tol, max_iter)
@@ -286,8 +291,7 @@ class TestNewton:
         for _ in range(20):
             z_true = complex(rng.uniform(-5.0, 5.0), rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
             target, guess = big_ge(z_true), z_true + rng.uniform(-0.5, 0.5)
-            newton = level_module._newton(big_g, dg)
-            calls = _counted_exp(newton)
+            newton, calls = _counted_exp(level_module._newton(big_g, dg))
             want = reference_corrector(big_ge, ge, target, guess, 1e-12, 8)
             assert repr(level_module._corrector(newton, target, guess, 1e-12, 8)) == repr(want)
             # G and g every iteration, the accepting one included
@@ -396,7 +400,9 @@ class TestTrace:
         # g, so a point costs the predictor's midpoint and one exp per corrector
         # iteration, the accepting one included (3 exps where 4 were taken)
         exps, solves = [], []
-        monkeypatch.setattr(cmath, "exp", lambda w, exp=cmath.exp: exps.append(w) or exp(w))
+        # generated functions read exp from their kind's one globals dict
+        for shared in (expr_module._POINT_GLOBALS, level_module._NEWTON_GLOBALS):
+            monkeypatch.setitem(shared, "exp", lambda w, exp=cmath.exp: exps.append(w) or exp(w))
         corrector = level_module._corrector
         monkeypatch.setattr(level_module, "_corrector", lambda *a, **k: solves.append(corrector(*a, **k)) or solves[-1])
         f, start, cfg = parse_expr("exp(z)"), cmath.log(5 + 1j), IntegratorConfig(escape_radius=1e9)
