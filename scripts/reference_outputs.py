@@ -1,4 +1,4 @@
-"""Run the fifty-three reference CLI commands and record everything they produce.
+"""Run the fifty-five reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -47,6 +47,10 @@ COMMANDS = (
     ("classify-near-miss", ["classify", "--f", "z^2", "--z0", "(0.99990001-0.0099990001i)"]),
     # e^z = e^(z0) - t: the singular time e^(i 1e-6) is not real, and the note names its Im
     ("classify-exp-near-miss", ["classify", "--f", "-exp(-z)", "--z0", "1e-6i"]),
+    # -exp(-z) has no zero, so its value below the fixed-point bar is none: T = e^35
+    ("classify-exp-far", ["classify", "--f", "-exp(-z)", "--z0", "35", "--json"]),
+    # e^-800 underflows to 0, which gives the ray no direction: no estimate
+    ("classify-exp-underflow", ["classify", "--f", "-exp(-z)", "--z0", "800", "--json"]),
     # a loose tolerance widens the error bar
     ("classify-square-tol", ["classify", "--f", "z^2", "--z0", "1", "--tol", "1e-3"]),
     ("classify-antiholo", ["classify", "--g", "z^3", "--kind", "antiholo", "--z0", "1", "--json"]),

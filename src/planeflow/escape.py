@@ -16,11 +16,10 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from types import FunctionType
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import _POINT_GLOBALS, FuncExpr, Scale, _emit_body, _function_code, _kept, _tree_args, compile_fn
+from .expr import _POINT_GLOBALS, FuncExpr, Scale, _emit_body, _generated, _kept, compile_fn
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -323,10 +322,11 @@ def rubel_path(
     return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
 
 
-# One walk of a Rubel path: ``nodes`` yields the n samples (t, z), f(z) =
-# t + iD, a_k the coefficients of f's jet there, then the window node at T/2,
-# drawn only after every sample's statements have run; D, DD = D*D and each
-# C{c} are arguments.  A line with {m} is written for m = 0..m_max:
+# The body of ``path(nodes, n, first, D, DD, C0, ..)``, one walk of a Rubel
+# path: ``nodes`` yields the n samples (t, z), f(z) = t + iD, a_k the
+# coefficients of f's jet there, then the window node at T/2, drawn only
+# after every sample's statements have run; DD = D*D and C{c} is the c-th
+# exponent.  A line with {m} is written for m = 0..m_max:
 # log|f^(m)| = log|f^(m)/f| + log|f| keeps the large part exact, |f| =
 # |t + iD| on the path (hypot only where t*t + D*D overflows).  A line with
 # {j} is written for each (m, c) slot j, c = C{c} varying fastest: the tail
@@ -347,7 +347,6 @@ def rubel_path(
 # are full - half, where half is the rule over samples 0, 2, 4, .. closed by
 # the last full step, and summed in absolute value they are the bar.
 _PASS = """\
-def path(nodes, n, first, D, DD{cs}{names}):
     mono, prev, marks, mark, sp, sq, tails = True, -inf, [], 0.0, 0.0, 0.0, []
     S{j}, H{j}, I{j}, P{j}, Q{j}, R{j}, U{j} = [], [], -1, 0.0, 0.0, 0.0, 0.0
     for i, (t, z0) in enumerate(nodes):
@@ -411,16 +410,14 @@ def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
     """``path(nodes, n, first, D, DD, C0, ..)`` of :data:`_PASS` for m_max and n_c exponents: f's
     jet to order max(m_max + 1, 2) at <jet>, as :func:`eval_jet` runs it, and f' at <df>, as
     :func:`compile_fn` runs it, so values and exceptions are theirs.  Constants, nodes and jet
-    kernels are the defaults of trailing parameters; the globals are ``_RUBEL_GLOBALS``."""
+    kernels are bound by :func:`expr._generated`; the globals are ``_RUBEL_GLOBALS``."""
     env = dict(_RUBEL_GLOBALS)
     jet, a = _jet_body(f, max(m_max + 1, 2), env)
     body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
-    names, values = _tree_args(env, _RUBEL_GLOBALS)
     slots = [dict(j=j, m=j // n_c, c=j % n_c) for j in range((m_max + 1) * n_c)]
     ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=a[m], am1=a[m + 1]) for m in range(m_max + 1)]
     fill = {
-        "a": a, "cs": "".join(f", C{c}" for c in range(n_c)), "names": names,
-        "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
+        "a": a, "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
         "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
         "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
     }
@@ -430,4 +427,5 @@ def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
         for each in (slots if "{j}" in line else ms if "{m}" in line else [{}])
     )
     source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
-    return FunctionType(_function_code(source.replace("<fp>", fp)), _RUBEL_GLOBALS, None, values)
+    params = ["nodes", "n", "first", "D", "DD", *(f"C{c}" for c in range(n_c))]
+    return _generated("path", params, [source.replace("<fp>", fp)], env, _RUBEL_GLOBALS)

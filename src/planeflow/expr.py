@@ -202,48 +202,43 @@ def compile_fn(expr: FuncExpr) -> Callable[[complex], complex]:
     operations in the same order as a recursive walk, so every value is
     bit-identical to it.  Constants and nodes are never written into its
     source, so the source depends only on the tree's shape and integer
-    powers, and trees of one shape share one code object from
-    :func:`_function_code`.  Each call returns a fresh function.
-
-    The binding rule of every generated function in the package: its
-    globals are the one dict of its kind (here ``_POINT_GLOBALS``), and
-    what it takes from a tree arrives as trailing parameters whose
-    defaults hold the tree's values (:func:`_tree_args`).  CPython 3.11+
-    keys its inline caches on the globals dict (PEP 659), so a dict per
-    tree made every switch of tree re-specialize the shared code.
+    powers, and trees of one shape share one code object.  Each call
+    returns a fresh function, bound by :func:`_generated`'s rule with the
+    globals ``_POINT_GLOBALS``.
 
     The returned function raises EvaluationOverflow when the value, an
     exp or an integer power along the way leaves the double range, or
     when exp has no value (a finite real and an infinite imaginary part).
     """
     body, out, env = _emit_body(expr)
-    names, values = _tree_args(env, _POINT_GLOBALS)
-    source = "\n".join([f"def f(z0{names}):", "    z = complex(z0)", body, f"    return {out}"])
-    return FunctionType(_function_code(source), _POINT_GLOBALS, None, values)
+    return _generated("f", ["z0"], ["    z = complex(z0)", body, f"    return {out}"], env, _POINT_GLOBALS)
 
 
-def _tree_args(env: dict, shared: dict) -> tuple:
-    """Split ``env`` into the names ``shared`` supplies and the tree's own:
-    returns the tree's names as trailing parameters (``", root, c4, n5"``,
-    or ``""``) and their values, in ``env``'s order, for the defaults of
-    ``FunctionType(code, shared, None, values)``.
+def _generated(name: str, params, lines, env: dict, shared: dict) -> FunctionType:
+    """``def name(*params, ...):`` with the body ``lines``, the one builder of
+    every generated function in the package, and its one binding rule.
 
-    ``shared`` is the one globals dict of a kind of generated function;
-    a name it holds is read from it, whatever ``env`` binds to the name.
-    Trees of one shape give the same names, so their functions share code
-    and globals and differ only in their defaults: CPython 3.11+ keys its
+    ``shared`` is the globals dict of one kind of generated function, built
+    at import and never written; a name it holds is read from it, whatever
+    ``env`` binds to the name.  The names of ``env`` it does not hold (a
+    tree's constants, nodes, jet kernels, a wrapped function) follow
+    ``params`` as trailing parameters, in ``env``'s order, whose defaults
+    hold their values.  Trees of one shape give one source, so their
+    functions share one code object (:func:`_function_code`) and one
+    globals dict and differ only in their defaults: CPython 3.11+ keys its
     inline caches on the globals dict (PEP 659), and a dict per tree made
     every switch of tree re-specialize the shared code.
     """
-    names = [name for name in env if name not in shared]
-    return "".join(f", {name}" for name in names), tuple(env[name] for name in names)
+    names = [key for key in env if key not in shared]
+    source = "\n".join([f"def {name}({', '.join([*params, *names])}):", *lines])
+    return FunctionType(_function_code(source), shared, None, tuple(env[key] for key in names))
 
 
 def _emit_body(expr: FuncExpr, env: Optional[dict] = None, root: str = "root", temp: str = "t", pad: str = "    "):
     """The statements that compute expr at the complex ``z``, ending with
     the finiteness check of the value; the name that holds the value; and
     ``env``, the names the statements read, shared and the tree's own
-    alike, which the caller splits with :func:`_tree_args`.
+    alike, which :func:`_generated` splits.
 
     An overflow names the node and ``z``; a non-finite value names the
     root and ``z0``, which the caller binds to the argument it was given.

@@ -34,13 +34,12 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from types import FunctionType
 from typing import Callable, Optional, Sequence
 
 from .errors import EvaluationOverflow, PlaneflowError
 from .expr import (
     Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable,
-    _POINT_GLOBALS, _emit_body, _function_code, _kept, _Node, _tree_args, antiderivative, compile_fn, is_constant,
+    _POINT_GLOBALS, _emit_body, _generated, _kept, _Node, antiderivative, compile_fn, is_constant,
     poly_coeffs,
 )
 from .quadrature import QuadratureDiverged, gauss_kronrod
@@ -215,9 +214,7 @@ class Field:
             raise ValueError(f"unknown post-operation {self.post!r}")
         f = compile_fn(self.func)
         if self.post != "{}":
-            names, values = _tree_args({"f": f}, _POINT_GLOBALS)
-            source = f"def point(z{names}):\n    return {self.post.format('f(z)')}"
-            f = FunctionType(_function_code(source), _POINT_GLOBALS, None, values)
+            f = _generated("point", ["z"], [f"    return {self.post.format('f(z)')}"], {"f": f}, _POINT_GLOBALS)
         object.__setattr__(self, "_point", f)
 
     def __call__(self, z):
@@ -227,17 +224,15 @@ class Field:
     def step(self):
         """The DP5(4) step ``(y, h, k1) -> (y_new, err, k7)`` with f inlined."""
         body, out, env = _emit_body(self.func)
-        names, values = _tree_args(env, _STEP_GLOBALS)
-        return FunctionType(_function_code(_step_source(body, self.post.format(out), names)), _STEP_GLOBALS, None, values)
+        return _generated("step", ["y", "h", "k1"], _step_source(body, self.post.format(out)), env, _STEP_GLOBALS)
 
     @cached_property
     def reciprocal(self):
         """The point function of 1 / self, f's own statements run on :class:`_Scaled`
         numbers: it raises EvaluationOverflow only where 1/f has no double value."""
         body, out, env = _emit_body(self.func)
-        names, values = _tree_args(env, _RECIPROCAL_GLOBALS)
-        source = f"def reciprocal(z0{names}):\n    z = scaled(z0)\n{body}\n    return {self.post.format(f'inverse({out})')}"
-        return FunctionType(_function_code(source), _RECIPROCAL_GLOBALS, None, values)
+        lines = ["    z = scaled(z0)", body, f"    return {self.post.format(f'inverse({out})')}"]
+        return _generated("reciprocal", ["z0"], lines, env, _RECIPROCAL_GLOBALS)
 
 
 class _Scaled:
@@ -335,18 +330,17 @@ _STAGE_INPUTS = (
 _STEP_GLOBALS = {**_POINT_GLOBALS, **_TABLEAU}
 
 
-def _step_source(body: str, value: str, names: str) -> str:
-    """Source of a DP5(4) step whose stage n runs ``body`` and sets kn to
-    ``value``, both reading the stage input as ``z`` and ``z0``, and whose
-    trailing parameters are the tree's ``names`` (:func:`expr._tree_args`)."""
-    lines = [f"def step(y, h, k1{names}):"]
+def _step_source(body: str, value: str) -> list:
+    """Body lines of a DP5(4) step ``step(y, h, k1, ..)`` whose stage n runs
+    ``body`` and sets kn to ``value``, both reading the stage input as ``z``
+    and ``z0``; what they take from a tree is bound by :func:`expr._generated`."""
+    lines = []
     for n, stage_input in enumerate(_STAGE_INPUTS, 2):
         lines += [f"    z0 = z = {stage_input}", body, f"    k{n} = {value}"]
-    lines += [
+    return lines + [
         "    err = abs(h) * abs(k1 * E1 + k3 * E3 + k4 * E4 + k5 * E5 + k6 * E6 + k7 * E7)",
         "    return y_new, err, k7",
     ]
-    return "\n".join(lines)
 
 
 def _stepper(rhs: Callable[[complex], complex]):
@@ -354,8 +348,7 @@ def _stepper(rhs: Callable[[complex], complex]):
     for any other callable."""
     if isinstance(rhs, Field):
         return rhs.step
-    names, values = _tree_args({"rhs": rhs}, _STEP_GLOBALS)
-    return FunctionType(_function_code(_step_source("", "rhs(z)", names)), _STEP_GLOBALS, None, values)
+    return _generated("step", ["y", "h", "k1"], _step_source("", "rhs(z)"), {"rhs": rhs}, _STEP_GLOBALS)
 
 
 def _hermite(z0, d0, z1, d1, h, theta):
@@ -644,7 +637,9 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     """Integrate the flow from z0 until the first termination condition.
 
     A seed sitting on a zero of the driving function returns immediately
-    as FixedPointApproach (the trajectory is constant).  The return through
+    as FixedPointApproach (the trajectory is constant); where f is
+    zero-free by its tree (:func:`_zero_free`), a value that underflows is
+    no zero, and no run reads FixedPointApproach.  The return through
     the seed's cross-section (Periodic) is watched only where an orbit can
     close: for a holomorphic flow whose f may vanish (:func:`_may_close`).
     Evaluation overflow inside the right-hand side propagates to the
@@ -655,12 +650,13 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     z0 = complex(z0)
     rhs = _rhs(spec)
     f0 = rhs(z0)
-    if abs(f0) <= 1e-15 * (1.0 + abs(z0)):
+    zero_free = _zero_free(spec.func)
+    if not zero_free and abs(f0) <= 1e-15 * (1.0 + abs(z0)):
         return Trajectory(spec, z0, ((0.0, z0),), (0.0,), FixedPointApproach(z0))
 
     # a seed on or beyond the radius whose first step stays there reaches it at t = 0
     radius = Event.at_radius(cfg.escape_radius, start_below=True)
-    events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL)) if _may_close(spec) else (radius,)
+    events = (radius, _SeedReturn(z0, f0, rhs, _PERIODIC_RETURN_TOL)) if _may_close(spec, zero_free) else (radius,)
     res = drive_field(rhs, z0, cfg, t_stop=cfg.t_max, events=events)
     if res.status == "overflow":
         exc = res.exception
@@ -674,20 +670,20 @@ def integrate(spec: FlowSpec, z0: complex, cfg: Optional[IntegratorConfig] = Non
     elif res.status == "underflow":
         term = StepUnderflow()
     else:  # t_stop
-        fp = _fixed_point_from_tail(res.samples, rhs)
+        fp = None if zero_free else _fixed_point_from_tail(res.samples, rhs)
         term = fp if fp is not None else TimeBudgetExhausted()
     return Trajectory(spec, z0, tuple(res.samples), tuple(res.errors), term)
 
 
-def _may_close(spec: FlowSpec) -> bool:
+def _may_close(spec: FlowSpec, zero_free: bool) -> bool:
     """Whether the flow can have a closed orbit.  A closed orbit of a plane
     vector field encloses a zero of it (index theory), so a holomorphic
-    flow whose f is zero-free by its tree has none; along an
+    flow whose f is ``zero_free`` by its tree (:func:`_zero_free`) has none; along an
     antiholomorphic flow Re G rises at speed |g|^2, so it never returns.
     Nor does f = a z^n, a != 0, n >= 2: along a closed orbit of period T
     the integral of dz/f is T != 0, yet 1/(a z^n) has residue 0 at its
     only pole, so it integrates to 0 around any loop."""
-    return spec.kind == HOLOMORPHIC and not _zero_free(spec.func) and (_leaf_power(spec.func, Variable) or 0) < 2
+    return spec.kind == HOLOMORPHIC and not zero_free and (_leaf_power(spec.func, Variable) or 0) < 2
 
 
 def _zero_free(expr: FuncExpr) -> bool:
@@ -892,9 +888,12 @@ def _transit_start(rhs, traj, cfg, r_safe=0.0):
 def _ray_estimate(rhs, start, exit_times, cfg) -> BlowupEstimate:
     """The transit from ``start`` = (t, z, steps) along the tangent ray z + s u,
     u = rhs(z) / |rhs(z)|, s = |z| x / (1 - x) for x in [0, 1).  Where f
-    overflows on the ray, 1/f is ``rhs.reciprocal``."""
+    overflows on the ray, 1/f is ``rhs.reciprocal``.  Inconclusive where f
+    underflows to 0 at z, which gives the ray no direction."""
     _, z_far, _ = start
     f_far = rhs(z_far)
+    if f_far == 0:
+        return _inconclusive("f underflows to 0 at the ray's start", exit_times)
     ru = f_far * (abs(z_far) / abs(f_far))
 
     def integrand(x):

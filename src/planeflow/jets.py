@@ -12,21 +12,18 @@ and integer powers use binary powering.
 order, calling kernels for products and exp built once per order and zero
 pattern (:func:`_kernel`); it does a recursive walk's operations in its
 order, but for terms with a literal zero factor, so every bit and the
-overflowing node match.  The code is compiled once per source text by
-``expr._function_code``; constants, nodes and kernels are the defaults of
-its trailing parameters, and its globals are the one dict ``_JET_GLOBALS``.
+overflowing node match.  Both are built by ``expr._generated``, whose rule
+binds constants, nodes and kernels; the jet's globals are ``_JET_GLOBALS``.
 """
 
 from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from types import FunctionType
 
 from .errors import EvaluationOverflow
 from .expr import (
-    _POINT_GLOBALS, Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _function_code,
-    _tree_args,
+    _POINT_GLOBALS, Add, Constant, Exp, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _bind, _generated,
 )
 
 __all__ = ["eval_jet"]
@@ -40,17 +37,15 @@ def eval_jet(expr: FuncExpr, z: complex, order: int) -> tuple:
     a_k equals the k-th derivative divided by k!, so ``a_0`` is the plain
     value.  Overflow in any coefficient, or an exp without a value, raises
     EvaluationOverflow carrying the innermost offending node.  The order
-    must lie in 0..``_MAX_JET_ORDER``.  Each call builds the function's
-    source again; its code comes from ``expr._function_code``.
+    must lie in 0..``_MAX_JET_ORDER``.  Each call builds the function again,
+    by ``expr._generated``.
     """
     if not 0 <= order <= _MAX_JET_ORDER:
         raise ValueError(f"order must be in 0..{_MAX_JET_ORDER}, got {order!r}")
     z = complex(z)
     env: dict = {}
     lines, out = _jet_body(expr, order, env)
-    names, values = _tree_args(env, _JET_GLOBALS)
-    source = "\n".join([f"def jet(z{names}):", *lines, f"    return ({', '.join(out)},)"])
-    return FunctionType(_function_code(source), _JET_GLOBALS, None, values)(z)
+    return _generated("jet", ["z"], [*lines, f"    return ({', '.join(out)},)"], env, _JET_GLOBALS)(z)
 
 
 def _jet_body(expr: FuncExpr, order: int, env: dict):
@@ -127,8 +122,7 @@ def _kernel(mul: bool, n: int, live: tuple):
             *(f"    v{k} = ({' + '.join(['0', *t])}) / {k}" if t else f"    v{k} = 0j" for k, t in enumerate(terms, 1)),
             f"    return ({', '.join(f'v{k}' for k in range(n))},)",
         ]
-    source = "\n".join([f"def {'mul' if mul else 'exp_jet'}({', '.join(params)}):", *body])
-    return FunctionType(_function_code(source), _POINT_GLOBALS)  # a kernel takes nothing from a tree
+    return _generated("mul" if mul else "exp_jet", params, body, {}, _POINT_GLOBALS)  # it takes nothing from a tree
 
 
 def _power(mul, a: tuple, k: int) -> tuple:

@@ -22,11 +22,10 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, replace
-from types import FunctionType
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import _POINT_GLOBALS, FuncExpr, _emit_body, _function_code, _kept, _tree_args, compile_fn, derivative
+from .expr import _POINT_GLOBALS, FuncExpr, _emit_body, _generated, _kept, compile_fn, derivative
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -98,7 +97,7 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
     When g is G (``exp(z)``: equal reprs, which tell every constant's bits
     apart), G's value serves as g and its statements run once an iteration;
     g then cannot raise, as it could only where G already ended the solve.
-    Constants and nodes are the defaults of trailing parameters, never written
+    Constants and nodes are bound by :func:`expr._generated`, never written
     into the source (Constant(0.0) == Constant(-0.0), yet their bits differ).
     """
     big_body, v, env = _emit_body(big_g, pad=" " * 12)
@@ -106,18 +105,16 @@ def _newton(big_g: FuncExpr, dg: FuncExpr):
         body, g = "", v
     else:
         body, g, env = _emit_body(dg, env, root="droot", temp="d", pad=" " * 8)
-    names, values = _tree_args(env, _NEWTON_GLOBALS)
-    return FunctionType(_function_code(_newton_source(big_body, v, body, g, names)), _NEWTON_GLOBALS, None, values)
+    lines = _newton_source(big_body, v, body, g)
+    return _generated("newton", ["target", "z0", "tol", "max_iter"], lines, env, _NEWTON_GLOBALS)
 
 
-def _newton_source(big_body: str, v: str, body: str, g: str, names: str) -> str:
-    """Source of a Newton loop that runs ``big_body`` for v = G(z) and ``body``
-    for g = g(z), with ``z0`` the point as given and ``z`` as complex; an
-    empty ``body`` reads g from ``big_body``.  The bodies come indented for
-    the try block and the loop, 12 and 8 spaces; the trees' ``names`` are
-    the trailing parameters (:func:`expr._tree_args`)."""
-    return "\n".join([
-        f"def newton(target, z0, tol, max_iter{names}):",
+def _newton_source(big_body: str, v: str, body: str, g: str) -> list:
+    """Body lines of a Newton loop that runs ``big_body`` for v = G(z) and
+    ``body`` for g = g(z), with ``z0`` the point as given and ``z`` as
+    complex; an empty ``body`` reads g from ``big_body``.  The bodies come
+    indented for the try block and the loop, 12 and 8 spaces."""
+    return [
         "    z = complex(z0)",
         "    for it in range(max_iter + 1):",
         "        try:",
@@ -133,7 +130,7 @@ def _newton_source(big_body: str, v: str, body: str, g: str, names: str) -> str:
         f"        if abs({g}) < G_MIN:",
         "            return None",
         f"        z0 = z = z - ({v} - target) / {g}",
-    ])
+    ]
 
 
 def _corrector(newton, target, z_guess, tol, max_iter=8):

@@ -1,11 +1,14 @@
 import cmath
 import random
+import re
 from functools import singledispatch
+from pathlib import Path
 
 import pytest
 
 from planeflow import expr as expr_module
 from planeflow.errors import EntiretyViolation, EvaluationOverflow, ParseError, UnsupportedAntiderivative
+from planeflow.escape import _rubel_pass
 from planeflow.expr import (
     Add,
     Constant,
@@ -464,6 +467,18 @@ class TestCompile:
         neg, pos = (_newton(Add(Z, c), Add(Constant(complex(1.0, -0.0)), c)) for c in (Constant(-0j), Constant(0j)))
         runs = shared_code_own_values(neg, pos, lambda newton: newton(0j, complex(1.0, -0.0), 0.0, 1))
         assert runs == ["(-0j, 1, (1-0j))", "(-0j, 1, (1+0j))"]
+
+    def test_signed_constants_share_rubel_pass_code_not_values(self):
+        # f = e^z + c on the path f = t from t = 2 to 4, with its window node at t = 2
+        neg, pos = (_rubel_pass(Add(Exp(Z), c), Exp(Z), 1, 2) for c in (Constant(-0.0), Constant(0.0)))
+        nodes = [(t, complex(cmath.log(t))) for t in (2.0, 3.0, 4.0, 2.0)]
+        runs = shared_code_own_values(neg, pos, lambda path: path(nodes, 3, 1, 0.0, 0.0, 0.5, 1.0))
+        assert runs[0] == runs[1]  # a zero's sign leaves e^z + c's values on the real axis as they are
+
+    def test_one_builder_of_generated_functions(self):
+        # every generated function is built by expr._generated: no other module compiles code or makes functions
+        modules = sorted(Path(expr_module.__file__).parent.glob("*.py"))
+        assert [p.name for p in modules if re.search(r"FunctionType|_function_code", p.read_text())] == ["expr.py"]
 
     def test_fresh_function_per_call(self):
         tree = parse_expr("z + 1")

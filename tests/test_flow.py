@@ -207,7 +207,7 @@ def _same_runs_as_watching_the_return(rng, specs):
     return the terminations' names."""
     names = set()
     for spec, z0 in specs:
-        assert not flow_module._may_close(spec)
+        assert not flow_module._may_close(spec, flow_module._zero_free(spec.func))
         cfg = IntegratorConfig(rel_tol=rng.choice((1e-10, 1e-6)), escape_radius=rng.choice((3.0, 10.0)),
                                t_max=rng.uniform(1.0, 5.0))
         want = _watching_return_outcome(spec, z0, cfg)
@@ -278,7 +278,8 @@ class TestClosedOrbitWatch:
         (HOLOMORPHIC, "(z+1)^2", FORWARD, True),
     ])
     def test_may_close_table(self, kind, text, direction, may_close):
-        assert flow_module._may_close(FlowSpec(kind, parse_expr(text), direction)) is may_close
+        spec = FlowSpec(kind, parse_expr(text), direction)
+        assert flow_module._may_close(spec, flow_module._zero_free(spec.func)) is may_close
 
     def test_zero_parts_may_vanish(self):
         exp_z = Exp(Variable())
@@ -381,6 +382,30 @@ class TestClassify:
     def test_classification_is_total_on_budget_exhaustion(self):
         traj = integrate(anti("z"), -1.0, IntegratorConfig(t_max=1.0, escape_radius=1e6))
         assert classify(traj).name in ("TimeBudgetExhausted", "FixedPointApproach")
+
+    @pytest.mark.parametrize("x0", [35.0, 40.0, 60.0, 700.0])
+    def test_zero_free_f_that_underflows_blows_up(self, x0):
+        # e^z = e^(x0) - t: -exp(-z) has no zero, so a value below the
+        # fixed-point bar is none, and the escape time is e^(x0)
+        term = classify(integrate(holo("-exp(-z)"), x0))
+        assert isinstance(term, FiniteTimeBlowup)
+        assert abs(term.t_est - math.exp(x0)) <= 1e-12 * math.exp(x0)
+
+    def test_zero_free_f_that_is_zero_in_doubles(self):
+        # e^(-800) underflows to 0: the ray has no direction, and no zero is claimed
+        traj = integrate(holo("-exp(-z)"), 800.0)
+        assert isinstance(classify(traj), ReachedRadius)
+        assert blowup_time_estimate(traj).note == "f underflows to 0 at the ray's start"
+
+    def test_zero_free_f_never_reads_a_fixed_point(self):
+        cfg = IntegratorConfig(escape_radius=100.0)
+        # below the bar at the seed, antiholomorphic too
+        for spec in (holo("-exp(-z)"), anti("exp(-z)")):
+            assert isinstance(integrate(spec, 35.0, cfg).termination, TimeBudgetExhausted)
+        # above the bar at the seed, below it over the run's tail, which barely moves
+        traj = integrate(holo("exp(-z^2)"), 5.5, cfg)
+        assert isinstance(traj.termination, TimeBudgetExhausted)
+        assert abs(traj.z_end - 5.5) < 1e-10
 
 
 class TestBlowupEstimate:
@@ -1174,6 +1199,16 @@ class TestGeneratedStep:
         assert steps == ["(1.225503246166088-0j)", "(1.225503246166088+0j)"]
         points = shared_code_own_values(pos._point, neg._point, lambda point: point(1 + 0j))
         assert points == ["(1-0j)", "(1+0j)"]
+
+    def test_plain_callables_share_step_code_not_values(self):
+        # a callable that is no Field is called once per stage: it is the step's one default
+        halve, negate = (lambda w: 0.5 * w), (lambda w: -w)
+        plain = [flow_module._stepper(rhs) for rhs in (halve, negate)]
+        steps = shared_code_own_values(*plain, lambda step: step(1 + 0j, 0.25, 1 + 0j))
+        for step, rhs in zip(plain, (halve, negate)):
+            assert step.__defaults__ == (rhs,)
+            assert repr(step(1 + 0j, 0.25, rhs(1 + 0j))) == repr(_reference_dp_step(rhs, 1 + 0j, 0.25, rhs(1 + 0j)))
+        assert steps[0] != steps[1]
 
     def test_exp_without_value_is_overflow(self):
         tree = parse_expr("exp(1 + i*z^2*z^2)")

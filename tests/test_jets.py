@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from planeflow import expr as expr_module
 from planeflow.errors import EvaluationOverflow
 from planeflow.expr import (
     Add,
@@ -257,7 +258,7 @@ class TestGenerated:
         # every source the jet compiles, its kernels' included: 0j only in
         # z's a_1, 1 + 0j, never a factor or an argument
         sources = []
-        monkeypatch.setattr(jets, "_function_code", lambda source: sources.append(source) or _function_code(source))
+        monkeypatch.setattr(expr_module, "_function_code", lambda source: sources.append(source) or _function_code(source))
         jets._kernel.cache_clear()
         eval_jet(parse_expr(text), 0.5, 5)
         assert any("def exp_jet(u0, u1):" in src for src in sources)

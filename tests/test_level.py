@@ -217,8 +217,7 @@ def _reference_newton_source(big_g, dg):
 class TestNewton:
     def test_source_as_assembled_before(self, monkeypatch):
         sources = []
-        function_code = level_module._function_code
-        monkeypatch.setattr(level_module, "_function_code", lambda source: sources.append(source) or function_code(source))
+        monkeypatch.setattr(expr_module, "_function_code", lambda source: sources.append(source) or _function_code(source))
         rng = random.Random(20261019)
         trees = [parse_expr(t) for t in ("exp(z)", "0.5*z^2 + 0.3*exp(-z)", "z^2 * (1/2)")]
         trees += [random_expr(rng, 4) for _ in range(20)]
