@@ -1,4 +1,4 @@
-"""Run the fifty-five reference CLI commands and record everything they produce.
+"""Run the fifty-six reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -121,6 +121,9 @@ COMMANDS = (
     # near the top of the double range: the trace's corrector tolerance and
     # the window's node at T/2 are computed without overflowing
     ("rubel-top", ["rubel", "--f", "exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1.7e308"]),
+    # from z = 700 every term t^(-c) / |f'| underflows to 0 though t^(-c) does not:
+    # the tails are taken from logarithms there
+    ("rubel-underflow", ["rubel", "--f", "exp(z)", "--seed-point", "700", "--t-end", "1e306"]),
     # a class-B path beyond exp(z): z e^z grows past every power of |z|
     ("rubel-times-exp", ["rubel", "--f", "z*exp(z)", "--D", "0", "--seed-point", "2", "--t-end", "1e48"]),
     # class B: exp(z^2) grows past every power of |z| within |z| ~ 10

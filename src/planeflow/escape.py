@@ -250,15 +250,16 @@ def rubel_path(
     f^(m)/f so only log|f| (exact on the path) is large, and the tail
     integrals of |f^(m)|^(-c) |dz|: a partial sum in log t plus a geometric
     bound from the last dyadic window [T/2, T] and its decay ratio, never a
-    bare claim of convergence; where a window end term underflows to 0 the
-    ratio is taken from the end nodes' logarithms.  The partial sum is the
-    Richardson value full + (full - half)/15 of the end-corrected trapezoid
-    rule over the samples (full) and over every other sample (half), whose
-    errors go as the fourth power of the step; ``partial_err`` is |full -
-    half| taken pair of steps by pair, about 15 times the full rule's error
-    where the pairs agree in sign, and never cancelled where they do not.  It
-    is inf for a path of 2 samples, where the two rules are one, and for an
-    infinite tail.  Each c must be positive
+    bare claim of convergence; where a term t |f^(m)|^(-c) / |f'| underflows
+    to 0 it is taken from its logarithms, and where a window end term does, so
+    is the ratio.  The partial sum is the Richardson value full + (full -
+    half)/15 of the end-corrected trapezoid rule over the samples (full) and
+    over every other sample (half), whose errors go as the fourth power of the
+    step; ``partial_err`` is |full - half| taken pair of steps by pair, about
+    15 times the full rule's error where the pairs agree in sign, and never
+    cancelled where they do not.  It is inf for a path of 2 samples, where the
+    two rules are one, and for an infinite tail.  The walk keeps running sums,
+    not a list of its steps, except for the window's.  Each c must be positive
     and finite, and D finite.  The seed checks, the trace and the T/2 node use
     the level kernels kept on f (``level._kernels``); the pass, kept on f per
     (m_max, number of c), takes each call's D and c as arguments.
@@ -336,19 +337,27 @@ def rubel_path(
 # max |Im f - D|; whether Re f is positive and increasing, f being a_0 (which
 # can differ from the compiled f in the sign of a zero part, and for an
 # IntPower above 100 in the last bits); log|f^(m)|/log|z| where |z| > 1
-# first, then has grown by 1.3, and at the last sample; and the steps h/2
-# (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) in s = log t of the end-corrected
-# trapezoid rule on F = t q, d the slopes (S{j}[0] is no step).  A tail sums
-# them from 0.0 over the samples, its window [T/2, T] from the T/2 node to
-# ``first``, the first sample past it, and on; an infinite term makes it inf.
-# At each even sample i it also takes the same rule's one step from sample
-# i - 2, with F and d kept in R{j}, U{j} and s in sq, and keeps in H{j} the
-# two full steps less that step (H{j}[0] is no pair): summed from 0.0 they
-# are full - half, where half is the rule over samples 0, 2, 4, .. closed by
-# the last full step, and summed in absolute value they are the bar.
+# first, then has grown by 1.3, and at the last sample; and the steps X{j} =
+# h/2 (F_a + F_b) + h^2/12 (F_a d_a - F_b d_b) in s = log t of the
+# end-corrected trapezoid rule on F = t q, d the slopes.  Where t q underflows
+# to 0, F is exp(log t - c log|f^(m)| - log|f'|): for exp(z), q = t^(-c-1) is
+# 0 past t ~ 6e161 at c = 1 while t q = t^(-c) is a double.  A tail is the
+# running sum T{j} of the steps over the samples, added in their order from
+# 0.0; the step at sample 0 is no step, and the sums are set to 0.0 after it.
+# I{j} is the last sample where F is inf, which makes the tail inf.  The
+# window's sum W{j} over [T/2, T] adds, from 0.0, the step from the T/2 node
+# to ``first``, the first sample past T/2, then the steps past ``first``, kept
+# in ``win`` until the T/2 node is drawn; an inf F at or past ``first`` or at
+# the T/2 node makes it inf.  At each even sample i the walk also takes the same
+# rule's one step from sample i - 2, with F and d kept in R{j}, U{j} and s in
+# sq; the two full steps to i (the earlier one held in V{j}) less that step
+# are added to A{j}, full - half, where half is the rule over samples 0, 2,
+# 4, .. closed by the last full step, and their absolute value to B{j}, the
+# bar.  No sum calls builtin sum() or math.fsum: from Python 3.12 on, sum()
+# of floats compensates, and the bytes would differ between Pythons.
 _PASS = """\
-    mono, prev, marks, mark, sp, sq, tails = True, -inf, [], 0.0, 0.0, 0.0, []
-    S{j}, H{j}, I{j}, P{j}, Q{j}, R{j}, U{j} = [], [], -1, 0.0, 0.0, 0.0, 0.0
+    mono, prev, marks, mark, sp, sq, win, tails = True, -inf, [], 0.0, 0.0, 0.0, [], []
+    T{j}, A{j}, B{j}, I{j}, P{j}, Q{j}, R{j}, U{j}, V{j} = 0.0, 0.0, 0.0, -1, 0.0, 0.0, 0.0, 0.0, 0.0
     for i, (t, z0) in enumerate(nodes):
         z = complex(z0)
 <jet>
@@ -361,11 +370,28 @@ _PASS = """\
 <df>
         s = abs(<fp>)
         q{j} = exp_real(-C{c} * L{m}) / s
-        F{j} = t * q{j}
+        F{j} = t * q{j} or exp_real(log(t) - C{c} * L{m} - log(s))
         G{j} = F{j} * (k - C{c} * e{m})
         if i == n: break
+        sl = log(t)
+        h = sl - sp
+        h2, h12 = h / 2.0, h * h / 12.0
+        X{j} = h2 * (P{j} + F{j}) + h12 * (Q{j} - G{j})
+        T{j} += X{j}
+        if F{j} == inf: I{j} = i
+        if not i & 1:
+            h = sl - sq
+            h2, h12 = h / 2.0, h * h / 12.0
+            Y{j} = V{j} + X{j} - (h2 * (R{j} + F{j}) + h12 * (U{j} - G{j}))
+            A{j} += Y{j}
+            B{j} += abs(Y{j})
+            R{j}, U{j} = F{j}, G{j}
+            sq = sl
         dv = abs({a[0]}.imag - D)
-        if i == 0 or dv > dev: dev = dv
+        if i == 0:
+            dev = dv
+            T{j}, A{j}, B{j} = 0.0, 0.0, 0.0
+        elif dv > dev: dev = dv
         mono = mono and {a[0]}.real > prev and {a[0]}.real > 0
         prev = {a[0]}.real
         r = abs(z)
@@ -373,29 +399,16 @@ _PASS = """\
             marks.append((r, {ratios}))
             mark = r * 1.3
         if i == n - 1: hi = {logs}, s, {qs}
-        sl = log(t)
-        h = sl - sp
-        h2, h12 = h / 2.0, h * h / 12.0
-        S{j}.append(h2 * (P{j} + F{j}) + h12 * (Q{j} - G{j}))
-        if F{j} == inf: I{j} = i
-        if not i & 1:
-            h = sl - sq
-            h2, h12 = h / 2.0, h * h / 12.0
-            H{j}.append(S{j}[i - 1] + S{j}[i] - (h2 * (R{j} + F{j}) + h12 * (U{j} - G{j})))
-            R{j}, U{j} = F{j}, G{j}
-            sq = sl
-        if i == first:
+        if i > first: win.append({xs})
+        elif i == first:
             sw = sl
             Fw{j}, Gw{j} = F{j}, G{j}
         sp = sl
-        P{j}, Q{j} = F{j}, G{j}
+        P{j}, Q{j}, V{j} = F{j}, G{j}, X{j}
     h = sw - log(t)
     h2, h12 = h / 2.0, h * h / 12.0
-    T{j}, A{j}, B{j}, W{j} = 0.0, 0.0, 0.0, 0.0 + (h2 * (F{j} + Fw{j}) + h12 * (G{j} - Gw{j}))
-    for x in S{j}[1:]: T{j} += x
-    for x in H{j}[1:]: A{j} += x
-    for x in H{j}[1:]: B{j} += abs(x)
-    for x in S{j}[first + 1:]: W{j} += x
+    W{j} = 0.0 + (h2 * (F{j} + Fw{j}) + h12 * (G{j} - Gw{j}))
+    for x in win: W{j} += x[{j}]
     tails.append((inf if I{j} >= 0 else T{j}, A{j}, B{j}, inf if F{j} == inf or I{j} >= first else W{j}, q{j}, hi[2][{j}]))
     return dev, mono, marks, tails, ({logs}, s), hi[:2]"""
 
@@ -419,6 +432,7 @@ def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
     fill = {
         "a": a, "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
         "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
+        "xs": f"[{', '.join(f'X{j}' for j in range(len(slots)))}]",
         "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
     }
     source = "\n".join(

@@ -207,7 +207,8 @@ def trace_level(
     if not x_target > x:
         raise ValueError("x_target must exceed Re G at the start point")
     g = ge(z)
-    if abs(g) < _G_MIN:
+    g_abs = abs(g)  # |g| at the last accepted point, taken once per point
+    if g_abs < _G_MIN:
         raise ValueError("start point lies at a critical point of G")
 
     xs = [x]
@@ -220,7 +221,7 @@ def trace_level(
         steps += 1
         if steps > 200_000:
             raise CorrectorDivergence("level tracing did not finish", z)
-        dx = min(h * abs(g), x_target - x)
+        dx = min(h * g_abs, x_target - x)
         # x + (x_target - x) > x for every double x < x_target, so a step that
         # cannot advance X falls short of the target: a stall
         stuck = x + dx == x
@@ -252,24 +253,25 @@ def trace_level(
                     r = abs(got[0])  # |z| at the new point, read again below
                     if abs(got[0] - z_pred) > 0.5 * abs(step) + 1e-12 * (1.0 + r):
                         got = None  # a point on another branch of the level set
-        h = dx / abs(g)  # the spatial step just tried, dx clamped to the target
+        h = dx / g_abs  # the spatial step just tried, dx clamped to the target
         if got is None:
             fails += 1
             h *= 0.5
             if stuck or fails > 60:
                 # a stall with g collapsing is the curve running into a
                 # critical point, not a tracer defect
-                if abs(g) < 1e3 * _G_MIN:
+                if g_abs < 1e3 * _G_MIN:
                     stop = "critical_point"
                     break
                 raise CorrectorDivergence("level tracing stalled", z)
             continue
         fails = 0
         z, iters, g = got
+        g_abs = abs(g)
         x = x + dx
         xs.append(x)
         zs.append(z)
-        if abs(g) < _G_MIN:
+        if g_abs < _G_MIN:
             stop = "critical_point"
             break
         if r > cfg.escape_radius:

@@ -362,6 +362,11 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
         t, jet, speed = node
         return math.exp(-c * log_abs_deriv(t, jet, m)) / speed
 
+    def weight(node, m, c):
+        # t q, or where that underflows to 0, the same from logarithms
+        t, jet, speed = node
+        return t * term(node, m, c) or math.exp(math.log(t) - c * log_abs_deriv(t, jet, m) - math.log(speed))
+
     def slope(node, m, c):
         # d log(t q) / d log t on the path, where dz/dt = 1/f'
         t, jet, _ = node
@@ -373,7 +378,7 @@ def _reference_rubel_report(f, d_shift, curve, m_max=3, c_values=(0.5, 1.0)):
         total = 0.0
         for a, b in zip(nodes, nodes[1:]):
             h = math.log(b[0]) - math.log(a[0])
-            fa, fb = a[0] * term(a, m, c), b[0] * term(b, m, c)
+            fa, fb = weight(a, m, c), weight(b, m, c)
             total += h / 2.0 * (fa + fb) + h * h / 12.0 * (fa * slope(a, m, c) - fb * slope(b, m, c))
         return total
 
@@ -441,10 +446,15 @@ def _column_node(f, df, d_shift, m_max, c_values):
     return FunctionType(_function_code("\n".join(lines)), env)
 
 
-def _column_trapezoid(ts, ss, qs, ds):
+def _column_terms(ts, nodes, m, c, j):
+    """The terms F = t q of column j, (m, c), at the nodes' records; where t q
+    underflows to 0, the same from logarithms, log t - c log|f^(m)| - log|f'|."""
+    return [t * qs[j] or math.exp(math.log(t) - c * logs[m] - math.log(s)) for t, (logs, qs, _, s, _) in zip(ts, nodes)]
+
+
+def _column_trapezoid(ss, fs, ds):
     """The rule over the nodes, and its differences from the rule over every
     other node, pair of steps by pair."""
-    fs = [t * q for t, q in zip(ts, qs)]
     if math.inf in fs:
         return math.inf, []
     nodes = [(sv, fv, fv * d) for sv, fv, d in zip(ss, fs, ds)]
@@ -495,11 +505,12 @@ def _column_report(f, d_shift, curve, m_max, c_values):
 
     (logs_lo, *_, s_lo, _), (logs_hi, *_, s_hi, _) = window[0], window[-1]
     pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
-    columns = [zip(*(rec[k] for rec in nodes)) for nodes in (at_samples, window) for k in (1, 2)]
     tails = []
-    for (m, c), qs, ds, vals, ds_w in zip(pairs, *columns):
-        partial, err = _richardson(*_column_trapezoid(ts, ss, qs, ds), len(ts))
-        w_last = _column_trapezoid(ts_w, ss_w, vals, ds_w)[0]
+    for j, (m, c) in enumerate(pairs):
+        ds, ds_w = [rec[2][j] for rec in at_samples], [rec[2][j] for rec in window]
+        partial, err = _richardson(*_column_trapezoid(ss, _column_terms(ts, at_samples, m, c, j), ds), len(ts))
+        w_last = _column_trapezoid(ss_w, _column_terms(ts_w, window, m, c, j), ds_w)[0]
+        vals = window[0][1][j], window[-1][1][j]
         ratio = (vals[-1] * t_hi) / (vals[0] * t_lo) if 0 < vals[0] < math.inf and vals[-1] < math.inf else math.inf
         if 0.0 in (vals[0], vals[-1]) and math.isfinite(logs_lo[m]) and math.isfinite(logs_hi[m]):
             x = (-c * logs_hi[m] - math.log(s_hi) + math.log(t_hi)) - (
@@ -660,7 +671,9 @@ class TestRubelPath:
     @pytest.mark.parametrize("t_end", [1e200, 1e300, 1e308, 1.7e308])
     def test_tails_stay_finite_to_the_double_range(self, t_end):
         # past t ~ 1.3e154, t*t overflows, and the window's end terms
-        # t^(-c-1) underflow to 0; the tails still match the closed form
+        # t^(-c-1) underflow to 0; the tails still match the closed form,
+        # and so does each remainder T^(-c)/c past T, though its terms
+        # t^(-c) / |f'| underflow to 0 before the factor t scales them back
         t0 = math.exp(2.0)
         rep = rubel_path(parse_expr("exp(z)"), 0.0, 2.0, t_end, IntegratorConfig(escape_radius=1e9))
         for tail in rep.tail_integrals:
@@ -668,7 +681,20 @@ class TestRubelPath:
             assert abs(tail.window_ratio - 2.0 ** (-tail.c)) <= 1e-3
             want = t0 ** (-tail.c) / tail.c
             assert abs(tail.partial_sum + tail.tail_bound - want) <= 1e-3 * want
+            rest = rep.samples[-1][0] ** (-tail.c) / tail.c
+            assert 0 < tail.tail_bound and abs(tail.tail_bound - rest) <= 1e-3 * rest
         assert all(math.isfinite(q) for points in rep.growth_ratios.values() for _, q in points)
+
+    def test_underflowing_terms_keep_their_sums(self):
+        # from z = 700 every term t^(-c) / |f'| = t^(-c-1) underflows to 0,
+        # yet t^(-c) is a double: the partial sums match the closed form
+        # (t1^(-c) - t2^(-c)) / c within their bars, not 0 +- 0
+        rep = rubel_path(parse_expr("exp(z)"), 0.0, 700.0, 1e306, IntegratorConfig(escape_radius=1e9))
+        (t1, _), (t2, _) = rep.samples[0], rep.samples[-1]
+        for tail in rep.tail_integrals:
+            want = (t1 ** -tail.c - t2 ** -tail.c) / tail.c
+            assert 0 < tail.partial_err < math.inf
+            assert abs(tail.partial_sum - want) <= tail.partial_err, tail
 
     def test_shifted_level_line(self):
         cfg = IntegratorConfig(escape_radius=1e9)
@@ -866,8 +892,9 @@ def _gaussian_tail(m, c, x1, x2):
 def _full_rule(f, d_shift, curve, m, c):
     """The end-corrected trapezoid rule of the (m, c) tail over the samples, unextrapolated."""
     node = _column_node(f, derivative(f), d_shift, m, (c,))
-    qs, ds = zip(*((q[-1], d[-1]) for _, q, d, *_ in (node(t, z) for t, z in curve.samples)))
-    return _column_trapezoid(curve.xs, [math.log(t) for t in curve.xs], qs, ds)[0]
+    nodes = [node(t, z) for t, z in curve.samples]
+    fs = _column_terms(curve.xs, nodes, m, c, -1)
+    return _column_trapezoid([math.log(t) for t in curve.xs], fs, [d[-1] for _, _, d, *_ in nodes])[0]
 
 
 class TestPartialSumBar:
