@@ -1,4 +1,4 @@
-"""Run the fifty-six reference CLI commands and record everything they produce.
+"""Run the fifty-eight reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -139,6 +139,15 @@ COMMANDS = (
     ("rubel-stopped", ["rubel", "--f", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--D", "0", "--seed-point", "2", "--t-end", "1e45"]),
     # f' = 4e-9 at the seed, below the level tracer's threshold: no path
     ("rubel-critical-seed", ["rubel", "--f", "z^2 + 1", "--seed-point", "2e-9", "--t-end", "10"]),
+    # |f''| = 2e-300: the walk's term |f''|^(-2) / |f'| overflows, so no tails
+    ("rubel-term-overflow", [
+        "rubel", "--f", "z + 1e-300*z^2", "--seed-point", "2", "--t-end", "1e6", "--m-max", "2", "--c", "2",
+    ]),
+    # |f''/f| underflows to 0 and has no logarithm: no tails either
+    ("rubel-quotient-underflow", [
+        "rubel", "--f", "z+1e-300*z^2", "--seed-point", "2", "--t-end", "1e40", "--m-max", "2", "--c", "0.5",
+        "--radius", "1e300",
+    ]),
     ("poly-summary", ["poly-summary", "--coeffs", "0,0,1", "--kind", "antiholo"]),
     # a holomorphic cubic: its escape directions
     ("poly-summary-holo", ["poly-summary", "--coeffs", "0,0,0,1", "--kind", "holo"]),
@@ -155,7 +164,7 @@ COMMANDS = (
 )
 EXPECTED_EXITS = {
     "simulate-overflow-point": 2, "simulate-overflow-constant": 2, "simulate-overflow-step": 3, "simulate-window-narrow": 2,
-    "rubel-stopped": 3, "rubel-critical-seed": 3,
+    "rubel-stopped": 3, "rubel-critical-seed": 3, "rubel-term-overflow": 3, "rubel-quotient-underflow": 3,
 }
 
 

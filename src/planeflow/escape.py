@@ -15,11 +15,12 @@ import cmath
 import math
 import random
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import PlaneflowError, SegmentTruncated, TractViolation
-from .expr import _POINT_GLOBALS, FuncExpr, Scale, _emit_body, _generated, _kept, compile_fn
+from .expr import FuncExpr, Scale, _generated, _kept, compile_fn
 from .flow import (
     ANTIHOLOMORPHIC,
     HOLOMORPHIC,
@@ -258,10 +259,10 @@ def rubel_path(
     step; ``partial_err`` is |full - half| taken pair of steps by pair, about
     15 times the full rule's error where the pairs agree in sign, and never
     cancelled where they do not.  It is inf for a path of 2 samples, where the
-    two rules are one, and for an infinite tail.  The walk keeps running sums,
-    not a list of its steps, except for the window's.  Each c must be positive
-    and finite, and D finite.  The seed checks, the trace and the T/2 node use
-    the level kernels kept on f (``level._kernels``); the pass, kept on f per
+    two rules are one, and for an infinite tail.  A walk whose terms leave the
+    double range raises TractViolation too.  Each c must be positive and
+    finite, and D finite.  The seed checks, the trace and the T/2 node use the
+    level kernels kept on f (``level._kernels``); the pass, kept on f per
     (m_max, number of c), takes each call's D and c as arguments.
     """
     if not 0 <= m_max <= _MAX_JET_ORDER:
@@ -273,7 +274,7 @@ def rubel_path(
         raise ValueError(f"d_shift must be finite, got {d_shift!r}")
     cfg = cfg or IntegratorConfig()
     z_seed = complex(z_seed)
-    fe, fpe, df, newton, _ = _kernels(f)
+    fe, fpe, newton, _ = _kernels(f)
     v = fe(z_seed)
     if abs(v.imag - d_shift) > 1e-6 * (1.0 + abs(v)):
         raise TractViolation(f"seed is off the level line: Im f = {v.imag!r}, expected {d_shift!r}")
@@ -297,9 +298,13 @@ def rubel_path(
         # the last dyadic window [T/2, T] starts at one node placed on the path at T/2
         yield t_lo, point_on_level(newton, t_lo, d_shift, zs[first])[0]
 
-    path = _kept(f, f"_rubel_{m_max}_{len(c_values)}", compile_fn, lambda: _rubel_pass(f, df, m_max, len(c_values)))
+    path = _kept(f, f"_rubel_{m_max}_{len(c_values)}", compile_fn, lambda: _rubel_pass(f, m_max, len(c_values)))
     args = d_shift, d_shift * d_shift, *c_values
-    im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(nodes(), len(ts), first, *args)
+    with closing(nodes()) as walk:  # drawn to its end by the walk, or closed here if the walk raises
+        try:
+            im_dev, monotone, marks, sums, (logs_lo, s_lo), (logs_hi, s_hi) = path(walk, len(ts), first, *args)
+        except (OverflowError, ValueError) as exc:  # exp of a term, or log of a quotient that underflowed to 0
+            raise TractViolation(f"a term of the walk left the double range ({exc})") from None
     growth = {m: tuple((r, ratios[m]) for r, ratios in marks) for m in range(m_max + 1)}
 
     pairs = [(m, c) for m in range(m_max + 1) for c in c_values]
@@ -326,12 +331,12 @@ def rubel_path(
 # The body of ``path(nodes, n, first, D, DD, C0, ..)``, one walk of a Rubel
 # path: ``nodes`` yields the n samples (t, z), f(z) = t + iD, a_k the
 # coefficients of f's jet there, then the window node at T/2, drawn only
-# after every sample's statements have run; DD = D*D and C{c} is the c-th
-# exponent.  A line with {m} is written for m = 0..m_max:
+# after every sample's statements have run, and is drawn to its end; DD = D*D
+# and C{c} is the c-th exponent.  A line with {m} is written for m = 0..m_max:
 # log|f^(m)| = log|f^(m)/f| + log|f| keeps the large part exact, |f| =
 # |t + iD| on the path (hypot only where t*t + D*D overflows).  A line with
 # {j} is written for each (m, c) slot j, c = C{c} varying fastest: the tail
-# term q = |f^(m)|^(-c) / |f'| and its slope dlog(t q)/dlog t,
+# term q = |f^(m)|^(-c) / |f'|, |f'| = |a_1|, and its slope dlog(t q)/dlog t,
 # 1 - Re(f''/f' * t/f') - c Re(f^(m+1)/f^(m) * t/f') as dz/dt = 1/f' (the
 # quotient read as 0 where f^(m) = 0).  Over the samples it keeps
 # max |Im f - D|; whether Re f is positive and increasing, f being a_0 (which
@@ -360,19 +365,18 @@ _PASS = """\
     T{j}, A{j}, B{j}, I{j}, P{j}, Q{j}, R{j}, U{j}, V{j} = 0.0, 0.0, 0.0, -1, 0.0, 0.0, 0.0, 0.0, 0.0
     for i, (t, z0) in enumerate(nodes):
         z = complex(z0)
-<jet>
+{jet}
         tt = t * t + DD
         lf = 0.5 * log(tt) if tt < inf else log(hypot(t, D))
         u = t / {a[1]}
         k = 1.0 - (2 * {a[2]} / {a[1]} * u).real
         L{m} = log(abs({am} * {f} / {a[0]})) + lf if {am} != 0 else -inf
         e{m} = ({m1} * {am1} / {am} * u).real if {am} != 0 else 0.0
-<df>
-        s = abs(<fp>)
-        q{j} = exp_real(-C{c} * L{m}) / s
-        F{j} = t * q{j} or exp_real(log(t) - C{c} * L{m} - log(s))
+        s = abs({a[1]})
+        q{j} = exp(-C{c} * L{m}) / s
+        F{j} = t * q{j} or exp(log(t) - C{c} * L{m} - log(s))
         G{j} = F{j} * (k - C{c} * e{m})
-        if i == n: break
+        if i == n: continue
         sl = log(t)
         h = sl - sp
         h2, h12 = h / 2.0, h * h / 12.0
@@ -413,24 +417,21 @@ _PASS = """\
     return dev, mono, marks, tails, ({logs}, s), hi[:2]"""
 
 
-# The globals of every Rubel pass: f's jet and f' run in it, as eval_jet and compile_fn run them.
-_RUBEL_GLOBALS = {
-    **_POINT_GLOBALS, **_JET_GLOBALS, "log": math.log, "hypot": math.hypot, "exp_real": math.exp, "inf": math.inf,
-}
+# The globals of every Rubel pass: f's jet runs in it, as eval_jet runs it, and exp is math.exp.
+_RUBEL_GLOBALS = {**_JET_GLOBALS, "log": math.log, "hypot": math.hypot, "exp": math.exp, "inf": math.inf}
 
 
-def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
-    """``path(nodes, n, first, D, DD, C0, ..)`` of :data:`_PASS` for m_max and n_c exponents: f's
-    jet to order max(m_max + 1, 2) at <jet>, as :func:`eval_jet` runs it, and f' at <df>, as
-    :func:`compile_fn` runs it, so values and exceptions are theirs.  Constants, nodes and jet
-    kernels are bound by :func:`expr._generated`; the globals are ``_RUBEL_GLOBALS``."""
+def _rubel_pass(f: FuncExpr, m_max: int, n_c: int):
+    """``path(nodes, n, first, D, DD, C0, ..)`` of :data:`_PASS` for m_max and n_c exponents: f's jet
+    to order max(m_max + 1, 2) at {jet}, as :func:`eval_jet` runs it, |f'| read from its a_1.  Constants,
+    nodes and jet kernels are bound by :func:`expr._generated`; the globals are ``_RUBEL_GLOBALS``."""
     env = dict(_RUBEL_GLOBALS)
     jet, a = _jet_body(f, max(m_max + 1, 2), env)
-    body, fp, env = _emit_body(df, env, root="droot", temp="d", pad="        ")
     slots = [dict(j=j, m=j // n_c, c=j % n_c) for j in range((m_max + 1) * n_c)]
     ms = [dict(m=m, m1=m + 1, f=math.factorial(m), am=a[m], am1=a[m + 1]) for m in range(m_max + 1)]
     fill = {
-        "a": a, "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
+        "a": a, "jet": "\n".join("    " + line for line in jet),
+        "logs": f"[{', '.join(f'L{m}' for m in range(m_max + 1))}]",
         "qs": f"[{', '.join(f'q{j}' for j in range(len(slots)))}]",
         "xs": f"[{', '.join(f'X{j}' for j in range(len(slots)))}]",
         "ratios": f"[{', '.join(f'L{m} / log(r)' for m in range(m_max + 1))}]",
@@ -440,6 +441,5 @@ def _rubel_pass(f: FuncExpr, df: FuncExpr, m_max: int, n_c: int):
         for line in _PASS.split("\n")
         for each in (slots if "{j}" in line else ms if "{m}" in line else [{}])
     )
-    source = source.replace("<jet>", "\n".join("    " + line for line in jet)).replace("<df>", body)
     params = ["nodes", "n", "first", "D", "DD", *(f"C{c}" for c in range(n_c))]
-    return _generated("path", params, [source.replace("<fp>", fp)], env, _RUBEL_GLOBALS)
+    return _generated("path", params, [source], env, _RUBEL_GLOBALS)

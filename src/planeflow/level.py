@@ -151,12 +151,12 @@ def point_on_level(newton, x, beta, z_guess):
 
 
 def _kernels(big_g: FuncExpr):
-    """G's and g = G''s point functions, g's tree, the corrector and the Field of conj(g),
+    """G's and g = G''s point functions, the corrector and the Field of conj(g),
     kept on the tree under ``_level`` (:func:`expr._kept`)."""
 
     def build():
         dg = derivative(big_g)
-        return compile_fn(big_g), compile_fn(dg), dg, _newton(big_g, dg), Field(dg, "{}.conjugate()")
+        return compile_fn(big_g), compile_fn(dg), _newton(big_g, dg), Field(dg, "{}.conjugate()")
 
     return _kept(big_g, "_level", compile_fn, build)
 
@@ -199,7 +199,7 @@ def trace_level(
     kept on it until ``compile_fn`` is rebound; g at each point comes from the corrector.
     """
     cfg = cfg or IntegratorConfig()
-    big_ge, ge, _, newton, _ = _kernels(big_g)
+    big_ge, ge, newton, _ = _kernels(big_g)
     z = complex(z_start)
     v0 = big_ge(z)
     beta = v0.imag
@@ -328,7 +328,7 @@ def transit_time(
     x1, x2 = curve.xs[0], curve.xs[-1]
     if x2 <= x1:
         return TransitReport((x1, x2), 0.0, 0.0, 0.0, 0.0, True)
-    big_ge, _, _, newton, field = _kernels(curve.big_g)
+    big_ge, _, newton, field = _kernels(curve.big_g)
     xs, zs, beta = curve.xs, curve.zs, curve.beta
     # the chart X = b sinh(s + asinh(x0/b)) takes s = 0 at x0, the X of the range
     # nearest 0, so that far from X = 0 neither its nodes nor its s-range cancel

@@ -490,6 +490,26 @@ class TestSubcommands:
         assert "TractViolation" in err and "f' vanishes at the seed" in err
         assert not (tmp_path / "rubel.json").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # |f''| = 2e-300: the term |f''|^(-2) / |f'| overflows (it ended in a traceback)
+            (["--t-end", "1e6", "--c", "2"], "(math range error)"),
+            # |f''/f| underflows to 0 and its log fails (it exited 2, as a usage error)
+            (["--t-end", "1e40", "--c", "0.5", "--radius", "1e300"], "(math domain error)"),
+        ],
+        ids=["term-overflow", "quotient-underflow"],
+    )
+    def test_rubel_cli_walk_out_of_range_exits_3(self, tmp_path, capsys, args, message):
+        code, out, err = run(
+            ["rubel", "--f", "z + 1e-300*z^2", "--seed-point", "2", "--m-max", "2", *args, "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error [TractViolation]: a term of the walk left the double range {message}\n"
+        assert not (tmp_path / "rubel.json").exists()
+
     def test_level_trace_cli_names_the_critical_stop(self, tmp_path, capsys):
         code, out, _ = run(
             ["level-trace", "--G", "(exp(i*z)-exp(-i*z))*(-0.5i)", "--start", "2", "--Xmax", "1e45",

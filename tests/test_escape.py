@@ -11,11 +11,13 @@ from conftest import reference_point_on_level, rubel_start
 
 from planeflow.errors import PlaneflowError, SegmentTruncated, TractViolation
 import planeflow.escape as escape_module
+import planeflow.expr as expr_module
 import planeflow.jets as jets_module
 from planeflow import cli
 from planeflow.escape import (
     RubelPathReport,
     TailIntegral,
+    _rubel_pass,
     escape_measure,
     poly_flow_summary,
     rubel_path,
@@ -472,7 +474,15 @@ def _column_trapezoid(ss, fs, ds):
 
 def _column_report(f, d_shift, curve, m_max, c_values):
     """rubel_path's report from a traced curve, by the per-node function
-    and the per-column sums."""
+    and the per-column sums; a term out of the double range raises
+    TractViolation, as rubel_path raises it."""
+    try:
+        return _column_sums(f, d_shift, curve, m_max, c_values)
+    except (OverflowError, ValueError) as exc:
+        raise TractViolation(f"a term of the walk left the double range ({exc})") from None
+
+
+def _column_sums(f, d_shift, curve, m_max, c_values):
     df = derivative(f)
     ts, zs = curve.xs, curve.zs
     node = _column_node(f, df, d_shift, m_max, c_values)
@@ -790,6 +800,38 @@ class TestRubelPath:
             # every sample and the window's node at T/2
             assert len(calls) == len(rep.samples) + 1
 
+    def test_pass_emits_no_point_function(self, monkeypatch):
+        # |f'| is read from the jet's a_1: building a pass emits no tree as compile_fn does
+        f, calls = parse_expr("z*exp(z) + 0.5*z^3"), []
+        real = expr_module._emit
+        monkeypatch.setattr(expr_module, "_emit", lambda *a: calls.append(a[0]) or real(*a))
+        for m_max, n_c in [(0, 1), (3, 2), (4, 4)]:
+            _rubel_pass(f, m_max, n_c)
+        assert calls == []
+
+    def test_walk_draws_its_nodes_to_the_end(self):
+        # the walk asks for one node past the T/2 node and gets StopIteration,
+        # so it never leaves the node generator suspended
+        f, cfg = parse_expr("exp(z)"), IntegratorConfig(escape_radius=1e9)
+        curve = trace_level(f, 2.0, 1e6, cfg)
+        ts, zs = curve.xs, curve.zs
+        first = bisect.bisect_right(ts, 0.5 * ts[-1])
+
+        class Counted:
+            def __init__(self, items):
+                self.items, self.calls = iter(items), 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                self.calls += 1
+                return next(self.items)
+
+        nodes = Counted([*zip(ts, zs), (0.5 * ts[-1], complex(cmath.log(0.5 * ts[-1])))])
+        _rubel_pass(f, 3, 2)(nodes, len(ts), first, 0.0, 0.0, 0.5, 1.0)
+        assert nodes.calls == len(ts) + 2
+
     def test_matches_column_pass_repr_for_repr(self):
         # the one generated pass against the per-node function and per-column
         # sums it replaced: reports, and exceptions in their order
@@ -806,7 +848,7 @@ class TestRubelPath:
         # the edges are reached: an infinite tail, a ratio just under 1, and a term that overflows
         assert any("partial_sum=inf" in o for o in outcomes if isinstance(o, str))
         assert any("window_ratio=0.99999999999" in o for o in outcomes if isinstance(o, str))
-        assert (OverflowError, "math range error") in outcomes
+        assert (TractViolation, "a term of the walk left the double range (math range error)") in outcomes
 
     @pytest.mark.parametrize("m_max", [-1, 65])
     def test_m_max_rejected_before_tracing(self, monkeypatch, m_max):

@@ -470,7 +470,7 @@ class TestCompile:
 
     def test_signed_constants_share_rubel_pass_code_not_values(self):
         # f = e^z + c on the path f = t from t = 2 to 4, with its window node at t = 2
-        neg, pos = (_rubel_pass(Add(Exp(Z), c), Exp(Z), 1, 2) for c in (Constant(-0.0), Constant(0.0)))
+        neg, pos = (_rubel_pass(Add(Exp(Z), c), 1, 2) for c in (Constant(-0.0), Constant(0.0)))
         nodes = [(t, complex(cmath.log(t))) for t in (2.0, 3.0, 4.0, 2.0)]
         runs = shared_code_own_values(neg, pos, lambda path: path(nodes, 3, 1, 0.0, 0.0, 0.5, 1.0))
         assert runs[0] == runs[1]  # a zero's sign leaves e^z + c's values on the real axis as they are

@@ -302,7 +302,7 @@ class TestGenerated:
             "compile_fn": compile_fn,
             "Field point and step": lambda f: Field(f, "-{}").step,
             "newton": lambda f: _newton(f, derivative(f)),
-            "rubel pass": lambda f: _rubel_pass(f, derivative(f), 3, 2),
+            "rubel pass": lambda f: _rubel_pass(f, 3, 2),
             "eval_jet": lambda f: eval_jet(f, 0.5, 3),
         }
         first, second = (Add(Scale(c, Exp(Z)), IntPower(Z, 3)) for c in (2.0, -3.0))

@@ -411,10 +411,10 @@ class TestTrace:
         assert len(exps) == 2 + sum(1 + it + 1 for _, it, _ in solves)
         assert sum(it == 1 for _, it, _ in solves) > len(solves) // 2
         # the same points and transit, bit for bit, as with g evaluated apart at each accepted point
-        big_ge, ge, dg, _, field = level_module._kernels(f)
+        big_ge, ge, _, field = level_module._kernels(f)
         apart = parse_expr("exp(z)")
         newton = lambda *args: reference_corrector(big_ge, ge, *args)
-        object.__setattr__(apart, "_level", (compile_fn, (big_ge, ge, dg, newton, field)))
+        object.__setattr__(apart, "_level", (compile_fn, (big_ge, ge, newton, field)))
         assert repr(trace_level(apart, start, 1e6, cfg)) == repr(curve)
         assert repr(transit_time(curve, cfg)) == repr(transit_time(replace(curve, big_g=apart), cfg))
 
@@ -649,7 +649,7 @@ class TestTransit:
         # that branch integrates the wrong |g|, while the flow keeps to the true one
         big_g, z0, cfg = parse_expr("z^3 * (1/3) + z"), 1 + 0.5j, IntegratorConfig(escape_radius=1e9)
         v0 = compile_fn(big_g)(z0)
-        z_other = level_module.point_on_level(level_module._kernels(big_g)[3], v0.real, v0.imag, -1 + 1j)[0]
+        z_other = level_module.point_on_level(level_module._kernels(big_g)[2], v0.real, v0.imag, -1 + 1j)[0]
         assert abs(z_other - z0) > 1.0
         assert transit_time(trace_level(big_g, z0, 1e4, cfg), cfg).agree is True
         other = trace_level(big_g, z_other, 1e4, cfg)
