@@ -31,6 +31,11 @@ What one call of a generated counter costs:
   ``exp_jet`` one product or exponential of two jets inside it;
 - ``<generated>:path``: one Rubel pass over a traced path, its jets inlined.
 
+The counts are calls, not work: an evaluation made cheaper inside
+generated code (a smaller derivative tree, ``z`` where it was ``z ** 1``)
+moves no ``<generated>`` count, only the ``expr:`` counters of building
+that tree.
+
 The second form prints, for each command whose counts differ between two
 such directories, one line per counter that differs, ``name: counter
 base -> new``, and a line for a command found on one side only.  Both

@@ -156,7 +156,7 @@ def _scale(c: complex, e: FuncExpr) -> FuncExpr:
     if c == 1:
         return e
     if c == -1:
-        return Negate(e)
+        return e.arg if isinstance(e, Negate) else Negate(e)
     if isinstance(e, Scale):
         return _scale(c * e.factor, e.arg)
     return Scale(c, e)
@@ -318,7 +318,10 @@ def _function_code(source: str) -> CodeType:
 
 
 def derivative(expr: FuncExpr) -> FuncExpr:
-    """Exact derivative tree; the class is closed under differentiation."""
+    """Exact derivative tree; the class is closed under differentiation.
+    G′ runs at every step, point and node, so d(u²) is 2·u·u′, not 2·u¹·u′ (a complex power per
+    call), save for a constant u, whose u·0 may differ from uᵏ⁻¹·0 in a zero's sign; and d(−u)
+    folds u′ = c ≠ 0 to the constant −c and u′ = −u″ to u″, not to −(c) and −(−u″)."""
     if isinstance(expr, Constant):
         return _ZERO
     if isinstance(expr, Variable):
@@ -329,17 +332,17 @@ def derivative(expr: FuncExpr) -> FuncExpr:
         return _add(_mul(derivative(expr.left), expr.right), _mul(expr.left, derivative(expr.right)))
     if isinstance(expr, Negate):
         d = derivative(expr.arg)
-        return _ZERO if (isinstance(d, Constant) and d.value == 0) else Negate(d)
+        if isinstance(d, Constant):
+            return _ZERO if d.value == 0 else Constant(-d.value)
+        return d.arg if isinstance(d, Negate) else Negate(d)
     if isinstance(expr, Exp):
         return _mul(derivative(expr.arg), expr)
     if isinstance(expr, IntPower):
         k = expr.power
-        if k == 0:
-            return _ZERO
-        inner = derivative(expr.arg)
-        if k == 1:
-            return inner
-        return _scale(k, _mul(IntPower(expr.arg, k - 1), inner))
+        if k < 2:
+            return derivative(expr.arg) if k else _ZERO
+        base = expr.arg if k == 2 and not isinstance(expr.arg, Constant) else IntPower(expr.arg, k - 1)
+        return _scale(k, _mul(base, derivative(expr.arg)))
     if isinstance(expr, Scale):
         return _scale(expr.factor, derivative(expr.arg))
     raise TypeError(f"not a FuncExpr node: {expr!r}")

@@ -643,6 +643,14 @@ class TestTransit:
             assert rep.agree is True and abs(rep.quadrature_time - rep.ode_time) <= rep.gap_bar, z0
             assert abs(rep.ode_time - want) <= rep.gap_bar <= 1e-6 * want, z0
 
+    def test_square_step_takes_no_power(self, monkeypatch):
+        # g of G = z²/2 is z itself, not z ** 1, in each stage of the transit's step
+        sources = []
+        monkeypatch.setattr(expr_module, "_function_code", lambda source: sources.append(source) or _function_code(source))
+        level_module._kernels(parse_expr("z^2*(1/2)"))[3].step
+        steps = [src for src in sources if src.startswith("def step(")]
+        assert len(steps) == 1 and "**" not in steps[0]
+
     def test_curve_on_another_branch_disagrees(self):
         # the level of z^3/3 + z through 1 + 0.5i has another branch through a
         # point of the same G; a curve that starts at 1 + 0.5i and then runs on
