@@ -1,4 +1,4 @@
-"""Run the fifty-eight reference CLI commands and record everything they produce.
+"""Run the fifty-nine reference CLI commands and record everything they produce.
 
 Usage: python scripts/reference_outputs.py OUTDIR
 
@@ -69,6 +69,9 @@ COMMANDS = (
     ("classify-steep-poly", ["classify", "--f", "z^20", "--z0", "1.5", "--json"]),
     # ... and by the level chart of the conjugate flow
     ("classify-steep-poly-antiholo", ["classify", "--g", "z^20", "--kind", "antiholo", "--z0", "1.5", "--json"]),
+    # a monomial's transit needs no continuation to r_safe: z^64 underflows short of
+    # radius 2 and is timed from its last sample, T = 1.1^-63 / 63
+    ("classify-steep-monomial", ["classify", "--f", "z^64", "--z0", "1.1", "--json"]),
     ("level-trace", ["level-trace", "--G", "z^2 / 2", "--start", "1", "--Xmax", "50", "--svg", "--json"]),
     # the tracer's dz/dX predictor: a start on G = 0 ...
     ("level-trace-from-zero", ["level-trace", "--G", "z", "--start", "0", "--Xmax", "10"]),

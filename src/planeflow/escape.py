@@ -160,7 +160,7 @@ def escape_measure(
         if traj is not None and len(kept) < collect:
             kept.append((y, traj, name))
     fraction = counts.get("FiniteTimeBlowup", 0) / n_samples if n_samples else 0.0
-    return EscapeMeasureReport(delta, n_samples, seed, counts, fraction, tuple(kept))
+    return EscapeMeasureReport(float(delta), int(n_samples), int(seed), counts, fraction, tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,9 @@ def rubel_path(
         # a margin for rounding: a ratio of 1 - 2e-16 is a divergent log tail
         finite = math.isfinite(partial) and ratio < 1.0 - 1e-12
         bound = w_last * ratio / (1.0 - ratio) if finite else math.inf
-        tails.append(TailIntegral(m, c, partial, ratio, bound, finite, err))
+        tails.append(TailIntegral(m, float(c), partial, ratio, bound, finite, err))
 
-    return RubelPathReport(f, d_shift, curve.samples, monotone, im_dev, growth, tuple(tails))
+    return RubelPathReport(f, float(d_shift), curve.samples, monotone, im_dev, growth, tuple(tails))
 
 
 # The body of ``path(nodes, n, first, D, DD, C0, ..)``, one walk of a Rubel

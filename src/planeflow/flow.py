@@ -799,8 +799,10 @@ def _estimate(traj, cfg) -> BlowupEstimate:
     if coeffs is not None and len(coeffs) < 3:  # z' = a z + b or its conjugate: a linear system, every solution global
         return _inconclusive("degree < 2: no finite escape", exit_times)
     # beyond r_safe, twice the Cauchy bound 1 + max |c_k / c_n| on the roots,
-    # no zero lies between the trajectory's tail and the transit's path
-    r_safe = 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])) if coeffs else 0.0
+    # no zero lies between the trajectory's tail and the transit's path; a
+    # monomial a z^n needs none: 1/f has residue 0 at its one pole, so t* does
+    # not depend on the path, and its level chart's Q is constant
+    r_safe = 2.0 * (1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])) if coeffs and any(coeffs[:-1]) else 0.0
     try:
         start = _transit_start(rhs, traj, cfg, r_safe)
         if antiholo:

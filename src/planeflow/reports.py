@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from importlib import resources
-from typing import Optional
 
 from .escape import (
     EscapeMeasureReport,
@@ -30,117 +30,57 @@ __all__ = [
 ]
 
 
-def _num(x) -> Optional[float]:
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _json(value):
+    """The one conversion rule per value type; ``fields`` raises TypeError for a value without one."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    kind = {"kind": value.name} if isinstance(value, Termination) else {}
+    return kind | {f.name: _json(getattr(value, f.name)) for f in fields(value)}
 
 
-def _cplx(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _termination_dict(term: Termination) -> dict:
-    out = {"kind": term.name}
-    for name in getattr(term, "__dataclass_fields__", {}):
-        value = getattr(term, name)
-        if isinstance(value, complex):
-            out[name] = _cplx(value)
-        else:
-            out[name] = _num(value)
-    return out
+# One row per report class: its "type", the fields its JSON leaves out, and
+# the keys it derives (a derived key replaces the field of its name).
+_ROWS = {
+    Trajectory: ("trajectory", ("spec", "samples", "errors"), lambda r: {
+        "flow_kind": r.spec.kind,
+        "func": to_text(r.spec.func),
+        "time_direction": r.spec.time_direction,
+        "n_samples": len(r.samples),
+        "t_end": r.t_end,
+        "z_end": r.z_end,
+    }),
+    LevelCurve: ("level_curve", ("big_g", "xs", "zs"), lambda r: {
+        "func": to_text(r.big_g),
+        "n_samples": len(r),
+        "x_range": (r.x_start, r.x_end),
+        "z_end": r.z_end,
+    }),
+    RubelPathReport: ("rubel_path", ("samples",), lambda r: {
+        "func": to_text(r.func),
+        "n_samples": len(r.samples),
+        "t_range": (r.samples[0][0], r.samples[-1][0]),
+    }),
+    TransitReport: ("transit", (), lambda r: {"divergent": not math.isfinite(r.quadrature_time)}),
+    EscapeMeasureReport: ("escape_measure", ("trajectories",), None),
+    BlowupEstimate: ("blowup_estimate", (), None),
+    PolyFlowSummary: ("poly_summary", (), None),
+}
 
 
 def report_to_dict(report) -> dict:
     """Convert any experiment report (or trajectory) to plain JSON data."""
-    if isinstance(report, Trajectory):
-        return {
-            "type": "trajectory",
-            "flow_kind": report.spec.kind,
-            "func": to_text(report.spec.func),
-            "time_direction": report.spec.time_direction,
-            "z0": _cplx(report.z0),
-            "n_samples": len(report.samples),
-            "t_end": _num(report.t_end),
-            "z_end": _cplx(report.z_end),
-            "termination": _termination_dict(report.termination),
-        }
-    if isinstance(report, BlowupEstimate):
-        return {
-            "type": "blowup_estimate",
-            "t_est": _num(report.t_est),
-            "t_err": _num(report.t_err),
-            "conclusive": bool(report.conclusive),
-            "method": report.method,
-            "exit_times": [[_num(r), _num(t)] for r, t in report.exit_times],
-            "note": report.note,
-        }
-    if isinstance(report, TransitReport):
-        return {
-            "type": "transit",
-            "x_range": [_num(report.x_range[0]), _num(report.x_range[1])],
-            "quadrature_time": _num(report.quadrature_time),
-            "divergent": not math.isfinite(report.quadrature_time),
-            "divergence_witness": _num(report.divergence_witness)
-            if report.divergence_witness is not None
-            else None,
-            "ode_time": _num(report.ode_time),
-            "relative_gap": _num(report.relative_gap),
-            "gap_bar": _num(report.gap_bar),
-            "agree": report.agree,
-        }
-    if isinstance(report, EscapeMeasureReport):
-        return {
-            "type": "escape_measure",
-            "delta": _num(report.delta),
-            "n_samples": int(report.n_samples),
-            "seed": int(report.seed),
-            "counts": {k: int(v) for k, v in sorted(report.counts.items())},
-            "finite_time_fraction": _num(report.finite_time_fraction),
-        }
-    if isinstance(report, RubelPathReport):
-        return {
-            "type": "rubel_path",
-            "func": to_text(report.func),
-            "d_shift": _num(report.d_shift),
-            "n_samples": len(report.samples),
-            "t_range": [_num(report.samples[0][0]), _num(report.samples[-1][0])],
-            "monotone": bool(report.monotone),
-            "im_deviation": _num(report.im_deviation),
-            "growth_ratios": {
-                str(m): [[_num(r), _num(q)] for r, q in points]
-                for m, points in sorted(report.growth_ratios.items())
-            },
-            "tail_integrals": [
-                {
-                    "m": int(t.m),
-                    "c": _num(t.c),
-                    "partial_sum": _num(t.partial_sum),
-                    "partial_err": _num(t.partial_err),
-                    "window_ratio": _num(t.window_ratio),
-                    "tail_bound": _num(t.tail_bound),
-                    "finite": bool(t.finite),
-                }
-                for t in report.tail_integrals
-            ],
-        }
-    if isinstance(report, PolyFlowSummary):
-        return {
-            "type": "poly_summary",
-            "kind": report.kind,
-            "degree": int(report.degree),
-            "finite_time_directions": [_num(a) for a in report.finite_time_directions],
-            "finite_transit": report.finite_transit,
-        }
-    if isinstance(report, LevelCurve):
-        return {
-            "type": "level_curve",
-            "func": to_text(report.big_g),
-            "beta": _num(report.beta),
-            "stop_reason": report.stop_reason,
-            "n_samples": len(report),
-            "x_range": [_num(report.x_start), _num(report.x_end)],
-            "z_end": _cplx(report.z_end),
-        }
+    for cls, (name, left_out, derive) in _ROWS.items():
+        if isinstance(report, cls):
+            kept = {f.name: getattr(report, f.name) for f in fields(cls) if f.name not in left_out}
+            return _json({"type": name, **kept, **(derive(report) if derive else {})})
     raise TypeError(f"no JSON form for {type(report).__name__}")
 
 

@@ -548,7 +548,7 @@ class TestBlowupEstimate:
             ("exp(z^2)", 0.3, 0.5 * math.sqrt(math.pi) * math.erfc(0.3)),
             ("exp(z^2)", 0.8, 0.5 * math.sqrt(math.pi) * math.erfc(0.8)),
             ("exp(exp(z))", 0.0, 0.21938393439552029),
-            # a steep polynomial, continued from its last sample past r_safe = 2
+            # a steep monomial, timed from its last sample: it needs no continuation
             ("z^20", 1.5, 1.5**-19 / 19),
         ],
     )
@@ -569,7 +569,8 @@ class TestBlowupEstimate:
 
     def test_conjugate_step_underflow_takes_the_chart(self):
         # conj(z^20) from 1.5 exhausts the time resolution of doubles short of the
-        # radius: its level chart starts at the last sample, continued past r_safe = 2
+        # radius: its level chart starts at the last sample, which a monomial needs
+        # continued no farther
         traj = integrate(anti("z^20"), 1.5)
         est = blowup_time_estimate(traj)
         assert traj.termination.name == "StepUnderflow" and est.conclusive and est.method == "w_chart"
@@ -588,12 +589,18 @@ class TestBlowupEstimate:
                         assert abs(est.t_est - z0 ** (1 - n) / (n - 1)) <= est.t_err, (spec, n, z0)
                         timed[traj.termination.name] += 1
         assert timed["StepUnderflow"] >= 300 and sum(timed.values()) >= 400
-        # an underflow short of r_safe = 2 whose continuation underflows again stays
-        # inconclusive: the dyadic rule needs a radius the run crossed
+        # a monomial needs no continuation to r_safe: z^64 from 1.1 underflows
+        # short of radius 2 and is timed from its last sample
         traj = integrate(holo("z^64"), 1.1)
         est = blowup_time_estimate(traj)
         assert traj.termination.name == "StepUnderflow" and abs(traj.z_end) < 2.0
-        assert not est.conclusive and est.note == "continuation ended short of radius 2" and est.exit_times == ()
+        assert est.conclusive and abs(est.t_est - 1.1**-63 / 63) <= est.t_err and est.exit_times == ()
+        # an underflow short of r_safe = 4 whose continuation underflows again stays
+        # inconclusive: the dyadic rule needs a radius the run crossed
+        traj = integrate(holo("z^64 + z^63"), 1.1)
+        est = blowup_time_estimate(traj)
+        assert traj.termination.name == "StepUnderflow" and abs(traj.z_end) < 4.0
+        assert not est.conclusive and est.note == "continuation ended short of radius 4" and est.exit_times == ()
 
     def test_poly_coeffs_read_once_per_estimate(self, monkeypatch):
         calls = []
@@ -660,7 +667,7 @@ class TestBlowupEstimate:
         drive = flow_module.drive_field
         monkeypatch.setattr(flow_module, "drive_field", lambda *a, **k: runs.append(a) or drive(*a, **k))
         est = blowup_time_estimate(traj, cfg)
-        # the exit at radius 10 lies beyond r_safe = 2: no continuation
+        # a monomial needs no continuation to r_safe
         assert est.conclusive and est.method == "w_chart" and not runs
         assert abs(est.t_est - want) <= est.t_err <= 500.0 * rel_tol * (1.0 + want)
 
@@ -763,14 +770,15 @@ class TestKeptEstimate:
         "spec, z0, radius, method, made",
         [
             # both ends of the dyadic continuation, and the polynomial ray's:
-            # z^2 at radius 1.5 continues to its zero-free radius 2 before the
-            # ray; the ray from beyond r_safe, and the level chart too, are one
-            # quadrature each and run no continuation at all
+            # z^2 + z at radius 1.5 continues to its zero-free radius 4 before
+            # the ray; the ray of a monomial or from beyond r_safe, and the
+            # level chart too, are one quadrature each and run no continuation
             (anti("exp(-z) + 1"), complex(-1.0, math.pi), 8.0, "dyadic", 1),
             (anti("exp(z)"), 0.0, 10.0, "time_resolution", 1),
-            (holo("z^2"), 1.0, 1.5, "ray", 1),
+            (holo("z^2 + z"), 1.0, 1.5, "ray", 1),
             (anti("z^3"), 1.0, 10.0, "w_chart", 0),
             (holo("-exp(-z)"), 0.0, 10.0, "ray", 0),
+            (holo("z^2"), 1.0, 1.5, "ray", 0),
         ],
     )
     def test_classify_after_estimate_runs_nothing(self, monkeypatch, spec, z0, radius, method, made):

@@ -95,6 +95,16 @@ class TestSerialization:
         curve = trace_level(parse_expr("z"), 1.0, 700.0, IntegratorConfig(escape_radius=1e4))
         validate_report(roundtrip(curve), schema)
 
+    def test_library_arguments_keep_their_json_types(self):
+        # a library caller's int delta, d_shift or tail exponent is a float in the
+        # report, and a float seed an int
+        f = parse_expr("-exp(-z)")
+        text = dumps_report(escape_measure(f, 0j, 1, 4, IntegratorConfig(t_max=20.0), seed=3.0))
+        assert '"delta": 1.0,' in text and '"seed": 3,' in text
+        text = dumps_report(rubel_path(parse_expr("exp(z)"), 0, 2.0, 1e3, IntegratorConfig(escape_radius=1e9),
+                                       c_values=(1,)))
+        assert '"d_shift": 0.0,' in text and '"c": 1.0,' in text
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             report_to_dict({"not": "a report"})
