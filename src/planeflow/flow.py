@@ -23,7 +23,9 @@ Every stop short of the time budget is an :class:`Event`: a zero
 crossing of a real function g, refined by bisection on the accepted
 step's cubic Hermite interpolant.  Radii are events too, built with
 :meth:`Event.at_radius`; the integrator reads their g from the |z| each
-step already holds.
+step already holds.  An event may name a quiet radius, inside which its
+g is negative; a step that starts and ends inside every quiet radius
+checks no event, so g is never called at an accepted point there.
 """
 
 from __future__ import annotations
@@ -410,9 +412,15 @@ class Event:
     :meth:`at_radius` builds the event of reaching a radius r, whose g
     is |z| - r; on each step :func:`drive_field` computes that value
     from the |z| it already holds, with the same bits as calling g.
+
+    ``quiet``, when set, is a radius inside which g is negative: g(z) < 0
+    wherever |z| < quiet, as the caller vouches (a wrong bound drops
+    crossings).  :func:`drive_field` calls g at no accepted point inside
+    that disk.  A radius event's quiet radius is r itself.
     """
 
     radius: Optional[float] = None  # set by at_radius
+    quiet: Optional[float] = None  # set by at_radius, or by the caller who bounds g
 
     def __init__(self, g: Callable[[complex], float], terminal: bool = True, *, start_below: bool = False):
         self.g = g
@@ -423,7 +431,7 @@ class Event:
     def at_radius(cls, r: float, terminal: bool = True, *, start_below: bool = False) -> "Event":
         """The event of |z| reaching r."""
         ev = cls(lambda z: abs(z) - r, terminal, start_below=start_below)
-        ev.radius = r
+        ev.radius = ev.quiet = r
         return ev
 
     def veto(self, path, z_new) -> bool:
@@ -506,9 +514,13 @@ def drive_field(
     samples it adds are dropped again.  A stop the run never reaches gets
     the run's own.
 
-    While every watched event is a radius event, a step that starts and
-    ends below the smallest radius makes no event checks: no radius can
-    be reached on it, and each skipped g is already negative.
+    A step that starts and ends below the smallest quiet radius watched
+    (:attr:`Event.quiet`; -inf for an event without one) makes no event
+    checks, and a start inside an event's quiet radius does not call its
+    g: only the sign of the g kept from the last check is read, and every
+    g skipped is negative.  The step that enters the disk is checked and
+    keeps a negative g, so the run keeps every bit of one that checks each
+    step; a crossing is bisected with g wherever its probes fall.
 
     A ``start_below`` event whose g is nonnegative at z0 and at the end
     of the first accepted step (a run that starts on or beyond its radius
@@ -526,8 +538,12 @@ def drive_field(
             raise ValueError(f"each stop must lie in (t0, t_stop], got {s!r}")
     z = complex(z0)
     k1 = rhs(z)
-    watch = [[ev, -math.inf if ev.start_below else ev.g(z), ev.radius] for ev in events]
-    h = min(_H_MAX, max(t_stop - t0, 0.0) or 1.0, 0.01 * (1.0 + abs(z)) / max(abs(k1), 1e-12))
+    size = abs(z)
+    watch = [
+        [ev, -math.inf if ev.start_below or ev.quiet is not None and size < ev.quiet else ev.g(z), ev.radius]
+        for ev in events
+    ]
+    h = min(_H_MAX, max(t_stop - t0, 0.0) or 1.0, 0.01 * (1.0 + size) / max(abs(k1), 1e-12))
     done = {}
     res = _advance(
         _stepper(rhs), cfg, t0, z, k1, max(h, 1e-300), watch, [(t0, z)], [0.0], [], t_stop, _MAX_STEPS,
@@ -538,10 +554,9 @@ def drive_field(
 
 
 def _nearest_radius(watch) -> float:
-    """The smallest radius watched if every watched event is a radius event,
-    else -inf; a step that starts and ends below it can fire no event."""
-    radii = [entry[2] for entry in watch]
-    return -math.inf if None in radii else min(radii, default=math.inf)
+    """The smallest quiet radius watched, -inf if an event has none; a
+    step that starts and ends below it can fire no event."""
+    return min((-math.inf if entry[0].quiet is None else entry[0].quiet for entry in watch), default=math.inf)
 
 
 def _advance(step, cfg, t, z, k1, h, watch, samples, errors, crossings, t_stop, budget, pending, done):

@@ -25,7 +25,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CorrectorDivergence, EvaluationOverflow
-from .expr import _POINT_GLOBALS, FuncExpr, _emit_body, _generated, _kept, compile_fn, derivative
+from .expr import (
+    _POINT_GLOBALS, Add, Constant, FuncExpr, IntPower, Mul, Negate, Scale, Variable, _emit_body, _generated, _kept,
+    compile_fn, derivative,
+)
 from .flow import Event, Field, IntegratorConfig, drive_field
 from .quadrature import QuadratureDiverged, gauss_kronrod
 
@@ -50,6 +53,8 @@ _SLOW_RUN = 3  # ... which must hold and keep decreasing across this many radii
 # a tracing step dx/|g| is at most this times (1 + |z|); the Rubel pass's
 # extrapolated sum and its bar, not this cap, carry its tails' accuracy
 _STEP_SCALE = 0.2
+_QUIET_CAP = 1e300  # no node of G may reach this inside the transit event's quiet radius ...
+_QUIET_MARGIN = 1e-9  # ... nor Re G come within this, relatively, of the far end
 
 
 @dataclass(frozen=True)
@@ -296,6 +301,69 @@ class TransitReport:
     divergence_witness: Optional[float] = None
 
 
+def _quiet_radius(big_g: FuncExpr, x_max: float) -> Optional[float]:
+    """A radius R >= 1 inside which the compiled G neither raises nor
+    reaches Re G >= x_max, or None.
+
+    Each node gets a majorant (c, n), |node(z)| <= c max(1, |z|)^n
+    (Cauchy's method of majorants, on G's tree): a constant (|v|, 0), z
+    (1, 1), -u as u, s u (|s| c, n), u + v (c1 + c2, max n), u v
+    (c1 c2, n1 + n2), u^k (c^k, k n); an exp has no such bound, and
+    neither has a node whose c is zero or not finite.  R is (1 - margin)
+    times the least of (cap/c)^(1/n) over all nodes and of
+    (x_max/(c (1 + margin)))^(1/n) at the root (:func:`_root`), with cap
+    ``_QUIET_CAP`` and margin ``_QUIET_MARGIN``.  The cap keeps every
+    node's value, and every partial product of a power that reaches its
+    result, 1e8 below the double range.  CPython's complex ``**`` with
+    k <= 100 squares its base once more after k's top bit, so z**64 also
+    forms z**128, which may overflow near the rim; that square is thrown
+    away, and only the returned power is checked, so it raises nothing.
+    The margin covers rounding: each operation adds a relative
+    error of a few eps of its node's majorant, under 1e-13 along the
+    parser's 200 levels, and a power u^k multiplies its base's by k, which
+    the factor (1 - margin)^n outweighs.  The bound is taken from the tree,
+    not from ``poly_coeffs``: G runs as written, so 1e10 z z - 1e10 z^2 + z,
+    whose coefficients are those of z, reads about eps 1e10 |z|^2 in
+    doubles, past 1e30 at |z| = 1e19.  None when R < 1 (no disk) or
+    x_max <= 0.
+    """
+    caps = []
+
+    def bound(e):
+        if isinstance(e, Constant):
+            c, n = abs(e.value), 0
+        elif isinstance(e, Variable):
+            c, n = 1.0, 1
+        elif isinstance(e, (Negate, Scale)):
+            c, n = bound(e.arg)
+            c *= abs(e.factor) if isinstance(e, Scale) else 1.0
+        elif isinstance(e, (Add, Mul)):
+            (c1, n1), (c2, n2) = bound(e.left), bound(e.right)
+            c, n = (c1 + c2, max(n1, n2)) if isinstance(e, Add) else (c1 * c2, n1 + n2)
+        elif isinstance(e, IntPower):
+            c, n = bound(e.arg)
+            c, n = c ** e.power, n * e.power
+        else:  # an exp: no finite majorant
+            c, n = math.inf, 0
+        if not 0.0 < c < math.inf:
+            raise ArithmeticError("no quiet disk")
+        caps.append(_root(_QUIET_CAP / c, n))
+        return c, n
+
+    try:
+        c, n = bound(big_g)
+    except ArithmeticError:  # OverflowError from c ** k among them
+        return None
+    # a far end at or below 0 gives no disk
+    r = (1.0 - _QUIET_MARGIN) * min(*caps, _root(max(x_max, 0.0) / (c * (1.0 + _QUIET_MARGIN)), n))
+    return r if r >= 1.0 else None
+
+
+def _root(q: float, n: int) -> float:
+    """The r with r^n = q > 0, the limit as n falls to 0 for n = 0."""
+    return q ** (1.0 / n) if n else (math.inf if q >= 1.0 else 0.0)
+
+
 def transit_time(
     curve: LevelCurve,
     cfg: Optional[IntegratorConfig] = None,
@@ -318,7 +386,12 @@ def transit_time(
     diverges.  The two agree when |quad - ode| <= gap_bar =
     ``_TRANSIT_REL_TOL``*quad + ``_FLOW_REL_TOL``*steps*(1 + ode), the
     quadrature's tolerance plus the flow's per accepted step, as
-    :func:`flow.blowup_time_estimate` bars its runs.  When the integrand grows
+    :func:`flow.blowup_time_estimate` bars its runs.  The run's event is
+    quiet (:attr:`flow.Event.quiet`) inside :func:`_quiet_radius`, where it
+    calls G at no accepted step: a majorant of G's tree, since G runs as
+    written and a bound from its coefficients misses the rounding of its
+    cancellations, kept 1e-9 below the far end for rounding and below 1e300
+    at every node against overflow.  When the integrand grows
     like c/X near an interior point (a zero of g on or next to the curve) the
     quadrature reports +inf with a witness abscissa X instead of a number; so
     does a node where |g| < ``_G_MIN`` or the corrector fails.  Both take G's
@@ -380,6 +453,7 @@ def transit_time(
 
     t_budget = cfg.t_max if not math.isfinite(quad) else max(1.0, 4.0 * quad)
     event = Event(lambda z: big_ge(z).real - x2)
+    event.quiet = _quiet_radius(curve.big_g, x2)
     res = drive_field(field, curve.zs[0], replace(cfg, rel_tol=_FLOW_REL_TOL), t_stop=t_budget, events=(event,))
     ode = res.samples[-1][0] if res.status == "event" else math.inf
     if not (math.isfinite(quad) and math.isfinite(ode)):

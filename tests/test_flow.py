@@ -1026,9 +1026,9 @@ class TestDriver:
 
     def test_radius_event(self):
         ev = Event.at_radius(3.0, terminal=False, start_below=True)
-        assert (ev.radius, ev.terminal, ev.start_below) == (3.0, False, True)
+        assert (ev.radius, ev.quiet, ev.terminal, ev.start_below) == (3.0, 3.0, False, True)
         assert ev.g(3 + 4j) == 2.0
-        assert Event(ev.g).radius is None
+        assert (Event(ev.g).radius, Event(ev.g).quiet) == (None, None)
 
     def test_two_radii_in_one_step_fire_in_the_order_given(self):
         events = _two_radii_in_one_step()
@@ -1472,6 +1472,32 @@ def _retired_below_radius():
     return Event(lambda z: -z.imag, terminal=False), Event.at_radius(2.0)
 
 
+def _quiet(ev, r):
+    """ev with the quiet radius r: its g must be negative wherever |z| < r."""
+    ev.quiet = r
+    return ev
+
+
+def _quiet_runs():
+    """(rhs, z0, t_stop, events) of runs whose events have quiet radii.
+
+    The spiral |z - 1| = 0.6 e^(t/20) enters and leaves |z| < 1 four times
+    before the terminal |z| - 5 fires.  The circle |z - 1| = 1.5 from 2.5
+    starts outside its event's quiet radius with g(z0) = 0.5 >= 0: g = |z| - 2
+    turns negative on the very step that enters the disk |z| < 2, and must
+    have been kept from that step to fire on the way out; the same with
+    Re z - 2.4 over the disk |z| < 2.4, and with a retired event inside."""
+    return [
+        (Field(parse_expr("(0.05 + i)*(z - 1)")), 1.6 + 0j, 60.0, (_quiet(Event(lambda z: abs(z) - 5.0), 1.0),)),
+        (Field(parse_expr("i*z - i")), 2.5 + 0j, 10.0, (_quiet(Event(lambda z: abs(z) - 2.0), 2.0),)),
+        (Field(parse_expr("i*z - i")), 2.5 + 0j, 10.0, (_quiet(Event(lambda z: z.real - 2.4), 2.4),)),
+        (
+            Field(parse_expr("i*z - i")), 2.5 + 0j, 10.0,
+            (Event(lambda z: -z.imag, terminal=False), _quiet(Event(lambda z: abs(z) - 2.0), 1.5)),
+        ),
+    ]
+
+
 def _stuck_above_one(z):
     # speed 1 towards a wall at Re z = 1 where the field has no value
     if z.real >= 1.0:
@@ -1521,6 +1547,8 @@ def _drive_cases():
         (Field(parse_expr("i*z - i")), 2.5 + 0j, cfg, 10.0, _retired_below_radius()),
         # two non-terminal radii, the outer given first, retired in turn
         (Field(parse_expr("z")), 1 + 0j, cfg, 2.0, (Event.at_radius(4.0, False), Event.at_radius(2.0, False))),
+        # events with quiet radii: a run in and out of the disk, and starts outside it with g(z0) >= 0
+        *((rhs, z0, cfg, t_stop, events) for rhs, z0, t_stop, events in _quiet_runs()),
         # overflow retries: recovered on the way, then ending in overflow,
         # raised by the field or by a non-finite error estimate
         (_stuck_above_one, 0j, cfg, 5.0, ()),
@@ -1600,6 +1628,28 @@ class TestDriveFieldLoop:
                 assert (status, repr(sample)) == (want.status, repr(want.samples[-1])), (rhs, z0, cfg, t_stop, s)
                 statuses.add(status)
         assert statuses == {"t_stop", "event", "overflow", "underflow"}
+
+    def test_quiet_radius_keeps_every_bit_and_skips_checks(self):
+        # the same events without their quiet radii are checked on every step
+        for rhs, z0, t_stop, events in _quiet_runs():
+            calls = {True: Counter(), False: Counter()}
+
+            def counted(quiet):
+                """events calling their g through a count, with their quiet radii or none"""
+                n = calls[quiet]
+                return tuple(
+                    _quiet(Event(lambda z, ev=ev: n.update([ev]) or ev.g(z), ev.terminal), ev.quiet if quiet else None)
+                    for ev in events
+                )
+
+            got = _run_outcome(drive_field, rhs, z0, IntegratorConfig(), t_stop, counted(True))
+            assert got == _run_outcome(drive_field, rhs, z0, IntegratorConfig(), t_stop, counted(False))
+            assert "'event'" in got
+            for ev in events:
+                if ev.quiet is None:
+                    assert calls[True][ev] == calls[False][ev]
+                else:
+                    assert 0 < calls[True][ev] < calls[False][ev]
 
     @pytest.mark.parametrize("stop", [math.nan, 0.0, -1.0, 2.0])
     def test_stop_outside_the_run_rejected_before_any_step(self, stop):

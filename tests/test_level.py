@@ -11,6 +11,7 @@ import pytest
 from conftest import level_start, random_expr, reference_corrector
 
 import planeflow.expr as expr_module
+import planeflow.flow as flow_module
 import planeflow.level as level_module
 from planeflow.errors import CorrectorDivergence, EvaluationOverflow
 from planeflow.escape import rubel_path
@@ -26,6 +27,8 @@ from planeflow.expr import (
     compile_fn,
     derivative,
     parse_expr,
+    poly_coeffs,
+    to_text,
 )
 from planeflow.flow import IntegratorConfig
 from planeflow.level import (
@@ -703,6 +706,116 @@ class TestTransit:
             calls.clear()
             transit_time(curve, cfg)
             assert 15 <= len(calls) <= 45
+
+
+def _quiet_curves():
+    """Seeded curves of G = z^k/k (k = 1..4), of z^3/3 + 100 z, whose
+    majorant is loose, and of 0.5 z^2 + 0.3 e^(-z), which has none."""
+    cfg, curves = _power_curves()
+    curves = [curve for _, curve in curves]
+    rng = random.Random(20261022)
+    for text, x_ends in (("z^3*(1/3) + 100*z", (1e4, 1e9)), ("0.5*z^2 + 0.3*exp(-z)", (1e2, 1e4))):
+        big_g = parse_expr(text)
+        for x_end in x_ends:
+            for _ in range(3):
+                curves.append(trace_level(big_g, cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-1.2, 1.2)), x_end, cfg))
+    return cfg, curves
+
+
+class TestQuietRadius:
+    def test_transit_reports_match_without_it(self, monkeypatch):
+        cfg, curves = _quiet_curves()
+        quiet = [level_module._quiet_radius(curve.big_g, curve.x_end) for curve in curves]
+        with_radius = [repr(transit_time(curve, cfg)) for curve in curves]
+        monkeypatch.setattr(level_module, "_quiet_radius", lambda big_g, x_max: None)
+        assert [repr(transit_time(curve, cfg)) for curve in curves] == with_radius
+        # every polynomial has its disk, the exponential none
+        assert [r is None for r in quiet] == ["exp" in to_text(curve.big_g) for curve in curves]
+
+    def test_g_is_not_called_inside_it(self, monkeypatch):
+        # off the crossing's bisection, the event never evaluates G inside the disk
+        cfg = IntegratorConfig(escape_radius=1e9)
+        kernels, crossing_theta = level_module._kernels, flow_module._crossing_theta
+        calls, refining = [], []
+
+        def wrapped(big_g):
+            big_ge, ge, newton, field = kernels(big_g)
+            return lambda z: calls.append((abs(z), bool(refining))) or big_ge(z), ge, newton, field
+
+        def refine(*args):
+            refining.append(True)
+            try:
+                return crossing_theta(*args)
+            finally:
+                refining.pop()
+
+        for text, start, x_end in (("z^2*(1/2)", 1 + 0.5j, 1e6), ("z^3*(1/3) + 100*z", 1 + 0j, 1e9)):
+            curve = trace_level(parse_expr(text), start, x_end, cfg)
+            r = level_module._quiet_radius(curve.big_g, curve.x_end)
+            counts = []
+            for quiet in (True, False):
+                monkeypatch.setattr(level_module, "_kernels", wrapped)
+                monkeypatch.setattr(flow_module, "_crossing_theta", refine)
+                if not quiet:
+                    monkeypatch.setattr(level_module, "_quiet_radius", lambda big_g, x_max: None)
+                calls.clear()
+                transit_time(curve, cfg)
+                monkeypatch.undo()
+                counts.append(sum(1 for _, inside in calls if not inside))
+                if quiet:
+                    assert all(size >= r for size, inside in calls if not inside)
+            # steps inside the disk called G without it
+            assert 0 < counts[0] < counts[1]
+
+    def test_majorant_is_sound_where_coefficients_are_not(self):
+        rng = random.Random(20261022)
+        # 1e10 z z - 1e10 z^2 + z has the coefficients of z, so a coefficient bound
+        # allows |z| up to x = 1e30; but its two products round apart, by about
+        # eps 1e10 |z|^2, which passes x at |z| = 1e19.  The tree's majorant is
+        # (2e10 + 1) |z|^2
+        big_f, x_f = parse_expr("1e10*z*z - 1e10*z^2 + z"), 1e30
+        assert poly_coeffs(big_f) == [0j, 1 + 0j]
+        fn = compile_fn(big_f)
+        assert any(fn(cmath.rect(1e19, rng.uniform(-math.pi, math.pi))).real >= x_f for _ in range(100))
+        r_f = level_module._quiet_radius(big_f, x_f)
+        assert abs(r_f - math.sqrt(x_f / (2e10 + 1.0))) <= 1e-8 * r_f
+        # (z+1)^3 - z^3, whose coefficients 3z^2 + 3z + 1 allow |z| up to 3.8e19 at x = 1e40
+        big_g, x_g = parse_expr("(z+1)^3 - z^3"), 1e40
+        r_g = level_module._quiet_radius(big_g, x_g)
+        assert abs(r_g - (x_g / 9.0) ** (1.0 / 3.0)) <= 1e-8 * r_g
+        # 1e-300 z^400 <= x alone allows |z| up to 5.92, but z^400 overflows past 5.90
+        big_h, x_h = parse_expr("1e-300*z^400"), 1e9
+        r_h = level_module._quiet_radius(big_h, x_h)
+        assert abs(r_h - 1e300 ** (1.0 / 400.0)) <= 1e-8 * r_h
+        with pytest.raises(EvaluationOverflow):
+            compile_fn(big_h)(5.91)
+        # z^2/2 meets its far end on the real axis, just past its disk; so does
+        # 0.1 z^5, whose rim without the margins reads Re G >= x in doubles
+        big_q, x_q = parse_expr("z^2*(1/2)"), 1e6
+        r_q = level_module._quiet_radius(big_q, x_q)
+        big_p, x_p = parse_expr("0.1*z^5"), 111982.42206613964
+        cases = (
+            (big_f, x_f, r_f), (big_g, x_g, r_g), (big_h, x_h, r_h), (big_q, x_q, r_q),
+            (big_p, x_p, level_module._quiet_radius(big_p, x_p)),
+        )
+        for g, x_end, radius in cases:
+            fn = compile_fn(g)
+            rim = math.nextafter(radius, 0.0)
+            assert all(fn(z).real < x_end for z in (rim, -rim, 1j * rim, -1j * rim))
+            for _ in range(2000):
+                # uniform in the disk, and on its rim
+                size = math.sqrt(rng.random()) * radius if rng.random() < 0.5 else rim
+                assert fn(cmath.rect(size, rng.uniform(-math.pi, math.pi))).real < x_end
+        # only the margins keep z^2/2 below its far end on the rim
+        assert compile_fn(big_q)(r_q).real >= x_q * (1.0 - 3e-9)
+
+    @pytest.mark.parametrize(
+        "text, x_max",
+        [("0.5*z^2 + 0.3*exp(-z)", 1e4), ("z + 0", 10.0), ("z^2*(1/2)", 0.3), ("z", -5.0), ("1e200*z^2*1e200", 1e9)],
+    )
+    def test_no_disk(self, text, x_max):
+        # an exp, a zero bound, a disk below radius 1, a far end at or below 0, a bound past the double range
+        assert level_module._quiet_radius(parse_expr(text), x_max) is None
 
 
 class TestCriterion:
